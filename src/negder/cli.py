@@ -172,8 +172,6 @@ def _cmd_char(args):
 
 
 def _cmd_rigidity(args):
-    if args.torus < 0:
-        raise ValueError("torus rank must be nonnegative")
     alg = _load(args.file).build()
     trace = prove_rigidity(alg, args.torus)
     doc = {"command": "rigidity", "file": args.file,

@@ -64,7 +64,8 @@ class GradedLinearMap:
                 continue
             src = algebra.graded_piece(n)
             tgt = algebra.graded_piece(n + self.shift)
-            assert len(mat) == len(tgt) and len(mat[0]) == len(src)
+            if len(mat) != len(tgt) or len(mat[0]) != len(src):
+                raise ValueError(f"block at degree {n} does not match the graded pieces")
             col = [coeffs.get(i, Fraction(0)) for i in src]
             for r, t in enumerate(tgt):
                 val = sum((m * c for m, c in zip(mat[r], col)), Fraction(0))
@@ -91,15 +92,15 @@ class GradedLinearMap:
             tgt = algebra.graded_piece(n + shift)
             tgt_set = set(tgt)
             if not tgt:
-                for i in src:
-                    assert not images.get(i, zero), "image lands in an empty piece"
+                if any(images.get(i, zero) for i in src):
+                    raise ValueError("image lands in an empty piece")
                 continue
             mat = []
             for t in tgt:
                 mat.append([images.get(i, zero).coeff(t) for i in src])
             for i in src:
-                img = images.get(i, zero)
-                assert set(img.coeffs) <= tgt_set, "image off the shifted piece"
+                if not set(images.get(i, zero).coeffs) <= tgt_set:
+                    raise ValueError("image off the shifted piece")
             blocks[n] = mat
         return cls(shift, blocks)
 
@@ -109,21 +110,30 @@ def identity_map(algebra):
         algebra, 0, {i: algebra.basis_element(i) for i in range(algebra.dim)})
 
 
-def leibniz_system(a, d):
-    """Linear system whose kernel is the space of degree-d derivations.
+def _add(row, c, x):
+    if c in row:
+        x += row[c]
+        if not x:
+            del row[c]
+            return
+    row[c] = x
+
+
+def leibniz_rows(a, d):
+    """Sparse linear system whose kernel is the space of degree-d derivations.
 
     Unknowns: pairs (i, t) meaning the coefficient of basis t in theta(e_i),
     enumerated with i ascending and t in graded-piece order.  Rows: for
     every ordered basis pair (i, j) and every basis element of the target
-    degree |i| + |j| + d, the Leibniz law written as LHS - RHS = 0.
-    Returns (rows, unknowns).
+    degree |i| + |j| + d, the Leibniz law written as LHS - RHS = 0, as a
+    {column: coefficient} dict of its nonzero entries (empty for a zero
+    row).  Returns (rows, unknowns).
     """
     unknowns = []
     for i in range(a.dim):
         for t in a.graded_piece(a.degrees[i] + d):
             unknowns.append((i, t))
     col = {ut: c for c, ut in enumerate(unknowns)}
-    ncols = len(unknowns)
     rows = []
     for i in range(a.dim):
         di = a.degrees[i]
@@ -132,18 +142,32 @@ def leibniz_system(a, d):
             targets = a.graded_piece(di + a.degrees[j] + d)
             if not targets:
                 continue
-            eq = {t: [Fraction(0)] * ncols for t in targets}
+            eq = {t: {} for t in targets}
             for k, c in a.products.get((i, j), {}).items():
                 for t in targets:
-                    eq[t][col[(k, t)]] += c
+                    _add(eq[t], col[(k, t)], c)
             for t1 in a.graded_piece(di + d):
                 for k2, c in a.products.get((t1, j), {}).items():
-                    eq[k2][col[(i, t1)]] -= c
+                    _add(eq[k2], col[(i, t1)], -c)
             for t2 in a.graded_piece(a.degrees[j] + d):
                 for k2, c in a.products.get((i, t2), {}).items():
-                    eq[k2][col[(j, t2)]] -= sign * c
+                    _add(eq[k2], col[(j, t2)], -sign * c)
             rows.extend(eq[t] for t in targets)
     return rows, unknowns
+
+
+def leibniz_system(a, d):
+    """Dense view of leibniz_rows: the same rows, zero rows included, in
+    the same order, each a list of Fraction.  Returns (rows, unknowns)."""
+    rows, unknowns = leibniz_rows(a, d)
+    zero = Fraction(0)
+    dense = []
+    for row in rows:
+        line = [zero] * len(unknowns)
+        for c, x in row.items():
+            line[c] = Fraction(x)
+        dense.append(line)
+    return dense, unknowns
 
 
 def derivation_space(a, d):
@@ -152,16 +176,15 @@ def derivation_space(a, d):
     Each kernel vector of the Leibniz system becomes one GradedLinearMap;
     the list is empty exactly when only the zero derivation exists.
     """
-    rows, unknowns = leibniz_system(a, d)
+    rows, unknowns = leibniz_rows(a, d)
     if not unknowns:
         return []
-    kernel = nullspace_basis(rows, ncols=len(unknowns))
     maps = []
-    for v in kernel:
+    for v in nullspace_basis(rows, ncols=len(unknowns), sparse=True):
         images = {}
-        for (i, t), c in zip(unknowns, v):
-            if c:
-                images.setdefault(i, {})[t] = c
+        for c, x in v.items():
+            i, t = unknowns[c]
+            images.setdefault(i, {})[t] = x
         maps.append(GradedLinearMap.from_images(
             a, d, {i: Element(img) for i, img in images.items()}))
     return maps

@@ -160,6 +160,8 @@ def parse_structure_constants(text):
             section = "products"
             continue
         if line.startswith("unit:"):
+            if unit_label is not None:
+                raise ParseError(line_no, "duplicate unit line")
             unit_label = line[len("unit:"):].strip()
             if not unit_label:
                 raise ParseError(line_no, "unit needs a basis label")

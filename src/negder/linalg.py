@@ -1,8 +1,10 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-A matrix is a list of rows, each row a list of Fraction (or int) entries.
-Every routine is pure: inputs are never mutated, results are fresh lists,
-and all arithmetic is exact.
+A matrix is a list of rows, each row a list of Fraction (or int) entries;
+nullspace_basis also takes sparse {column: value} rows.  Every routine is
+pure: inputs are never mutated, results are fresh, and all arithmetic is
+exact.  Kernels come from sparse elimination; dense rref and the Bareiss
+rank are kept as independent oracles.
 """
 
 import math
@@ -58,33 +60,81 @@ def rref(m):
     return reduced, len(pivots), pivots
 
 
-def nullspace_basis(m, ncols=None):
-    """Canonical kernel basis read off the reduced row echelon form.
+def _nonzero(row):
+    """{column: value} of the nonzero entries of a dense list or dict row."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    return {c: x for c, x in items if x}
 
-    One vector per free column f, in ascending column order: entry 1 at f,
-    0 at every other free column, and the back-substituted pivot values
-    elsewhere.  Each vector is checked against the original system and the
-    count is checked against rank-nullity before returning.
+
+def _subtract(row, f, other, skip):
+    """row -= f * other in place, over every column of other but skip."""
+    for j, y in other.items():
+        if j != skip:
+            x = row.get(j, 0) - f * y
+            if x:
+                row[j] = x
+            else:
+                del row[j]
+
+
+def nullspace_basis(m, ncols=None, sparse=False):
+    """Canonical kernel basis, by sparse exact elimination.
+
+    Rows are dense lists or {column: value} dicts.  Zero rows and exact
+    duplicates are skipped.  Every other row is reduced against the pivot
+    rows found so far, which are kept fully reduced with a leading 1 at
+    their least column, so the pivot rows end up as the unique RREF of the
+    row space and the basis is the one read off dense rref: one vector per
+    free column f, in ascending order, with entry 1 at f, 0 at every other
+    free column and the back-substituted pivot values elsewhere.
+
+    Every vector is checked exactly against every distinct nonzero row,
+    hence against every row, in time proportional to the nonzeros, and
+    ArithmeticError is raised on a failure.  Vectors are dense lists of
+    Fraction, or {column: Fraction} dicts in column order when sparse is
+    true.
     """
     if ncols is None:
         if not m:
             raise ValueError("ncols is required for a matrix with no rows")
+        if isinstance(m[0], dict):
+            raise ValueError("ncols is required for dict rows")
         ncols = len(m[0])
-    reduced, rank, pivots = rref(m)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
+    rows = [_nonzero(row) for row in m]
+    if any(c >= ncols for row in rows for c in row):
+        raise ValueError(f"a row has an entry beyond column {ncols - 1}")
+    distinct = list({frozenset(row.items()): row for row in rows if row}.values())
+    pivots = {}
+    for row in distinct:
+        r = {c: Fraction(x) for c, x in row.items()}
+        # Pivot rows hold no other pivot column, so one subtraction per
+        # pivot column of r clears it without refilling the others.
+        for c in [c for c in r if c in pivots]:
+            _subtract(r, r.pop(c), pivots[c], c)
+        if not r:
             continue
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for t, p in enumerate(pivots):
-            v[p] = -reduced[t][f]
-        basis.append(v)
-    assert len(basis) == ncols - rank
-    for v in basis:
-        assert all(x == 0 for x in mat_vec(m, v))
-    return basis
+        p = min(r)
+        lead = r[p]
+        if lead != 1:
+            r = {c: x / lead for c, x in r.items()}
+        for prow in pivots.values():
+            if p in prow:
+                _subtract(prow, prow.pop(p), r, p)
+        pivots[p] = r
+    basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in pivots}
+    for p, prow in pivots.items():
+        for c, x in prow.items():
+            if c != p:
+                basis[c][p] = -x
+    vectors = [dict(sorted(v.items())) for v in basis.values()]
+    for row in distinct:
+        for v in vectors:
+            if sum(x * v[c] for c, x in row.items() if c in v):
+                raise ArithmeticError("a kernel vector fails a row of the system")
+    if sparse:
+        return vectors
+    zero = Fraction(0)
+    return [[v.get(c, zero) for c in range(ncols)] for v in vectors]
 
 
 def rank_fraction_free(m):
@@ -119,7 +169,8 @@ def rank_fraction_free(m):
             for j in range(c + 1, ncols):
                 num = a[r][c] * a[i][j] - a[i][c] * a[r][j]
                 q, rem = divmod(num, prev)
-                assert rem == 0
+                if rem:
+                    raise ArithmeticError("inexact Bareiss division")
                 a[i][j] = q
             a[i][c] = 0
         prev = a[r][c]

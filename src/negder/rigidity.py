@@ -228,6 +228,8 @@ def prove_rigidity(base, torus_rank):
     "Not established" means this criterion failed at some level, not that
     a splitting obstruction was produced.
     """
+    if torus_rank < 0:
+        raise ValueError("torus rank must be nonnegative")
     cap = min(torus_rank, base.top_degree)
     levels = []
     for k in range(1, cap + 1):

@@ -1,11 +1,14 @@
-"""Shared builders for the test suite.
+"""Shared builders and the dense kernel oracle for the test suite.
 
 These construct the standard small algebras directly from presentations,
 independently of the bundled corpus files, so the builders themselves are
 under test whenever a test module uses them.
 """
 
+from fractions import Fraction
+
 from negder import Generator, Presentation, build_monomial_algebra
+from negder.linalg import rref
 
 
 def projective_space(n):
@@ -28,3 +31,20 @@ def torus(s):
 def point():
     """The one-point algebra Q."""
     return build_monomial_algebra(Presentation("pt", ()))
+
+
+def rref_kernel(m, ncols):
+    """Dense oracle for nullspace_basis: the canonical kernel basis read
+    off dense rref, one vector per free column in ascending order."""
+    reduced, _, pivots = rref(m)
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for t, p in enumerate(pivots):
+            v[p] = -reduced[t][f]
+        basis.append(v)
+    return basis

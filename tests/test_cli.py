@@ -119,6 +119,15 @@ def test_other_commands_treat_invalid_tables_as_input_errors(capsys, broken_tabl
     assert "error:" in err
 
 
+def test_duplicate_unit_line_is_an_input_error(capsys, tmp_path):
+    target = tmp_path / "two_units.alg"
+    target.write_text(serialize_structure_constants(torus(2)) + "unit: i1\n")
+    code, out, err = invoke(capsys, "validate", str(target))
+    assert code == 2
+    assert out == ""
+    assert "duplicate unit" in err and "line " in err
+
+
 def test_missing_file_is_a_usage_error(capsys, tmp_path):
     code, _, err = invoke(capsys, "validate", str(tmp_path / "nope.alg"))
     assert code == 2

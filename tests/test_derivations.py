@@ -1,12 +1,17 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import point, projective_space, sphere, torus
+from conftest import point, projective_space, rref_kernel, sphere, torus
 from negder import (Element, Generator, GradedAlgebra, GradedLinearMap,
                     Presentation, bracket, build_monomial_algebra,
-                    check_class_h, derivation_space, identity_map,
-                    is_derivation, leibniz_system)
+                    check_class_h, corpus, derivation_space, identity_map,
+                    is_derivation, leibniz_system, tensor)
 from negder.linalg import mat_vec, rank_fraction_free
 
 
@@ -35,8 +40,36 @@ def test_apply_and_from_images():
 
 def test_from_images_rejects_off_piece_images():
     s3 = sphere(3)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="empty piece"):
         GradedLinearMap.from_images(s3, -3, {0: s3.basis_element(0)})
+    cp2 = projective_space(2)
+    with pytest.raises(ValueError, match="off the shifted piece"):
+        GradedLinearMap.from_images(cp2, -2, {1: cp2.basis_element(1)})
+
+
+def test_apply_rejects_misshapen_blocks():
+    cp2 = projective_space(2)
+    bad = GradedLinearMap(-2, {2: [[1, 1]]})
+    with pytest.raises(ValueError, match="does not match"):
+        bad.apply(cp2, cp2.basis_element(1))
+
+
+def test_shape_checks_survive_optimized_mode():
+    script = (
+        "from negder import GradedLinearMap, Generator, Presentation, "
+        "build_monomial_algebra\n"
+        "s3 = build_monomial_algebra(Presentation('S3', (Generator('x', 3, 2),)))\n"
+        "try:\n"
+        "    GradedLinearMap.from_images(s3, -3, {0: s3.basis_element(0)})\n"
+        "except ValueError:\n"
+        "    print(__debug__, 'raised')\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False raised\n"
 
 
 def test_identity_map():
@@ -69,6 +102,60 @@ def test_solver_outputs_are_derivations():
         for d in range(0, alg.top_degree + 1):
             for theta in derivation_space(alg, -d):
                 assert is_derivation(alg, theta) == []
+
+
+def dense_derivation_space(alg, d):
+    """Oracle for derivation_space: the dense Leibniz system, its kernel
+    read off dense rref, and the same reshape into per-degree blocks."""
+    rows, unknowns = leibniz_system(alg, d)
+    maps = []
+    for v in rref_kernel(rows, len(unknowns)):
+        images = {}
+        for (i, t), c in zip(unknowns, v):
+            if c:
+                images.setdefault(i, {})[t] = c
+        maps.append(GradedLinearMap.from_images(
+            alg, d, {i: Element(img) for i, img in images.items()}))
+    return maps
+
+
+def assert_matches_dense_oracle(alg):
+    for d in range(-alg.top_degree, 1):
+        assert derivation_space(alg, d) == dense_derivation_space(alg, d), d
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_derivation_space_matches_dense_oracle_on_corpus(name):
+    assert_matches_dense_oracle(corpus.load(name))
+
+
+def test_derivation_space_matches_dense_oracle_on_tensor_products():
+    assert_matches_dense_oracle(tensor(torus(3), sphere(3)))
+    assert_matches_dense_oracle(tensor(projective_space(2), sphere(4)))
+
+
+generators = st.lists(
+    st.integers(1, 6).flatmap(lambda deg: st.tuples(
+        st.just(deg), st.just(2) if deg % 2 else st.integers(2, 4))),
+    min_size=1, max_size=3)
+
+
+@given(generators)
+@settings(max_examples=50, deadline=None)
+def test_derivation_space_matches_dense_oracle_on_random_presentations(gens):
+    alg = build_monomial_algebra(Presentation("random", tuple(
+        Generator(symbol, deg, trunc) for symbol, (deg, trunc) in zip("abc", gens))))
+    assume(alg.dim <= 12)
+    assert_matches_dense_oracle(alg)
+
+
+def test_five_torus_fails_class_h_at_degree_minus_one():
+    t5 = torus(5)
+    verdict = check_class_h(t5)
+    assert verdict.dimensions == {-1: 5}
+    d, cert = verdict.certificate
+    assert d == -1
+    assert is_derivation(t5, cert) == []
 
 
 def test_rank_nullity_against_fraction_free_oracle():

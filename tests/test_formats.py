@@ -113,6 +113,13 @@ def test_parse_rejects_duplicate_product_lines():
         parse_structure_constants(text)
 
 
+def test_parse_rejects_duplicate_unit_lines():
+    text = MINIMAL_TABLE.replace("unit: 1\n", "unit: 1\nunit: x\n")
+    with pytest.raises(ParseError, match="line 6: duplicate unit") as info:
+        parse_structure_constants(text)
+    assert info.value.line_no == 6
+
+
 def test_parse_rejects_unknown_labels():
     with pytest.raises(ParseError, match="unknown"):
         parse_structure_constants(MINIMAL_TABLE.replace("1 x = 1*x",

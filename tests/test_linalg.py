@@ -1,8 +1,11 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rref_kernel
+from negder import linalg
 from negder.linalg import (dot, identity, mat_vec, nullspace_basis,
                            rank_fraction_free, rref)
 
@@ -120,3 +123,64 @@ def test_pivot_columns_strictly_increase():
 
 def test_dot_is_exact():
     assert dot([frac(1, 3), frac(1, 6)], [1, 2]) == frac(2, 3)
+
+
+# --- sparse elimination against the dense rref oracle ---
+
+@st.composite
+def padded_systems(draw):
+    """A random matrix with zero rows and duplicate rows mixed in, some
+    rows given as sparse {column: value} dicts."""
+    m = draw(matrices)
+    ncols = len(m[0]) if m else draw(st.integers(0, 6))
+    rows = [list(row) for row in m]
+    for _ in range(draw(st.integers(0, 3))):
+        rows.insert(draw(st.integers(0, len(rows))), [Fraction(0)] * ncols)
+    for _ in range(draw(st.integers(0, 3))):
+        if rows:
+            dup = draw(st.sampled_from(rows))
+            rows.insert(draw(st.integers(0, len(rows))), list(dup))
+    as_dict = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    mixed = [{c: x for c, x in enumerate(row) if x} if d else row
+             for row, d in zip(rows, as_dict)]
+    return rows, mixed, ncols
+
+
+@given(padded_systems())
+@settings(max_examples=200, deadline=None)
+def test_sparse_nullspace_equals_dense_rref_readout(system):
+    rows, mixed, ncols = system
+    expected = rref_kernel(rows, ncols)
+    assert nullspace_basis(mixed, ncols=ncols) == expected
+    sparse = nullspace_basis(mixed, ncols=ncols, sparse=True)
+    assert sparse == [{c: x for c, x in enumerate(v) if x} for v in expected]
+    assert all(list(v) == sorted(v) for v in sparse)
+
+
+def test_nullspace_skips_zero_and_duplicate_rows():
+    rows = [{}, {0: 1, 2: -1}, [0, 0, 0], {2: -1, 0: 1}, [1, 0, -1]]
+    assert nullspace_basis(rows, ncols=3) == [[0, 1, 0], [1, 0, 1]]
+
+
+def test_nullspace_dict_rows_need_ncols():
+    with pytest.raises(ValueError, match="ncols"):
+        nullspace_basis([{0: 1}])
+
+
+def test_nullspace_rejects_entries_beyond_ncols():
+    with pytest.raises(ValueError, match="beyond column"):
+        nullspace_basis([{3: 1}], ncols=2)
+
+
+def test_nullspace_does_not_mutate_input():
+    rows = [{0: 2, 1: 4}, [Fraction(1), Fraction(3)]]
+    nullspace_basis(rows, ncols=2)
+    assert rows == [{0: 2, 1: 4}, [1, 3]]
+
+
+def test_kernel_self_check_raises_on_a_wrong_elimination(monkeypatch):
+    # with row subtraction disabled the pivot rows are wrong, and the
+    # exact A.v = 0 check has to catch it
+    monkeypatch.setattr(linalg, "_subtract", lambda row, f, other, skip: None)
+    with pytest.raises(ArithmeticError, match="kernel vector"):
+        nullspace_basis([[1, 1, 0], [0, 1, 1]])

@@ -258,6 +258,11 @@ def test_rigidity_level_cap_protects_low_top_degree():
     assert trace.levels == []
 
 
+def test_prove_rigidity_rejects_negative_torus_rank():
+    with pytest.raises(ValueError, match="nonnegative"):
+        prove_rigidity(projective_space(2), -1)
+
+
 def test_class_h_implies_established_for_all_ranks():
     for alg in (projective_space(1), projective_space(3), sphere(4),
                 tensor(projective_space(2), sphere(4))):
