@@ -180,11 +180,11 @@ def derivation_space(a, d):
     if not unknowns:
         return []
     maps = []
-    for v in nullspace_basis(rows, ncols=len(unknowns), sparse=True):
+    for v in nullspace_basis(rows, ncols=len(unknowns)):
         images = {}
-        for c, x in v.items():
-            i, t = unknowns[c]
-            images.setdefault(i, {})[t] = x
+        for (i, t), x in zip(unknowns, v):
+            if x:
+                images.setdefault(i, {})[t] = x
         maps.append(GradedLinearMap.from_images(
             a, d, {i: Element(img) for i, img in images.items()}))
     return maps

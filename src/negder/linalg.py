@@ -77,7 +77,7 @@ def _subtract(row, f, other, skip):
                 del row[j]
 
 
-def nullspace_basis(m, ncols=None, sparse=False):
+def nullspace_basis(m, ncols=None):
     """Canonical kernel basis, by sparse exact elimination.
 
     Rows are dense lists or {column: value} dicts.  Zero rows and exact
@@ -91,8 +91,7 @@ def nullspace_basis(m, ncols=None, sparse=False):
     Every vector is checked exactly against every distinct nonzero row,
     hence against every row, in time proportional to the nonzeros, and
     ArithmeticError is raised on a failure.  Vectors are dense lists of
-    Fraction, or {column: Fraction} dicts in column order when sparse is
-    true.
+    Fraction.
     """
     if ncols is None:
         if not m:
@@ -101,8 +100,8 @@ def nullspace_basis(m, ncols=None, sparse=False):
             raise ValueError("ncols is required for dict rows")
         ncols = len(m[0])
     rows = [_nonzero(row) for row in m]
-    if any(c >= ncols for row in rows for c in row):
-        raise ValueError(f"a row has an entry beyond column {ncols - 1}")
+    if any(not 0 <= c < ncols for row in rows for c in row):
+        raise ValueError(f"a row has an entry outside columns 0..{ncols - 1}")
     distinct = list({frozenset(row.items()): row for row in rows if row}.values())
     pivots = {}
     for row in distinct:
@@ -126,13 +125,11 @@ def nullspace_basis(m, ncols=None, sparse=False):
         for c, x in prow.items():
             if c != p:
                 basis[c][p] = -x
-    vectors = [dict(sorted(v.items())) for v in basis.values()]
+    vectors = list(basis.values())
     for row in distinct:
         for v in vectors:
             if sum(x * v[c] for c, x in row.items() if c in v):
                 raise ArithmeticError("a kernel vector fails a row of the system")
-    if sparse:
-        return vectors
     zero = Fraction(0)
     return [[v.get(c, zero) for c in range(ncols)] for v in vectors]
 
