@@ -8,10 +8,11 @@ the splitting-rigidity prover at a chosen torus rank.
 
 import argparse
 
-from negder import check_class_h, corpus, prove_rigidity
+from negder import ProofTrace, check_class_h, corpus
 
 
 def survey_row(name, torus_rank):
+    """One table row; the class-H and rigidity columns share one sweep."""
     alg = corpus.load(name)
     verdict = check_class_h(alg)
     if verdict.in_class and verdict.connectivity_ok:
@@ -23,7 +24,8 @@ def survey_row(name, torus_rank):
     else:
         membership = "fails"
         first_failure = str(verdict.certificate[0])
-    trace = prove_rigidity(alg, torus_rank)
+    trace = ProofTrace.from_verdict(verdict, torus_rank,
+                                    min(torus_rank, alg.top_degree))
     rigidity = ("established" if trace.established
                 else f"open at level {trace.failed_level}")
     return (name, str(alg.dim), str(alg.top_degree), membership,

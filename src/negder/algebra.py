@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as cartesian
 
+from .linalg import echelon
+
 
 @dataclass(frozen=True)
 class Generator:
@@ -229,18 +231,18 @@ class GradedAlgebra:
         return out
 
 
-def _check_presentation(p):
-    seen = set()
-    for g in p.generators:
-        if g.symbol in seen:
-            raise ValueError(f"duplicate generator symbol {g.symbol!r}")
-        seen.add(g.symbol)
-        if g.degree < 1:
-            raise ValueError(f"generator {g.symbol!r} must have positive degree")
-        if g.truncation < 2:
-            raise ValueError(f"generator {g.symbol!r} needs truncation >= 2")
-        if g.degree % 2 and g.truncation != 2:
-            raise ValueError(f"odd-degree generator {g.symbol!r} must truncate at 2")
+def check_generator(g, seen):
+    """The presentation rules for one generator, given the set of symbols
+    seen before it, which it joins; raises ValueError on a violation."""
+    if g.symbol in seen:
+        raise ValueError(f"duplicate generator symbol {g.symbol!r}")
+    seen.add(g.symbol)
+    if g.degree < 1:
+        raise ValueError(f"generator {g.symbol!r} must have positive degree")
+    if g.truncation < 2:
+        raise ValueError(f"generator {g.symbol!r} needs truncation >= 2")
+    if g.degree % 2 and g.truncation != 2:
+        raise ValueError(f"odd-degree generator {g.symbol!r} must truncate at 2")
 
 
 def _monomial_label(exps, gens):
@@ -274,7 +276,9 @@ def build_monomial_algebra(p):
     builders: monomial_exponents (exponent vector per basis index) and
     presentation.
     """
-    _check_presentation(p)
+    seen = set()
+    for g in p.generators:
+        check_generator(g, seen)
     gens = list(p.generators)
     odd = [g.degree % 2 == 1 for g in gens]
     degrees_of = lambda e: sum(x * g.degree for x, g in zip(e, gens))
@@ -325,36 +329,21 @@ def tensor(a, b, name=None):
                          name=name or "")
 
 
-def _dense(a, elt):
-    row = [Fraction(0)] * a.dim
-    for i, c in elt.coeffs.items():
-        row[i] = c
-    return row
-
-
 def subalgebra_generated(a, seed):
     """Echelonized basis of the smallest unital subalgebra containing seed.
 
     Iterates span <- span + span . span until the dimension stops growing,
-    echelonizing with rref at each step, so the returned Elements are the
-    canonical reduced basis of the subalgebra.
+    echelonizing at each step, so the returned Elements are the canonical
+    reduced basis of the subalgebra, in pivot order.
     """
-    from .linalg import rref
+    def basis(rows):
+        pivots = echelon(rows)
+        return [Element(pivots[p]) for p in sorted(pivots)]
 
-    rows = [_dense(a, a.basis_element(a.unit))]
-    rows.extend(_dense(a, s) for s in seed)
-    reduced, rank, _ = rref(rows)
-    span = reduced[:rank]
+    span = basis([a.basis_element(a.unit).coeffs] + [s.coeffs for s in seed])
     while True:
-        candidates = list(span)
-        for r1 in span:
-            e1 = Element({i: c for i, c in enumerate(r1) if c})
-            for r2 in span:
-                e2 = Element({i: c for i, c in enumerate(r2) if c})
-                candidates.append(_dense(a, a.multiply(e1, e2)))
-        reduced, new_rank, _ = rref(candidates)
-        if new_rank == rank:
-            break
-        span = reduced[:new_rank]
-        rank = new_rank
-    return [Element({i: c for i, c in enumerate(row) if c}) for row in span]
+        grown = basis([e.coeffs for e in span]
+                      + [a.multiply(e1, e2).coeffs for e1 in span for e2 in span])
+        if len(grown) == len(span):
+            return span
+        span = grown

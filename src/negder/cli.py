@@ -14,8 +14,7 @@ import sys
 from . import corpus
 from .algebra import Element
 from .derivations import check_class_h, derivation_space
-from .fileformats import (AlgebraFile, ParseError, ValidationError,
-                          detect_format, load_algebra_text)
+from .fileformats import AlgebraFile, ParseError, ValidationError, detect_format
 from .rigidity import char_subspace, prove_rigidity
 
 
@@ -124,11 +123,10 @@ def _cmd_check_h(args):
     lines = []
     ok = verdict.in_class and verdict.connectivity_ok
     if verdict.in_class:
-        lines.append("in class H" if ok else "no negative-degree derivations")
-        if checked:
-            lines.append(f"degrees checked {checked[0]}..{checked[-1]}")
-        else:
-            lines.append("degrees checked: none (top degree 0)")
+        lines.append("class H undecided" if not verdict.complete else
+                     "in class H" if ok else "no negative-degree derivations")
+        span = f" {checked[0]}..{checked[-1]}" if checked else ": none"
+        lines.append(f"degrees checked{span} (top degree {alg.top_degree})")
     else:
         d, cert = verdict.certificate
         doc["certificate"] = {"degree": d, "map": _map_doc(alg, cert)}
@@ -183,10 +181,8 @@ def _cmd_rigidity(args):
            "established": trace.established,
            "failed_level": trace.failed_level}
     parts = [f"level {rec.level}: dim {rec.dimension}" for rec in trace.levels]
-    if trace.established:
-        parts.append("established")
-    else:
-        parts.append(f"not established at level {trace.failed_level}")
+    parts.append("established" if trace.established
+                 else f"not established at level {trace.failed_level}")
     lines = ["; ".join(parts)]
     if not trace.established:
         cert = trace.levels[-1].certificate

@@ -13,7 +13,7 @@ per-degree blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Element
@@ -95,9 +95,7 @@ class GradedLinearMap:
                 if any(images.get(i, zero) for i in src):
                     raise ValueError("image lands in an empty piece")
                 continue
-            mat = []
-            for t in tgt:
-                mat.append([images.get(i, zero).coeff(t) for i in src])
+            mat = [[images.get(i, zero).coeff(t) for i in src] for t in tgt]
             for i in src:
                 if not set(images.get(i, zero).coeffs) <= tgt_set:
                     raise ValueError("image off the shifted piece")
@@ -231,21 +229,26 @@ class ClassHVerdict:
     in_class is certificate-backed: it is False exactly when a nonzero
     negative-degree derivation exists in the checked range, and then
     certificate holds (degree, first canonical basis derivation) at the
-    least negative failing degree.  connectivity_ok reports separately
-    whether the degree-0 piece is the unit line and degree 1 is empty.
+    least negative failing degree.  complete is False when a capped sweep
+    found nothing: class H is then undecided.  connectivity_ok reports
+    separately whether degree 0 is the unit line and degree 1 is empty.
     """
 
     in_class: bool
     connectivity_ok: bool
     certificate: tuple[int, GradedLinearMap] | None
-    dimensions: dict[int, int] = field(default_factory=dict)
+    dimensions: dict[int, int]
+    complete: bool
 
 
 def check_class_h(a, max_degree=None):
     """Sweep derivation degrees -1, -2, ... down to -max_degree (default:
     the top degree, below which every space is empty for degree reasons)
-    and stop at the first nonzero space."""
+    and stop at the first nonzero space.  prove_rigidity reads its levels
+    off this sweep."""
     depth = a.top_degree if max_degree is None else int(max_degree)
+    if depth < 0:
+        raise ValueError("max_degree must be nonnegative")
     connectivity_ok = a.graded_piece(0) == [a.unit] and not a.graded_piece(1)
     dimensions = {}
     certificate = None
@@ -260,4 +263,5 @@ def check_class_h(a, max_degree=None):
         connectivity_ok=connectivity_ok,
         certificate=certificate,
         dimensions=dimensions,
+        complete=certificate is not None or depth >= a.top_degree,
     )

@@ -34,7 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Generator, GradedAlgebra, Presentation, build_monomial_algebra
+from .algebra import (Generator, GradedAlgebra, Presentation, build_monomial_algebra,
+                      check_generator)
 
 _RESERVED = set("=+#")
 
@@ -104,17 +105,11 @@ def parse_presentation(text):
                 if words[4] != "truncate":
                     raise ParseError(line_no, f"expected 'truncate', got {words[4]!r}")
                 truncation = _int(words[5], line_no, "truncation")
-            if symbol in seen:
-                raise ParseError(line_no, f"duplicate generator symbol {symbol!r}")
-            seen.add(symbol)
-            if degree < 1:
-                raise ParseError(line_no, "generator degree must be positive")
-            if truncation < 2:
-                raise ParseError(line_no, "truncation must be at least 2")
-            if degree % 2 and truncation != 2:
-                raise ParseError(
-                    line_no, f"odd-degree generator {symbol!r} must truncate at 2")
             gens.append(Generator(symbol, degree, truncation))
+            try:
+                check_generator(gens[-1], seen)
+            except ValueError as exc:
+                raise ParseError(line_no, str(exc)) from None
         else:
             raise ParseError(line_no, f"unknown directive {words[0]!r}")
     return Presentation(name, tuple(gens))

@@ -3,8 +3,8 @@
 A matrix is a list of rows, each row a list of Fraction (or int) entries;
 nullspace_basis also takes sparse {column: value} rows.  Every routine is
 pure: inputs are never mutated, results are fresh, and all arithmetic is
-exact.  Kernels come from sparse elimination; dense rref and the Bareiss
-rank are kept as independent oracles.
+exact.  Kernels and spans come from one sparse elimination, echelon;
+dense rref and the Bareiss rank are kept as independent oracles.
 """
 
 import math
@@ -77,34 +77,12 @@ def _subtract(row, f, other, skip):
                 del row[j]
 
 
-def nullspace_basis(m, ncols=None):
-    """Canonical kernel basis, by sparse exact elimination.
-
-    Rows are dense lists or {column: value} dicts.  Zero rows and exact
-    duplicates are skipped.  Every other row is reduced against the pivot
-    rows found so far, which are kept fully reduced with a leading 1 at
-    their least column, so the pivot rows end up as the unique RREF of the
-    row space and the basis is the one read off dense rref: one vector per
-    free column f, in ascending order, with entry 1 at f, 0 at every other
-    free column and the back-substituted pivot values elsewhere.
-
-    Every vector is checked exactly against every distinct nonzero row,
-    hence against every row, in time proportional to the nonzeros, and
-    ArithmeticError is raised on a failure.  Vectors are dense lists of
-    Fraction.
-    """
-    if ncols is None:
-        if not m:
-            raise ValueError("ncols is required for a matrix with no rows")
-        if isinstance(m[0], dict):
-            raise ValueError("ncols is required for dict rows")
-        ncols = len(m[0])
-    rows = [_nonzero(row) for row in m]
-    if any(not 0 <= c < ncols for row in rows for c in row):
-        raise ValueError(f"a row has an entry outside columns 0..{ncols - 1}")
-    distinct = list({frozenset(row.items()): row for row in rows if row}.values())
+def echelon(rows):
+    """Sparse exact elimination of rows of nonzero {column: value} entries,
+    left unchanged.  Returns {pivot column: row}, each row fully reduced with
+    a leading 1 at its least column: the unique RREF of the row space."""
     pivots = {}
-    for row in distinct:
+    for row in rows:
         r = {c: Fraction(x) for c, x in row.items()}
         # Pivot rows hold no other pivot column, so one subtraction per
         # pivot column of r clears it without refilling the others.
@@ -120,6 +98,32 @@ def nullspace_basis(m, ncols=None):
             if p in prow:
                 _subtract(prow, prow.pop(p), r, p)
         pivots[p] = r
+    return pivots
+
+
+def nullspace_basis(m, ncols=None):
+    """Canonical kernel basis, read off the RREF that echelon returns.
+
+    Rows are dense lists or {column: value} dicts; zero rows and exact
+    duplicates are skipped.  The basis is the one read off dense rref: one
+    vector per free column f, in ascending order, with entry 1 at f, 0 at
+    every other free column and the back-substituted pivot values elsewhere.
+
+    Every vector is checked exactly against every distinct nonzero row, in
+    time proportional to the nonzeros, and ArithmeticError is raised on a
+    failure.  Vectors are dense lists of Fraction.
+    """
+    if ncols is None:
+        if not m:
+            raise ValueError("ncols is required for a matrix with no rows")
+        if isinstance(m[0], dict):
+            raise ValueError("ncols is required for dict rows")
+        ncols = len(m[0])
+    rows = [_nonzero(row) for row in m]
+    if any(not 0 <= c < ncols for row in rows for c in row):
+        raise ValueError(f"a row has an entry outside columns 0..{ncols - 1}")
+    distinct = list({frozenset(row.items()): row for row in rows if row}.values())
+    pivots = echelon(distinct)
     basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in pivots}
     for p, prow in pivots.items():
         for c, x in prow.items():

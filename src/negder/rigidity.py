@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .algebra import Element, Generator, Presentation, build_monomial_algebra, tensor
-from .derivations import GradedLinearMap, derivation_space
+from .derivations import GradedLinearMap, check_class_h
+from .derivations import derivation_space  # noqa: F401  perfbench/spans.py patches this name
 
 
 def torus_exterior(s):
@@ -214,6 +215,22 @@ class ProofTrace:
     established: bool
     failed_level: int | None
 
+    @classmethod
+    def from_verdict(cls, verdict, torus_rank, cap):
+        """The proof for base x T^torus_rank, cap = min(torus_rank, top degree),
+        read off a class-H sweep of the base: level k is its degree -k."""
+        if torus_rank < 0:
+            raise ValueError("torus rank must be nonnegative")
+        levels = []
+        for k in range(1, cap + 1):
+            if -k not in verdict.dimensions:
+                raise ValueError(f"the sweep stops above level {k}")
+            dim = verdict.dimensions[-k]
+            levels.append(LevelRecord(k, dim, verdict.certificate[1] if dim else None))
+            if dim:
+                return cls(torus_rank, cap, levels, False, k)
+        return cls(torus_rank, cap, levels, True, None)
+
 
 def prove_rigidity(base, torus_rank):
     """Level-by-level splitting-rigidity proof for base x torus.
@@ -222,8 +239,9 @@ def prove_rigidity(base, torus_rank):
     equations at level k reduce, subset by subset, to the Leibniz law at
     degree -k.  An empty derivation space therefore forces that level to
     zero and the induction climbs; a nonzero space stops the run with its
-    first basis vector as certificate.  Levels above the base's top degree
-    are empty for degree reasons, so the cap is min(rank, top degree).
+    first basis vector as certificate: level k is the class-H sweep at -k.
+    Levels above the base's top degree are empty for degree reasons, so
+    the cap is min(rank, top degree).
 
     "Not established" means this criterion failed at some level, not that
     a splitting obstruction was produced.
@@ -231,10 +249,4 @@ def prove_rigidity(base, torus_rank):
     if torus_rank < 0:
         raise ValueError("torus rank must be nonnegative")
     cap = min(torus_rank, base.top_degree)
-    levels = []
-    for k in range(1, cap + 1):
-        space = derivation_space(base, -k)
-        levels.append(LevelRecord(k, len(space), space[0] if space else None))
-        if space:
-            return ProofTrace(torus_rank, cap, levels, False, k)
-    return ProofTrace(torus_rank, cap, levels, True, None)
+    return ProofTrace.from_verdict(check_class_h(base, cap), torus_rank, cap)

@@ -1,14 +1,32 @@
-"""Shared builders and the dense kernel oracle for the test suite.
+"""Shared builders, strategies and oracles for the test suite.
 
-These construct the standard small algebras directly from presentations,
-independently of the bundled corpus files, so the builders themselves are
-under test whenever a test module uses them.
+The builders construct the standard small algebras directly from
+presentations, independently of the bundled corpus files, so the builders
+themselves are under test whenever a test module uses them.  The oracles
+are the slow paths the library replaced, kept to check the fast ones.
 """
 
+import os
 from fractions import Fraction
 
-from negder import Generator, Presentation, build_monomial_algebra
+import pytest
+from hypothesis import strategies as st
+
+from negder import (Element, Generator, LevelRecord, Presentation, ProofTrace,
+                    build_monomial_algebra, derivation_space, derivations,
+                    rigidity)
 from negder.linalg import rref
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def src_env(**overrides):
+    """Environment for a child Python that imports negder from this
+    checkout's src directory, with the given variables overridden."""
+    path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **overrides)
 
 
 def projective_space(n):
@@ -48,3 +66,66 @@ def rref_kernel(m, ncols):
             v[p] = -reduced[t][f]
         basis.append(v)
     return basis
+
+
+@st.composite
+def presentations(draw):
+    """Up to three generators of degree 1..8, truncating at 2..4 when even."""
+    count = draw(st.integers(0, 3))
+    gens = []
+    for idx in range(count):
+        degree = draw(st.integers(1, 8))
+        truncation = 2 if degree % 2 else draw(st.integers(2, 4))
+        gens.append(Generator(f"g{idx}", degree, truncation))
+    return Presentation("random", tuple(gens))
+
+
+@pytest.fixture
+def space_calls(monkeypatch):
+    """The degrees of every derivation_space call, in order.  Both modules
+    that bind the name are patched, so a sweep through either shows."""
+    calls = []
+    real = derivations.derivation_space
+    for module in (derivations, rigidity):
+        monkeypatch.setattr(module, "derivation_space",
+                            lambda a, d: calls.append(d) or real(a, d))
+    return calls
+
+
+def dense_subalgebra_generated(a, seed):
+    """Oracle for subalgebra_generated: the same closure iteration, with
+    every span echelonized by dense rref."""
+    def dense(elt):
+        row = [Fraction(0)] * a.dim
+        for i, c in elt.coeffs.items():
+            row[i] = c
+        return row
+
+    def element(row):
+        return Element({i: c for i, c in enumerate(row) if c})
+
+    reduced, rank, _ = rref([dense(a.basis_element(a.unit))] + [dense(s) for s in seed])
+    span = reduced[:rank]
+    while True:
+        candidates = list(span)
+        for r1 in span:
+            for r2 in span:
+                candidates.append(dense(a.multiply(element(r1), element(r2))))
+        reduced, new_rank, _ = rref(candidates)
+        if new_rank == rank:
+            return [element(row) for row in span]
+        span = reduced[:new_rank]
+        rank = new_rank
+
+
+def rigidity_by_levels(base, torus_rank):
+    """Oracle for prove_rigidity: its own derivation_space call per level,
+    up to min(torus rank, top degree), stopping at the first nonzero space."""
+    cap = min(torus_rank, base.top_degree)
+    levels = []
+    for k in range(1, cap + 1):
+        space = derivation_space(base, -k)
+        levels.append(LevelRecord(k, len(space), space[0] if space else None))
+        if space:
+            return ProofTrace(torus_rank, cap, levels, False, k)
+    return ProofTrace(torus_rank, cap, levels, True, None)

@@ -10,13 +10,13 @@ the only tolerance that appears is the wall-clock budget in criterion 1.
 import contextlib
 import io
 import json
-import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
 
+from conftest import src_env
 from negder import (GradedAlgebra, GradedLinearMap, LambdaFamily, Generator,
                     Presentation, build_monomial_algebra, char_subspace,
                     check_class_h, corpus, derivation_space, is_derivation,
@@ -185,11 +185,10 @@ def test_08_json_output_is_deterministic():
                 json.loads(first[1])
         outputs = set()
         for seed in ("0", "1", "20260823"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
             proc = subprocess.run(
                 [sys.executable, "-m", "negder", "rigidity",
                  corpus.path("cp2xs4"), "--torus", "3", "--json"],
-                capture_output=True, env=env)
+                capture_output=True, env=src_env(PYTHONHASHSEED=seed))
             assert proc.returncode == 0
             outputs.add(proc.stdout)
         assert len(outputs) == 1

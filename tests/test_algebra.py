@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import point, projective_space, sphere, torus
+from conftest import (dense_subalgebra_generated, point, presentations,
+                      projective_space, sphere, torus)
 from negder import (Element, Generator, GradedAlgebra, Presentation,
                     build_monomial_algebra, subalgebra_generated, tensor)
 from negder.linalg import rref
@@ -206,15 +207,22 @@ def test_subalgebra_closed_under_products():
             assert rref(rows + [row])[1] == base_rank
 
 
-@st.composite
-def presentations(draw):
-    count = draw(st.integers(0, 3))
-    gens = []
-    for idx in range(count):
-        degree = draw(st.integers(1, 8))
-        truncation = 2 if degree % 2 else draw(st.integers(2, 4))
-        gens.append(Generator(f"g{idx}", degree, truncation))
-    return Presentation("random", tuple(gens))
+@given(presentations(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_subalgebra_generated_equals_dense_oracle(p, data):
+    # seeds mix random elements with zero, duplicate and dependent ones
+    a = build_monomial_algebra(p)
+    if a.dim > 12:
+        return
+    coeffs = st.dictionaries(st.integers(0, a.dim - 1), st.integers(-3, 3), max_size=3)
+    seed = [Element(c) for c in data.draw(st.lists(coeffs, max_size=3))]
+    seed.append(Element())
+    if seed[:-1]:
+        seed.append(data.draw(st.sampled_from(seed[:-1])))
+        x, y = data.draw(st.sampled_from(seed)), data.draw(st.sampled_from(seed))
+        seed.append(2 * x - y)
+    seed = data.draw(st.permutations(seed))
+    assert subalgebra_generated(a, seed) == dense_subalgebra_generated(a, seed)
 
 
 @given(presentations())

@@ -1,11 +1,10 @@
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
-from conftest import torus
+from conftest import src_env, torus
 from negder import corpus, serialize_structure_constants
 from negder.cli import run
 
@@ -53,6 +52,33 @@ def test_check_h_degree_cap_limits_the_sweep(capsys):
                           "--max-degree", "2")
     assert code == 0
     assert "degrees checked -1..-2" in out
+
+
+def test_check_h_capped_sweep_reads_undecided(capsys):
+    # S^3 has a degree -3 derivation, so a sweep stopping at -2 decides
+    # nothing; the exit code and the JSON stay as for a full sweep
+    code, out, _ = invoke(capsys, "check-h", corpus.path("s3"),
+                          "--max-degree", "2")
+    assert code == 0
+    assert "class H undecided" in out
+    assert "in class H" not in out
+    assert "degrees checked -1..-2 (top degree 3)" in out
+    code, out, _ = invoke(capsys, "check-h", corpus.path("s3"),
+                          "--max-degree", "0")
+    assert "class H undecided" in out
+    assert "degrees checked: none (top degree 3)" in out
+    code, out, _ = invoke(capsys, "check-h", corpus.path("s3"),
+                          "--max-degree", "2", "--json")
+    assert set(json.loads(out)) == {"command", "file", "in_class",
+                                    "connectivity_ok", "degrees", "certificate"}
+
+
+def test_check_h_negative_max_degree_is_a_usage_error(capsys):
+    code, out, err = invoke(capsys, "check-h", corpus.path("s3"),
+                            "--max-degree", "-1")
+    assert code == 2
+    assert out == ""
+    assert "nonnegative" in err
 
 
 def test_derivations_exit_reflects_dimension(capsys):
@@ -213,8 +239,8 @@ def test_json_bytes_survive_hash_seed_changes():
             "--json"]
     outputs = set()
     for seed in ("0", "1", "31337"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
-        proc = subprocess.run(argv, capture_output=True, env=env)
+        proc = subprocess.run(argv, capture_output=True,
+                              env=src_env(PYTHONHASHSEED=seed))
         assert proc.returncode == 0
         outputs.add(proc.stdout)
     assert len(outputs) == 1

@@ -1,4 +1,3 @@
-import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import point, projective_space, rref_kernel, sphere, torus
+from conftest import (point, projective_space, rref_kernel, sphere, src_env,
+                      torus)
 from negder import (Element, Generator, GradedAlgebra, GradedLinearMap,
                     Presentation, bracket, build_monomial_algebra,
                     check_class_h, corpus, derivation_space, identity_map,
@@ -63,11 +63,8 @@ def test_shape_checks_survive_optimized_mode():
         "    GradedLinearMap.from_images(s3, -3, {0: s3.basis_element(0)})\n"
         "except ValueError:\n"
         "    print(__debug__, 'raised')\n")
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False raised\n"
 
@@ -273,8 +270,25 @@ def test_max_degree_caps_the_sweep():
     assert sorted(verdict.dimensions) == [-2, -1]
 
 
+def test_capped_sweep_is_incomplete_until_it_decides():
+    assert not check_class_h(sphere(5), max_degree=2).complete
+    assert not check_class_h(sphere(5), max_degree=0).complete
+    assert check_class_h(sphere(5), max_degree=5).complete
+    assert check_class_h(sphere(5), max_degree=9).complete
+    assert check_class_h(sphere(5)).complete
+    # a certificate decides membership before the cap is reached
+    assert check_class_h(torus(3), max_degree=1).complete
+    assert check_class_h(projective_space(2)).complete
+
+
+def test_negative_sweep_depth_is_rejected():
+    with pytest.raises(ValueError, match="nonnegative"):
+        check_class_h(sphere(3), max_degree=-1)
+
+
 def test_point_algebra_trivially_in_class():
     verdict = check_class_h(point())
     assert verdict.in_class
     assert verdict.connectivity_ok
     assert verdict.dimensions == {}
+    assert verdict.complete

@@ -1,12 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import point, projective_space, sphere, torus
-from negder import (Element, GradedLinearMap, LambdaFamily, char_preserved,
-                    char_subspace, check_class_h, derivation_space,
-                    identity_map, is_derivation, is_trivial_pullback,
-                    kunneth_model, multiplicativity_residual, prove_rigidity,
+from conftest import (point, presentations, projective_space,
+                      rigidity_by_levels, sphere, torus)
+from negder import (Element, GradedLinearMap, LambdaFamily, ProofTrace,
+                    build_monomial_algebra, char_preserved, char_subspace,
+                    check_class_h, corpus, derivation_space, identity_map,
+                    is_derivation, is_trivial_pullback, kunneth_model,
+                    multiplicativity_residual, prove_rigidity,
                     pullback_expand, tensor)
 from negder.linalg import nullspace_basis
 
@@ -269,6 +272,59 @@ def test_class_h_implies_established_for_all_ranks():
         assert check_class_h(alg).in_class
         for s in (0, 1, 2, 3, 5, 9):
             assert prove_rigidity(alg, s).established
+
+
+def assert_matches_level_oracle(base):
+    for s in range(base.top_degree + 2):
+        assert prove_rigidity(base, s) == rigidity_by_levels(base, s), s
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_prove_rigidity_matches_level_oracle_on_corpus(name):
+    assert_matches_level_oracle(corpus.load(name))
+
+
+@given(presentations())
+@settings(max_examples=40, deadline=None)
+def test_prove_rigidity_matches_level_oracle_on_random_presentations(p):
+    base = build_monomial_algebra(p)
+    if base.dim <= 12:
+        assert_matches_level_oracle(base)
+
+
+@given(presentations(), presentations())
+@settings(max_examples=25, deadline=None)
+def test_prove_rigidity_matches_level_oracle_on_tensor_products(p, q):
+    a, b = build_monomial_algebra(p), build_monomial_algebra(q)
+    if a.dim * b.dim <= 12:
+        assert_matches_level_oracle(tensor(a, b))
+
+
+def test_prove_rigidity_computes_one_space_per_level(space_calls):
+    for base in (sphere(5), torus(2), projective_space(2)):
+        for s in range(base.top_degree + 2):
+            del space_calls[:]
+            trace = prove_rigidity(base, s)
+            assert space_calls == [-rec.level for rec in trace.levels], (base, s)
+
+
+def test_trace_from_full_sweep_equals_prove_rigidity():
+    # one full class-H sweep serves every torus rank
+    for base in (sphere(3), sphere(5), torus(2), projective_space(2)):
+        verdict = check_class_h(base)
+        for s in range(base.top_degree + 3):
+            cap = min(s, base.top_degree)
+            assert (ProofTrace.from_verdict(verdict, s, cap)
+                    == prove_rigidity(base, s)), (base, s)
+
+
+def test_trace_from_verdict_rejects_a_short_sweep():
+    verdict = check_class_h(sphere(5), max_degree=2)
+    assert ProofTrace.from_verdict(verdict, 2, 2).established
+    with pytest.raises(ValueError, match="stops above level 3"):
+        ProofTrace.from_verdict(verdict, 3, 3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        ProofTrace.from_verdict(check_class_h(sphere(5)), -1, -1)
 
 
 def _solve_level_by_residual(model, level):
