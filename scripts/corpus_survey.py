@@ -24,8 +24,7 @@ def survey_row(name, torus_rank):
     else:
         membership = "fails"
         first_failure = str(verdict.certificate[0])
-    trace = ProofTrace.from_verdict(verdict, torus_rank,
-                                    min(torus_rank, alg.top_degree))
+    trace = ProofTrace.from_verdict(alg, verdict, torus_rank)
     rigidity = ("established" if trace.established
                 else f"open at level {trace.failed_level}")
     return (name, str(alg.dim), str(alg.top_degree), membership,

@@ -123,8 +123,8 @@ def _cmd_check_h(args):
     lines = []
     ok = verdict.in_class and verdict.connectivity_ok
     if verdict.in_class:
-        lines.append("class H undecided" if not verdict.complete else
-                     "in class H" if ok else "no negative-degree derivations")
+        lines.append("no negative-degree derivations" if not ok else
+                     "in class H" if verdict.complete else "class H undecided")
         span = f" {checked[0]}..{checked[-1]}" if checked else ": none"
         lines.append(f"degrees checked{span} (top degree {alg.top_degree})")
     else:
@@ -155,16 +155,14 @@ def _cmd_derivations(args):
 def _cmd_char(args):
     alg = _load(args.file).build()
     char = char_subspace(alg, args.rank)
+    labels = {n: [alg.labels[i] for i in char.basis_indices[n]] for n in char.degrees}
     doc = {"command": "char", "file": args.file, "rank": char.rank,
            "degrees": list(char.degrees), "dimension": char.dimension,
-           "basis": [{"degree": n,
-                      "labels": [alg.labels[i] for i in char.basis_indices[n]]}
-                     for n in char.degrees]}
+           "basis": [{"degree": n, "labels": labels[n]} for n in char.degrees]}
     lines = [f"degrees: {', '.join(map(str, char.degrees))}",
              f"dimension: {char.dimension}"]
-    for n in char.degrees:
-        labels = [alg.labels[i] for i in char.basis_indices[n]]
-        lines.append(f"degree {n}: " + (", ".join(labels) if labels else "(empty)"))
+    lines.extend(f"degree {n}: " + (", ".join(labels[n]) or "(empty)")
+                 for n in char.degrees)
     _emit(args, doc, lines)
     return 0
 

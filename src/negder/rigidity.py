@@ -216,11 +216,9 @@ class ProofTrace:
     failed_level: int | None
 
     @classmethod
-    def from_verdict(cls, verdict, torus_rank, cap):
-        """The proof for base x T^torus_rank, cap = min(torus_rank, top degree),
-        read off a class-H sweep of the base: level k is its degree -k."""
-        if torus_rank < 0:
-            raise ValueError("torus rank must be nonnegative")
+    def from_verdict(cls, base, verdict, torus_rank):
+        """The proof for base x T^torus_rank: level k is the sweep's degree -k."""
+        cap = level_cap(base, torus_rank)
         levels = []
         for k in range(1, cap + 1):
             if -k not in verdict.dimensions:
@@ -232,6 +230,13 @@ class ProofTrace:
         return cls(torus_rank, cap, levels, True, None)
 
 
+def level_cap(base, torus_rank):
+    """min(torus rank, top degree): higher levels are empty for degree reasons."""
+    if torus_rank < 0:
+        raise ValueError("torus rank must be nonnegative")
+    return min(torus_rank, base.top_degree)
+
+
 def prove_rigidity(base, torus_rank):
     """Level-by-level splitting-rigidity proof for base x torus.
 
@@ -240,13 +245,9 @@ def prove_rigidity(base, torus_rank):
     degree -k.  An empty derivation space therefore forces that level to
     zero and the induction climbs; a nonzero space stops the run with its
     first basis vector as certificate: level k is the class-H sweep at -k.
-    Levels above the base's top degree are empty for degree reasons, so
-    the cap is min(rank, top degree).
 
     "Not established" means this criterion failed at some level, not that
     a splitting obstruction was produced.
     """
-    if torus_rank < 0:
-        raise ValueError("torus rank must be nonnegative")
-    cap = min(torus_rank, base.top_degree)
-    return ProofTrace.from_verdict(check_class_h(base, cap), torus_rank, cap)
+    verdict = check_class_h(base, level_cap(base, torus_rank))
+    return ProofTrace.from_verdict(base, verdict, torus_rank)

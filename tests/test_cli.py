@@ -67,6 +67,13 @@ def test_check_h_capped_sweep_reads_undecided(capsys):
                           "--max-degree", "0")
     assert "class H undecided" in out
     assert "degrees checked: none (top degree 3)" in out
+    # a failed connectivity check decides membership, capped sweep or not
+    code, out, _ = invoke(capsys, "check-h", corpus.path("t2"),
+                          "--max-degree", "0")
+    assert code == 1
+    assert "undecided" not in out
+    assert "no negative-degree derivations" in out
+    assert "connectivity check failed" in out
     code, out, _ = invoke(capsys, "check-h", corpus.path("s3"),
                           "--max-degree", "2", "--json")
     assert set(json.loads(out)) == {"command", "file", "in_class",

@@ -313,18 +313,30 @@ def test_trace_from_full_sweep_equals_prove_rigidity():
     for base in (sphere(3), sphere(5), torus(2), projective_space(2)):
         verdict = check_class_h(base)
         for s in range(base.top_degree + 3):
-            cap = min(s, base.top_degree)
-            assert (ProofTrace.from_verdict(verdict, s, cap)
+            assert (ProofTrace.from_verdict(base, verdict, s)
                     == prove_rigidity(base, s)), (base, s)
 
 
 def test_trace_from_verdict_rejects_a_short_sweep():
-    verdict = check_class_h(sphere(5), max_degree=2)
-    assert ProofTrace.from_verdict(verdict, 2, 2).established
+    s5 = sphere(5)
+    verdict = check_class_h(s5, max_degree=2)
+    assert ProofTrace.from_verdict(s5, verdict, 2).established
     with pytest.raises(ValueError, match="stops above level 3"):
-        ProofTrace.from_verdict(verdict, 3, 3)
+        ProofTrace.from_verdict(s5, verdict, 3)
     with pytest.raises(ValueError, match="nonnegative"):
-        ProofTrace.from_verdict(check_class_h(sphere(5)), -1, -1)
+        ProofTrace.from_verdict(s5, check_class_h(s5), -1)
+
+
+def test_trace_from_verdict_caps_at_the_top_degree():
+    # levels above the top degree are never read, so a full sweep of S^3
+    # establishes rank 1 although it fails at degree -3
+    s3 = sphere(3)
+    verdict = check_class_h(s3)
+    assert verdict.certificate[0] == -3
+    trace = ProofTrace.from_verdict(s3, verdict, 1)
+    assert trace.established and trace.level_cap == 1
+    assert trace == prove_rigidity(s3, 1)
+    assert ProofTrace.from_verdict(s3, verdict, 7).failed_level == 3
 
 
 def _solve_level_by_residual(model, level):
