@@ -242,17 +242,17 @@ class ClassHVerdict:
 
 
 def check_class_h(a, max_degree=None):
-    """Sweep derivation degrees -1, -2, ... down to -max_degree (default:
-    the top degree, below which every space is empty for degree reasons)
-    and stop at the first nonzero space.  prove_rigidity reads its levels
-    off this sweep."""
+    """Sweep derivation degrees -1, -2, ... down to -min(max_degree, top
+    degree), with no cap meaning the top degree, below which every space
+    is empty for degree reasons; stop at the first nonzero space.
+    prove_rigidity reads its levels off this sweep."""
     depth = a.top_degree if max_degree is None else int(max_degree)
     if depth < 0:
         raise ValueError("max_degree must be nonnegative")
     connectivity_ok = a.graded_piece(0) == [a.unit] and not a.graded_piece(1)
     dimensions = {}
     certificate = None
-    for k in range(1, depth + 1):
+    for k in range(1, min(depth, a.top_degree) + 1):
         space = derivation_space(a, -k)
         dimensions[-k] = len(space)
         if space:

@@ -118,6 +118,28 @@ def dense_subalgebra_generated(a, seed):
         rank = new_rank
 
 
+def exhaustive_validate(a):
+    """Oracle for GradedAlgebra.validate: its degree, unit and commutativity
+    violations, then associativity on every basis triple by Element
+    arithmetic, rebuilding each basis product through multiply."""
+    out = [v for v in a.validate() if not v.startswith("associativity: ")]
+    dim = a.dim
+    for i in range(dim):
+        ei = a.basis_element(i)
+        for j in range(dim):
+            left = a.multiply(ei, a.basis_element(j))
+            for k in range(dim):
+                ek = a.basis_element(k)
+                lhs = a.multiply(left, ek)
+                rhs = a.multiply(ei, a.multiply(a.basis_element(j), ek))
+                if lhs != rhs:
+                    out.append(
+                        f"associativity: ({a.labels[i]} * {a.labels[j]}) * {a.labels[k]} "
+                        f"!= {a.labels[i]} * ({a.labels[j]} * {a.labels[k]})"
+                    )
+    return out
+
+
 def rigidity_by_levels(base, torus_rank):
     """Oracle for prove_rigidity: its own derivation_space call per level,
     up to min(torus rank, top degree), stopping at the first nonzero space."""

@@ -17,9 +17,9 @@ import time
 from fractions import Fraction
 
 from conftest import src_env
-from negder import (GradedAlgebra, GradedLinearMap, LambdaFamily, Generator,
-                    Presentation, build_monomial_algebra, char_subspace,
-                    check_class_h, corpus, derivation_space, is_derivation,
+from negder import (GradedAlgebra, LambdaFamily, Generator, Presentation,
+                    build_monomial_algebra, char_subspace, check_class_h,
+                    corpus, derivation_space, is_derivation,
                     is_trivial_pullback, kunneth_model,
                     multiplicativity_residual, prove_rigidity)
 from negder.cli import run

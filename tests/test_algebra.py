@@ -1,11 +1,13 @@
 from fractions import Fraction
+from itertools import product as cartesian
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (dense_subalgebra_generated, point, presentations,
-                      projective_space, sphere, torus)
+from conftest import (dense_subalgebra_generated, exhaustive_validate, point,
+                      presentations, projective_space, sphere, torus)
 from negder import (Element, Generator, GradedAlgebra, Presentation,
                     build_monomial_algebra, subalgebra_generated, tensor)
 from negder.linalg import rref
@@ -175,6 +177,78 @@ def test_validate_missing_unit_row():
     products = {k: v for k, v in cp1.products.items() if k != (0, 1)}
     bad = GradedAlgebra(cp1.labels, cp1.degrees, cp1.unit, products)
     assert any("unit law" in v for v in bad.validate())
+
+
+def test_validate_associativity_corruption():
+    # degrees, unit and commutativity all hold; only x * y = 0 clashes
+    # with x * x = z and y * z = w
+    products = {(0, i): {i: 1} for i in range(5)}
+    products.update({(i, 0): {i: 1} for i in range(1, 5)})
+    for i, j, k in ((1, 1, 3), (1, 3, 4), (3, 1, 4), (2, 3, 4), (3, 2, 4)):
+        products[(i, j)] = {k: 1}
+    bad = GradedAlgebra(["1", "x", "y", "z", "w"], [0, 2, 2, 4, 6], 0, products)
+    assert bad.validate() == [
+        "associativity: (x * x) * y != x * (x * y)",
+        "associativity: (y * x) * x != y * (x * x)",
+    ]
+    assert exhaustive_validate(bad) == bad.validate()
+
+
+def test_validate_multiplies_only_where_a_side_can_be_nonzero(monkeypatch):
+    # a triple with neither e_i e_j nor e_j e_k in the table is zero on both
+    # sides; every other triple costs at most two products
+    t4 = torus(4)
+    live = sum((i, j) in t4.products or (j, k) in t4.products
+               for i, j, k in cartesian(range(t4.dim), repeat=3))
+    assert live == 1967
+    calls = []
+    multiply = GradedAlgebra.multiply
+    monkeypatch.setattr(GradedAlgebra, "multiply",
+                        lambda self, u, v: calls.append(1) or multiply(self, u, v))
+    assert t4.validate() == []
+    assert len(calls) <= 2 * live
+
+
+@st.composite
+def corrupted(draw, algebra):
+    """algebra's table with one to three entries added, dropped or negated."""
+    products = {key: dict(terms) for key, terms in algebra.products.items()}
+    index = st.integers(0, algebra.dim - 1)
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["add", "drop", "negate"]))
+        if op == "add":
+            key = (draw(index), draw(index))
+            products.setdefault(key, {})[draw(index)] = draw(
+                st.sampled_from([-2, -1, 1, 2]))
+        elif products:
+            key = draw(st.sampled_from(sorted(products)))
+            if op == "drop":
+                del products[key]
+            else:
+                products[key] = {k: -c for k, c in products[key].items()}
+    return GradedAlgebra(algebra.labels, algebra.degrees, algebra.unit, products)
+
+
+@given(presentations().filter(lambda p: prod(g.truncation for g in p.generators) <= 16),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_validate_equals_exhaustive_oracle(p, data):
+    a = build_monomial_algebra(p)
+    assert a.validate() == exhaustive_validate(a) == []
+    bad = data.draw(corrupted(a))
+    assert bad.validate() == exhaustive_validate(bad)
+
+
+@given(presentations(), presentations(), st.data())
+@settings(max_examples=30, deadline=None)
+def test_validate_equals_exhaustive_oracle_on_tensors(p, q, data):
+    a, b = build_monomial_algebra(p), build_monomial_algebra(q)
+    if a.dim * b.dim > 16:
+        return
+    ab = tensor(a, b)
+    assert ab.validate() == exhaustive_validate(ab) == []
+    bad = data.draw(corrupted(ab))
+    assert bad.validate() == exhaustive_validate(bad)
 
 
 def test_subalgebra_generated_by_power():

@@ -54,6 +54,14 @@ def test_check_h_degree_cap_limits_the_sweep(capsys):
     assert "degrees checked -1..-2" in out
 
 
+def test_check_h_degree_cap_beyond_the_top_degree(capsys):
+    code, out, _ = invoke(capsys, "check-h", corpus.path("cp2"),
+                          "--max-degree", "10")
+    assert code == 0
+    assert "in class H" in out
+    assert "degrees checked -1..-4 (top degree 4)" in out
+
+
 def test_check_h_capped_sweep_reads_undecided(capsys):
     # S^3 has a degree -3 derivation, so a sweep stopping at -2 decides
     # nothing; the exit code and the JSON stay as for a full sweep

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from conftest import (point, projective_space, rref_kernel, sphere, src_env,
                       torus)
-from negder import (Element, Generator, GradedAlgebra, GradedLinearMap,
-                    Presentation, bracket, build_monomial_algebra,
-                    check_class_h, corpus, derivation_space, identity_map,
-                    is_derivation, leibniz_system, tensor)
-from negder.linalg import mat_vec, rank_fraction_free
+from negder import (Element, Generator, GradedLinearMap, Presentation,
+                    bracket, build_monomial_algebra, check_class_h, corpus,
+                    derivation_space, identity_map, is_derivation,
+                    leibniz_system, tensor)
+from negder.linalg import rank_fraction_free
 
 
 def lam(a=3, b=5):
@@ -268,6 +268,14 @@ def test_max_degree_caps_the_sweep():
     verdict = check_class_h(sphere(5), max_degree=2)
     assert verdict.in_class
     assert sorted(verdict.dimensions) == [-2, -1]
+
+
+def test_sweep_stops_at_the_top_degree(space_calls):
+    # below degree -4 every space on CP^2 is empty for degree reasons
+    verdict = check_class_h(projective_space(2), max_degree=10)
+    assert space_calls == [-1, -2, -3, -4]
+    assert verdict.in_class and verdict.complete
+    assert sorted(verdict.dimensions) == [-4, -3, -2, -1]
 
 
 def test_capped_sweep_is_incomplete_until_it_decides():

@@ -1,0 +1,44 @@
+"""Every import in the package, the tests and the scripts is used.
+
+A name counts as used when the module reads it or lists it in __all__.
+__future__ imports are exempt, and so is any import line marked
+``# noqa: F401``, for a name kept so that outside code can patch it.
+"""
+
+import ast
+import glob
+import os
+
+from conftest import ROOT
+
+
+def unused_imports(path):
+    with open(path, encoding="utf-8") as fh:
+        source = fh.read()
+    tree = ast.parse(source, path)
+    lines = source.splitlines()
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if "# noqa: F401" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(elt.value for elt in node.value.elts)
+    return sorted(f"{os.path.relpath(path, ROOT)}:{line}: {name}"
+                  for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports():
+    paths = [p for d in ("src", "tests", "scripts")
+             for p in glob.glob(os.path.join(ROOT, d, "**", "*.py"), recursive=True)]
+    assert len(paths) > 10
+    assert [hit for p in sorted(paths) for hit in unused_imports(p)] == []
