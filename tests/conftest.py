@@ -8,13 +8,15 @@ are the slow paths the library replaced, kept to check the fast ones.
 
 import os
 from fractions import Fraction
+from itertools import product as cartesian
 
 import pytest
 from hypothesis import strategies as st
 
-from negder import (Element, Generator, LevelRecord, Presentation, ProofTrace,
-                    build_monomial_algebra, derivation_space, derivations,
-                    rigidity)
+from negder import (Element, Generator, GradedAlgebra, LevelRecord, Presentation,
+                    ProofTrace, build_monomial_algebra, derivation_space,
+                    derivations, rigidity)
+from negder.algebra import _monomial_label, _sort_sign, check_generator
 from negder.linalg import rref
 
 
@@ -138,6 +140,34 @@ def exhaustive_validate(a):
                         f"!= {a.labels[i]} * ({a.labels[j]} * {a.labels[k]})"
                     )
     return out
+
+
+def all_pairs_monomial_algebra(p):
+    """Oracle for build_monomial_algebra: the same basis, with every pair
+    of exponent vectors tested and kept when its sum stays below every
+    truncation."""
+    seen = set()
+    for g in p.generators:
+        check_generator(g, seen)
+    gens = list(p.generators)
+    odd = [g.degree % 2 == 1 for g in gens]
+    degrees_of = lambda e: sum(x * g.degree for x, g in zip(e, gens))
+    exps = sorted(cartesian(*(range(g.truncation) for g in gens)),
+                  key=lambda e: (degrees_of(e), e))
+    index_of = {e: i for i, e in enumerate(exps)}
+    labels = [_monomial_label(e, gens) for e in exps]
+    degrees = [degrees_of(e) for e in exps]
+    products = {}
+    for i, e in enumerate(exps):
+        for j, f in enumerate(exps):
+            total = tuple(a + b for a, b in zip(e, f))
+            if any(t >= g.truncation for t, g in zip(total, gens)):
+                continue
+            products[(i, j)] = {index_of[total]: _sort_sign(e, f, odd)}
+    alg = GradedAlgebra(labels, degrees, index_of[tuple(0 for _ in gens)],
+                        products, name=p.name)
+    alg.monomial_exponents = exps
+    return alg
 
 
 def rigidity_by_levels(base, torus_rank):

@@ -172,6 +172,11 @@ def test_serializer_round_trips_tensor_products():
         assert again.products == alg.products
 
 
+def test_table_load_round_trips_a_dim_64_torus():
+    t6 = torus(6)
+    assert load_algebra_text(serialize_structure_constants(t6)) == t6
+
+
 def test_serializer_omits_zero_rows():
     text = serialize_structure_constants(sphere(2))
     assert "x x" not in text
