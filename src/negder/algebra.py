@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as cartesian
 
 from .linalg import echelon
@@ -132,6 +133,27 @@ class GradedAlgebra:
     def graded_piece(self, n):
         """Basis indices of degree n, ascending; empty list if none."""
         return list(self._by_degree.get(n, []))
+
+    @cached_property
+    def generator_indices(self):
+        """Basis indices that generate the algebra, read off the table alone.
+
+        When degree 0 is exactly the unit line (and no degree is negative),
+        these are the unit followed, ascending, by the positive-degree
+        indices that are not pivot columns of echelon over the products
+        e_i e_j with |i|, |j| > 0.  Those indices span a complement of
+        A+ . A+, so by graded Nakayama they generate A together with the
+        unit; for a monomial presentation they are the single-generator
+        monomials.  Otherwise every basis index is returned.  Computed
+        once, on first use, from the table as it is then.
+        """
+        degrees = self.degrees
+        if self.graded_piece(0) != [self.unit] or min(degrees) < 0:
+            return tuple(range(self.dim))
+        pivots = echelon(terms for (i, j), terms in self.products.items()
+                         if degrees[i] > 0 and degrees[j] > 0)
+        return (self.unit,) + tuple(i for i in range(self.dim)
+                                    if degrees[i] > 0 and i not in pivots)
 
     def basis_element(self, i):
         return Element({i: 1})

@@ -4,11 +4,13 @@ A derivation of degree d satisfies the Koszul-signed Leibniz law
 
     theta(u v) = theta(u) v + (-1)^(d |u|) u theta(v).
 
-The solver knows nothing about generators: theta's value on every basis
-element is an unknown and the law is imposed on every ordered basis pair,
-so it works for any valid structure-constant table.  Solution spaces come
-back as the canonical kernel basis of that linear system, reshaped into
-per-degree blocks.
+The solver knows nothing about presentations: theta's value on every basis
+element is an unknown, and the law is imposed on the pairs (g, x) with g
+one of the algebra's generator_indices, read off the table alone, and x
+any basis element.  On an associative table that system has the same
+kernel as the one on every ordered basis pair, so it works for any valid
+structure-constant table.  Solution spaces come back as the canonical
+kernel basis of that linear system, reshaped into per-degree blocks.
 """
 
 from __future__ import annotations
@@ -117,47 +119,66 @@ def _add(row, c, x):
     row[c] = x
 
 
-def leibniz_rows(a, d):
+def leibniz_rows(a, d, left):
     """Sparse linear system whose kernel is the space of degree-d derivations.
 
     Unknowns: pairs (i, t) meaning the coefficient of basis t in theta(e_i),
     enumerated with i ascending and t in graded-piece order.  Rows: for
-    every ordered basis pair (i, j) and every basis element of the target
-    degree |i| + |j| + d, the Leibniz law written as LHS - RHS = 0, as a
-    {column: coefficient} dict of its nonzero entries (empty for a zero
-    row).  Returns (rows, unknowns).
+    every left factor i in left, in its order, every basis element j and
+    every basis element of the target degree |i| + |j| + d, the Leibniz law
+    on (e_i, e_j) written as LHS - RHS = 0, as a {column: coefficient} dict
+    of its nonzero entries (empty for a zero row).  Returns (rows, unknowns).
+
+    left = range(a.dim) imposes the law on every ordered basis pair.  Any
+    left that holds the unit and generates a as an algebra gives the same
+    kernel, provided the table is associative: the law on (1, x) forces
+    theta(1) = 0, and the elements u with the law on every (u, x) are
+    closed under products.
     """
+    pieces = {n: a.graded_piece(n) for n in set(a.degrees)}
+    pos = {}
+    for piece in pieces.values():
+        pos.update((t, p) for p, t in enumerate(piece))
+    none = ()
     unknowns = []
+    base = []
     for i in range(a.dim):
-        for t in a.graded_piece(a.degrees[i] + d):
-            unknowns.append((i, t))
-    col = {ut: c for c, ut in enumerate(unknowns)}
+        base.append(len(unknowns))
+        unknowns.extend((i, t) for t in pieces.get(a.degrees[i] + d, none))
+    table = a.products
+    empty = {}
     rows = []
-    for i in range(a.dim):
+    for i in left:
         di = a.degrees[i]
         sign = _sign(d * di)
+        bi = base[i]
+        shifted = pieces.get(di + d, none)
         for j in range(a.dim):
-            targets = a.graded_piece(di + a.degrees[j] + d)
+            dj = a.degrees[j]
+            targets = pieces.get(di + dj + d)
             if not targets:
                 continue
             eq = {t: {} for t in targets}
-            for k, c in a.products.get((i, j), {}).items():
+            for k, c in table.get((i, j), empty).items():
+                bk = base[k]
                 for t in targets:
-                    _add(eq[t], col[(k, t)], c)
-            for t1 in a.graded_piece(di + d):
-                for k2, c in a.products.get((t1, j), {}).items():
-                    _add(eq[k2], col[(i, t1)], -c)
-            for t2 in a.graded_piece(a.degrees[j] + d):
-                for k2, c in a.products.get((i, t2), {}).items():
-                    _add(eq[k2], col[(j, t2)], -sign * c)
+                    _add(eq[t], bk + pos[t], c)
+            for t1 in shifted:
+                for k2, c in table.get((t1, j), empty).items():
+                    _add(eq[k2], bi + pos[t1], -c)
+            bj = base[j]
+            for t2 in pieces.get(dj + d, none):
+                for k2, c in table.get((i, t2), empty).items():
+                    _add(eq[k2], bj + pos[t2], -sign * c)
             rows.extend(eq[t] for t in targets)
     return rows, unknowns
 
 
 def leibniz_system(a, d):
-    """Dense view of leibniz_rows: the same rows, zero rows included, in
-    the same order, each a list of Fraction.  Returns (rows, unknowns)."""
-    rows, unknowns = leibniz_rows(a, d)
+    """Dense view of the all-pairs leibniz_rows, left = range(a.dim): the
+    same rows, zero rows included, in the same order, each a list of
+    Fraction.  Returns (rows, unknowns)."""
+    rows, unknowns = leibniz_rows(a, d, range(a.dim))
     zero = Fraction(0)
     dense = []
     for row in rows:
@@ -171,10 +192,13 @@ def leibniz_system(a, d):
 def derivation_space(a, d):
     """Canonical basis of the space of degree-d derivations of a.
 
-    Each kernel vector of the Leibniz system becomes one GradedLinearMap;
-    the list is empty exactly when only the zero derivation exists.
+    The Leibniz system is built on the left factors a.generator_indices
+    only, so the table must be associative, as every validated table is;
+    its kernel is then the all-pairs kernel.  Each kernel vector becomes
+    one GradedLinearMap; the list is empty exactly when only the zero
+    derivation exists.
     """
-    rows, unknowns = leibniz_rows(a, d)
+    rows, unknowns = leibniz_rows(a, d, a.generator_indices)
     if not unknowns:
         return []
     maps = []

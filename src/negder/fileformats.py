@@ -22,11 +22,12 @@ Structure-constant format (first directive is basis:):
     1 1 = 1*1
     1 x = 1*x
 
-Coefficients are exact rationals, "p/q" or an integer.  Product lines may
-be given for i <= j in basis order only; the transposed entries then
-follow from graded commutativity.  Omitted pairs are zero.  A parsed
-table is validated before use and rejected with the full violation list
-if any axiom fails.
+Coefficients are exact rationals, "p/q" or an integer.  A product line
+may name a pair in either order.  A pair given in one order only gets its
+transposed entry from graded commutativity; a pair given in both orders
+keeps both lines, and validation cross-checks them.  Omitted pairs are
+zero.  A parsed table is validated before use and rejected with the full
+violation list if any axiom fails.
 """
 
 from __future__ import annotations

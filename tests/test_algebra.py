@@ -10,7 +10,7 @@ from conftest import (all_pairs_monomial_algebra, dense_subalgebra_generated,
                       exhaustive_validate, point, presentations, projective_space,
                       sphere, torus)
 from negder import (Element, Generator, GradedAlgebra, Presentation,
-                    build_monomial_algebra, subalgebra_generated, tensor)
+                    build_monomial_algebra, corpus, subalgebra_generated, tensor)
 from negder.linalg import rref
 
 
@@ -340,3 +340,30 @@ def test_builder_equals_all_pairs_oracle(p):
 @settings(max_examples=60, deadline=None)
 def test_builder_equals_all_pairs_oracle_on_random_presentations(p):
     assert_builder_matches_oracle(p)
+
+
+# --- generators read off the table ---
+
+def single_generator_monomials(a):
+    """The unit, then the basis indices of exponent vectors of total 1."""
+    return (a.unit,) + tuple(i for i, e in enumerate(a.monomial_exponents)
+                             if sum(e) == 1)
+
+
+def test_generator_indices_are_the_generators_on_the_corpus():
+    built = 0
+    for name in corpus.names():
+        a = corpus.load(name)
+        if hasattr(a, "monomial_exponents"):
+            built += 1
+            assert a.generator_indices == single_generator_monomials(a), name
+        else:  # the torus tables: generated by the degree-1 classes
+            assert a.generator_indices == (a.unit,) + tuple(a.graded_piece(1)), name
+    assert built == 12
+
+
+@given(presentations())
+@settings(max_examples=60, deadline=None)
+def test_generator_indices_are_the_generators_on_random_presentations(p):
+    a = build_monomial_algebra(p)
+    assert a.generator_indices == single_generator_monomials(a)

@@ -107,6 +107,13 @@ def test_parse_infers_transposes():
     assert parsed.products[(2, 1)] == {3: Fraction(1)}
 
 
+def test_parse_accepts_a_reverse_order_only_line():
+    reverse = MINIMAL_TABLE.replace("1 x = 1*x", "x 1 = 1*x")
+    alg = parse_structure_constants(reverse)
+    assert alg.products[(1, 0)] == alg.products[(0, 1)] == {1: Fraction(1)}
+    assert alg == parse_structure_constants(MINIMAL_TABLE)
+
+
 def test_parse_rejects_duplicate_product_lines():
     text = MINIMAL_TABLE + "1 x = 1*x\n"
     with pytest.raises(ParseError, match="duplicate"):
