@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as cartesian
+from operator import add
 
 from .linalg import echelon
 
@@ -98,8 +99,11 @@ class GradedAlgebra:
 
     products maps an ordered index pair (i, j) to {k: coefficient}; pairs
     absent from the table multiply to zero.  The constructor normalizes the
-    table (exact Fractions, zero suppression) but deliberately does not
-    check axioms, so corrupt tables stay representable for validate().
+    table into fresh dicts with int keys and exact Fraction values, zero
+    terms and empty entries dropped; a value whose type is exactly Fraction
+    is kept as it is, and anything else (int, str, a Fraction subclass) is
+    converted.  It deliberately does not check axioms, so corrupt tables
+    stay representable for validate().
     """
 
     def __init__(self, labels, degrees, unit, products, name=""):
@@ -111,7 +115,8 @@ class GradedAlgebra:
         for (i, j), terms in products.items():
             cleaned = {}
             for k, c in terms.items():
-                c = Fraction(c)
+                if type(c) is not Fraction:
+                    c = Fraction(c)
                 if c:
                     cleaned[int(k)] = c
             if cleaned:
@@ -208,11 +213,13 @@ class GradedAlgebra:
 
         Checks degree additivity of every table entry, both unit laws,
         graded commutativity products(j,i) = (-1)^(|i||j|) products(i,j),
-        and associativity, with both sides summed straight from the table
-        dicts on the triples where one can be nonzero.  Every other triple
-        is zero on both sides, so the check is exact on any table, corrupt
-        ones included, and costs time in proportion to the nonzero
-        products.  Violations come in i, j, k order.
+        and associativity.  For each pair (i, j), both sides of
+        (e_i e_j) e_k = e_i (e_j e_k) are summed straight from the table
+        dicts for every k at once, over nonzero contributions only, and
+        compared at each k where either side has one, zero sums dropped.
+        Every other k is zero on both sides, so the check is exact on any
+        table, corrupt ones included, and costs time in proportion to the
+        nonzero contributions.  Violations come in i, j, k order.
         """
         out = []
         dim = self.dim
@@ -241,35 +248,43 @@ class GradedAlgebra:
                         f"graded commutativity: {self.labels[j]} * {self.labels[i]} "
                         f"!= {rel}({self.labels[i]} * {self.labels[j]})"
                     )
-        # (e_i e_j) e_k = sum_m P[i,j][m] P[m,k] and e_i (e_j e_k) = sum_m
-        # P[j,k][m] P[i,m] are both empty unless k is a right factor of j or
-        # of some m in P[i,j], so only those k are visited
-        table = self.products
-        right = {}
-        for j, k in table:
-            right.setdefault(j, []).append(k)
+        # For each pair (i, j), both sides of every k are summed at once as
+        # {k: {t: v}}, over nonzero contributions only: (e_i e_j) e_k =
+        # sum_m P[i,j][m] P[m,k] and e_i (e_j e_k) = sum_m P[j,k][m] P[i,m].
+        # A k with no contribution is zero on that side.
+        rows = {}
+        for (i, j), terms in self.products.items():
+            rows.setdefault(i, {})[j] = terms
         empty = {}
-        for i, j in cartesian(range(dim), repeat=2):
-            pij = table.get((i, j), empty)
-            ks = set(right.get(j, ()))
-            for m in pij:
-                ks.update(right.get(m, ()))
-            for k in sorted(ks):
+        for i in range(dim):
+            row_i = rows.get(i, empty)
+            for j in range(dim):
                 lhs = {}
-                for m, c in pij.items():
-                    for t, d in table.get((m, k), empty).items():
-                        lhs[t] = lhs.get(t, 0) + c * d
+                for m, c in row_i.get(j, empty).items():
+                    for k, terms in rows.get(m, empty).items():
+                        acc = lhs.setdefault(k, {})
+                        for t, d in terms.items():
+                            v = c * d
+                            acc[t] = acc[t] + v if t in acc else v
                 rhs = {}
-                for m, c in table.get((j, k), empty).items():
-                    for t, d in table.get((i, m), empty).items():
-                        rhs[t] = rhs.get(t, 0) + c * d
-                lhs = {t: v for t, v in lhs.items() if v}
-                rhs = {t: v for t, v in rhs.items() if v}
-                if lhs != rhs:
-                    out.append(
-                        f"associativity: ({self.labels[i]} * {self.labels[j]}) * {self.labels[k]} "
-                        f"!= {self.labels[i]} * ({self.labels[j]} * {self.labels[k]})"
-                    )
+                for k, jk in rows.get(j, empty).items():
+                    for m, c in jk.items():
+                        terms = row_i.get(m)
+                        if terms is None:
+                            continue
+                        acc = rhs.setdefault(k, {})
+                        for t, d in terms.items():
+                            v = c * d
+                            acc[t] = acc[t] + v if t in acc else v
+                if lhs == rhs:
+                    continue
+                for k in sorted(lhs.keys() | rhs.keys()):
+                    left = {t: v for t, v in lhs.get(k, empty).items() if v}
+                    if left != {t: v for t, v in rhs.get(k, empty).items() if v}:
+                        out.append(
+                            f"associativity: ({self.labels[i]} * {self.labels[j]}) * {self.labels[k]} "
+                            f"!= {self.labels[i]} * ({self.labels[j]} * {self.labels[k]})"
+                        )
         return out
 
 
@@ -313,11 +328,14 @@ def build_monomial_algebra(p):
 
     Basis: all exponent vectors below the truncations, sorted by (degree,
     exponent vector).  Products add exponents and pick up the Koszul sign
-    of sorting odd factors.  For each exponent vector e only the partners
-    f with e + f below every truncation are visited, so the build costs
-    one step per nonzero table entry; every other product is zero and
-    left out of the table.  The result also carries monomial_exponents,
-    the exponent vector of each basis index.
+    of sorting odd factors, which is worked out only when some generator
+    has odd degree; otherwise every product is +1.  For each exponent
+    vector e only the partners f with e + f below every truncation are
+    visited, so the build costs one step per nonzero table entry; every
+    other product is zero and left out of the table.  The coefficients are
+    two shared Fractions, +1 and -1, which the constructor keeps as they
+    are.  The result also carries monomial_exponents, the exponent vector
+    of each basis index.
     """
     seen = set()
     for g in p.generators:
@@ -330,11 +348,14 @@ def build_monomial_algebra(p):
     index_of = {e: i for i, e in enumerate(exps)}
     labels = [_monomial_label(e, gens) for e in exps]
     degrees = [degrees_of(e) for e in exps]
+    signed = any(odd)
+    one, minus_one = Fraction(1), Fraction(-1)
     products = {}
     for i, e in enumerate(exps):
         for f in cartesian(*(range(g.truncation - x) for x, g in zip(e, gens))):
-            total = tuple(a + b for a, b in zip(e, f))
-            products[(i, index_of[f])] = {index_of[total]: _sort_sign(e, f, odd)}
+            total = tuple(map(add, e, f))
+            sign = minus_one if signed and _sort_sign(e, f, odd) < 0 else one
+            products[(i, index_of[f])] = {index_of[total]: sign}
     alg = GradedAlgebra(labels, degrees, index_of[tuple(0 for _ in gens)],
                         products, name=p.name)
     alg.monomial_exponents = exps

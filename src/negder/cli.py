@@ -2,9 +2,10 @@
 
 Exit codes follow one convention across subcommands: 0 the queried
 property holds, 1 it fails (with a certificate or violation list on
-stdout), 2 usage or input errors (message on stderr).  With --json the
-stdout payload is a stable machine-readable document; rationals are
-always serialized as exact "p/q" strings.
+stdout), 2 usage or input errors, or a run out of memory or recursion
+depth (message on stderr).  With --json the stdout payload is a stable
+machine-readable document; rationals are always serialized as exact
+"p/q" strings.
 """
 
 import argparse
@@ -229,6 +230,10 @@ def run(argv):
         return _HANDLERS[args.command](args)
     except (OSError, ParseError, ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (MemoryError, RecursionError) as exc:
+        # exit 1 would claim that the property fails
+        print(f"error: out of resources ({type(exc).__name__})", file=sys.stderr)
         return 2
 
 

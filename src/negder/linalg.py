@@ -1,10 +1,10 @@
 """Exact linear algebra over the rationals.
 
 A matrix is a list of rows, each row a list of Fraction (or int) entries;
-nullspace_basis also takes sparse {column: value} rows.  Every routine is
-pure: inputs are never mutated, results are fresh, and all arithmetic is
-exact.  Kernels and spans come from one sparse elimination, echelon;
-dense rref and the Bareiss rank are kept as independent oracles.
+nullspace_basis also takes sparse {column: value} rows.  Every public
+routine is pure: inputs are never mutated, results are fresh, and all
+arithmetic is exact.  Kernels and spans come from one sparse elimination,
+echelon; dense rref and the Bareiss rank are kept as independent oracles.
 """
 
 import math
@@ -61,9 +61,10 @@ def rref(m):
 
 
 def _nonzero(row):
-    """{column: value} of the nonzero entries of a dense list or dict row."""
+    """Fresh {column: Fraction} of the nonzero entries of a dense list or
+    dict row; a value whose type is exactly Fraction is not rebuilt."""
     items = row.items() if isinstance(row, dict) else enumerate(row)
-    return {c: x for c, x in items if x}
+    return {c: x if type(x) is Fraction else Fraction(x) for c, x in items if x}
 
 
 def _subtract(row, f, other, skip):
@@ -80,10 +81,18 @@ def _subtract(row, f, other, skip):
 def echelon(rows):
     """Sparse exact elimination of rows of nonzero {column: value} entries,
     left unchanged.  Returns {pivot column: row}, each row fully reduced with
-    a leading 1 at its least column: the unique RREF of the row space."""
+    a leading 1 at its least column: the unique RREF of the row space.
+    Each row is copied once, and only values that are not already
+    Fractions are converted."""
+    return _eliminate({c: x if type(x) is Fraction else Fraction(x)
+                       for c, x in row.items()} for row in rows)
+
+
+def _eliminate(rows):
+    """echelon on fresh {column: Fraction} rows, which it reduces in place
+    and keeps as pivot rows."""
     pivots = {}
-    for row in rows:
-        r = {c: Fraction(x) for c, x in row.items()}
+    for r in rows:
         # Pivot rows hold no other pivot column, so one subtraction per
         # pivot column of r clears it without refilling the others.
         for c in [c for c in r if c in pivots]:
@@ -119,20 +128,25 @@ def nullspace_basis(m, ncols=None):
         if isinstance(m[0], dict):
             raise ValueError("ncols is required for dict rows")
         ncols = len(m[0])
-    rows = [_nonzero(row) for row in m]
-    if any(not 0 <= c < ncols for row in rows for c in row):
+    # each row is copied once, by _nonzero; the frozen items of the
+    # distinct rows outlive the elimination, which reduces the copies
+    rows = {}
+    for row in m:
+        r = _nonzero(row)
+        if r:
+            rows.setdefault(frozenset(r.items()), r)
+    if any(not 0 <= c < ncols for r in rows.values() for c in r):
         raise ValueError(f"a row has an entry outside columns 0..{ncols - 1}")
-    distinct = list({frozenset(row.items()): row for row in rows if row}.values())
-    pivots = echelon(distinct)
+    pivots = _eliminate(rows.values())
     basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in pivots}
     for p, prow in pivots.items():
         for c, x in prow.items():
             if c != p:
                 basis[c][p] = -x
     vectors = list(basis.values())
-    for row in distinct:
+    for items in rows:
         for v in vectors:
-            if sum(x * v[c] for c, x in row.items() if c in v):
+            if sum(x * v[c] for c, x in items if c in v):
                 raise ArithmeticError("a kernel vector fails a row of the system")
     zero = Fraction(0)
     return [[v.get(c, zero) for c in range(ncols)] for v in vectors]

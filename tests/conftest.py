@@ -9,6 +9,7 @@ are the slow paths the library replaced, kept to check the fast ones.
 import os
 from fractions import Fraction
 from itertools import product as cartesian
+from math import prod
 
 import pytest
 from hypothesis import strategies as st
@@ -118,6 +119,62 @@ def dense_subalgebra_generated(a, seed):
             return [element(row) for row in span]
         span = reduced[:new_rank]
         rank = new_rank
+
+
+@st.composite
+def crowded(draw):
+    """Two or three generators of degree 1..4, truncating at 2..3 when even,
+    with at most 12 basis elements.  Such generators often share a degree
+    with a product of others, so a basis change there mixes them, the
+    table gets entries of several terms, and the generators that it
+    yields are no longer basis monomials."""
+    gens = draw(st.lists(
+        st.integers(1, 4).flatmap(lambda deg: st.tuples(
+            st.just(deg), st.just(2) if deg % 2 else st.integers(2, 3))),
+        min_size=2, max_size=3).filter(lambda gens: prod(t for _, t in gens) <= 12))
+    return Presentation("crowded", tuple(
+        Generator(symbol, deg, trunc) for symbol, (deg, trunc) in zip("abc", gens)))
+
+
+def invertible_matrix(data, m):
+    """L U with L unit lower triangular and U upper triangular with a
+    nonzero diagonal, both with small integer entries."""
+    entry = st.integers(-2, 2)
+    lower = [[1 if r == c else data.draw(entry) if c < r else 0 for c in range(m)]
+             for r in range(m)]
+    upper = [[data.draw(st.sampled_from([-2, -1, 1, 2])) if r == c
+              else data.draw(entry) if c > r else 0 for c in range(m)]
+             for r in range(m)]
+    return [[sum(lower[r][k] * upper[k][c] for k in range(m)) for c in range(m)]
+            for r in range(m)]
+
+
+def basis_changed(a, data):
+    """a in a new basis: in each positive degree n, new basis element
+    number r of graded_piece(n) is sum_c M[r][c] e_(piece[c]) for a drawn
+    invertible M.  The table is rewritten in the new basis."""
+    to_new = {}  # old basis index -> its {new basis index: coefficient}
+    to_old = {}  # new basis index -> its {old basis index: coefficient}
+    for n in sorted(set(a.degrees)):
+        piece = a.graded_piece(n)
+        m = len(piece)
+        mat = invertible_matrix(data, m) if n > 0 else [[1]]
+        reduced, _, _ = rref([row + [int(r == c) for c in range(m)]
+                              for r, row in enumerate(mat)])
+        inverse = [row[m:] for row in reduced]
+        for r, idx in enumerate(piece):
+            to_old[idx] = {piece[c]: x for c, x in enumerate(mat[r]) if x}
+            to_new[idx] = {piece[c]: x for c, x in enumerate(inverse[r]) if x}
+    products = {}
+    for i in range(a.dim):
+        for j in range(a.dim):
+            old = a.multiply(Element(to_old[i]), Element(to_old[j]))
+            new = {}
+            for k, c in old.coeffs.items():
+                for t, x in to_new[k].items():
+                    new[t] = new.get(t, 0) + c * x
+            products[(i, j)] = new
+    return GradedAlgebra(a.labels, a.degrees, a.unit, products, name=a.name)
 
 
 def exhaustive_validate(a):

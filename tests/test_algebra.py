@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (all_pairs_monomial_algebra, dense_subalgebra_generated,
-                      exhaustive_validate, point, presentations, projective_space,
-                      sphere, torus)
-from negder import (Element, Generator, GradedAlgebra, Presentation,
+from conftest import (all_pairs_monomial_algebra, basis_changed, crowded,
+                      dense_subalgebra_generated, exhaustive_validate, point,
+                      presentations, projective_space, sphere, torus)
+from negder import (Element, Generator, GradedAlgebra, Presentation, algebra,
                     build_monomial_algebra, corpus, subalgebra_generated, tensor)
 from negder.linalg import rref
 
@@ -253,6 +253,84 @@ def test_validate_equals_exhaustive_oracle_on_tensors(p, q, data):
     assert ab.validate() == exhaustive_validate(ab) == []
     bad = data.draw(corrupted(ab))
     assert bad.validate() == exhaustive_validate(bad)
+
+
+@given(crowded(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_validate_equals_exhaustive_oracle_on_basis_changed_tables(p, data):
+    # a change of basis gives entries of several terms, whose contributions
+    # can cancel; the corrupted variants get the usual single-term edits
+    b = basis_changed(build_monomial_algebra(p), data)
+    assert b.validate() == exhaustive_validate(b) == []
+    bad = data.draw(corrupted(b))
+    assert bad.validate() == exhaustive_validate(bad)
+
+
+def cancelling_algebra(b_coeff=-1):
+    """|x| = |y| = |z| = 2, x y = a + b, a z = t and b z = b_coeff * t, with
+    every other product of positive degree zero.  With b_coeff = -1, both
+    (x y) z and z (x y) have two contributions at t that cancel, while
+    x (y z) and (z x) y have none."""
+    labels = ["1", "x", "y", "z", "a", "b", "t"]
+    one, x, y, z, a, b, t = range(7)
+    products = {(one, i): {i: 1} for i in range(7)}
+    products.update({(i, one): {i: 1} for i in range(1, 7)})
+    for i, j, terms in ((x, y, {a: 1, b: 1}), (a, z, {t: 1}), (b, z, {t: b_coeff})):
+        products[(i, j)] = products[(j, i)] = terms
+    return GradedAlgebra(labels, [0, 2, 2, 2, 4, 4, 6], one, products)
+
+
+def test_validate_reads_a_cancelled_side_as_zero():
+    good = cancelling_algebra()
+    assert good.validate() == exhaustive_validate(good) == []
+    bad = cancelling_algebra(-2)
+    violations = bad.validate()
+    assert violations == exhaustive_validate(bad)
+    assert "associativity: (x * y) * z != x * (y * z)" in violations
+    assert "associativity: (z * x) * y != z * (x * y)" in violations
+
+
+def test_constructor_normalizes_the_table():
+    class Exact(Fraction):
+        pass
+
+    half = Fraction(1, 2)
+    products = {(0, 0): {0: 1}, (0, 1): {1: half, 0: 0},
+                (1, 0): {1: "1/2"}, ("1", 1): {0: Exact(3)},
+                (2, 2): {0: Fraction(0)}}
+    a = GradedAlgebra(["1", "u", "v"], [0, 1, 1], 0, products)
+    assert a.products == {(0, 0): {0: 1}, (0, 1): {1: half},
+                          (1, 0): {1: half}, (1, 1): {0: 3}}
+    assert all(type(c) is Fraction for terms in a.products.values()
+               for c in terms.values())
+    assert all(type(i) is int for key in a.products for i in key)
+    assert a.products[(0, 1)][1] is half  # a Fraction is kept, not rebuilt
+    # the table holds fresh dicts: the caller's can change freely
+    snapshot = {key: dict(terms) for key, terms in a.products.items()}
+    products[(0, 0)][0] = 5
+    products[(0, 1)][2] = 1
+    products[(2, 1)] = {0: 1}
+    del products[(1, 0)]
+    assert a.products == snapshot
+
+
+def test_builder_signs_only_with_odd_generators(monkeypatch):
+    calls = []
+    real = algebra._sort_sign
+    monkeypatch.setattr(algebra, "_sort_sign",
+                        lambda *args: calls.append(args) or real(*args))
+    even = Presentation("CP2xCP3", (Generator("x", 2, 3), Generator("y", 2, 4)))
+    mixed = Presentation("T2xCP2", (Generator("i1", 1), Generator("i2", 1),
+                                    Generator("x", 2, 3)))
+    for p, signed in ((even, False), (mixed, True)):
+        del calls[:]
+        built = build_monomial_algebra(p)
+        assert bool(calls) == signed, p.name
+        assert_builder_matches_oracle(p)
+        # every coefficient is one of two shared Fractions, +1 and -1
+        coeffs = [c for terms in built.products.values() for c in terms.values()]
+        assert {id(c) for c in coeffs} == {id(c) for c in set(coeffs)}
+        assert set(coeffs) == ({1, -1} if signed else {1})
 
 
 def test_subalgebra_generated_by_power():

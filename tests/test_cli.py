@@ -7,6 +7,7 @@ import pytest
 from conftest import src_env, torus
 from negder import corpus, serialize_structure_constants
 from negder.cli import run
+from negder.fileformats import AlgebraFile
 
 
 def invoke(capsys, *argv):
@@ -187,6 +188,20 @@ def test_argparse_failures_map_to_exit_2(capsys):
     assert invoke(capsys, "frobnicate")[0] == 2
     assert invoke(capsys, "derivations", corpus.path("cp2"))[0] == 2
     assert invoke(capsys)[0] == 2
+
+
+@pytest.mark.parametrize("error", [MemoryError, RecursionError])
+def test_resource_errors_map_to_exit_2(capsys, monkeypatch, error):
+    # exit 1 means the property fails, so running out of memory or
+    # recursion depth is an exit-2 error, not a verdict
+    def exhausted(self):
+        raise error()
+
+    monkeypatch.setattr(AlgebraFile, "build", exhausted)
+    code, out, err = invoke(capsys, "check-h", corpus.path("cp2"), "--json")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: out of resources ({error.__name__})\n"
 
 
 def test_help_exits_zero(capsys):

@@ -7,15 +7,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (point, presentations, projective_space, rref_kernel,
-                      sphere, src_env, torus)
+from conftest import (basis_changed, crowded, point, presentations,
+                      projective_space, rref_kernel, sphere, src_env, torus)
 from negder import (Element, Generator, GradedAlgebra, GradedLinearMap,
                     Presentation, bracket, build_monomial_algebra, check_class_h,
                     corpus, derivation_space, derivations, identity_map,
                     is_derivation, leibniz_system, parse_structure_constants,
                     tensor)
 from negder.derivations import leibniz_rows
-from negder.linalg import rank_fraction_free, rref
+from negder.linalg import rank_fraction_free
 
 
 def lam(a=3, b=5):
@@ -159,61 +159,10 @@ def test_derivation_space_matches_dense_oracle_on_random_tensor_products(p, q):
         tensor(build_monomial_algebra(p), build_monomial_algebra(q)))
 
 
-def invertible_matrix(data, m):
-    """L U with L unit lower triangular and U upper triangular with a
-    nonzero diagonal, both with small integer entries."""
-    entry = st.integers(-2, 2)
-    lower = [[1 if r == c else data.draw(entry) if c < r else 0 for c in range(m)]
-             for r in range(m)]
-    upper = [[data.draw(st.sampled_from([-2, -1, 1, 2])) if r == c
-              else data.draw(entry) if c > r else 0 for c in range(m)]
-             for r in range(m)]
-    return [[sum(lower[r][k] * upper[k][c] for k in range(m)) for c in range(m)]
-            for r in range(m)]
-
-
-def basis_changed(a, data):
-    """a in a new basis: in each positive degree n, new basis element
-    number r of graded_piece(n) is sum_c M[r][c] e_(piece[c]) for a drawn
-    invertible M.  The table is rewritten in the new basis."""
-    to_new = {}  # old basis index -> its {new basis index: coefficient}
-    to_old = {}  # new basis index -> its {old basis index: coefficient}
-    for n in sorted(set(a.degrees)):
-        piece = a.graded_piece(n)
-        m = len(piece)
-        mat = invertible_matrix(data, m) if n > 0 else [[1]]
-        reduced, _, _ = rref([row + [int(r == c) for c in range(m)]
-                              for r, row in enumerate(mat)])
-        inverse = [row[m:] for row in reduced]
-        for r, idx in enumerate(piece):
-            to_old[idx] = {piece[c]: x for c, x in enumerate(mat[r]) if x}
-            to_new[idx] = {piece[c]: x for c, x in enumerate(inverse[r]) if x}
-    products = {}
-    for i in range(a.dim):
-        for j in range(a.dim):
-            old = a.multiply(Element(to_old[i]), Element(to_old[j]))
-            new = {}
-            for k, c in old.coeffs.items():
-                for t, x in to_new[k].items():
-                    new[t] = new.get(t, 0) + c * x
-            products[(i, j)] = new
-    return GradedAlgebra(a.labels, a.degrees, a.unit, products, name=a.name)
-
-
-# Generators of degree 1..4 often share a degree with a product of others,
-# so a basis change there mixes them, and the generators that the table
-# yields are no longer basis monomials.
-crowded = st.lists(
-    st.integers(1, 4).flatmap(lambda deg: st.tuples(
-        st.just(deg), st.just(2) if deg % 2 else st.integers(2, 3))),
-    min_size=2, max_size=3).filter(lambda gens: prod(t for _, t in gens) <= 12)
-
-
-@given(crowded, st.data())
+@given(crowded(), st.data())
 @settings(max_examples=60, deadline=None)
-def test_derivation_space_matches_dense_oracle_on_basis_changed_tables(gens, data):
-    a = build_monomial_algebra(Presentation("crowded", tuple(
-        Generator(symbol, deg, trunc) for symbol, (deg, trunc) in zip("abc", gens))))
+def test_derivation_space_matches_dense_oracle_on_basis_changed_tables(p, data):
+    a = build_monomial_algebra(p)
     b = basis_changed(a, data)
     assert b.validate() == []
     assert len(b.generator_indices) == len(a.generator_indices)

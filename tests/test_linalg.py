@@ -177,6 +177,43 @@ def test_nullspace_does_not_mutate_input():
     assert rows == [{0: 2, 1: 4}, [1, 3]]
 
 
+def test_echelon_is_pure_and_exact_on_int_rows():
+    rows = [{0: 2, 1: 4}, {1: 3, 2: Fraction(1, 2)}, {0: 1, 2: 1}]
+    pivots = linalg.echelon(rows)
+    assert rows == [{0: 2, 1: 4}, {1: 3, 2: Fraction(1, 2)}, {0: 1, 2: 1}]
+    assert pivots == {0: {0: 1}, 1: {1: 1}, 2: {2: 1}}
+    assert all(type(x) is Fraction for row in pivots.values() for x in row.values())
+    # a Fraction value is taken as it is, and no pivot row aliases an input
+    one = Fraction(1)
+    single = [{3: one}]
+    pivots = linalg.echelon(single)
+    assert pivots[3] is not single[0] and pivots[3][3] is one
+
+
+def test_nullspace_is_pure_and_exact_on_int_rows():
+    for rows in ([[1, 2, 0], [2, 4, 0]], [{0: 1, 1: 2}, {0: 2, 1: 4}]):
+        kept = [type(row)(row) for row in rows]
+        basis = nullspace_basis(rows, ncols=3)
+        assert rows == kept
+        assert all(type(x) is int for row in rows
+                   for x in (row.values() if isinstance(row, dict) else row))
+        assert basis == [[-2, 1, 0], [0, 0, 1]]
+        assert all(type(x) is Fraction for v in basis for x in v)
+
+
+def test_nullspace_copies_each_row_once(monkeypatch):
+    # the elimination reduces the one copy that _nonzero makes, and the
+    # self-check reads the frozen items of the distinct rows
+    made = []
+    real = linalg._nonzero
+    monkeypatch.setattr(linalg, "_nonzero",
+                        lambda row: made.append(row) or real(row))
+    monkeypatch.setattr(linalg, "echelon", None)
+    rows = [{0: 1, 1: 1}, [0, 1, 1], {1: 1, 0: 1}, [0, 0, 0]]
+    assert nullspace_basis(rows, ncols=3) == [[1, -1, 1]]
+    assert made == rows
+
+
 def test_kernel_self_check_raises_on_a_wrong_elimination(monkeypatch):
     # with row subtraction disabled the pivot rows are wrong, and the
     # exact A.v = 0 check has to catch it

@@ -1,5 +1,5 @@
 """The survey scripts: subprocess smoke runs, and the one-sweep contract
-of the corpus survey."""
+of the corpus survey; and the benchmark harness's own self-test."""
 
 import importlib.util
 import os
@@ -51,3 +51,11 @@ def test_survey_row_sweeps_each_degree_once(survey, space_calls):
         del space_calls[:]
         survey.survey_row(name, 3)
         assert len(space_calls) == len(set(space_calls)) == sweep, name
+
+
+def test_benchmark_harness_self_test_passes():
+    # perfbench patches and counts names in src, so a change there that
+    # breaks the harness fails here, not only when the benchmark runs
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "perfbench", "selftest.py")],
+                          capture_output=True, text=True, env=src_env(), cwd=ROOT)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
