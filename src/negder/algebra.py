@@ -14,9 +14,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as cartesian
+from math import prod
 from operator import add
 
 from .linalg import echelon
+
+# Largest structure-constant table build_monomial_algebra allocates.  The
+# largest bundled, tested or benchmarked presentation, CP399, has 80 200
+# entries; above the limit the build raises ValueError before allocating.
+MAX_TABLE_ENTRIES = 250_000
 
 
 @dataclass(frozen=True)
@@ -109,7 +115,11 @@ class GradedAlgebra:
     def __init__(self, labels, degrees, unit, products, name=""):
         self.labels = list(labels)
         self.degrees = [int(d) for d in degrees]
+        if len(self.labels) != len(self.degrees):
+            raise ValueError(f"{len(self.labels)} labels but {len(self.degrees)} degrees")
         self.unit = int(unit)
+        if not 0 <= self.unit < len(self.labels):
+            raise ValueError(f"unit {self.unit} is not a basis index")
         self.name = name
         table = {}
         for (i, j), terms in products.items():
@@ -211,9 +221,12 @@ class GradedAlgebra:
     def validate(self):
         """Check every axiom on the table; returns a list of violation strings.
 
-        Checks degree additivity of every table entry, both unit laws,
-        graded commutativity products(j,i) = (-1)^(|i||j|) products(i,j),
-        and associativity.  For each pair (i, j), both sides of
+        First every key and term index of the table must lie in 0..dim-1.
+        If any does not, exactly those violations are returned, in key
+        order, since every later check indexes by them.  Otherwise it checks
+        degree additivity of every table entry, both unit laws, graded
+        commutativity products(j,i) = (-1)^(|i||j|) products(i,j), and
+        associativity.  For each pair (i, j), both sides of
         (e_i e_j) e_k = e_i (e_j e_k) are summed straight from the table
         dicts for every k at once, over nonzero contributions only, and
         compared at each k where either side has one, zero sums dropped.
@@ -221,8 +234,12 @@ class GradedAlgebra:
         table, corrupt ones included, and costs time in proportion to the
         nonzero contributions.  Violations come in i, j, k order.
         """
-        out = []
         dim = self.dim
+        out = [f"basis index: table entry ({i}, {j}) names {x}, outside 0..{dim - 1}"
+               for (i, j), terms in sorted(self.products.items())
+               for x in sorted({i, j, *terms}) if not 0 <= x < dim]
+        if out:
+            return out
         for (i, j), terms in sorted(self.products.items()):
             want = self.degrees[i] + self.degrees[j]
             for k in sorted(terms):
@@ -336,10 +353,18 @@ def build_monomial_algebra(p):
     two shared Fractions, +1 and -1, which the constructor keeps as they
     are.  The result also carries monomial_exponents, the exponent vector
     of each basis index.
+
+    The table has prod t(t+1)/2 entries over the truncations t; a
+    presentation whose table would exceed MAX_TABLE_ENTRIES is rejected
+    with ValueError before anything is allocated.
     """
     seen = set()
     for g in p.generators:
         check_generator(g, seen)
+    entries = prod(g.truncation * (g.truncation + 1) // 2 for g in p.generators)
+    if entries > MAX_TABLE_ENTRIES:
+        raise ValueError(f"the presentation needs a table of {entries} entries, "
+                         f"over the limit of {MAX_TABLE_ENTRIES}")
     gens = list(p.generators)
     odd = [g.degree % 2 == 1 for g in gens]
     degrees_of = lambda e: sum(x * g.degree for x, g in zip(e, gens))

@@ -13,7 +13,6 @@ import json
 import sys
 
 from . import corpus
-from .algebra import Element
 from .derivations import check_class_h, derivation_space
 from .fileformats import AlgebraFile, ParseError, ValidationError, detect_format
 from .rigidity import char_subspace, prove_rigidity
@@ -83,11 +82,8 @@ def _map_doc(algebra, m):
 def _map_lines(algebra, m, symbol="theta"):
     lines = []
     for n in sorted(m.blocks):
-        mat = m.blocks[n]
-        src = algebra.graded_piece(n)
-        tgt = algebra.graded_piece(n + m.shift)
-        for c, i in enumerate(src):
-            img = Element({tgt[r]: mat[r][c] for r in range(len(tgt))})
+        for i in algebra.graded_piece(n):
+            img = m.image(algebra, i)
             if img:
                 lines.append(f"{symbol}({algebra.labels[i]}) = "
                              f"{algebra.format_element(img)}")

@@ -38,8 +38,8 @@ class GradedLinearMap:
         self.shift = int(shift)
         cleaned = {}
         for n, mat in (blocks or {}).items():
-            rows = [[Fraction(x) for x in row] for row in mat]
-            if rows and rows[0] and any(any(row) for row in rows):
+            rows = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in mat]
+            if any(any(row) for row in rows):
                 cleaned[int(n)] = rows
         self.blocks = cleaned
 
@@ -54,25 +54,27 @@ class GradedLinearMap:
     def __repr__(self):
         return f"GradedLinearMap(shift={self.shift}, blocks={sorted(self.blocks)})"
 
+    def image(self, algebra, i):
+        """Image of basis element i: its column of the block at its degree,
+        zero where no block is stored."""
+        _check_index(algebra, i)
+        n = algebra.degrees[i]
+        mat = self.blocks.get(n)
+        if mat is None:
+            return Element()
+        src = algebra.graded_piece(n)
+        tgt = algebra.graded_piece(n + self.shift)
+        if len(mat) != len(tgt) or len(mat[0]) != len(src):
+            raise ValueError(f"block at degree {n} does not match the graded pieces")
+        c = src.index(i)
+        return Element({t: row[c] for t, row in zip(tgt, mat) if row[c]})
+
     def apply(self, algebra, elt):
-        """Image of elt; degrees without a stored block map to zero."""
-        by_degree = {}
-        for i, c in elt.coeffs.items():
-            by_degree.setdefault(algebra.degrees[i], {})[i] = c
+        """Image of elt: the sum of c * image(i) over its terms c e_i."""
         out = {}
-        for n, coeffs in by_degree.items():
-            mat = self.blocks.get(n)
-            if mat is None:
-                continue
-            src = algebra.graded_piece(n)
-            tgt = algebra.graded_piece(n + self.shift)
-            if len(mat) != len(tgt) or len(mat[0]) != len(src):
-                raise ValueError(f"block at degree {n} does not match the graded pieces")
-            col = [coeffs.get(i, Fraction(0)) for i in src]
-            for r, t in enumerate(tgt):
-                val = sum((m * c for m, c in zip(mat[r], col)), Fraction(0))
-                if val:
-                    out[t] = out.get(t, Fraction(0)) + val
+        for i, c in elt.coeffs.items():
+            for t, x in self.image(algebra, i).coeffs.items():
+                out[t] = out.get(t, 0) + c * x
         return Element(out)
 
     def scaled(self, scalar):
@@ -85,24 +87,31 @@ class GradedLinearMap:
 
     @classmethod
     def from_images(cls, algebra, shift, images):
-        """Assemble a map from basis images {index: Element}; omitted
-        indices map to zero.  Each image must live in the shifted piece."""
-        zero = Element()
+        """Assemble a map from basis images {index: Element}, omitted ones
+        zero, writing the column of each nonzero image into its block."""
         blocks = {}
-        for n in sorted(set(algebra.degrees)):
+        for i, img in images.items():
+            _check_index(algebra, i)
+            if not img:
+                continue
+            n = algebra.degrees[i]
             src = algebra.graded_piece(n)
             tgt = algebra.graded_piece(n + shift)
-            tgt_set = set(tgt)
             if not tgt:
-                if any(images.get(i, zero) for i in src):
-                    raise ValueError("image lands in an empty piece")
-                continue
-            mat = [[images.get(i, zero).coeff(t) for i in src] for t in tgt]
-            for i in src:
-                if not set(images.get(i, zero).coeffs) <= tgt_set:
+                raise ValueError("image lands in an empty piece")
+            if n not in blocks:
+                blocks[n] = [[Fraction(0)] * len(src) for _ in tgt]
+            c = src.index(i)
+            for t, x in img.coeffs.items():
+                if t not in tgt:
                     raise ValueError("image off the shifted piece")
-            blocks[n] = mat
+                blocks[n][tgt.index(t)][c] = x
         return cls(shift, blocks)
+
+
+def _check_index(algebra, i):
+    if not 0 <= i < algebra.dim:
+        raise ValueError(f"basis index {i} is outside 0..{algebra.dim - 1}")
 
 
 def identity_map(algebra):
@@ -219,7 +228,7 @@ def is_derivation(a, m):
     pairs; an empty list means m is a derivation.
     """
     out = []
-    images = [m.apply(a, a.basis_element(i)) for i in range(a.dim)]
+    images = [m.image(a, i) for i in range(a.dim)]
     for i in range(a.dim):
         ei = a.basis_element(i)
         sign = _sign(m.shift * a.degrees[i])
@@ -237,12 +246,8 @@ def bracket(a, m1, m2):
     """Graded commutator [m1, m2] = m1 m2 - (-1)^(d1 d2) m2 m1, a map of
     shift d1 + d2 (a derivation whenever both inputs are)."""
     sign = _sign(m1.shift * m2.shift)
-    images = {}
-    for i in range(a.dim):
-        e = a.basis_element(i)
-        img = m1.apply(a, m2.apply(a, e)) - sign * m2.apply(a, m1.apply(a, e))
-        if img:
-            images[i] = img
+    images = {i: m1.apply(a, m2.image(a, i)) - sign * m2.apply(a, m1.image(a, i))
+              for i in range(a.dim)}
     return GradedLinearMap.from_images(a, m1.shift + m2.shift, images)
 
 

@@ -193,11 +193,7 @@ def char_preserved(base, endo, rank):
         raise ValueError("endomorphism must preserve degree")
     char = char_subspace(base, rank)
     allowed = {i for idxs in char.basis_indices.values() for i in idxs}
-    for i in sorted(allowed):
-        img = endo.apply(base, base.basis_element(i))
-        if any(t not in allowed for t in img.coeffs):
-            return False
-    return True
+    return all(endo.image(base, i).coeffs.keys() <= allowed for i in sorted(allowed))
 
 
 @dataclass

@@ -50,6 +50,26 @@ def test_odd_generator_rejects_higher_truncation():
         build_monomial_algebra(Presentation("bad", (Generator("a", 3, 4),)))
 
 
+def test_presentation_over_the_table_budget_is_rejected():
+    # just over the limit, so a broken budget costs one large build, not
+    # the machine's memory; test_cli runs the huge inputs in a capped child
+    assert algebra.MAX_TABLE_ENTRIES < 707 * 708 // 2
+    with pytest.raises(ValueError, match="250278 entries, over the limit"):
+        build_monomial_algebra(Presentation("CP706", (Generator("x", 2, 707),)))
+    exterior = Presentation("T12", tuple(Generator(f"e{k}", 1) for k in range(12)))
+    with pytest.raises(ValueError, match=f"{3 ** 12} entries, over the limit"):
+        build_monomial_algebra(exterior)
+
+
+def test_table_size_is_the_product_of_triangular_numbers():
+    cp399 = build_monomial_algebra(Presentation("CP399", (Generator("x", 2, 400),)))
+    assert len(cp399.products) == 80200 <= algebra.MAX_TABLE_ENTRIES
+    assert len(torus(7).products) == 3 ** 7
+    mixed = build_monomial_algebra(Presentation(
+        "mix", (Generator("x", 2, 3), Generator("y", 3), Generator("z", 4, 4))))
+    assert len(mixed.products) == 6 * 3 * 10
+
+
 def test_duplicate_symbols_rejected():
     with pytest.raises(ValueError, match="duplicate"):
         build_monomial_algebra(Presentation(
@@ -178,6 +198,37 @@ def test_validate_missing_unit_row():
     products = {k: v for k, v in cp1.products.items() if k != (0, 1)}
     bad = GradedAlgebra(cp1.labels, cp1.degrees, cp1.unit, products)
     assert any("unit law" in v for v in bad.validate())
+
+
+def test_constructor_rejects_labels_and_degrees_of_different_lengths():
+    with pytest.raises(ValueError, match="2 labels but 1 degrees"):
+        GradedAlgebra(["1", "x"], [0], 0, {(0, 0): {0: 1}})
+
+
+@pytest.mark.parametrize("unit", [1, -1])
+def test_constructor_rejects_a_unit_outside_the_basis(unit):
+    with pytest.raises(ValueError, match=f"unit {unit} is not a basis index"):
+        GradedAlgebra(["1"], [0], unit, {(0, 0): {0: 1}})
+
+
+@pytest.mark.parametrize("products, violation", [
+    ({(0, 0): {5: 1}}, "basis index: table entry (0, 0) names 5, outside 0..0"),
+    ({(0, 3): {0: 1}}, "basis index: table entry (0, 3) names 3, outside 0..0"),
+])
+def test_validate_reports_an_index_outside_the_basis(products, violation):
+    assert GradedAlgebra(["1"], [0], 0, products).validate() == [violation]
+
+
+def test_validate_returns_only_the_index_violations_in_key_order():
+    cp1 = projective_space(1)
+    products = dict(cp1.products)
+    products[(1, 1)] = {-1: 1, 4: 2, 0: 1}
+    products[(-2, 0)] = {0: 1}
+    assert GradedAlgebra(cp1.labels, cp1.degrees, cp1.unit, products).validate() == [
+        "basis index: table entry (-2, 0) names -2, outside 0..1",
+        "basis index: table entry (1, 1) names -1, outside 0..1",
+        "basis index: table entry (1, 1) names 4, outside 0..1",
+    ]
 
 
 def test_validate_associativity_corruption():

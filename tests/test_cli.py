@@ -1,6 +1,8 @@
 import json
+import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -202,6 +204,28 @@ def test_resource_errors_map_to_exit_2(capsys, monkeypatch, error):
     assert code == 2
     assert out == ""
     assert err == f"error: out of resources ({error.__name__})\n"
+
+
+@pytest.mark.parametrize("lines", [
+    ["generator x degree 2 truncate 100000"],
+    [f"generator e{k} degree 1" for k in range(30)],
+])
+def test_presentations_over_the_budget_exit_2_quickly(tmp_path, lines):
+    target = tmp_path / "huge.alg"
+    target.write_text("\n".join(lines) + "\n")
+
+    def cap_memory():
+        # should the budget fail, the child runs out of memory, not the machine
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "negder", "check-h", str(target)],
+                          capture_output=True, text=True, env=src_env(),
+                          preexec_fn=cap_memory, timeout=30)
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "over the limit of" in proc.stderr
 
 
 def test_help_exits_zero(capsys):

@@ -57,6 +57,31 @@ def test_apply_rejects_misshapen_blocks():
         bad.apply(cp2, cp2.basis_element(1))
 
 
+def test_image_reads_one_column_and_apply_sums_them():
+    t2 = torus(2)
+    m = GradedLinearMap(0, {1: [[1, 2], [3, "1/2"]]})
+    assert all(type(x) is Fraction for row in m.blocks[1] for x in row)
+    assert m.image(t2, 1) == Element({1: 1, 2: 3})
+    assert m.image(t2, 2) == Element({1: 2, 2: Fraction(1, 2)})
+    assert not m.image(t2, 0)
+    assert m.apply(t2, t2.basis_element(1) - 2 * t2.basis_element(2)) == Element({1: -3, 2: 2})
+    assert GradedLinearMap.from_images(
+        t2, 0, {i: m.image(t2, i) for i in range(t2.dim)}) == m
+
+
+@pytest.mark.parametrize("index", [7, -1])
+def test_basis_index_outside_the_basis_is_an_error(index):
+    s3 = sphere(3)
+    theta = GradedLinearMap(-3, {3: [[1]]})
+    message = f"basis index {index} is outside 0..1"
+    with pytest.raises(ValueError, match=message):
+        GradedLinearMap.from_images(s3, -3, {index: s3.basis_element(0)})
+    with pytest.raises(ValueError, match=message):
+        theta.image(s3, index)
+    with pytest.raises(ValueError, match=message):
+        theta.apply(s3, Element({index: 1}))
+
+
 def test_shape_checks_survive_optimized_mode():
     script = (
         "from negder import GradedLinearMap, Generator, Presentation, "
@@ -239,6 +264,15 @@ def test_euler_map_is_a_degree_zero_derivation():
     euler = GradedLinearMap.from_images(
         t2, 0, {i: t2.degrees[i] * t2.basis_element(i) for i in range(t2.dim)})
     assert is_derivation(t2, euler) == []
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_check_class_h_agrees_with_the_corpus_metadata(name):
+    entry = corpus.entry(name)
+    verdict = check_class_h(corpus.load(name))
+    assert verdict.in_class == entry.in_class
+    assert (verdict.certificate[0] if verdict.certificate else None) == entry.first_failure
+    assert verdict.connectivity_ok == entry.simply_connected
 
 
 # --- is_derivation residuals ---
