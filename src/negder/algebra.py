@@ -24,6 +24,8 @@ from .linalg import echelon
 # entries; above the limit the build raises ValueError before allocating.
 MAX_TABLE_ENTRIES = 250_000
 
+_ONE = Fraction(1)
+
 
 @dataclass(frozen=True)
 class Generator:
@@ -46,8 +48,10 @@ class Element:
     """Sparse rational linear combination of basis vectors.
 
     Keys are basis indices, zero coefficients are dropped on construction,
-    and equality is coefficientwise.  Elements are algebra-agnostic; the
-    product lives on GradedAlgebra.
+    and equality is coefficientwise.  As in the GradedAlgebra constructor,
+    a value whose type is exactly Fraction and a key that is an int are
+    kept as they are; anything else is converted.  Elements are
+    algebra-agnostic; the product lives on GradedAlgebra.
     """
 
     __slots__ = ("coeffs",)
@@ -56,9 +60,10 @@ class Element:
         data = {}
         if coeffs:
             for i, c in coeffs.items():
-                c = Fraction(c)
+                if type(c) is not Fraction:
+                    c = Fraction(c)
                 if c:
-                    data[int(i)] = c
+                    data[i if type(i) is int else int(i)] = c
         self.coeffs = data
 
     def coeff(self, i):
@@ -108,8 +113,12 @@ class GradedAlgebra:
     table into fresh dicts with int keys and exact Fraction values, zero
     terms and empty entries dropped; a value whose type is exactly Fraction
     is kept as it is, and anything else (int, str, a Fraction subclass) is
-    converted.  It deliberately does not check axioms, so corrupt tables
-    stay representable for validate().
+    converted.  Each distinct input entry object is normalized once, and
+    the keys that share it share its one fresh output entry, so table
+    entries may be shared between keys and are read-only: replace an
+    entry, never mutate it in place.  A key that is already a tuple of two
+    ints is kept as it is.  The constructor deliberately does not check
+    axioms, so corrupt tables stay representable for validate().
     """
 
     def __init__(self, labels, degrees, unit, products, name=""):
@@ -122,15 +131,24 @@ class GradedAlgebra:
             raise ValueError(f"unit {self.unit} is not a basis index")
         self.name = name
         table = {}
-        for (i, j), terms in products.items():
-            cleaned = {}
-            for k, c in terms.items():
-                if type(c) is not Fraction:
-                    c = Fraction(c)
-                if c:
-                    cleaned[int(k)] = c
-            if cleaned:
-                table[(int(i), int(j))] = cleaned
+        # id of an input entry -> (that entry, its normalized form); holding
+        # the entry keeps its id from being reused while the loop runs
+        done = {}
+        for key, terms in products.items():
+            i, j = key
+            if type(key) is not tuple or type(i) is not int or type(j) is not int:
+                key = (int(i), int(j))
+            seen = done.get(id(terms))
+            if seen is None:
+                cleaned = {}
+                for k, c in terms.items():
+                    if type(c) is not Fraction:
+                        c = Fraction(c)
+                    if c:
+                        cleaned[int(k)] = c
+                seen = done[id(terms)] = (terms, cleaned)
+            if seen[1]:
+                table[key] = seen[1]
         self.products = table
         by_degree = {}
         for i, d in enumerate(self.degrees):
@@ -171,7 +189,7 @@ class GradedAlgebra:
                                     if degrees[i] > 0 and i not in pivots)
 
     def basis_element(self, i):
-        return Element({i: 1})
+        return Element({i: _ONE})
 
     def multiply(self, u, v):
         """Bilinear extension of the structure-constant table."""
@@ -225,57 +243,81 @@ class GradedAlgebra:
         If any does not, exactly those violations are returned, in key
         order, since every later check indexes by them.  Otherwise it checks
         degree additivity of every table entry, both unit laws, graded
-        commutativity products(j,i) = (-1)^(|i||j|) products(i,j), and
-        associativity.  For each pair (i, j), both sides of
-        (e_i e_j) e_k = e_i (e_j e_k) are summed straight from the table
-        dicts for every k at once, over nonzero contributions only, and
-        compared at each k where either side has one, zero sums dropped.
-        Every other k is zero on both sides, so the check is exact on any
-        table, corrupt ones included, and costs time in proportion to the
-        nonzero contributions.  Violations come in i, j, k order.
+        commutativity products(j,i) = (-1)^(|i||j|) products(i,j) on the
+        pairs the table names, and associativity.  For each pair (i, j),
+        both sides of (e_i e_j) e_k = e_i (e_j e_k) are summed straight from
+        the table for every k at once, over nonzero contributions only,
+        with integral coefficients read as ints, and compared at each k
+        where either side has one, zero sums dropped.  The right sides of a
+        row i are summed together, through an index of the table terms by
+        their basis element.  Every other triple is zero on both sides, so
+        the check is exact on any table, corrupt ones included, and costs
+        time in proportion to the table, its nonzero contributions and dim,
+        not dim^2.  Violations come in i, j, k order.
         """
         dim = self.dim
+        table = self.products
+        keys = sorted(table)
         out = [f"basis index: table entry ({i}, {j}) names {x}, outside 0..{dim - 1}"
-               for (i, j), terms in sorted(self.products.items())
-               for x in sorted({i, j, *terms}) if not 0 <= x < dim]
+               for i, j in keys for x in sorted({i, j, *table[i, j]}) if not 0 <= x < dim]
         if out:
             return out
-        for (i, j), terms in sorted(self.products.items()):
+        for i, j in keys:
             want = self.degrees[i] + self.degrees[j]
-            for k in sorted(terms):
+            for k in sorted(table[i, j]):
                 if self.degrees[k] != want:
                     out.append(
                         f"degree additivity: {self.labels[i]} * {self.labels[j]} "
                         f"hits {self.labels[k]} of degree {self.degrees[k]}, expected {want}"
                     )
         u = self.unit
-        one = Fraction(1)
-        for j in range(dim):
-            if self.products.get((u, j), {}) != {j: one}:
-                out.append(f"unit law: 1 * {self.labels[j]} != {self.labels[j]}")
-            if j != u and self.products.get((j, u), {}) != {j: one}:
-                out.append(f"unit law: {self.labels[j]} * 1 != {self.labels[j]}")
-        for i in range(dim):
-            for j in range(i, dim):
-                sign = -1 if (self.degrees[i] * self.degrees[j]) % 2 else 1
-                mirror = {k: sign * c for k, c in self.products.get((i, j), {}).items()}
-                if self.products.get((j, i), {}) != mirror:
-                    rel = "-" if sign < 0 else ""
-                    out.append(
-                        f"graded commutativity: {self.labels[j]} * {self.labels[i]} "
-                        f"!= {rel}({self.labels[i]} * {self.labels[j]})"
-                    )
-        # For each pair (i, j), both sides of every k are summed at once as
-        # {k: {t: v}}, over nonzero contributions only: (e_i e_j) e_k =
-        # sum_m P[i,j][m] P[m,k] and e_i (e_j e_k) = sum_m P[j,k][m] P[i,m].
-        # A k with no contribution is zero on that side.
-        rows = {}
-        for (i, j), terms in self.products.items():
-            rows.setdefault(i, {})[j] = terms
         empty = {}
-        for i in range(dim):
-            row_i = rows.get(i, empty)
-            for j in range(dim):
+        for j in range(dim):
+            if table.get((u, j), empty) != {j: _ONE}:
+                out.append(f"unit law: 1 * {self.labels[j]} != {self.labels[j]}")
+            if j != u and table.get((j, u), empty) != {j: _ONE}:
+                out.append(f"unit law: {self.labels[j]} * 1 != {self.labels[j]}")
+        # A pair {i, j} with neither order in the table is zero both ways.
+        for i, j in sorted({(i, j) if i <= j else (j, i) for i, j in keys}):
+            sign = -1 if (self.degrees[i] * self.degrees[j]) % 2 else 1
+            mirror = table.get((i, j), empty)
+            if sign < 0:
+                mirror = {k: -c for k, c in mirror.items()}
+            if table.get((j, i), empty) != mirror:
+                rel = "-" if sign < 0 else ""
+                out.append(
+                    f"graded commutativity: {self.labels[j]} * {self.labels[i]} "
+                    f"!= {rel}({self.labels[i]} * {self.labels[j]})"
+                )
+        # rows[i][j] views P[i,j] with integral coefficients as ints, one
+        # view per distinct entry; by_m[m] lists (j, k, P[j,k][m]).  For
+        # each i, both sides of every (j, k) are summed as {t: v}, over
+        # nonzero contributions only: (e_i e_j) e_k = sum_m P[i,j][m] P[m,k]
+        # per j, and e_i (e_j e_k) = sum_m P[j,k][m] P[i,m] for all j at
+        # once, through by_m of each m in row i.  A pair with no
+        # contribution is zero on that side, and an i with no row or a j
+        # in neither side has none at all.
+        views = {}
+        rows = {}
+        by_m = {}
+        for (j, k), terms in table.items():
+            view = views.get(id(terms))
+            if view is None:
+                view = views[id(terms)] = {
+                    m: c.numerator if c.denominator == 1 else c for m, c in terms.items()}
+            rows.setdefault(j, {})[k] = view
+            for m, c in view.items():
+                by_m.setdefault(m, []).append((j, k, c))
+        for i in sorted(rows):
+            row_i = rows[i]
+            right = {}
+            for m, terms in row_i.items():
+                for j, k, c in by_m.get(m, ()):
+                    acc = right.setdefault(j, {}).setdefault(k, {})
+                    for t, d in terms.items():
+                        v = c * d
+                        acc[t] = acc[t] + v if t in acc else v
+            for j in sorted(row_i.keys() | right.keys()):
                 lhs = {}
                 for m, c in row_i.get(j, empty).items():
                     for k, terms in rows.get(m, empty).items():
@@ -283,16 +325,7 @@ class GradedAlgebra:
                         for t, d in terms.items():
                             v = c * d
                             acc[t] = acc[t] + v if t in acc else v
-                rhs = {}
-                for k, jk in rows.get(j, empty).items():
-                    for m, c in jk.items():
-                        terms = row_i.get(m)
-                        if terms is None:
-                            continue
-                        acc = rhs.setdefault(k, {})
-                        for t, d in terms.items():
-                            v = c * d
-                            acc[t] = acc[t] + v if t in acc else v
+                rhs = right.get(j, empty)
                 if lhs == rhs:
                     continue
                 for k in sorted(lhs.keys() | rhs.keys()):
@@ -349,10 +382,12 @@ def build_monomial_algebra(p):
     has odd degree; otherwise every product is +1.  For each exponent
     vector e only the partners f with e + f below every truncation are
     visited, so the build costs one step per nonzero table entry; every
-    other product is zero and left out of the table.  The coefficients are
-    two shared Fractions, +1 and -1, which the constructor keeps as they
-    are.  The result also carries monomial_exponents, the exponent vector
-    of each basis index.
+    other product is zero and left out of the table.  Every product is
+    +e_k or -e_k, and the builder hands the constructor one shared entry
+    dict per (k, sign), at most 2 dim of them, over two shared Fractions,
+    +1 and -1; the constructor then normalizes each entry once.  The result
+    also carries monomial_exponents, the exponent vector of each basis
+    index.
 
     The table has prod t(t+1)/2 entries over the truncations t; a
     presentation whose table would exceed MAX_TABLE_ENTRIES is rejected
@@ -374,13 +409,16 @@ def build_monomial_algebra(p):
     labels = [_monomial_label(e, gens) for e in exps]
     degrees = [degrees_of(e) for e in exps]
     signed = any(odd)
-    one, minus_one = Fraction(1), Fraction(-1)
+    # one shared entry per (target, sign): +e_k, and -e_k when signs occur
+    minus_one = Fraction(-1)
+    plus = [{k: _ONE} for k in range(len(exps))]
+    minus = [{k: minus_one} for k in range(len(exps))] if signed else None
     products = {}
     for i, e in enumerate(exps):
         for f in cartesian(*(range(g.truncation - x) for x, g in zip(e, gens))):
-            total = tuple(map(add, e, f))
-            sign = minus_one if signed and _sort_sign(e, f, odd) < 0 else one
-            products[(i, index_of[f])] = {index_of[total]: sign}
+            k = index_of[tuple(map(add, e, f))]
+            negative = signed and _sort_sign(e, f, odd) < 0
+            products[(i, index_of[f])] = minus[k] if negative else plus[k]
     alg = GradedAlgebra(labels, degrees, index_of[tuple(0 for _ in gens)],
                         products, name=p.name)
     alg.monomial_exponents = exps

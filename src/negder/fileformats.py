@@ -28,6 +28,12 @@ transposed entry from graded commutativity; a pair given in both orders
 keeps both lines, and validation cross-checks them.  Omitted pairs are
 zero.  A parsed table is validated before use and rejected with the full
 violation list if any axiom fails.
+
+Each distinct right-hand side is parsed once, and the lines that share it
+share one entry dict, as does a transposed pair filled in from it (or one
+negated copy per entry), so the constructor normalizes it once too.  The
+serializer walks the table's keys, not every pair of basis elements, so
+both directions cost time in proportion to the table plus dim.
 """
 
 from __future__ import annotations
@@ -137,7 +143,7 @@ def _parse_terms(rhs, line_no, label_index):
         if label not in label_index:
             raise ParseError(line_no, f"unknown basis label {label!r}")
         k = label_index[label]
-        terms[k] = terms.get(k, Fraction(0)) + coeff
+        terms[k] = terms[k] + coeff if k in terms else coeff
     return terms
 
 
@@ -192,6 +198,7 @@ def parse_structure_constants(text):
     if unit_label not in label_index:
         raise ParseError(0, f"unit label {unit_label!r} is not in the basis")
     products = {}
+    parsed = {}  # right-hand side text -> its terms, shared by its lines
     for line_no, il, jl, rhs in product_lines:
         for lab in (il, jl):
             if lab not in label_index:
@@ -199,12 +206,21 @@ def parse_structure_constants(text):
         key = (label_index[il], label_index[jl])
         if key in products:
             raise ParseError(line_no, f"duplicate product line for {il} {jl}")
-        products[key] = _parse_terms(rhs, line_no, label_index)
-    # Fill in the transposed pairs by graded commutativity.
+        rhs = rhs.strip()
+        terms = parsed.get(rhs)
+        if terms is None:
+            terms = parsed[rhs] = _parse_terms(rhs, line_no, label_index)
+        products[key] = terms
+    # Fill in the transposed pairs by graded commutativity: the entry
+    # itself, or its negation, made once per entry.
+    negated = {}  # id of a parsed entry (kept alive by parsed) -> negation
     for (i, j), terms in sorted(products.items()):
         if (j, i) not in products:
-            sign = -1 if (degrees[i] * degrees[j]) % 2 else 1
-            products[(j, i)] = {k: sign * c for k, c in terms.items()}
+            if (degrees[i] * degrees[j]) % 2:
+                if id(terms) not in negated:
+                    negated[id(terms)] = {k: -c for k, c in terms.items()}
+                terms = negated[id(terms)]
+            products[(j, i)] = terms
     alg = GradedAlgebra(labels, degrees, label_index[unit_label], products)
     violations = alg.validate()
     if violations:
@@ -221,13 +237,12 @@ def serialize_structure_constants(a):
         lines.append(f"{label} {d}")
     lines.append(f"unit: {a.labels[a.unit]}")
     lines.append("products:")
-    for i in range(a.dim):
-        for j in range(i, a.dim):
-            terms = a.products.get((i, j))
-            if not terms:
-                continue
-            body = " + ".join(f"{c}*{a.labels[k]}" for k, c in sorted(terms.items()))
-            lines.append(f"{a.labels[i]} {a.labels[j]} = {body}")
+    for i, j in sorted(key for key in a.products if key[0] <= key[1]):
+        terms = a.products[i, j]
+        if not terms:
+            continue
+        body = " + ".join(f"{c}*{a.labels[k]}" for k, c in sorted(terms.items()))
+        lines.append(f"{a.labels[i]} {a.labels[j]} = {body}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import product as cartesian
 from math import prod
@@ -154,6 +155,20 @@ def test_element_arithmetic():
     assert -e == Element({0: Fraction(-1, 2), 2: 1})
     assert 2 * e == Element({0: 1, 2: -2})
     assert Element({0: 0}) == Element()
+
+
+def test_element_keeps_exact_values_and_converts_the_rest():
+    class Exact(Fraction):
+        pass
+
+    half = Fraction(1, 2)
+    e = Element({0: half, 1: 2, "2": "1/3", 3: Exact(3), 4: 0})
+    assert e.coeffs == {0: half, 1: 2, 2: Fraction(1, 3), 3: 3}
+    assert all(type(c) is Fraction for c in e.coeffs.values())
+    assert all(type(i) is int for i in e.coeffs)
+    assert e.coeffs[0] is half  # a Fraction is kept, not rebuilt
+    cp2 = projective_space(2)
+    assert cp2.basis_element(0).coeffs[0] is cp2.basis_element(2).coeffs[2]
 
 
 def test_format_element():
@@ -317,6 +332,41 @@ def test_validate_equals_exhaustive_oracle_on_basis_changed_tables(p, data):
     assert bad.validate() == exhaustive_validate(bad)
 
 
+def sharing(products):
+    """products with each entry replaced by the first entry of equal
+    content, so that equal entries are one dict shared between keys."""
+    first = {}
+    return {key: first.setdefault(frozenset(terms.items()), terms)
+            for key, terms in products.items()}
+
+
+def keys_by_entry(products):
+    """The keys of the table grouped by the identity of their entry."""
+    groups = {}
+    for key, terms in products.items():
+        groups.setdefault(id(terms), []).append(key)
+    return sorted(sorted(keys) for keys in groups.values())
+
+
+@given(crowded(), st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_validate_equals_exhaustive_oracle_on_shared_entries(p, change_basis, data):
+    # basis-changed tables have non-integral coefficients, which validate()
+    # reads as Fractions and the integral ones as ints
+    a = build_monomial_algebra(p)
+    if change_basis:
+        a = basis_changed(a, data)
+    for products in (a.products, data.draw(corrupted(a)).products):
+        products = sharing(products)
+        shared = GradedAlgebra(a.labels, a.degrees, a.unit, products)
+        kept = {key: terms for key, terms in products.items() if key in shared.products}
+        assert keys_by_entry(shared.products) == keys_by_entry(kept)
+        assert shared.validate() == exhaustive_validate(shared)
+    assert shared.validate() == GradedAlgebra(
+        a.labels, a.degrees, a.unit,
+        {key: dict(terms) for key, terms in products.items()}).validate()
+
+
 def cancelling_algebra(b_coeff=-1):
     """|x| = |y| = |z| = 2, x y = a + b, a z = t and b z = b_coeff * t, with
     every other product of positive degree zero.  With b_coeff = -1, both
@@ -346,22 +396,32 @@ def test_constructor_normalizes_the_table():
         pass
 
     half = Fraction(1, 2)
-    products = {(0, 0): {0: 1}, (0, 1): {1: half, 0: 0},
+    shared = {2: 1, 0: 0}
+    int_key = (0, 1)
+    products = {(0, 0): {0: 1}, int_key: {1: half, 0: 0},
                 (1, 0): {1: "1/2"}, ("1", 1): {0: Exact(3)},
-                (2, 2): {0: Fraction(0)}}
+                (2, 2): {0: Fraction(0)}, (0, 2): shared, (2, 0): shared}
     a = GradedAlgebra(["1", "u", "v"], [0, 1, 1], 0, products)
     assert a.products == {(0, 0): {0: 1}, (0, 1): {1: half},
-                          (1, 0): {1: half}, (1, 1): {0: 3}}
+                          (1, 0): {1: half}, (1, 1): {0: 3},
+                          (0, 2): {2: 1}, (2, 0): {2: 1}}
     assert all(type(c) is Fraction for terms in a.products.values()
                for c in terms.values())
     assert all(type(i) is int for key in a.products for i in key)
     assert a.products[(0, 1)][1] is half  # a Fraction is kept, not rebuilt
+    assert next(key for key in a.products if key == (0, 1)) is int_key
+    # one input entry under two keys: one normalized entry, shared by both
+    # keys, and never the caller's dict
+    assert a.products[(0, 2)] is a.products[(2, 0)]
+    assert a.products[(0, 2)] is not shared
     # the table holds fresh dicts: the caller's can change freely
     snapshot = {key: dict(terms) for key, terms in a.products.items()}
     products[(0, 0)][0] = 5
     products[(0, 1)][2] = 1
     products[(2, 1)] = {0: 1}
     del products[(1, 0)]
+    shared[0] = 4
+    shared[2] = 7
     assert a.products == snapshot
 
 
@@ -382,6 +442,20 @@ def test_builder_signs_only_with_odd_generators(monkeypatch):
         coeffs = [c for terms in built.products.values() for c in terms.values()]
         assert {id(c) for c in coeffs} == {id(c) for c in set(coeffs)}
         assert set(coeffs) == ({1, -1} if signed else {1})
+
+
+def test_building_cp399_stays_small_in_memory():
+    # allocations, not time: the table is 80 200 keys over at most 800
+    # shared entries
+    p = Presentation("CP399", (Generator("x", 2, 400),))
+    tracemalloc.start()
+    try:
+        built = build_monomial_algebra(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(built.products) == 80_200
+    assert peak < 20 * 2**20, f"{peak / 2**20:.1f} MB traced"
 
 
 def test_subalgebra_generated_by_power():
@@ -453,6 +527,8 @@ def assert_builder_matches_oracle(p):
     built, oracle = build_monomial_algebra(p), all_pairs_monomial_algebra(p)
     assert built == oracle
     assert built.monomial_exponents == oracle.monomial_exponents
+    # one shared entry per (target, sign)
+    assert len({id(terms) for terms in built.products.values()}) <= 2 * built.dim
 
 
 @pytest.mark.parametrize("p", [
@@ -460,6 +536,8 @@ def assert_builder_matches_oracle(p):
     Presentation("T4", tuple(Generator(f"i{j}", 1, 2) for j in range(1, 5))),
     Presentation("T3xS3", tuple(Generator(f"i{j}", 1, 2) for j in range(1, 4))
                  + (Generator("y", 3, 2),)),
+    Presentation("T2xCP3", (Generator("i1", 1), Generator("i2", 1),
+                            Generator("x", 2, 4))),
 ], ids=lambda p: p.name)
 def test_builder_equals_all_pairs_oracle(p):
     assert_builder_matches_oracle(p)

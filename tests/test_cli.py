@@ -228,6 +228,22 @@ def test_presentations_over_the_budget_exit_2_quickly(tmp_path, lines):
     assert "over the limit of" in proc.stderr
 
 
+def test_a_wide_table_of_unit_products_validates_quickly(tmp_path):
+    # 20 001 basis elements and only the unit products: the validator and
+    # the parser cost time in proportion to the table plus dim, not dim^2
+    n = 20_001
+    lines = ["basis:", "1 0", *(f"x{k} 2" for k in range(1, n)),
+             "unit: 1", "products:", "1 1 = 1*1", *(f"1 x{k} = 1*x{k}" for k in range(1, n))]
+    target = tmp_path / "wide.alg"
+    target.write_text("\n".join(lines) + "\n")
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "negder", "validate", str(target)],
+                          capture_output=True, text=True, env=src_env(), timeout=60)
+    assert time.perf_counter() - start < 10.0
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "valid\n"
+
+
 def test_help_exits_zero(capsys):
     assert invoke(capsys, "--help")[0] == 0
     assert invoke(capsys, "check-h", "--help")[0] == 0

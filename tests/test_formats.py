@@ -184,6 +184,29 @@ def test_table_load_round_trips_a_dim_64_torus():
     assert load_algebra_text(serialize_structure_constants(t6)) == t6
 
 
+def test_parser_shares_one_entry_per_right_hand_side():
+    t6 = torus(6)
+    text = serialize_structure_constants(t6)
+    sides = {line.split("=", 1)[1].strip()
+             for line in text.split("products:\n", 1)[1].splitlines()}
+    parsed = parse_structure_constants(text)
+    # one entry per distinct text, and at most one negated copy of each
+    assert len({id(terms) for terms in parsed.products.values()}) <= 2 * len(sides)
+    assert parsed == t6
+
+
+def test_serializer_walks_the_table_in_pair_order():
+    # the lines come in (i, j) order with i <= j, as an all-pairs walk gives
+    for alg in (torus(4), tensor(projective_space(2), sphere(3))):
+        body = serialize_structure_constants(alg).split("products:\n", 1)[1]
+        pairs = [(i, j) for i in range(alg.dim) for j in range(i, alg.dim)
+                 if alg.products.get((i, j))]
+        assert body.splitlines() == [
+            f"{alg.labels[i]} {alg.labels[j]} = " + " + ".join(
+                f"{c}*{alg.labels[k]}" for k, c in sorted(alg.products[i, j].items()))
+            for i, j in pairs]
+
+
 def test_serializer_omits_zero_rows():
     text = serialize_structure_constants(sphere(2))
     assert "x x" not in text
