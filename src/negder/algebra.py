@@ -25,6 +25,7 @@ from .linalg import echelon
 MAX_TABLE_ENTRIES = 250_000
 
 _ONE = Fraction(1)
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ class Element:
         self.coeffs = data
 
     def coeff(self, i):
-        return self.coeffs.get(i, Fraction(0))
+        return self.coeffs.get(i, _ZERO)
 
     def items(self):
         return sorted(self.coeffs.items())
@@ -83,13 +84,13 @@ class Element:
     def __add__(self, other):
         out = dict(self.coeffs)
         for i, c in other.coeffs.items():
-            out[i] = out.get(i, Fraction(0)) + c
+            out[i] = out.get(i, 0) + c
         return Element(out)
 
     def __sub__(self, other):
         out = dict(self.coeffs)
         for i, c in other.coeffs.items():
-            out[i] = out.get(i, Fraction(0)) - c
+            out[i] = out.get(i, 0) - c
         return Element(out)
 
     def __neg__(self):
@@ -102,6 +103,22 @@ class Element:
 
     def __repr__(self):
         return f"Element({dict(self.items())!r})"
+
+
+def integral_view(table):
+    """The structure-constant table with integral coefficients read as ints:
+    {key: {k: int or Fraction}}.  Keys that share a table entry share its
+    one view, so the cost is one view per distinct entry; the table itself
+    is left as it is."""
+    views = {}
+    out = {}
+    for key, terms in table.items():
+        view = views.get(id(terms))
+        if view is None:
+            view = views[id(terms)] = {
+                k: c.numerator if c.denominator == 1 else c for k, c in terms.items()}
+        out[key] = view
+    return out
 
 
 class GradedAlgebra:
@@ -201,7 +218,7 @@ class GradedAlgebra:
                     continue
                 cc = cu * cv
                 for k, c in terms.items():
-                    out[k] = out.get(k, Fraction(0)) + cc * c
+                    out[k] = out.get(k, 0) + cc * c
         return Element(out)
 
     def format_element(self, elt):
@@ -289,22 +306,17 @@ class GradedAlgebra:
                     f"graded commutativity: {self.labels[j]} * {self.labels[i]} "
                     f"!= {rel}({self.labels[i]} * {self.labels[j]})"
                 )
-        # rows[i][j] views P[i,j] with integral coefficients as ints, one
-        # view per distinct entry; by_m[m] lists (j, k, P[j,k][m]).  For
-        # each i, both sides of every (j, k) are summed as {t: v}, over
-        # nonzero contributions only: (e_i e_j) e_k = sum_m P[i,j][m] P[m,k]
-        # per j, and e_i (e_j e_k) = sum_m P[j,k][m] P[i,m] for all j at
-        # once, through by_m of each m in row i.  A pair with no
-        # contribution is zero on that side, and an i with no row or a j
-        # in neither side has none at all.
-        views = {}
+        # rows[i][j] is the integral_view of P[i,j]; by_m[m] lists
+        # (j, k, P[j,k][m]).  For each i, both sides of every (j, k) are
+        # summed as {t: v}, over nonzero contributions only:
+        # (e_i e_j) e_k = sum_m P[i,j][m] P[m,k] per j, and
+        # e_i (e_j e_k) = sum_m P[j,k][m] P[i,m] for all j at once, through
+        # by_m of each m in row i.  A pair with no contribution is zero on
+        # that side, and an i with no row or a j in neither side has none
+        # at all.
         rows = {}
         by_m = {}
-        for (j, k), terms in table.items():
-            view = views.get(id(terms))
-            if view is None:
-                view = views[id(terms)] = {
-                    m: c.numerator if c.denominator == 1 else c for m, c in terms.items()}
+        for (j, k), view in integral_view(table).items():
             rows.setdefault(j, {})[k] = view
             for m, c in view.items():
                 by_m.setdefault(m, []).append((j, k, c))

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Element
+from .algebra import Element, integral_view
 from .linalg import nullspace_basis
 
 
@@ -136,7 +136,9 @@ def leibniz_rows(a, d, left):
     every left factor i in left, in its order, every basis element j and
     every basis element of the target degree |i| + |j| + d, the Leibniz law
     on (e_i, e_j) written as LHS - RHS = 0, as a {column: coefficient} dict
-    of its nonzero entries (empty for a zero row).  Returns (rows, unknowns).
+    of its nonzero entries (empty for a zero row).  The table is read
+    through integral_view, so an integral coefficient is an int and any
+    other a Fraction.  Returns (rows, unknowns).
 
     left = range(a.dim) imposes the law on every ordered basis pair.  Any
     left that holds the unit and generates a as an algebra gives the same
@@ -154,7 +156,7 @@ def leibniz_rows(a, d, left):
     for i in range(a.dim):
         base.append(len(unknowns))
         unknowns.extend((i, t) for t in pieces.get(a.degrees[i] + d, none))
-    table = a.products
+    table = integral_view(a.products)
     empty = {}
     rows = []
     for i in left:

@@ -4,7 +4,13 @@ A matrix is a list of rows, each row a list of Fraction (or int) entries;
 nullspace_basis also takes sparse {column: value} rows.  Every public
 routine is pure: inputs are never mutated, results are fresh, and all
 arithmetic is exact.  Kernels and spans come from one sparse elimination,
-echelon; dense rref and the Bareiss rank are kept as independent oracles.
+_eliminate, behind echelon and nullspace_basis.  Inside it every value is
+the exact rational of the RREF, held as an int where it is integral and
+as a Fraction otherwise, so the small integer systems of the derivation
+solver run on int arithmetic; the public results are Fractions.
+nullspace_basis eliminates the blocks of rows that share no column one
+at a time.  Dense rref and the Bareiss rank are kept as independent
+oracles.
 """
 
 import math
@@ -60,20 +66,27 @@ def rref(m):
     return reduced, len(pivots), pivots
 
 
+def _fold(q):
+    """A Fraction as an int when it is integral."""
+    return q.numerator if q.denominator == 1 else q
+
+
 def _nonzero(row):
-    """Fresh {column: Fraction} of the nonzero entries of a dense list or
-    dict row; a value whose type is exactly Fraction is not rebuilt."""
+    """Fresh {column: value} of the nonzero entries of a dense list or dict
+    row, each value an int when it is integral and a Fraction otherwise."""
     items = row.items() if isinstance(row, dict) else enumerate(row)
-    return {c: x if type(x) is Fraction else Fraction(x) for c, x in items if x}
+    return {c: x if type(x) is int else _fold(x if type(x) is Fraction else Fraction(x))
+            for c, x in items if x}
 
 
 def _subtract(row, f, other, skip):
-    """row -= f * other in place, over every column of other but skip."""
+    """row -= f * other in place, over every column of other but skip; an
+    integral result is stored as an int."""
     for j, y in other.items():
         if j != skip:
             x = row.get(j, 0) - f * y
             if x:
-                row[j] = x
+                row[j] = _fold(x) if type(x) is Fraction else x
             else:
                 del row[j]
 
@@ -82,15 +95,19 @@ def echelon(rows):
     """Sparse exact elimination of rows of nonzero {column: value} entries,
     left unchanged.  Returns {pivot column: row}, each row fully reduced with
     a leading 1 at its least column: the unique RREF of the row space.
-    Each row is copied once, and only values that are not already
-    Fractions are converted."""
-    return _eliminate({c: x if type(x) is Fraction else Fraction(x)
-                       for c, x in row.items()} for row in rows)
+    The values come back as Fractions, and an input Fraction that no step
+    changes is returned as that same object.  In between, as in
+    nullspace_basis, an integral result of a step is held as an int."""
+    pivots = _eliminate({c: x if type(x) is Fraction else Fraction(x)
+                         for c, x in row.items()} for row in rows)
+    return {p: {c: x if type(x) is Fraction else Fraction(x) for c, x in r.items()}
+            for p, r in pivots.items()}
 
 
 def _eliminate(rows):
-    """echelon on fresh {column: Fraction} rows, which it reduces in place
-    and keeps as pivot rows."""
+    """Exact elimination of fresh {column: int or Fraction} rows, which it
+    reduces in place and keeps as pivot rows; returns {pivot column: row},
+    the RREF of the rows.  An integral result is held as an int."""
     pivots = {}
     for r in rows:
         # Pivot rows hold no other pivot column, so one subtraction per
@@ -101,8 +118,10 @@ def _eliminate(rows):
             continue
         p = min(r)
         lead = r[p]
-        if lead != 1:
-            r = {c: x / lead for c, x in r.items()}
+        if lead == -1:
+            r = {c: -x for c, x in r.items()}
+        elif lead != 1:
+            r = {c: _fold(Fraction(x, lead)) for c, x in r.items()}
         for prow in pivots.values():
             if p in prow:
                 _subtract(prow, prow.pop(p), r, p)
@@ -110,13 +129,45 @@ def _eliminate(rows):
     return pivots
 
 
+def _blocks(rows):
+    """The rows grouped by the connected components of their columns, found
+    by union-find: two rows share a block when a chain of rows, each with a
+    column in common with the next, joins them.  No column is in two
+    blocks, so the system is block diagonal up to the order of its rows
+    and columns.  Blocks come in the order of their first rows, and each
+    keeps its rows in order."""
+    parent = {c: c for r in rows for c in r}
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
+    for r in rows:
+        cols = iter(r)
+        root = find(next(cols))
+        for c in cols:
+            other = find(c)
+            if other != root:
+                parent[other] = root
+    blocks = {}
+    for r in rows:
+        blocks.setdefault(find(next(iter(r))), []).append(r)
+    return list(blocks.values())
+
+
 def nullspace_basis(m, ncols=None):
-    """Canonical kernel basis, read off the RREF that echelon returns.
+    """Canonical kernel basis, read off the RREF of the system.
 
     Rows are dense lists or {column: value} dicts; zero rows and exact
-    duplicates are skipped.  The basis is the one read off dense rref: one
-    vector per free column f, in ascending order, with entry 1 at f, 0 at
-    every other free column and the back-substituted pivot values elsewhere.
+    duplicates are skipped.  The distinct rows are split into blocks that
+    share no column (_blocks), and each block is eliminated on its own: a
+    block-diagonal system has the block-diagonal RREF, the same as one
+    elimination of the whole.  Values are exact rationals held as ints
+    where they are integral, and as Fractions otherwise.  The basis is the
+    one read off dense rref: one vector per free column f, in ascending
+    order, with entry 1 at f, 0 at every other free column and the
+    back-substituted pivot values elsewhere.
 
     Every vector is checked exactly against every distinct nonzero row, in
     time proportional to the nonzeros, and ArithmeticError is raised on a
@@ -137,19 +188,36 @@ def nullspace_basis(m, ncols=None):
             rows.setdefault(frozenset(r.items()), r)
     if any(not 0 <= c < ncols for r in rows.values() for c in r):
         raise ValueError(f"a row has an entry outside columns 0..{ncols - 1}")
-    pivots = _eliminate(rows.values())
-    basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in pivots}
+    pivots = {}
+    for block in _blocks(list(rows.values())):
+        pivots.update(_eliminate(block))
+    basis = {f: {f: 1} for f in range(ncols) if f not in pivots}
     for p, prow in pivots.items():
         for c, x in prow.items():
             if c != p:
                 basis[c][p] = -x
     vectors = list(basis.values())
+    # (vector number, entry) of the vectors nonzero at each column, so each
+    # row meets only the vectors that share a column with it
+    at = {}
+    for k, v in enumerate(vectors):
+        for c, x in v.items():
+            at.setdefault(c, []).append((k, x))
     for items in rows:
-        for v in vectors:
-            if sum(x * v[c] for c, x in items if c in v):
-                raise ArithmeticError("a kernel vector fails a row of the system")
+        sums = {}
+        for c, x in items:
+            for k, y in at.get(c, ()):
+                sums[k] = sums.get(k, 0) + x * y
+        if any(sums.values()):
+            raise ArithmeticError("a kernel vector fails a row of the system")
     zero = Fraction(0)
-    return [[v.get(c, zero) for c in range(ncols)] for v in vectors]
+    dense = []
+    for v in vectors:
+        line = [zero] * ncols
+        for c, x in v.items():
+            line[c] = x if type(x) is Fraction else Fraction(x)
+        dense.append(line)
+    return dense
 
 
 def rank_fraction_free(m):

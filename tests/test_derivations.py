@@ -7,15 +7,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (basis_changed, crowded, point, presentations,
-                      projective_space, rref_kernel, sphere, src_env, torus)
+from conftest import (basis_changed, crowded, one_block_kernel, point,
+                      presentations, projective_space, rref_kernel, sphere,
+                      src_env, torus)
 from negder import (Element, Generator, GradedAlgebra, GradedLinearMap,
                     Presentation, bracket, build_monomial_algebra, check_class_h,
                     corpus, derivation_space, derivations, identity_map,
-                    is_derivation, leibniz_system, parse_structure_constants,
-                    tensor)
+                    is_derivation, leibniz_system, linalg,
+                    parse_structure_constants, tensor)
 from negder.derivations import leibniz_rows
-from negder.linalg import rank_fraction_free
+from negder.linalg import nullspace_basis, rank_fraction_free
 
 
 def lam(a=3, b=5):
@@ -226,6 +227,32 @@ def test_derivation_space_assembles_generator_pairs_only(monkeypatch):
     monkeypatch.setattr(derivations, "leibniz_rows", spy)
     assert len(derivation_space(t4, -1)) == 4
     assert built == [336]
+
+
+def test_block_split_matches_one_elimination_on_the_six_torus():
+    t6 = torus(6)
+    rows, unknowns = leibniz_rows(t6, -1, t6.generator_indices)
+    assert len(linalg._blocks([row for row in rows if row])) > 1
+    kernel = nullspace_basis(rows, ncols=len(unknowns))
+    assert len(kernel) == 6
+    assert kernel == one_block_kernel(rows, len(unknowns))
+
+
+@given(presentations())
+@settings(max_examples=40, deadline=None)
+def test_block_split_matches_one_elimination_on_random_presentations(p):
+    a = build_monomial_algebra(p)
+    for d in range(-a.top_degree, a.top_degree + 1):
+        rows, unknowns = leibniz_rows(a, d, a.generator_indices)
+        blocked = nullspace_basis(rows, ncols=len(unknowns))
+        assert blocked == one_block_kernel(rows, len(unknowns)), d
+
+
+def test_seven_torus_has_seven_derivations_of_degree_minus_one():
+    t7 = torus(7)
+    space = derivation_space(t7, -1)
+    assert len(space) == 7
+    assert is_derivation(t7, space[0]) == []
 
 
 def test_dense_oracle_keeps_every_ordered_pair():

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rref_kernel
+from conftest import rref_kernel, torus
 from negder import linalg
+from negder.derivations import leibniz_rows
 from negder.linalg import (dot, identity, mat_vec, nullspace_basis,
                            rank_fraction_free, rref)
 
@@ -220,3 +221,75 @@ def test_kernel_self_check_raises_on_a_wrong_elimination(monkeypatch):
     monkeypatch.setattr(linalg, "_subtract", lambda row, f, other, skip: None)
     with pytest.raises(ArithmeticError, match="kernel vector"):
         nullspace_basis([[1, 1, 0], [0, 1, 1]])
+
+
+# --- integral values and elimination by blocks ---
+
+@st.composite
+def block_systems(draw):
+    """2 to 4 matrices on the diagonal of one dense system, with its
+    columns permuted and the rows of the blocks interleaved."""
+    blocks = draw(st.lists(matrices, min_size=2, max_size=4))
+    widths = [len(m[0]) if m else draw(st.integers(0, 3)) for m in blocks]
+    ncols = sum(widths)
+    perm = draw(st.permutations(range(ncols)))
+    queues = []
+    offset = 0
+    for m, width in zip(blocks, widths):
+        queue = []
+        for row in m:
+            line = [Fraction(0)] * ncols
+            for c, x in enumerate(row):
+                line[perm[offset + c]] = x
+            queue.append(line)
+        queues.append(queue)
+        offset += width
+    rows = []
+    while any(queues):
+        rows.append(draw(st.sampled_from([q for q in queues if q])).pop(0))
+    return rows, ncols
+
+
+@given(block_systems())
+@settings(max_examples=80, deadline=None)
+def test_block_diagonal_nullspace_equals_dense_rref_readout(system):
+    rows, ncols = system
+    assert nullspace_basis(rows, ncols=ncols) == rref_kernel(rows, ncols)
+
+
+def test_blocks_are_the_components_of_the_columns():
+    rows = [{0: 1, 3: 1}, {1: 1}, {3: 2, 5: 1}, {2: 1, 1: 1}, {4: 1}, {5: 1, 6: 1}]
+    assert linalg._blocks(rows) == [[rows[0], rows[2], rows[5]],
+                                    [rows[1], rows[3]], [rows[4]]]
+    # a later row can join two blocks into one
+    rows.append({6: 1, 2: 1})
+    assert linalg._blocks(rows) == [[rows[0], rows[1], rows[2], rows[3], rows[5], rows[6]],
+                                    [rows[4]]]
+
+
+def test_equal_rows_in_any_form_are_one_int_row(monkeypatch):
+    eliminated = []
+    real = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate",
+                        lambda rows: eliminated.extend(dict(r) for r in rows) or real(rows))
+    basis = nullspace_basis([[Fraction(4, 2), 1], {0: 2, 1: 1}], ncols=2)
+    assert basis == [[Fraction(-1, 2), 1]]
+    assert eliminated == [{0: 2, 1: 1}]
+    assert all(type(x) is int for x in eliminated[0].values())
+
+
+def test_integral_kernel_makes_no_fraction_on_the_way(monkeypatch):
+    # Guard against Fraction arithmetic creeping back into the solver: on
+    # the integral T5 degree -1 system the only Fractions made are the
+    # nonzero entries of the returned basis and the one shared zero.
+    t5 = torus(5)
+    rows, unknowns = leibniz_rows(t5, -1, t5.generator_indices)
+    made = []
+    real = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        lambda cls, *args, **kw: made.append(cls) or real(cls, *args, **kw))
+    basis = nullspace_basis(rows, ncols=len(unknowns))
+    monkeypatch.undo()
+    nonzero = sum(1 for v in basis for x in v if x)
+    assert (len(basis), nonzero) == (5, 80)
+    assert len(made) <= nonzero + 1
