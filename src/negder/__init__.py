@@ -4,8 +4,9 @@ characteristic subspaces, and a level-by-level torus splitting-rigidity
 prover."""
 
 from . import corpus
-from .algebra import (Element, Generator, GradedAlgebra, Presentation,
-                      build_monomial_algebra, subalgebra_generated, tensor)
+from .algebra import (Element, Generator, GradedAlgebra, GradedBasis, Presentation,
+                      build_monomial_algebra, monomial_basis, subalgebra_generated,
+                      tensor)
 from .derivations import (ClassHVerdict, GradedLinearMap, bracket,
                           check_class_h, derivation_space, identity_map,
                           is_derivation, leibniz_system)
@@ -24,15 +25,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraFile", "CharSubspace", "ClassHVerdict", "Element", "Generator",
-    "GradedAlgebra", "GradedLinearMap", "KunnethModel", "LambdaFamily",
-    "LevelRecord", "ParseError", "Presentation", "ProofTrace",
+    "GradedAlgebra", "GradedBasis", "GradedLinearMap", "KunnethModel",
+    "LambdaFamily", "LevelRecord", "ParseError", "Presentation", "ProofTrace",
     "ValidationError", "Violation", "bracket", "build_monomial_algebra",
     "char_preserved", "char_subspace", "check_class_h", "corpus",
     "derivation_space", "detect_format", "identity_map", "is_derivation",
     "is_trivial_pullback", "kunneth_model", "leibniz_system",
-    "load_algebra_text", "multiplicativity_residual", "nullspace_basis",
-    "parse_presentation", "parse_structure_constants", "prove_rigidity",
-    "pullback_expand", "rank_fraction_free", "rref",
+    "load_algebra_text", "monomial_basis", "multiplicativity_residual",
+    "nullspace_basis", "parse_presentation", "parse_structure_constants",
+    "prove_rigidity", "pullback_expand", "rank_fraction_free", "rref",
     "serialize_structure_constants", "subalgebra_generated", "tensor",
     "torus_exterior",
 ]

@@ -3,9 +3,10 @@
 An algebra is a finite homogeneous basis plus a sparse structure-constant
 table for the product.  Builders cover monomial presentations (truncated
 polynomial generators in even degree, exterior generators in odd degree)
-and tensor products with Koszul signs.  The table itself is plain data;
-validate() re-derives every axiom from it, so no sign or degree rule is
-trusted without being checkable.
+and tensor products with Koszul signs; monomial_basis gives the basis of a
+presentation alone, for what reads only degrees.  The table itself is
+plain data; validate() re-derives every axiom from it, so no sign or
+degree rule is trusted without being checkable.
 """
 
 from __future__ import annotations
@@ -121,7 +122,40 @@ def integral_view(table):
     return out
 
 
-class GradedAlgebra:
+class GradedBasis:
+    """A graded basis alone: labels, degrees, the unit index and a name,
+    with the basis indexed by degree once.  GradedAlgebra adds the product
+    table; monomial_basis returns a bare GradedBasis, so that what reads
+    only labels and degrees builds no table."""
+
+    def __init__(self, labels, degrees, unit, name=""):
+        self.labels = list(labels)
+        self.degrees = [int(d) for d in degrees]
+        if len(self.labels) != len(self.degrees):
+            raise ValueError(f"{len(self.labels)} labels but {len(self.degrees)} degrees")
+        self.unit = int(unit)
+        if not 0 <= self.unit < len(self.labels):
+            raise ValueError(f"unit {self.unit} is not a basis index")
+        self.name = name
+        by_degree = {}
+        for i, d in enumerate(self.degrees):
+            by_degree.setdefault(d, []).append(i)
+        self._by_degree = by_degree
+
+    @property
+    def dim(self):
+        return len(self.labels)
+
+    @property
+    def top_degree(self):
+        return max(self.degrees) if self.degrees else 0
+
+    def graded_piece(self, n):
+        """Basis indices of degree n, ascending; empty list if none."""
+        return list(self._by_degree.get(n, []))
+
+
+class GradedAlgebra(GradedBasis):
     """Graded-commutative algebra given by labels, degrees, the unit index,
     and a structure-constant table.
 
@@ -139,14 +173,7 @@ class GradedAlgebra:
     """
 
     def __init__(self, labels, degrees, unit, products, name=""):
-        self.labels = list(labels)
-        self.degrees = [int(d) for d in degrees]
-        if len(self.labels) != len(self.degrees):
-            raise ValueError(f"{len(self.labels)} labels but {len(self.degrees)} degrees")
-        self.unit = int(unit)
-        if not 0 <= self.unit < len(self.labels):
-            raise ValueError(f"unit {self.unit} is not a basis index")
-        self.name = name
+        super().__init__(labels, degrees, unit, name)
         table = {}
         # id of an input entry -> (that entry, its normalized form); holding
         # the entry keeps its id from being reused while the loop runs
@@ -167,22 +194,6 @@ class GradedAlgebra:
             if seen[1]:
                 table[key] = seen[1]
         self.products = table
-        by_degree = {}
-        for i, d in enumerate(self.degrees):
-            by_degree.setdefault(d, []).append(i)
-        self._by_degree = by_degree
-
-    @property
-    def dim(self):
-        return len(self.labels)
-
-    @property
-    def top_degree(self):
-        return max(self.degrees) if self.degrees else 0
-
-    def graded_piece(self, n):
-        """Basis indices of degree n, ascending; empty list if none."""
-        return list(self._by_degree.get(n, []))
 
     @cached_property
     def generator_indices(self):
@@ -197,11 +208,18 @@ class GradedAlgebra:
         monomials.  Otherwise every basis index is returned.  Computed
         once, on first use, from the table as it is then.
         """
+        return self._generators()
+
+    def _generators(self):
+        """generator_indices of the table as it is at this call.  An entry
+        shared between keys is one row of the echelon: the row space, and
+        so every pivot, is that of the distinct entries."""
         degrees = self.degrees
         if self.graded_piece(0) != [self.unit] or min(degrees) < 0:
             return tuple(range(self.dim))
-        pivots = echelon(terms for (i, j), terms in self.products.items()
-                         if degrees[i] > 0 and degrees[j] > 0)
+        entries = {id(terms): terms for (i, j), terms in self.products.items()
+                   if degrees[i] > 0 and degrees[j] > 0}
+        pivots = echelon(entries.values())
         return (self.unit,) + tuple(i for i in range(self.dim)
                                     if degrees[i] > 0 and i not in pivots)
 
@@ -271,6 +289,23 @@ class GradedAlgebra:
         the check is exact on any table, corrupt ones included, and costs
         time in proportion to the table, its nonzero contributions and dim,
         not dim^2.  Violations come in i, j, k order.
+
+        Associativity is decided on the rows i of the generators alone when
+        every earlier check passes, degree 0 is exactly the unit line and
+        no degree is negative.  The generators are those of
+        generator_indices, computed afresh from the table as it is at this
+        call, never read from the cache.  The left nucleus
+        N = {x : (x y) z = x (y z) for all y, z} is a subspace that holds
+        the unit, by the unit laws, and is closed under products: for
+        g, h in N, ((g h) y) z = (g (h y)) z = g ((h y) z) = g (h (y z))
+        = (g h)(y z) (Schafer, An Introduction to Nonassociative Algebras,
+        1966).  By degree additivity and graded Nakayama, the generators
+        and the unit produce all of A by products alone, without using
+        associativity.  So when every triple (g, y, z) with g a generator
+        associates, N is all of A and every triple does.  When that pass
+        finds a violation, or an earlier check failed, or every index is a
+        generator, the pass runs over every row, so the violations and
+        their order are those of the full check.
         """
         dim = self.dim
         table = self.products
@@ -306,21 +341,40 @@ class GradedAlgebra:
                     f"graded commutativity: {self.labels[j]} * {self.labels[i]} "
                     f"!= {rel}({self.labels[i]} * {self.labels[j]})"
                 )
-        # rows[i][j] is the integral_view of P[i,j]; by_m[m] lists
-        # (j, k, P[j,k][m]).  For each i, both sides of every (j, k) are
-        # summed as {t: v}, over nonzero contributions only:
-        # (e_i e_j) e_k = sum_m P[i,j][m] P[m,k] per j, and
-        # e_i (e_j e_k) = sum_m P[j,k][m] P[i,m] for all j at once, through
-        # by_m of each m in row i.  A pair with no contribution is zero on
-        # that side, and an i with no row or a j in neither side has none
-        # at all.
+        # The generator rows decide; the full pass, rerun on a violation,
+        # keeps the full list in its order (see the docstring).
         rows = {}
         by_m = {}
         for (j, k), view in integral_view(table).items():
             rows.setdefault(j, {})[k] = view
             for m, c in view.items():
                 by_m.setdefault(m, []).append((j, k, c))
-        for i in sorted(rows):
+        only = None
+        if not out:
+            gens = self._generators()
+            if len(gens) < dim:
+                only = set(gens)
+        found = self._associativity(rows, by_m, only)
+        if found and only is not None:
+            found = self._associativity(rows, by_m, None)
+        return out + found
+
+    def _associativity(self, rows, by_m, only):
+        """Associativity violations of the rows i in only, or of every row
+        when only is None, in i, j, k order.
+
+        rows[i][j] is the integral_view of P[i,j]; by_m[m] lists
+        (j, k, P[j,k][m]).  For each i, both sides of every (j, k) are
+        summed as {t: v}, over nonzero contributions only:
+        (e_i e_j) e_k = sum_m P[i,j][m] P[m,k] per j, and
+        e_i (e_j e_k) = sum_m P[j,k][m] P[i,m] for all j at once, through
+        by_m of each m in row i.  A pair with no contribution is zero on
+        that side, and an i with no row or a j in neither side has none
+        at all.
+        """
+        out = []
+        empty = {}
+        for i in sorted(rows.keys() if only is None else rows.keys() & only):
             row_i = rows[i]
             right = {}
             for m, terms in row_i.items():
@@ -385,25 +439,17 @@ def _sort_sign(first, second, odd):
     return -1 if t % 2 else 1
 
 
-def build_monomial_algebra(p):
-    """Build the algebra of a monomial presentation.
+def monomial_basis(p):
+    """The graded basis of a monomial presentation, without its table.
 
-    Basis: all exponent vectors below the truncations, sorted by (degree,
-    exponent vector).  Products add exponents and pick up the Koszul sign
-    of sorting odd factors, which is worked out only when some generator
-    has odd degree; otherwise every product is +1.  For each exponent
-    vector e only the partners f with e + f below every truncation are
-    visited, so the build costs one step per nonzero table entry; every
-    other product is zero and left out of the table.  Every product is
-    +e_k or -e_k, and the builder hands the constructor one shared entry
-    dict per (k, sign), at most 2 dim of them, over two shared Fractions,
-    +1 and -1; the constructor then normalizes each entry once.  The result
-    also carries monomial_exponents, the exponent vector of each basis
-    index.
-
-    The table has prod t(t+1)/2 entries over the truncations t; a
-    presentation whose table would exceed MAX_TABLE_ENTRIES is rejected
-    with ValueError before anything is allocated.
+    Checks every generator, then the MAX_TABLE_ENTRIES budget of the table
+    that build_monomial_algebra would allocate, and raises ValueError on a
+    violation, with the text that build_monomial_algebra raises.  Basis:
+    all exponent vectors below the truncations, sorted by (degree, exponent
+    vector) and labelled by their monomials; the zero vector, the only one
+    of degree 0, is the unit.  Returns a GradedBasis that also carries
+    monomial_exponents, the exponent vector of each basis index.  Its cost
+    is one step per basis element, whatever the size of the table.
     """
     seen = set()
     for g in p.generators:
@@ -412,14 +458,40 @@ def build_monomial_algebra(p):
     if entries > MAX_TABLE_ENTRIES:
         raise ValueError(f"the presentation needs a table of {entries} entries, "
                          f"over the limit of {MAX_TABLE_ENTRIES}")
-    gens = list(p.generators)
-    odd = [g.degree % 2 == 1 for g in gens]
+    gens = p.generators
     degrees_of = lambda e: sum(x * g.degree for x, g in zip(e, gens))
     exps = sorted(cartesian(*(range(g.truncation) for g in gens)),
                   key=lambda e: (degrees_of(e), e))
+    basis = GradedBasis([_monomial_label(e, gens) for e in exps],
+                        [degrees_of(e) for e in exps], 0, name=p.name)
+    basis.monomial_exponents = exps
+    return basis
+
+
+def build_monomial_algebra(p):
+    """Build the algebra of a monomial presentation over monomial_basis(p),
+    which checks the presentation and the table budget first.
+
+    Products add exponents and pick up the Koszul sign of sorting odd
+    factors, which is worked out only when some generator has odd degree;
+    otherwise every product is +1.  For each exponent vector e only the
+    partners f with e + f below every truncation are visited, so the build
+    costs one step per nonzero table entry; every other product is zero
+    and left out of the table.  Every product is +e_k or -e_k, and the
+    builder hands the constructor one shared entry dict per (k, sign), at
+    most 2 dim of them, over two shared Fractions, +1 and -1; the
+    constructor then normalizes each entry once.  The result also carries
+    monomial_exponents, the exponent vector of each basis index.
+
+    The table has prod t(t+1)/2 entries over the truncations t; a
+    presentation whose table would exceed MAX_TABLE_ENTRIES is rejected
+    with ValueError before anything is allocated.
+    """
+    basis = monomial_basis(p)
+    exps = basis.monomial_exponents
+    gens = p.generators
+    odd = [g.degree % 2 == 1 for g in gens]
     index_of = {e: i for i, e in enumerate(exps)}
-    labels = [_monomial_label(e, gens) for e in exps]
-    degrees = [degrees_of(e) for e in exps]
     signed = any(odd)
     # one shared entry per (target, sign): +e_k, and -e_k when signs occur
     minus_one = Fraction(-1)
@@ -431,8 +503,7 @@ def build_monomial_algebra(p):
             k = index_of[tuple(map(add, e, f))]
             negative = signed and _sort_sign(e, f, odd) < 0
             products[(i, index_of[f])] = minus[k] if negative else plus[k]
-    alg = GradedAlgebra(labels, degrees, index_of[tuple(0 for _ in gens)],
-                        products, name=p.name)
+    alg = GradedAlgebra(basis.labels, basis.degrees, basis.unit, products, name=p.name)
     alg.monomial_exponents = exps
     return alg
 

@@ -150,9 +150,9 @@ def _cmd_derivations(args):
 
 
 def _cmd_char(args):
-    alg = _load(args.file).build()
-    char = char_subspace(alg, args.rank)
-    labels = {n: [alg.labels[i] for i in char.basis_indices[n]] for n in char.degrees}
+    basis = _load(args.file).basis()
+    char = char_subspace(basis, args.rank)
+    labels = {n: [basis.labels[i] for i in char.basis_indices[n]] for n in char.degrees}
     doc = {"command": "char", "file": args.file, "rank": char.rank,
            "degrees": list(char.degrees), "dimension": char.dimension,
            "basis": [{"degree": n, "labels": labels[n]} for n in char.degrees]}

@@ -208,10 +208,18 @@ def derivation_space(a, d):
     its kernel is then the all-pairs kernel.  Each kernel vector becomes
     one GradedLinearMap; the list is empty exactly when only the zero
     derivation exists.
+
+    A derivation is fixed by its values on the generators, and
+    theta(1) = theta(1 1) = 2 theta(1) is 0 in any unital algebra.  So when
+    every other generator g has an empty target piece A_(|g| + d), the
+    space is zero, and no system is built.  This holds in the fallback to
+    every index too.  When degree 0 is the unit line, it covers every d
+    below minus the largest generator degree.
     """
-    rows, unknowns = leibniz_rows(a, d, a.generator_indices)
-    if not unknowns:
+    if not any(a.graded_piece(a.degrees[g] + d)
+               for g in a.generator_indices if g != a.unit):
         return []
+    rows, unknowns = leibniz_rows(a, d, a.generator_indices)
     maps = []
     for v in nullspace_basis(rows, ncols=len(unknowns)):
         images = {}

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (Generator, GradedAlgebra, Presentation, build_monomial_algebra,
-                      check_generator)
+                      check_generator, monomial_basis)
 
 _RESERVED = set("=+#")
 
@@ -259,6 +259,14 @@ class AlgebraFile:
         if self.format == STRUCTURE_CONSTANTS:
             return parse_structure_constants(self.payload)
         raise ValueError(f"unknown format {self.format!r}")
+
+    def basis(self):
+        """The graded basis alone, for what reads only labels and degrees:
+        monomial_basis for a presentation, with no table built; a table
+        file is parsed and validated as by build."""
+        if self.format == PRESENTATION:
+            return monomial_basis(parse_presentation(self.payload))
+        return self.build()
 
 
 def load_algebra_text(text):

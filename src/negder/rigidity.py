@@ -176,6 +176,8 @@ class CharSubspace:
 
 
 def char_subspace(base, rank):
+    """The CharSubspace of a bundle of the given rank over base, which
+    may be any GradedBasis: only its degrees are read."""
     if rank < 1:
         raise ValueError("rank must be at least 1")
     degs = {4 * i for i in range(1, (rank - 1) // 2 + 1)}

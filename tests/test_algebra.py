@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from conftest import (all_pairs_monomial_algebra, basis_changed, crowded,
                       dense_subalgebra_generated, exhaustive_validate, point,
                       presentations, projective_space, sphere, torus)
-from negder import (Element, Generator, GradedAlgebra, Presentation, algebra,
-                    build_monomial_algebra, corpus, subalgebra_generated, tensor)
+from negder import (Element, Generator, GradedAlgebra, GradedBasis, Presentation,
+                    algebra, build_monomial_algebra, corpus, monomial_basis,
+                    subalgebra_generated, tensor)
 from negder.linalg import rref
 
 
@@ -60,6 +61,32 @@ def test_presentation_over_the_table_budget_is_rejected():
     exterior = Presentation("T12", tuple(Generator(f"e{k}", 1) for k in range(12)))
     with pytest.raises(ValueError, match=f"{3 ** 12} entries, over the limit"):
         build_monomial_algebra(exterior)
+
+
+def test_the_basis_alone_is_checked_like_the_build():
+    for p in (Presentation("CP706", (Generator("x", 2, 707),)),
+              Presentation("T12", tuple(Generator(f"e{k}", 1) for k in range(12))),
+              Presentation("bad", (Generator("a", 3, 4),)),
+              Presentation("dup", (Generator("a", 2), Generator("a", 4)))):
+        with pytest.raises(ValueError) as built:
+            build_monomial_algebra(p)
+        with pytest.raises(ValueError) as alone:
+            monomial_basis(p)
+        assert str(alone.value) == str(built.value)
+
+
+@given(presentations())
+@settings(max_examples=60, deadline=None)
+def test_the_basis_alone_is_the_basis_of_the_build(p):
+    basis, built = monomial_basis(p), build_monomial_algebra(p)
+    assert type(basis) is GradedBasis
+    assert not hasattr(basis, "products")
+    assert (basis.labels, basis.degrees, basis.unit, basis.name) == (
+        built.labels, built.degrees, built.unit, built.name)
+    assert basis.monomial_exponents == built.monomial_exponents
+    assert basis.dim == built.dim and basis.top_degree == built.top_degree
+    assert all(basis.graded_piece(n) == built.graded_piece(n)
+               for n in range(-1, built.top_degree + 2))
 
 
 def test_table_size_is_the_product_of_triangular_numbers():
@@ -330,6 +357,97 @@ def test_validate_equals_exhaustive_oracle_on_basis_changed_tables(p, data):
     assert b.validate() == exhaustive_validate(b) == []
     bad = data.draw(corrupted(b))
     assert bad.validate() == exhaustive_validate(bad)
+
+
+@st.composite
+def rescaled_pair(draw, algebra):
+    """algebra's table with one pair (i, j), |i|, |j| > 0, and its
+    transpose (j, i) scaled by one factor.  Degrees, the unit and graded
+    commutativity stay intact, so associativity alone can break."""
+    degrees = algebra.degrees
+    keys = sorted((i, j) for i, j in algebra.products
+                  if i <= j and degrees[i] > 0 and degrees[j] > 0)
+    products = dict(algebra.products)
+    if keys:
+        i, j = draw(st.sampled_from(keys))
+        factor = draw(st.sampled_from([0, -1, 2, Fraction(1, 2), Fraction(-3, 2)]))
+        for key in {(i, j), (j, i)}:
+            products[key] = {k: factor * c for k, c in algebra.products[key].items()}
+    return GradedAlgebra(algebra.labels, degrees, algebra.unit, products)
+
+
+@given(presentations().filter(lambda p: prod(g.truncation for g in p.generators) <= 16),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_validate_equals_exhaustive_oracle_on_rescaled_pairs(p, data):
+    a = build_monomial_algebra(p)
+    bad = data.draw(rescaled_pair(a))
+    assert [v for v in bad.validate() if not v.startswith("associativity: ")] == []
+    assert bad.validate() == exhaustive_validate(bad)
+
+
+@given(crowded(), presentations(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_validate_equals_exhaustive_oracle_on_rescaled_pairs_of_mixed_tables(p, q, data):
+    # basis-changed tables, whose generators are not basis monomials, and
+    # tensor products
+    a = basis_changed(build_monomial_algebra(p), data)
+    b = build_monomial_algebra(q)
+    for table in (a, tensor(b, b) if b.dim <= 4 else b):
+        bad = data.draw(rescaled_pair(table))
+        assert bad.validate() == exhaustive_validate(bad)
+
+
+def test_validate_walks_the_generator_rows_unless_it_finds_a_violation(monkeypatch):
+    passes = []
+    real = GradedAlgebra._associativity
+    monkeypatch.setattr(GradedAlgebra, "_associativity",
+                        lambda self, rows, by_m, only: passes.append(only)
+                        or real(self, rows, by_m, only))
+    t4 = torus(4)
+    assert t4.validate() == []
+    assert passes == [set(t4.generator_indices)] and len(passes[0]) == 5
+    # a violation reruns the pass over every row, for the full list
+    del passes[:]
+    products = dict(t4.products)
+    i1, i2 = t4.labels.index("i1"), t4.labels.index("i2")
+    for key in ((i1, i2), (i2, i1)):
+        products[key] = {k: 2 * c for k, c in t4.products[key].items()}
+    bad = GradedAlgebra(t4.labels, t4.degrees, t4.unit, products)
+    violations = bad.validate()
+    assert passes == [set(t4.generator_indices), None]
+    assert violations == exhaustive_validate(bad) != []
+    # a failed earlier check, and a degree 0 that is more than the unit
+    # line, walk every row at once
+    del passes[:]
+    products[(i1, i2)] = products[(i2, i1)] = {0: 1}
+    GradedAlgebra(t4.labels, t4.degrees, t4.unit, products).validate()
+    qxq = GradedAlgebra(["1", "e"], [0, 0], 0, {(0, 0): {0: 1}, (0, 1): {1: 1},
+                                                (1, 0): {1: 1}, (1, 1): {1: 1}})
+    assert qxq.validate() == []
+    assert passes == [None, None]
+
+
+def test_validate_reads_the_generators_of_the_table_as_it_is():
+    # x w = p, w w = q, w q = t, w t = 2 u and q q = u.  With x x = w the
+    # generators are 1 and x; without it w is one too.  x then lies in
+    # the left nucleus, and only the row of w sees (w w) q = u differ from
+    # w (w q) = 2 u, so generators cached before the change miss it.
+    labels = ["1", "x", "w", "p", "q", "t", "u"]
+    one, x, w, p, q, t, u = range(7)
+    products = {(one, i): {i: 1} for i in range(7)}
+    products.update({(i, one): {i: 1} for i in range(1, 7)})
+    for i, j, terms in ((x, x, {w: 1}), (x, w, {p: 1}), (w, w, {q: 1}),
+                        (w, q, {t: 1}), (w, t, {u: 2}), (q, q, {u: 1})):
+        products[(i, j)] = products[(j, i)] = terms
+    a = GradedAlgebra(labels, [0, 2, 4, 6, 8, 12, 16], one, products)
+    assert a.generator_indices == (one, x)
+    del a.products[(x, x)]
+    assert a.generator_indices == (one, x)  # cached, and now stale
+    assert a.validate() == exhaustive_validate(a) == [
+        "associativity: (w * w) * q != w * (w * q)",
+        "associativity: (q * w) * w != q * (w * w)",
+    ]
 
 
 def sharing(products):

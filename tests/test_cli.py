@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import resource
 import subprocess
@@ -5,11 +7,12 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import src_env, torus
-from negder import corpus, serialize_structure_constants
+from conftest import presentations, src_env, torus
+from negder import GradedAlgebra, corpus, serialize_structure_constants
 from negder.cli import run
-from negder.fileformats import AlgebraFile
+from negder.fileformats import PRESENTATION, AlgebraFile, detect_format
 
 
 def invoke(capsys, *argv):
@@ -206,6 +209,21 @@ def test_resource_errors_map_to_exit_2(capsys, monkeypatch, error):
     assert err == f"error: out of resources ({error.__name__})\n"
 
 
+def cap_memory():
+    # should a budget or a fast path fail, the child runs out of memory,
+    # not the machine
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def run_capped(*argv):
+    """(seconds, completed process) of negder argv in a memory-capped child."""
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "negder", *argv],
+                          capture_output=True, text=True, env=src_env(),
+                          preexec_fn=cap_memory, timeout=60)
+    return time.perf_counter() - start, proc
+
+
 @pytest.mark.parametrize("lines", [
     ["generator x degree 2 truncate 100000"],
     [f"generator e{k} degree 1" for k in range(30)],
@@ -213,11 +231,6 @@ def test_resource_errors_map_to_exit_2(capsys, monkeypatch, error):
 def test_presentations_over_the_budget_exit_2_quickly(tmp_path, lines):
     target = tmp_path / "huge.alg"
     target.write_text("\n".join(lines) + "\n")
-
-    def cap_memory():
-        # should the budget fail, the child runs out of memory, not the machine
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "negder", "check-h", str(target)],
                           capture_output=True, text=True, env=src_env(),
@@ -226,6 +239,32 @@ def test_presentations_over_the_budget_exit_2_quickly(tmp_path, lines):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "over the limit of" in proc.stderr
+
+
+@pytest.mark.parametrize("lines", [
+    ["generator x degree 2 truncate 100000"],
+    [f"generator e{k} degree 1" for k in range(30)],
+])
+def test_char_on_a_presentation_over_the_budget_exits_2_quickly(tmp_path, lines):
+    # char builds no table, but the budget still bounds the basis
+    target = tmp_path / "huge.alg"
+    target.write_text("\n".join(lines) + "\n")
+    seconds, proc = run_capped("char", str(target), "--rank", "4")
+    assert seconds < 1.0
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "over the limit of" in proc.stderr
+
+
+def test_the_one_line_cp399_presentation_validates_quickly(tmp_path):
+    # 45 bytes that build an 80 200-entry table: associativity is decided
+    # on the generator row alone, not on all 400 rows
+    target = tmp_path / "cp399.alg"
+    target.write_text("generator x degree 2 truncate 400\n")
+    seconds, proc = run_capped("validate", str(target))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "valid\n"
+    assert seconds < 3.0, f"{seconds:.2f} s"
 
 
 def test_a_wide_table_of_unit_products_validates_quickly(tmp_path):
@@ -314,3 +353,57 @@ def test_json_bytes_survive_hash_seed_changes():
         assert proc.returncode == 0
         outputs.add(proc.stdout)
     assert len(outputs) == 1
+
+
+# --- char reads the basis alone ---
+
+def char_json(path, rank):
+    """(exit code, stdout) of `char --json`, run in-process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(["char", str(path), "--rank", str(rank), "--json"])
+    return code, out.getvalue()
+
+
+def assert_char_is_the_built_char(path, monkeypatch):
+    """char on path gives the same bytes as char over the built algebra,
+    at every rank up to the top degree and beyond."""
+    ranks = range(1, 12)
+    table_free = [char_json(path, rank) for rank in ranks]
+    with monkeypatch.context() as patch:
+        patch.setattr(AlgebraFile, "basis", AlgebraFile.build)
+        built = [char_json(path, rank) for rank in ranks]
+    assert table_free == built
+    assert {code for code, _ in table_free} == {0}
+
+
+def test_char_on_the_corpus_presentations_is_the_built_char(monkeypatch):
+    names = [n for n in corpus.names() if detect_format(corpus.text(n)) == PRESENTATION]
+    assert len(names) == 12
+    for name in names:
+        assert_char_is_the_built_char(corpus.path(name), monkeypatch)
+
+
+@given(presentations())
+@settings(max_examples=40, deadline=None)
+def test_char_on_random_presentations_is_the_built_char(tmp_path_factory, p):
+    lines = [f"name {p.name}"] + [f"generator {g.symbol} degree {g.degree} truncate "
+                                  f"{g.truncation}" for g in p.generators]
+    target = tmp_path_factory.mktemp("char") / "random.alg"
+    target.write_text("\n".join(lines) + "\n")
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_char_is_the_built_char(target, monkeypatch)
+
+
+def test_char_on_a_presentation_builds_no_algebra(monkeypatch):
+    built = []
+    init = GradedAlgebra.__init__
+    monkeypatch.setattr(GradedAlgebra, "__init__",
+                        lambda self, *args, **kwargs: built.append(args)
+                        or init(self, *args, **kwargs))
+    code, out = char_json(corpus.path("cp2xs4"), 4)
+    assert code == 0 and json.loads(out)["basis"] == [{"degree": 4, "labels": ["y", "x^2"]}]
+    assert built == []
+    # a table is parsed and validated, as before
+    assert char_json(corpus.path("t2"), 2)[0] == 0
+    assert len(built) == 1

@@ -229,6 +229,22 @@ def test_derivation_space_assembles_generator_pairs_only(monkeypatch):
     assert built == [336]
 
 
+def test_no_system_is_built_where_every_generator_target_is_empty(monkeypatch):
+    # CP2 x CP2 x CP1: generators x, y, z of degree 2, top degree 10.  Only
+    # at degree -2 does a generator have a nonempty target piece, A_0.
+    cp2xcp2xcp1 = build_monomial_algebra(Presentation("CP2xCP2xCP1", (
+        Generator("x", 2, 3), Generator("y", 2, 3), Generator("z", 2, 2))))
+    built = []
+    real = derivations.leibniz_rows
+    monkeypatch.setattr(derivations, "leibniz_rows",
+                        lambda a, d, left: built.append(d) or real(a, d, left))
+    verdict = check_class_h(cp2xcp2xcp1)
+    assert built == [-2]
+    assert verdict.in_class and verdict.complete
+    assert verdict.dimensions == {-k: 0 for k in range(1, 11)}
+    assert_matches_dense_oracle(cp2xcp2xcp1)
+
+
 def test_block_split_matches_one_elimination_on_the_six_torus():
     t6 = torus(6)
     rows, unknowns = leibniz_rows(t6, -1, t6.generator_indices)
