@@ -109,6 +109,11 @@ class GradedLinearMap:
         return cls(shift, blocks)
 
 
+def _check_int(name, value):
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, not {value!r}")
+
+
 def _check_index(algebra, i):
     if not 0 <= i < algebra.dim:
         raise ValueError(f"basis index {i} is outside 0..{algebra.dim - 1}")
@@ -214,8 +219,9 @@ def derivation_space(a, d):
     every other generator g has an empty target piece A_(|g| + d), the
     space is zero, and no system is built.  This holds in the fallback to
     every index too.  When degree 0 is the unit line, it covers every d
-    below minus the largest generator degree.
+    below minus the largest generator degree.  d must be an int.
     """
+    _check_int("d", d)
     if not any(a.graded_piece(a.degrees[g] + d)
                for g in a.generator_indices if g != a.unit):
         return []
@@ -284,8 +290,11 @@ def check_class_h(a, max_degree=None):
     """Sweep derivation degrees -1, -2, ... down to -min(max_degree, top
     degree), with no cap meaning the top degree, below which every space
     is empty for degree reasons; stop at the first nonzero space.
-    prove_rigidity reads its levels off this sweep."""
-    depth = a.top_degree if max_degree is None else int(max_degree)
+    max_degree must be an int or None.  prove_rigidity reads its levels
+    off this sweep."""
+    if max_degree is not None:
+        _check_int("max_degree", max_degree)
+    depth = a.top_degree if max_degree is None else max_degree
     if depth < 0:
         raise ValueError("max_degree must be nonnegative")
     connectivity_ok = a.graded_piece(0) == [a.unit] and not a.graded_piece(1)

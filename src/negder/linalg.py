@@ -8,9 +8,9 @@ _eliminate, behind echelon and nullspace_basis.  Inside it every value is
 the exact rational of the RREF, held as an int where it is integral and
 as a Fraction otherwise, so the small integer systems of the derivation
 solver run on int arithmetic; the public results are Fractions.
-nullspace_basis eliminates the blocks of rows that share no column one
-at a time.  Dense rref and the Bareiss rank are kept as independent
-oracles.
+_eliminate keeps an index from each non-pivot column to the pivot rows
+that hold it, so a new pivot touches only those rows.  Dense rref and
+the Bareiss rank are kept as independent oracles.
 """
 
 import math
@@ -92,23 +92,30 @@ def _subtract(row, f, other, skip):
 
 
 def echelon(rows):
-    """Sparse exact elimination of rows of nonzero {column: value} entries,
-    left unchanged.  Returns {pivot column: row}, each row fully reduced with
-    a leading 1 at its least column: the unique RREF of the row space.
-    The values come back as Fractions, and an input Fraction that no step
-    changes is returned as that same object.  In between, as in
-    nullspace_basis, an integral result of a step is held as an int."""
+    """Sparse exact elimination of {column: value} rows, left unchanged;
+    zero values are dropped, so an all-zero row is skipped.  Returns
+    {pivot column: row}, each row fully reduced with a leading 1 at its
+    least column: the unique RREF of the row space.  The values come back
+    as Fractions, and an input Fraction that no step changes is returned
+    as that same object.  In between, as in nullspace_basis, an integral
+    result of a step is held as an int."""
     pivots = _eliminate({c: x if type(x) is Fraction else Fraction(x)
-                         for c, x in row.items()} for row in rows)
+                         for c, x in row.items() if x} for row in rows)
     return {p: {c: x if type(x) is Fraction else Fraction(x) for c, x in r.items()}
             for p, r in pivots.items()}
 
 
 def _eliminate(rows):
-    """Exact elimination of fresh {column: int or Fraction} rows, which it
-    reduces in place and keeps as pivot rows; returns {pivot column: row},
-    the RREF of the rows.  An integral result is held as an int."""
+    """Exact elimination of fresh nonzero {column: int or Fraction} rows,
+    which it reduces in place and keeps as pivot rows; returns {pivot
+    column: row}, the RREF of the rows.  An integral result is held as an
+    int.
+
+    holders maps each column that is not a pivot column to the pivot
+    columns of the rows that hold it, so a new pivot is cleared from
+    exactly the rows that hold it, with no scan of the others."""
     pivots = {}
+    holders = {}
     for r in rows:
         # Pivot rows hold no other pivot column, so one subtraction per
         # pivot column of r clears it without refilling the others.
@@ -122,52 +129,33 @@ def _eliminate(rows):
             r = {c: -x for c, x in r.items()}
         elif lead != 1:
             r = {c: _fold(Fraction(x, lead)) for c, x in r.items()}
-        for prow in pivots.values():
-            if p in prow:
-                _subtract(prow, prow.pop(p), r, p)
+        # the index sets of the columns of r other than p: a row that
+        # takes away a multiple of r keeps or loses only these
+        held = {c: holders.setdefault(c, set()) for c in r if c != p}
+        for q in holders.pop(p, ()):
+            prow = pivots[q]
+            _subtract(prow, prow.pop(p), r, p)
+            for c, rows_at in held.items():
+                if c in prow:
+                    rows_at.add(q)
+                else:
+                    rows_at.discard(q)
+        for rows_at in held.values():
+            rows_at.add(p)
         pivots[p] = r
     return pivots
-
-
-def _blocks(rows):
-    """The rows grouped by the connected components of their columns, found
-    by union-find: two rows share a block when a chain of rows, each with a
-    column in common with the next, joins them.  No column is in two
-    blocks, so the system is block diagonal up to the order of its rows
-    and columns.  Blocks come in the order of their first rows, and each
-    keeps its rows in order."""
-    parent = {c: c for r in rows for c in r}
-
-    def find(c):
-        while parent[c] != c:
-            parent[c] = c = parent[parent[c]]
-        return c
-
-    for r in rows:
-        cols = iter(r)
-        root = find(next(cols))
-        for c in cols:
-            other = find(c)
-            if other != root:
-                parent[other] = root
-    blocks = {}
-    for r in rows:
-        blocks.setdefault(find(next(iter(r))), []).append(r)
-    return list(blocks.values())
 
 
 def nullspace_basis(m, ncols=None):
     """Canonical kernel basis, read off the RREF of the system.
 
     Rows are dense lists or {column: value} dicts; zero rows and exact
-    duplicates are skipped.  The distinct rows are split into blocks that
-    share no column (_blocks), and each block is eliminated on its own: a
-    block-diagonal system has the block-diagonal RREF, the same as one
-    elimination of the whole.  Values are exact rationals held as ints
-    where they are integral, and as Fractions otherwise.  The basis is the
-    one read off dense rref: one vector per free column f, in ascending
-    order, with entry 1 at f, 0 at every other free column and the
-    back-substituted pivot values elsewhere.
+    duplicates are skipped, and the distinct rows are eliminated at once
+    by _eliminate.  Values are exact rationals held as ints where they
+    are integral, and as Fractions otherwise.  The basis is the one read
+    off dense rref: one vector per free column f, in ascending order, with
+    entry 1 at f, 0 at every other free column and the back-substituted
+    pivot values elsewhere.
 
     Every vector is checked exactly against every distinct nonzero row, in
     time proportional to the nonzeros, and ArithmeticError is raised on a
@@ -188,9 +176,7 @@ def nullspace_basis(m, ncols=None):
             rows.setdefault(frozenset(r.items()), r)
     if any(not 0 <= c < ncols for r in rows.values() for c in r):
         raise ValueError(f"a row has an entry outside columns 0..{ncols - 1}")
-    pivots = {}
-    for block in _blocks(list(rows.values())):
-        pivots.update(_eliminate(block))
+    pivots = _eliminate(rows.values())
     basis = {f: {f: 1} for f in range(ncols) if f not in pivots}
     for p, prow in pivots.items():
         for c, x in prow.items():

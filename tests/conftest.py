@@ -10,14 +10,13 @@ import os
 from fractions import Fraction
 from itertools import product as cartesian
 from math import prod
-from unittest import mock
 
 import pytest
 from hypothesis import strategies as st
 
 from negder import (Element, Generator, GradedAlgebra, LevelRecord, Presentation,
                     ProofTrace, build_monomial_algebra, derivation_space,
-                    derivations, linalg, rigidity)
+                    derivations, rigidity)
 from negder.algebra import _monomial_label, _sort_sign, check_generator
 from negder.linalg import rref
 
@@ -70,14 +69,6 @@ def rref_kernel(m, ncols):
             v[p] = -reduced[t][f]
         basis.append(v)
     return basis
-
-
-def one_block_kernel(rows, ncols):
-    """Oracle for the block split of nullspace_basis: the same solve with
-    every distinct row in one block, so one _eliminate runs over the whole
-    system."""
-    with mock.patch.object(linalg, "_blocks", lambda rows: [rows]):
-        return linalg.nullspace_basis(rows, ncols=ncols)
 
 
 @st.composite

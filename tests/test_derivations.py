@@ -7,14 +7,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (basis_changed, crowded, one_block_kernel, point,
+from conftest import (basis_changed, crowded, point,
                       presentations, projective_space, rref_kernel, sphere,
                       src_env, torus)
 from negder import (Element, Generator, GradedAlgebra, GradedLinearMap,
                     Presentation, bracket, build_monomial_algebra, check_class_h,
                     corpus, derivation_space, derivations, identity_map,
-                    is_derivation, leibniz_system, linalg,
-                    parse_structure_constants, tensor)
+                    is_derivation, leibniz_system, parse_structure_constants,
+                    tensor)
 from negder.derivations import leibniz_rows
 from negder.linalg import nullspace_basis, rank_fraction_free
 
@@ -245,23 +245,25 @@ def test_no_system_is_built_where_every_generator_target_is_empty(monkeypatch):
     assert_matches_dense_oracle(cp2xcp2xcp1)
 
 
-def test_block_split_matches_one_elimination_on_the_six_torus():
+def test_six_torus_has_six_derivations_of_degree_minus_one():
     t6 = torus(6)
     rows, unknowns = leibniz_rows(t6, -1, t6.generator_indices)
-    assert len(linalg._blocks([row for row in rows if row])) > 1
     kernel = nullspace_basis(rows, ncols=len(unknowns))
     assert len(kernel) == 6
-    assert kernel == one_block_kernel(rows, len(unknowns))
+    space = derivation_space(t6, -1)
+    assert len(space) == 6
+    assert all(is_derivation(t6, theta) == [] for theta in space)
 
 
 @given(presentations())
 @settings(max_examples=40, deadline=None)
-def test_block_split_matches_one_elimination_on_random_presentations(p):
+def test_generator_pair_kernel_equals_dense_rref_on_random_presentations(p):
     a = build_monomial_algebra(p)
     for d in range(-a.top_degree, a.top_degree + 1):
         rows, unknowns = leibniz_rows(a, d, a.generator_indices)
-        blocked = nullspace_basis(rows, ncols=len(unknowns))
-        assert blocked == one_block_kernel(rows, len(unknowns)), d
+        dense = [[row.get(c, 0) for c in range(len(unknowns))] for row in rows]
+        kernel = nullspace_basis(rows, ncols=len(unknowns))
+        assert kernel == rref_kernel(dense, len(unknowns)), d
 
 
 def test_seven_torus_has_seven_derivations_of_degree_minus_one():
@@ -433,6 +435,18 @@ def test_capped_sweep_is_incomplete_until_it_decides():
 def test_negative_sweep_depth_is_rejected():
     with pytest.raises(ValueError, match="nonnegative"):
         check_class_h(sphere(3), max_degree=-1)
+
+
+def test_degree_arguments_must_be_ints():
+    s3 = sphere(3)
+    for d in (-2.5, -3.0, "-3", None, True):
+        with pytest.raises(ValueError, match="d must be an int"):
+            derivation_space(s3, d)
+    for cap in (2.5, 3.0, "3", False):
+        with pytest.raises(ValueError, match="max_degree must be an int"):
+            check_class_h(s3, cap)
+    assert len(derivation_space(s3, -3)) == 1
+    assert check_class_h(s3, None).dimensions == {-1: 0, -2: 0, -3: 1}
 
 
 def test_point_algebra_trivially_in_class():

@@ -1,4 +1,5 @@
-"""Every import in the package, the tests and the scripts is used.
+"""Every import in the package, the tests and the scripts is used, and the
+package imports only itself and the standard library.
 
 A name counts as used when the module reads it or lists it in __all__.
 __future__ imports are exempt, and so is any import line marked
@@ -8,6 +9,7 @@ __future__ imports are exempt, and so is any import line marked
 import ast
 import glob
 import os
+import sys
 
 from conftest import ROOT
 
@@ -42,3 +44,27 @@ def test_no_unused_imports():
              for p in glob.glob(os.path.join(ROOT, d, "**", "*.py"), recursive=True)]
     assert len(paths) > 10
     assert [hit for p in sorted(paths) for hit in unused_imports(p)] == []
+
+
+def outside_imports(path):
+    """file:line: module for each absolute import of a module outside the
+    standard library."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.extend((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules.append((node.lineno, node.module))
+    return [f"{os.path.relpath(path, ROOT)}:{line}: {name}" for line, name in modules
+            if name.split(".")[0] not in sys.stdlib_module_names]
+
+
+def test_package_imports_only_the_standard_library():
+    paths = glob.glob(os.path.join(ROOT, "src", "negder", "**", "*.py"), recursive=True)
+    assert len(paths) > 5
+    assert [hit for p in sorted(paths) for hit in outside_imports(p)] == []
+    # a third-party import does show
+    conftest = outside_imports(os.path.join(ROOT, "tests", "conftest.py"))
+    assert any(hit.endswith(": hypothesis") for hit in conftest)

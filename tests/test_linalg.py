@@ -202,6 +202,44 @@ def test_nullspace_is_pure_and_exact_on_int_rows():
         assert all(type(x) is Fraction for v in basis for x in v)
 
 
+def test_echelon_drops_explicit_zero_values():
+    # a zero at the least column is no pivot, and an all-zero row is skipped
+    rows = [{0: 0, 1: 1}]
+    assert linalg.echelon(rows) == {1: {1: 1}}
+    assert rows == [{0: 0, 1: 1}]
+    assert linalg.echelon([{0: 1, 1: 1}, {0: 0}]) == {0: {0: 1, 1: 1}}
+
+
+@given(matrices)
+@settings(max_examples=120, deadline=None)
+def test_echelon_with_zeros_kept_equals_dense_rref(m):
+    rows = [dict(enumerate(row)) for row in m]
+    reduced, _, pivots = rref(m)
+    assert linalg.echelon(rows) == {
+        p: {c: x for c, x in enumerate(reduced[t]) if x} for t, p in enumerate(pivots)}
+
+
+def test_a_cancelled_column_leaves_the_pivot_index():
+    # The third row's pivot, column 2, cancels column 3 out of the first
+    # row.  Column 3 then becomes a pivot, and the first row, which no
+    # longer holds it, must not be visited.
+    rows = [{0: 1, 2: 1, 3: 1}, {1: 1, 2: 1, 3: -1}, {2: 1, 3: 1}, {3: 1}]
+    assert linalg.echelon(rows) == {c: {c: 1} for c in range(4)}
+    assert nullspace_basis(rows, ncols=4) == []
+    assert nullspace_basis(rows[:3], ncols=4) == [[0, 2, -1, 1]]
+
+
+def test_nullspace_eliminates_once(monkeypatch):
+    calls = []
+    real = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate",
+                        lambda rows: calls.append(1) or real(rows))
+    # two systems that share no column, and the same kernel as dense rref
+    rows = [[1, 1, 0, 0], [0, 0, 1, -1], [2, 2, 0, 0]]
+    assert nullspace_basis(rows) == rref_kernel(rows, 4)
+    assert calls == [1]
+
+
 def test_nullspace_copies_each_row_once(monkeypatch):
     # the elimination reduces the one copy that _nonzero makes, and the
     # self-check reads the frozen items of the distinct rows
@@ -223,7 +261,7 @@ def test_kernel_self_check_raises_on_a_wrong_elimination(monkeypatch):
         nullspace_basis([[1, 1, 0], [0, 1, 1]])
 
 
-# --- integral values and elimination by blocks ---
+# --- integral values, and block-diagonal systems against dense rref ---
 
 @st.composite
 def block_systems(draw):
@@ -255,16 +293,6 @@ def block_systems(draw):
 def test_block_diagonal_nullspace_equals_dense_rref_readout(system):
     rows, ncols = system
     assert nullspace_basis(rows, ncols=ncols) == rref_kernel(rows, ncols)
-
-
-def test_blocks_are_the_components_of_the_columns():
-    rows = [{0: 1, 3: 1}, {1: 1}, {3: 2, 5: 1}, {2: 1, 1: 1}, {4: 1}, {5: 1, 6: 1}]
-    assert linalg._blocks(rows) == [[rows[0], rows[2], rows[5]],
-                                    [rows[1], rows[3]], [rows[4]]]
-    # a later row can join two blocks into one
-    rows.append({6: 1, 2: 1})
-    assert linalg._blocks(rows) == [[rows[0], rows[1], rows[2], rows[3], rows[5], rows[6]],
-                                    [rows[4]]]
 
 
 def test_equal_rows_in_any_form_are_one_int_row(monkeypatch):
