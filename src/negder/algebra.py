@@ -223,6 +223,49 @@ class GradedAlgebra(GradedBasis):
         return (self.unit,) + tuple(i for i in range(self.dim)
                                     if degrees[i] > 0 and i not in pivots)
 
+    @cached_property
+    def expansions(self):
+        """Each basis index x outside generator_indices written through the
+        products g y of a non-unit generator g and a positive-degree basis
+        element y: {x: (terms, rest)} with e_x = sum c P[g, y] over terms
+        {(g, y): c} minus sum c e_h over rest {h: c}, each h a generator of
+        x's degree, integral coefficients as ints.
+
+        Read off echelon over the rows P[g, y] plus a tag column of (g, y).
+        On an associative table the g y span A+ . A+, so the pivots at basis
+        columns are the non-generators; ValueError is raised otherwise.  A
+        product whose entry, or whose single basis element, an earlier one
+        had is skipped: it adds no pivot.  Tags are numbered down from the
+        last row, so a row that reduces to a relation among products
+        pivots at its own tag, which no other row holds, and changes no
+        earlier row.  Empty in the fallback, where every index is a
+        generator; computed once, on first use, like generator_indices."""
+        dim, degrees, gens = self.dim, self.degrees, self.generator_indices
+        if len(gens) == dim:
+            return {}
+        keys = []
+        seen = set()
+        for g in gens[1:]:
+            for y in range(dim):
+                terms = self.products.get((g, y))
+                if terms and degrees[y] > 0:
+                    key = ("term", *terms) if len(terms) == 1 else ("entry", id(terms))
+                    if key not in seen:
+                        seen.add(key)
+                        keys.append((g, y))
+        top = dim + len(keys)
+        out = {}
+        for p, row in echelon([{**self.products[key], top - k: 1}
+                               for k, key in enumerate(keys)]).items():
+            if p < dim:
+                fold = {c: x.numerator if x.denominator == 1 else x for c, x in row.items()}
+                out[p] = ({keys[top - c]: x for c, x in fold.items() if c >= dim},
+                          {c: x for c, x in fold.items() if c < dim and c != p})
+        if out.keys() | gens != set(range(dim)) or out.keys() & set(gens):
+            raise ValueError("the products of the generators do not span the other "
+                             "basis elements: validate() finds the fault")
+        return out
+
     def basis_element(self, i):
         return Element({i: _ONE})
 

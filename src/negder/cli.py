@@ -52,6 +52,8 @@ def build_parser():
 
 
 def _emit(args, doc, lines):
+    """Print doc as JSON under --json, else lines; lines may be a
+    generator, which then builds the text only when it is printed."""
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
@@ -117,22 +119,25 @@ def _cmd_check_h(args):
         "degrees": [{"degree": d, "dimension": verdict.dimensions[d]} for d in checked],
         "certificate": None,
     }
-    lines = []
     ok = verdict.in_class and verdict.connectivity_ok
-    if verdict.in_class:
-        lines.append("no negative-degree derivations" if not ok else
-                     "in class H" if verdict.complete else "class H undecided")
-        span = f" {checked[0]}..{checked[-1]}" if checked else ": none"
-        lines.append(f"degrees checked{span} (top degree {alg.top_degree})")
-    else:
+    if not verdict.in_class:
         d, cert = verdict.certificate
         doc["certificate"] = {"degree": d, "map": _map_doc(alg, cert)}
-        lines.append("not in class H")
-        lines.append(f"degree {d}: " + "; ".join(_map_lines(alg, cert)))
-    if not verdict.connectivity_ok:
-        lines.append("connectivity check failed: needs one-dimensional degree 0 "
-                     "and empty degree 1")
-    _emit(args, doc, lines)
+
+    def text():
+        if verdict.in_class:
+            yield ("no negative-degree derivations" if not ok else
+                   "in class H" if verdict.complete else "class H undecided")
+            span = f" {checked[0]}..{checked[-1]}" if checked else ": none"
+            yield f"degrees checked{span} (top degree {alg.top_degree})"
+        else:
+            yield "not in class H"
+            yield f"degree {d}: " + "; ".join(_map_lines(alg, cert))
+        if not verdict.connectivity_ok:
+            yield ("connectivity check failed: needs one-dimensional degree 0 "
+                   "and empty degree 1")
+
+    _emit(args, doc, text())
     return 0 if ok else 1
 
 
@@ -141,11 +146,14 @@ def _cmd_derivations(args):
     space = derivation_space(alg, args.degree)
     doc = {"command": "derivations", "file": args.file, "degree": args.degree,
            "dimension": len(space), "basis": [_map_doc(alg, m) for m in space]}
-    lines = [f"dimension {len(space)}"]
-    for idx, m in enumerate(space, start=1):
-        lines.append(f"basis map {idx}:")
-        lines.extend("  " + t for t in _map_lines(alg, m))
-    _emit(args, doc, lines)
+
+    def text():
+        yield f"dimension {len(space)}"
+        for idx, m in enumerate(space, start=1):
+            yield f"basis map {idx}:"
+            yield from ("  " + t for t in _map_lines(alg, m))
+
+    _emit(args, doc, text())
     return 0 if not space else 1
 
 
@@ -175,14 +183,17 @@ def _cmd_rigidity(args):
                       for rec in trace.levels],
            "established": trace.established,
            "failed_level": trace.failed_level}
-    parts = [f"level {rec.level}: dim {rec.dimension}" for rec in trace.levels]
-    parts.append("established" if trace.established
-                 else f"not established at level {trace.failed_level}")
-    lines = ["; ".join(parts)]
-    if not trace.established:
-        cert = trace.levels[-1].certificate
-        lines.append("certificate: " + "; ".join(_map_lines(alg, cert, symbol="lambda")))
-    _emit(args, doc, lines)
+
+    def text():
+        parts = [f"level {rec.level}: dim {rec.dimension}" for rec in trace.levels]
+        parts.append("established" if trace.established
+                     else f"not established at level {trace.failed_level}")
+        yield "; ".join(parts)
+        if not trace.established:
+            cert = trace.levels[-1].certificate
+            yield "certificate: " + "; ".join(_map_lines(alg, cert, symbol="lambda"))
+
+    _emit(args, doc, text())
     return 0 if trace.established else 1
 
 

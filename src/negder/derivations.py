@@ -4,13 +4,21 @@ A derivation of degree d satisfies the Koszul-signed Leibniz law
 
     theta(u v) = theta(u) v + (-1)^(d |u|) u theta(v).
 
-The solver knows nothing about presentations: theta's value on every basis
-element is an unknown, and the law is imposed on the pairs (g, x) with g
-one of the algebra's generator_indices, read off the table alone, and x
-any basis element.  On an associative table that system has the same
-kernel as the one on every ordered basis pair, so it works for any valid
-structure-constant table.  Solution spaces come back as the canonical
-kernel basis of that linear system, reshaped into per-degree blocks.
+The solver knows nothing about presentations.  A derivation is fixed by
+its values on the algebra's generator_indices, read off the table alone,
+so the unknowns are U_d, the sum of A_(|g| + d) over the non-unit
+generators g.  theta is carried to every other basis element through the
+products g y that write it (GradedAlgebra.expansions), as linear forms
+over U_d, and the law is imposed on the pairs (g, x), x any basis
+element, in ascending degree of g x, until the rank is |U_d|.  On an
+associative table the law then holds on every ordered basis pair, so it
+works for any valid structure-constant table.  Solution spaces come back
+as the canonical basis of the kernel on every basis element, reshaped
+into per-degree blocks.  The exact self-check of nullspace_basis covers
+the system over U_d only, so check_class_h also checks its certificate
+on the table, apart from this path, before it returns it.  The system on
+the unknowns theta(e_i) for every i stays available as leibniz_rows and
+the dense leibniz_system, the oracles.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Element, integral_view
-from .linalg import nullspace_basis
+from .linalg import echelon, nullspace_basis
 
 
 def _sign(exponent):
@@ -134,7 +142,9 @@ def _add(row, c, x):
 
 
 def leibniz_rows(a, d, left):
-    """Sparse linear system whose kernel is the space of degree-d derivations.
+    """Sparse linear system whose kernel is the space of degree-d derivations,
+    on the unknowns theta(e_i) for every basis element: the oracle that
+    derivation_space replaces.
 
     Unknowns: pairs (i, t) meaning the coefficient of basis t in theta(e_i),
     enumerated with i ascending and t in graded-piece order.  Rows: for
@@ -205,33 +215,120 @@ def leibniz_system(a, d):
     return dense, unknowns
 
 
+def _product_rule(out, table, theta, sign, g, y, f):
+    """out += f (theta(g) y + sign g theta(y)), the Leibniz value of
+    theta(g y), on {(basis index, column): coefficient} with zeros kept."""
+    empty = {}
+    for (t, c), x in theta[g].items():
+        for m, p in table.get((t, y), empty).items():
+            out[m, c] = out.get((m, c), 0) + f * p * x
+    f *= sign
+    for (t, c), x in theta[y].items():
+        for m, p in table.get((g, t), empty).items():
+            out[m, c] = out.get((m, c), 0) + f * p * x
+
+
+def _unknowns(a, d):
+    """theta on the unit and the other generators g, as {index: {(t,
+    column): coefficient}}: theta(1) = 0, and the coefficient of t in
+    theta(g), for t in A_(|g| + d), is its own column of U_d.  Returns
+    (theta, |U_d|)."""
+    theta = {a.unit: {}}
+    ncols = 0
+    for g in a.generator_indices:
+        if g != a.unit:
+            piece = a.graded_piece(a.degrees[g] + d)
+            theta[g] = {(t, ncols + k): 1 for k, t in enumerate(piece)}
+            ncols += len(piece)
+    return theta, ncols
+
+
+def _constraints(a, d, theta):
+    """The Leibniz law on the pairs (g, x), g a non-unit generator and x
+    not the unit, as its nonzero rows {column: coefficient} over U_d, one
+    per basis element of A_(|g x| + d): yields (n, rows) for n = |g x|
+    ascending.  theta is first carried to the non-generators of degree n
+    through their expansions, so it covers every basis element once the
+    generator is exhausted."""
+    table = integral_view(a.products)
+    degrees = a.degrees
+    signs = {g: _sign(d * degrees[g]) for g in theta if g != a.unit}
+    pieces = {n: a.graded_piece(n) for n in set(degrees)}
+    none = ()
+    empty = {}
+    # the degrees of the basis and of the pairs, not every integer between
+    for n in sorted(pieces.keys() | {degrees[g] + m for g in signs for m in pieces}):
+        for x in pieces.get(n, none):
+            if x not in theta:
+                terms, rest = a.expansions[x]
+                out = {}
+                for (g, y), c in terms.items():
+                    _product_rule(out, table, theta, signs[g], g, y, c)
+                for h, c in rest.items():
+                    for key, v in theta[h].items():
+                        out[key] = out.get(key, 0) - c * v
+                theta[x] = {key: v for key, v in out.items() if v}
+        rows = {}
+        if n + d in pieces:
+            for g, sign in signs.items():
+                for x in pieces.get(n - degrees[g], none):
+                    if x == a.unit:
+                        continue
+                    out = {}
+                    for k, p in table.get((g, x), empty).items():
+                        for key, v in theta[k].items():
+                            out[key] = out.get(key, 0) + p * v
+                    _product_rule(out, table, theta, sign, g, x, -1)
+                    for (t, c), v in out.items():
+                        if v:
+                            rows.setdefault((g, x, t), {})[c] = v
+        yield n, list(rows.values())
+
+
 def derivation_space(a, d):
     """Canonical basis of the space of degree-d derivations of a.
 
-    The Leibniz system is built on the left factors a.generator_indices
-    only, so the table must be associative, as every validated table is;
-    its kernel is then the all-pairs kernel.  Each kernel vector becomes
-    one GradedLinearMap; the list is empty exactly when only the zero
-    derivation exists.
-
     A derivation is fixed by its values on the generators, and
-    theta(1) = theta(1 1) = 2 theta(1) is 0 in any unital algebra.  So when
-    every other generator g has an empty target piece A_(|g| + d), the
-    space is zero, and no system is built.  This holds in the fallback to
-    every index too.  When degree 0 is the unit line, it covers every d
-    below minus the largest generator degree.  d must be an int.
+    theta(1) = theta(1 1) = 2 theta(1) is 0 in any unital algebra, so the
+    unknowns are U_d (see the module docstring); with U_d empty, no system
+    is solved.  theta(g y) = theta(g) y + (-1)^(d |g|) g theta(y) carries
+    theta to every other basis element, and the Leibniz rows on the pairs
+    (g, x) go to nullspace_basis in ascending degree of g x, built as it
+    reads them: at rank |U_d| it stops, and the space is zero.  The table
+    must be associative, as every validated table is.  In the fallback
+    every index is a generator and nothing is carried.
+
+    The basis is the one read off the system on every basis element, with
+    unknowns (i, t) in order of i, then t: one vector per free column, its
+    last nonzero, with 1 there and 0 at the other free columns.  That is
+    the RREF of the kernel, carried to every basis element, with the
+    column order reversed, so it is echelon over the columns (-i, -t).
+    Each vector becomes one GradedLinearMap, in ascending order of its free
+    column; the list is empty exactly when only the zero derivation
+    exists.  d must be an int.
     """
     _check_int("d", d)
-    if not any(a.graded_piece(a.degrees[g] + d)
-               for g in a.generator_indices if g != a.unit):
+    theta, ncols = _unknowns(a, d)
+    if not ncols:
         return []
-    rows, unknowns = leibniz_rows(a, d, a.generator_indices)
-    maps = []
-    for v in nullspace_basis(rows, ncols=len(unknowns)):
-        images = {}
-        for (i, t), x in zip(unknowns, v):
+    rows = (row for _, batch in _constraints(a, d, theta) for row in batch)
+    kernel = nullspace_basis(rows, ncols=ncols)
+    # vector number and entry of the kernel vectors nonzero at each column
+    at = {}
+    for k, v in enumerate(kernel):
+        for c, x in enumerate(v):
             if x:
-                images.setdefault(i, {})[t] = x
+                at.setdefault(c, []).append((k, x.numerator if x.denominator == 1 else x))
+    vectors = [{} for _ in kernel]
+    for i, img in theta.items():
+        for (t, c), x in img.items():
+            for k, y in at.get(c, ()):
+                _add(vectors[k], (-i, -t), x * y)
+    maps = []
+    for _, v in sorted(echelon(vectors).items(), reverse=True):
+        images = {}
+        for (i, t), x in v.items():
+            images.setdefault(-i, {})[-t] = x
         maps.append(GradedLinearMap.from_images(
             a, d, {i: Element(img) for i, img in images.items()}))
     return maps
@@ -286,12 +383,46 @@ class ClassHVerdict:
     complete: bool
 
 
+def _check_leibniz(a, m):
+    """Raise ArithmeticError unless m satisfies the Leibniz law on every
+    pair (g, x), g in a.generator_indices: the law on every pair, on a
+    validated table.  Both sides are summed straight from the table and
+    the blocks of m, apart from the solver's path."""
+    table = integral_view(a.products)
+    images = {}
+    for n, mat in m.blocks.items():
+        src, tgt = a.graded_piece(n), a.graded_piece(n + m.shift)
+        for t, row in zip(tgt, mat):
+            for i, x in zip(src, row):
+                if x:
+                    images.setdefault(i, {})[t] = x.numerator if x.denominator == 1 else x
+    empty = {}
+    for g in a.generator_indices:
+        sign = _sign(m.shift * a.degrees[g])
+        for x in range(a.dim):
+            defect = {}
+            for k, c in table.get((g, x), empty).items():
+                for t, y in images.get(k, empty).items():
+                    _add(defect, t, c * y)
+            for t, y in images.get(g, empty).items():
+                for k, c in table.get((t, x), empty).items():
+                    _add(defect, k, -c * y)
+            for t, y in images.get(x, empty).items():
+                for k, c in table.get((g, t), empty).items():
+                    _add(defect, k, -sign * c * y)
+            if defect:
+                raise ArithmeticError(f"the certificate fails the Leibniz law on "
+                                      f"({a.labels[g]}, {a.labels[x]})")
+
+
 def check_class_h(a, max_degree=None):
     """Sweep derivation degrees -1, -2, ... down to -min(max_degree, top
     degree), with no cap meaning the top degree, below which every space
     is empty for degree reasons; stop at the first nonzero space.
-    max_degree must be an int or None.  prove_rigidity reads its levels
-    off this sweep."""
+    max_degree must be an int or None.  A certificate is checked on every
+    pair (g, x) with g a generator before it is returned, and
+    ArithmeticError is raised if it fails.  prove_rigidity reads its
+    levels off this sweep."""
     if max_degree is not None:
         _check_int("max_degree", max_degree)
     depth = a.top_degree if max_degree is None else max_degree
@@ -304,6 +435,7 @@ def check_class_h(a, max_degree=None):
         space = derivation_space(a, -k)
         dimensions[-k] = len(space)
         if space:
+            _check_leibniz(a, space[0])
             certificate = (-k, space[0])
             break
     return ClassHVerdict(

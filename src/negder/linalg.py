@@ -105,11 +105,12 @@ def echelon(rows):
             for p, r in pivots.items()}
 
 
-def _eliminate(rows):
+def _eliminate(rows, ncols=None):
     """Exact elimination of fresh nonzero {column: int or Fraction} rows,
     which it reduces in place and keeps as pivot rows; returns {pivot
     column: row}, the RREF of the rows.  An integral result is held as an
-    int.
+    int.  Given the number of columns ncols, it reads no row after the
+    rank reaches it: every further row reduces to zero.
 
     holders maps each column that is not a pivot column to the pivot
     columns of the rows that hold it, so a new pivot is cleared from
@@ -143,19 +144,23 @@ def _eliminate(rows):
         for rows_at in held.values():
             rows_at.add(p)
         pivots[p] = r
+        if len(pivots) == ncols:
+            break
     return pivots
 
 
 def nullspace_basis(m, ncols=None):
     """Canonical kernel basis, read off the RREF of the system.
 
-    Rows are dense lists or {column: value} dicts; zero rows and exact
-    duplicates are skipped, and the distinct rows are eliminated at once
-    by _eliminate.  Values are exact rationals held as ints where they
-    are integral, and as Fractions otherwise.  The basis is the one read
-    off dense rref: one vector per free column f, in ascending order, with
-    entry 1 at f, 0 at every other free column and the back-substituted
-    pivot values elsewhere.
+    Rows are dense lists or {column: value} dicts, from any iterable; zero
+    rows and exact duplicates are skipped, and the distinct rows are
+    eliminated by _eliminate as they are read.  Once their rank is ncols
+    the kernel is zero, and no further row is read, so the rows may come
+    from a generator that builds them on demand.  Values are exact
+    rationals held as ints where they are integral, and as Fractions
+    otherwise.  The basis is the one read off dense rref: one vector per
+    free column f, in ascending order, with entry 1 at f, 0 at every other
+    free column and the back-substituted pivot values elsewhere.
 
     Every vector is checked exactly against every distinct nonzero row, in
     time proportional to the nonzeros, and ArithmeticError is raised on a
@@ -169,14 +174,21 @@ def nullspace_basis(m, ncols=None):
         ncols = len(m[0])
     # each row is copied once, by _nonzero; the frozen items of the
     # distinct rows outlive the elimination, which reduces the copies
-    rows = {}
-    for row in m:
-        r = _nonzero(row)
-        if r:
-            rows.setdefault(frozenset(r.items()), r)
-    if any(not 0 <= c < ncols for r in rows.values() for c in r):
-        raise ValueError(f"a row has an entry outside columns 0..{ncols - 1}")
-    pivots = _eliminate(rows.values())
+    rows = set()
+
+    def distinct():
+        for row in m:
+            r = _nonzero(row)
+            if not r:
+                continue
+            if any(not 0 <= c < ncols for c in r):
+                raise ValueError(f"a row has an entry outside columns 0..{ncols - 1}")
+            items = frozenset(r.items())
+            if items not in rows:
+                rows.add(items)
+                yield r
+
+    pivots = _eliminate(distinct(), ncols)
     basis = {f: {f: 1} for f in range(ncols) if f not in pivots}
     for p, prow in pivots.items():
         for c, x in prow.items():

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .algebra import Element, Generator, Presentation, build_monomial_algebra, tensor
-from .derivations import GradedLinearMap, check_class_h
+from .derivations import GradedLinearMap, _check_int, check_class_h
 from .derivations import derivation_space  # noqa: F401  perfbench/spans.py patches this name
 
 
@@ -42,6 +42,7 @@ class KunnethModel:
     """
 
     def __init__(self, base, torus_rank):
+        _check_int("torus_rank", torus_rank)
         if torus_rank < 0:
             raise ValueError("torus rank must be nonnegative")
         self.base = base
@@ -177,7 +178,9 @@ class CharSubspace:
 
 def char_subspace(base, rank):
     """The CharSubspace of a bundle of the given rank over base, which
-    may be any GradedBasis: only its degrees are read."""
+    may be any GradedBasis: only its degrees are read.  rank must be an
+    int."""
+    _check_int("rank", rank)
     if rank < 1:
         raise ValueError("rank must be at least 1")
     degs = {4 * i for i in range(1, (rank - 1) // 2 + 1)}
@@ -229,7 +232,9 @@ class ProofTrace:
 
 
 def level_cap(base, torus_rank):
-    """min(torus rank, top degree): higher levels are empty for degree reasons."""
+    """min(torus rank, top degree): higher levels are empty for degree
+    reasons.  torus_rank must be an int."""
+    _check_int("torus_rank", torus_rank)
     if torus_rank < 0:
         raise ValueError("torus rank must be nonnegative")
     return min(torus_rank, base.top_degree)

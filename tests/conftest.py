@@ -14,11 +14,12 @@ from math import prod
 import pytest
 from hypothesis import strategies as st
 
-from negder import (Element, Generator, GradedAlgebra, LevelRecord, Presentation,
-                    ProofTrace, build_monomial_algebra, derivation_space,
-                    derivations, rigidity)
+from negder import (Element, Generator, GradedAlgebra, GradedLinearMap, LevelRecord,
+                    Presentation, ProofTrace, build_monomial_algebra,
+                    derivation_space, derivations, rigidity)
 from negder.algebra import _monomial_label, _sort_sign, check_generator
-from negder.linalg import rref
+from negder.derivations import leibniz_rows
+from negder.linalg import nullspace_basis, rref
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -69,6 +70,23 @@ def rref_kernel(m, ncols):
             v[p] = -reduced[t][f]
         basis.append(v)
     return basis
+
+
+def generator_pair_space(a, d):
+    """Oracle for derivation_space: theta on every basis element as the
+    unknowns, the Leibniz law on the pairs (g, x) with g in
+    a.generator_indices, and the kernel read off nullspace_basis, one map
+    per kernel vector."""
+    rows, unknowns = leibniz_rows(a, d, a.generator_indices)
+    maps = []
+    for v in nullspace_basis(rows, ncols=len(unknowns)):
+        images = {}
+        for (i, t), x in zip(unknowns, v):
+            if x:
+                images.setdefault(i, {})[t] = x
+        maps.append(GradedLinearMap.from_images(
+            a, d, {i: Element(img) for i, img in images.items()}))
+    return maps
 
 
 @st.composite

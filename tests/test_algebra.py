@@ -11,8 +11,8 @@ from conftest import (all_pairs_monomial_algebra, basis_changed, crowded,
                       dense_subalgebra_generated, exhaustive_validate, point,
                       presentations, projective_space, sphere, torus)
 from negder import (Element, Generator, GradedAlgebra, GradedBasis, Presentation,
-                    algebra, build_monomial_algebra, corpus, monomial_basis,
-                    subalgebra_generated, tensor)
+                    algebra, build_monomial_algebra, corpus, derivation_space,
+                    monomial_basis, subalgebra_generated, tensor)
 from negder.linalg import rref
 
 
@@ -692,3 +692,44 @@ def test_generator_indices_are_the_generators_on_the_corpus():
 def test_generator_indices_are_the_generators_on_random_presentations(p):
     a = build_monomial_algebra(p)
     assert a.generator_indices == single_generator_monomials(a)
+
+
+def assert_expansions_rebuild_the_basis(a):
+    """e_x = sum c P[g, y] - sum c e_h for each expansion, by multiply."""
+    gens = set(a.generator_indices)
+    assert sorted(a.expansions) == [i for i in range(a.dim) if i not in gens]
+    for x, (terms, rest) in a.expansions.items():
+        assert terms and all(g in gens and g != a.unit and a.degrees[y] > 0
+                             for g, y in terms)
+        assert all(h in gens and a.degrees[h] == a.degrees[x] for h in rest)
+        total = Element()
+        for (g, y), c in terms.items():
+            total = total + c * a.multiply(a.basis_element(g), a.basis_element(y))
+        for h, c in rest.items():
+            total = total - c * a.basis_element(h)
+        assert total == a.basis_element(x), a.labels[x]
+
+
+def test_expansions_rebuild_the_basis_on_the_corpus():
+    for name in corpus.names():
+        assert_expansions_rebuild_the_basis(corpus.load(name))
+
+
+@given(crowded(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_expansions_rebuild_the_basis_on_basis_changed_tables(p, data):
+    assert_expansions_rebuild_the_basis(basis_changed(build_monomial_algebra(p), data))
+
+
+def test_expansions_reject_a_table_the_generators_do_not_span():
+    # a a = b and b b = d, but a b = 0: d is a product, yet no product of
+    # the generators a and c reaches it, and (a a) b != a (a b)
+    a = GradedAlgebra(["1", "a", "b", "c", "d"], [0, 2, 4, 6, 8], 0, {
+        **{(0, i): {i: 1} for i in range(5)}, **{(i, 0): {i: 1} for i in range(1, 5)},
+        (1, 1): {2: 1}, (2, 2): {4: 1}})
+    assert a.generator_indices == (0, 1, 3)
+    assert any(v.startswith("associativity") for v in a.validate())
+    with pytest.raises(ValueError, match="do not span"):
+        a.expansions
+    with pytest.raises(ValueError, match="validate"):
+        derivation_space(a, -2)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import presentations, src_env, torus
-from negder import GradedAlgebra, corpus, serialize_structure_constants
+from negder import GradedAlgebra, cli, corpus, serialize_structure_constants
 from negder.cli import run
 from negder.fileformats import PRESENTATION, AlgebraFile, detect_format
 
@@ -267,6 +267,18 @@ def test_the_one_line_cp399_presentation_validates_quickly(tmp_path):
     assert seconds < 3.0, f"{seconds:.2f} s"
 
 
+def test_a_huge_generator_degree_solves_quickly(tmp_path):
+    # the solver walks the degrees that occur, not every integer up to
+    # the top degree: theta(x) = 1 is the one derivation of S^n at -n
+    n = 10**12 + 1
+    target = tmp_path / "sphere.alg"
+    target.write_text(f"generator x degree {n}\n")
+    seconds, proc = run_capped("derivations", str(target), "--degree", str(-n))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == "dimension 1\nbasis map 1:\n  theta(x) = 1\n"
+    assert seconds < 3.0, f"{seconds:.2f} s"
+
+
 def test_a_wide_table_of_unit_products_validates_quickly(tmp_path):
     # 20 001 basis elements and only the unit products: the validator and
     # the parser cost time in proportion to the table plus dim, not dim^2
@@ -341,6 +353,22 @@ def test_json_certificate_round_trips(capsys):
     assert doc["certificate"]["degree"] == -7
     assert doc["in_class"] is False
     assert doc["connectivity_ok"] is True
+
+
+def test_json_output_renders_no_text(capsys, monkeypatch):
+    jobs = [("derivations", corpus.path("t3"), "--degree", "-1", "--json"),
+            ("check-h", corpus.path("s3"), "--json"),
+            ("rigidity", corpus.path("s3"), "--torus", "3", "--json")]
+    before = [invoke(capsys, *argv) for argv in jobs]
+    assert [code for code, _, _ in before] == [1, 1, 1]
+
+    def no_text(*args, **kwargs):
+        raise AssertionError("text rendered for a --json run")
+
+    monkeypatch.setattr(cli, "_map_lines", no_text)
+    assert [invoke(capsys, *argv) for argv in jobs] == before
+    with pytest.raises(AssertionError, match="text rendered"):
+        run(["check-h", corpus.path("s3")])
 
 
 def test_json_bytes_survive_hash_seed_changes():

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (basis_changed, crowded, point,
+from conftest import (basis_changed, crowded, generator_pair_space, point,
                       presentations, projective_space, rref_kernel, sphere,
                       src_env, torus)
 from negder import (Element, Generator, GradedAlgebra, GradedLinearMap,
                     Presentation, bracket, build_monomial_algebra, check_class_h,
                     corpus, derivation_space, derivations, identity_map,
                     is_derivation, leibniz_system, parse_structure_constants,
-                    tensor)
+                    prove_rigidity, tensor)
 from negder.derivations import leibniz_rows
 from negder.linalg import nullspace_basis, rank_fraction_free
 
@@ -212,21 +212,36 @@ def test_derivation_space_matches_dense_oracle_off_the_unit_line():
     assert derivation_space(neg, 2) == dense_derivation_space(neg, 2) == []
 
 
+def spy_solves(monkeypatch):
+    """(columns, rows read, rows left unread) of every nullspace_basis
+    call that derivation_space makes; the unread rows are counted after
+    the call returns."""
+    solved = []
+    real = derivations.nullspace_basis
+
+    def spy(rows, ncols):
+        rows = iter(rows)
+        read = []
+        kernel = real((read.append(row) or row for row in rows), ncols=ncols)
+        solved.append((ncols, len(read), sum(1 for _ in rows)))
+        return kernel
+
+    monkeypatch.setattr(derivations, "nullspace_basis", spy)
+    return solved
+
+
 def test_derivation_space_assembles_generator_pairs_only(monkeypatch):
+    # the generator-pair system of the oracle, against the all-pairs one
     t4 = torus(4)
     assert len(leibniz_rows(t4, -1, t4.generator_indices)[0]) == 336
     assert len(leibniz_rows(t4, -1, range(t4.dim))[0]) == 792
-    built = []
-    real = derivations.leibniz_rows
-
-    def spy(*args):
-        rows, unknowns = real(*args)
-        built.append(len(rows))
-        return rows, unknowns
-
-    monkeypatch.setattr(derivations, "leibniz_rows", spy)
+    solved = spy_solves(monkeypatch)
+    # the unknowns are theta(i1), ..., theta(i4) in A_0, and every
+    # Leibniz row on the pairs (g, x) over them is zero
     assert len(derivation_space(t4, -1)) == 4
-    assert built == [336]
+    assert solved == [(4, 0, 0)]
+    assert len(derivation_space(torus(9), -1)) == 9
+    assert solved[1:] == [(9, 0, 0)]
 
 
 def test_no_system_is_built_where_every_generator_target_is_empty(monkeypatch):
@@ -234,15 +249,29 @@ def test_no_system_is_built_where_every_generator_target_is_empty(monkeypatch):
     # at degree -2 does a generator have a nonempty target piece, A_0.
     cp2xcp2xcp1 = build_monomial_algebra(Presentation("CP2xCP2xCP1", (
         Generator("x", 2, 3), Generator("y", 2, 3), Generator("z", 2, 2))))
-    built = []
-    real = derivations.leibniz_rows
-    monkeypatch.setattr(derivations, "leibniz_rows",
-                        lambda a, d, left: built.append(d) or real(a, d, left))
+    solved = spy_solves(monkeypatch)
     verdict = check_class_h(cp2xcp2xcp1)
-    assert built == [-2]
     assert verdict.in_class and verdict.complete
     assert verdict.dimensions == {-k: 0 for k in range(1, 11)}
+    # One solve, over theta(x), theta(y), theta(z).  z^2 = 0 gives the
+    # first rank at constraint degree |z z| = 4, x^3 = y^3 = 0 the rest at
+    # degree 6, and no row of a higher degree is read.
+    theta, ncols = derivations._unknowns(cp2xcp2xcp1, -2)
+    rows = {n: len(batch) for n, batch
+            in derivations._constraints(cp2xcp2xcp1, -2, theta)}
+    upto = lambda top: sum(count for n, count in rows.items() if n <= top)
+    [(cols, read, unread)] = solved
+    assert (cols, ncols) == (3, 3)
+    assert upto(4) < read <= upto(6) < upto(12) == read + unread
+    assert max(rows) == 12 and rows[12] > 0
     assert_matches_dense_oracle(cp2xcp2xcp1)
+
+
+def test_derivation_space_matches_the_generator_pair_oracle():
+    # sizes where the dense all-pairs oracle is too slow
+    for alg in (torus(6), tensor(tensor(torus(3), sphere(3)), projective_space(2))):
+        for d in range(-alg.top_degree, alg.top_degree + 1):
+            assert derivation_space(alg, d) == generator_pair_space(alg, d), (alg.name, d)
 
 
 def test_six_torus_has_six_derivations_of_degree_minus_one():
@@ -287,6 +316,39 @@ def test_five_torus_fails_class_h_at_degree_minus_one():
     d, cert = verdict.certificate
     assert d == -1
     assert is_derivation(t5, cert) == []
+
+
+# On T^2, with basis 1, i2, i1, i1*i2: theta(i2) = 1 and theta is 0 on i1
+# and i1*i2, but the law on (i2, i1) needs theta(i2 i1) = i1
+NOT_A_DERIVATION = "GradedLinearMap(-1, {1: [[1, 0]]})"
+
+
+def test_a_certificate_that_fails_the_law_raises(monkeypatch):
+    t2 = torus(2)
+    bad = GradedLinearMap(-1, {1: [[1, 0]]})
+    assert is_derivation(t2, bad) != []
+    monkeypatch.setattr(derivations, "derivation_space", lambda a, d: [bad])
+    with pytest.raises(ArithmeticError, match=r"Leibniz law on \(i2, i1\)"):
+        check_class_h(t2)
+    with pytest.raises(ArithmeticError):
+        prove_rigidity(t2, 1)
+
+
+def test_certificate_check_survives_optimized_mode():
+    script = (
+        "from negder import GradedLinearMap, check_class_h, derivations\n"
+        "from negder import Generator, Presentation, build_monomial_algebra\n"
+        "t2 = build_monomial_algebra(Presentation('T2', (Generator('i1', 1, 2), "
+        "Generator('i2', 1, 2))))\n"
+        f"derivations.derivation_space = lambda a, d: [{NOT_A_DERIVATION}]\n"
+        "try:\n"
+        "    check_class_h(t2)\n"
+        "except ArithmeticError:\n"
+        "    print(__debug__, 'raised')\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False raised\n"
 
 
 def test_rank_nullity_against_fraction_free_oracle():
@@ -455,3 +517,4 @@ def test_point_algebra_trivially_in_class():
     assert verdict.connectivity_ok
     assert verdict.dimensions == {}
     assert verdict.complete
+

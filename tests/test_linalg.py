@@ -233,11 +233,27 @@ def test_nullspace_eliminates_once(monkeypatch):
     calls = []
     real = linalg._eliminate
     monkeypatch.setattr(linalg, "_eliminate",
-                        lambda rows: calls.append(1) or real(rows))
+                        lambda rows, ncols: calls.append(1) or real(rows, ncols))
     # two systems that share no column, and the same kernel as dense rref
     rows = [[1, 1, 0, 0], [0, 0, 1, -1], [2, 2, 0, 0]]
     assert nullspace_basis(rows) == rref_kernel(rows, 4)
     assert calls == [1]
+
+
+def test_nullspace_reads_no_row_after_full_rank():
+    read = []
+
+    def rows():
+        for row in ([1, 1, 0], [0, 0, 0], [1, 1, 0], [0, 1, 1], [1, 0, 2], [2, 3, 1]):
+            read.append(row)
+            yield row
+
+    assert nullspace_basis(rows(), ncols=3) == []
+    assert len(read) == 5
+    # short of full rank every row is read, and the self-check sees it
+    read.clear()
+    assert nullspace_basis((r for r in rows() if r != [1, 0, 2]), ncols=3) == [[1, -1, 1]]
+    assert len(read) == 6
 
 
 def test_nullspace_copies_each_row_once(monkeypatch):
@@ -298,8 +314,13 @@ def test_block_diagonal_nullspace_equals_dense_rref_readout(system):
 def test_equal_rows_in_any_form_are_one_int_row(monkeypatch):
     eliminated = []
     real = linalg._eliminate
-    monkeypatch.setattr(linalg, "_eliminate",
-                        lambda rows: eliminated.extend(dict(r) for r in rows) or real(rows))
+
+    def spy(rows, ncols):
+        rows = list(rows)
+        eliminated.extend(dict(r) for r in rows)
+        return real(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_eliminate", spy)
     basis = nullspace_basis([[Fraction(4, 2), 1], {0: 2, 1: 1}], ncols=2)
     assert basis == [[Fraction(-1, 2), 1]]
     assert eliminated == [{0: 2, 1: 1}]

@@ -266,6 +266,19 @@ def test_prove_rigidity_rejects_negative_torus_rank():
         prove_rigidity(projective_space(2), -1)
 
 
+def test_rank_arguments_must_be_ints():
+    s3 = sphere(3)
+    for value in (2.5, 3.0, "3", None, True):
+        with pytest.raises(ValueError, match="^torus_rank must be an int"):
+            prove_rigidity(s3, value)
+        with pytest.raises(ValueError, match="^torus_rank must be an int"):
+            kunneth_model(s3, value)
+        with pytest.raises(ValueError, match="^rank must be an int"):
+            char_subspace(s3, value)
+    assert prove_rigidity(s3, 3).failed_level == 3
+    assert char_subspace(s3, 1).rank == 1
+
+
 def test_class_h_implies_established_for_all_ranks():
     for alg in (projective_space(1), projective_space(3), sphere(4),
                 tensor(projective_space(2), sphere(4))):
