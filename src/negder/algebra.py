@@ -18,7 +18,7 @@ from itertools import product as cartesian
 from math import prod
 from operator import add
 
-from .linalg import echelon
+from .linalg import _fold, echelon
 
 # Largest structure-constant table build_monomial_algebra allocates.  The
 # largest bundled, tested or benchmarked presentation, CP399, has 80 200
@@ -116,17 +116,18 @@ def integral_view(table):
     for key, terms in table.items():
         view = views.get(id(terms))
         if view is None:
-            view = views[id(terms)] = {
-                k: c.numerator if c.denominator == 1 else c for k, c in terms.items()}
+            view = views[id(terms)] = {k: _fold(c) for k, c in terms.items()}
         out[key] = view
     return out
 
 
 class GradedBasis:
     """A graded basis alone: labels, degrees, the unit index and a name,
-    with the basis indexed by degree once.  GradedAlgebra adds the product
-    table; monomial_basis returns a bare GradedBasis, so that what reads
-    only labels and degrees builds no table."""
+    with the basis indexed by degree once: position[i] is the place of i
+    in graded_piece(degrees[i]), its row or column in a block of a
+    GradedLinearMap.  GradedAlgebra adds the product table; monomial_basis
+    returns a bare GradedBasis, so that what reads only labels and degrees
+    builds no table."""
 
     def __init__(self, labels, degrees, unit, name=""):
         self.labels = list(labels)
@@ -138,8 +139,11 @@ class GradedBasis:
             raise ValueError(f"unit {self.unit} is not a basis index")
         self.name = name
         by_degree = {}
+        self.position = []
         for i, d in enumerate(self.degrees):
-            by_degree.setdefault(d, []).append(i)
+            piece = by_degree.setdefault(d, [])
+            self.position.append(len(piece))
+            piece.append(i)
         self._by_degree = by_degree
 
     @property
@@ -258,7 +262,7 @@ class GradedAlgebra(GradedBasis):
         for p, row in echelon([{**self.products[key], top - k: 1}
                                for k, key in enumerate(keys)]).items():
             if p < dim:
-                fold = {c: x.numerator if x.denominator == 1 else x for c, x in row.items()}
+                fold = {c: _fold(x) for c, x in row.items()}
                 out[p] = ({keys[top - c]: x for c, x in fold.items() if c >= dim},
                           {c: x for c, x in fold.items() if c < dim and c != p})
         if out.keys() | gens != set(range(dim)) or out.keys() & set(gens):

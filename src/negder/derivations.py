@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Element, integral_view
-from .linalg import echelon, nullspace_basis
+from .linalg import _fold, echelon, nullspace_basis
 
 
 def _sign(exponent):
@@ -38,17 +38,20 @@ class GradedLinearMap:
     """Degree-homogeneous linear self-map, stored as one matrix per source
     degree.  The block for source degree n has rows indexed by
     graded_piece(n + shift) and columns by graded_piece(n).  All-zero and
-    empty blocks are dropped, so a map is zero iff it stores no blocks."""
+    empty blocks are dropped, so a map is zero iff it stores no blocks.
+    The shift and the block degrees must be ints."""
 
     __slots__ = ("shift", "blocks")
 
     def __init__(self, shift, blocks=None):
-        self.shift = int(shift)
+        _check_int("shift", shift)
+        self.shift = shift
         cleaned = {}
         for n, mat in (blocks or {}).items():
+            _check_int("block degree", n)
             rows = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in mat]
             if any(any(row) for row in rows):
-                cleaned[int(n)] = rows
+                cleaned[n] = rows
         self.blocks = cleaned
 
     def is_zero(self):
@@ -70,11 +73,11 @@ class GradedLinearMap:
         mat = self.blocks.get(n)
         if mat is None:
             return Element()
-        src = algebra.graded_piece(n)
+        width = len(algebra.graded_piece(n))
         tgt = algebra.graded_piece(n + self.shift)
-        if len(mat) != len(tgt) or len(mat[0]) != len(src):
+        if len(mat) != len(tgt) or any(len(row) != width for row in mat):
             raise ValueError(f"block at degree {n} does not match the graded pieces")
-        c = src.index(i)
+        c = algebra.position[i]
         return Element({t: row[c] for t, row in zip(tgt, mat) if row[c]})
 
     def apply(self, algebra, elt):
@@ -95,26 +98,32 @@ class GradedLinearMap:
 
     @classmethod
     def from_images(cls, algebra, shift, images):
-        """Assemble a map from basis images {index: Element}, omitted ones
-        zero, writing the column of each nonzero image into its block."""
+        """Assemble a map of the int shift from basis images {index:
+        Element}, omitted ones zero, writing each nonzero image straight
+        into its column at algebra.position; every target must lie in the
+        piece of degree |i| + shift.  Each entry written is a nonzero
+        Fraction of an Element, so the blocks are kept as they are."""
+        _check_int("shift", shift)
+        degrees, position = algebra.degrees, algebra.position
         blocks = {}
         for i, img in images.items():
             _check_index(algebra, i)
             if not img:
                 continue
-            n = algebra.degrees[i]
-            src = algebra.graded_piece(n)
-            tgt = algebra.graded_piece(n + shift)
-            if not tgt:
-                raise ValueError("image lands in an empty piece")
+            n = degrees[i]
             if n not in blocks:
-                blocks[n] = [[Fraction(0)] * len(src) for _ in tgt]
-            c = src.index(i)
+                tgt = algebra.graded_piece(n + shift)
+                if not tgt:
+                    raise ValueError("image lands in an empty piece")
+                blocks[n] = [[Fraction(0)] * len(algebra.graded_piece(n)) for _ in tgt]
+            col, block = position[i], blocks[n]
             for t, x in img.coeffs.items():
-                if t not in tgt:
+                if not 0 <= t < algebra.dim or degrees[t] != n + shift:
                     raise ValueError("image off the shifted piece")
-                blocks[n][tgt.index(t)][c] = x
-        return cls(shift, blocks)
+                block[position[t]][col] = x
+        m = cls.__new__(cls)
+        m.shift, m.blocks = shift, blocks
+        return m
 
 
 def _check_int(name, value):
@@ -162,9 +171,7 @@ def leibniz_rows(a, d, left):
     closed under products.
     """
     pieces = {n: a.graded_piece(n) for n in set(a.degrees)}
-    pos = {}
-    for piece in pieces.values():
-        pos.update((t, p) for p, t in enumerate(piece))
+    pos = a.position
     none = ()
     unknowns = []
     base = []
@@ -318,7 +325,7 @@ def derivation_space(a, d):
     for k, v in enumerate(kernel):
         for c, x in enumerate(v):
             if x:
-                at.setdefault(c, []).append((k, x.numerator if x.denominator == 1 else x))
+                at.setdefault(c, []).append((k, _fold(x)))
     vectors = [{} for _ in kernel]
     for i, img in theta.items():
         for (t, c), x in img.items():
@@ -387,15 +394,9 @@ def _check_leibniz(a, m):
     """Raise ArithmeticError unless m satisfies the Leibniz law on every
     pair (g, x), g in a.generator_indices: the law on every pair, on a
     validated table.  Both sides are summed straight from the table and
-    the blocks of m, apart from the solver's path."""
+    the images of m, apart from the solver's path."""
     table = integral_view(a.products)
-    images = {}
-    for n, mat in m.blocks.items():
-        src, tgt = a.graded_piece(n), a.graded_piece(n + m.shift)
-        for t, row in zip(tgt, mat):
-            for i, x in zip(src, row):
-                if x:
-                    images.setdefault(i, {})[t] = x.numerator if x.denominator == 1 else x
+    images = {i: {t: _fold(x) for t, x in m.image(a, i).coeffs.items()} for i in range(a.dim)}
     empty = {}
     for g in a.generator_indices:
         sign = _sign(m.shift * a.degrees[g])

@@ -78,14 +78,18 @@ class LambdaFamily:
 
     A component's shift must match the parity of -|S| so the Koszul
     bookkeeping in the total algebra is coherent; the degree-preserving
-    pullback case is shift = -|S| exactly.
+    pullback case is shift = -|S| exactly.  torus_rank and the coordinates
+    must be ints.
     """
 
     def __init__(self, torus_rank, components=None):
-        self.torus_rank = int(torus_rank)
+        _check_int("torus_rank", torus_rank)
+        self.torus_rank = torus_rank
         comps = {}
         for subset, m in (components or {}).items():
-            key = tuple(sorted(int(x) for x in subset))
+            for x in subset:
+                _check_int("subset coordinate", x)
+            key = tuple(sorted(subset))
             if not key:
                 raise ValueError("the empty subset is implicitly the identity")
             if len(set(key)) != len(key):

@@ -49,13 +49,21 @@ def test_from_images_rejects_off_piece_images():
     cp2 = projective_space(2)
     with pytest.raises(ValueError, match="off the shifted piece"):
         GradedLinearMap.from_images(cp2, -2, {1: cp2.basis_element(1)})
+    # -1 would wrap to the last index, whose degree is the target's
+    for key in (-1, cp2.dim):
+        with pytest.raises(ValueError, match="off the shifted piece"):
+            GradedLinearMap.from_images(cp2, 0, {cp2.dim - 1: Element({key: 1})})
 
 
 def test_apply_rejects_misshapen_blocks():
-    cp2 = projective_space(2)
-    bad = GradedLinearMap(-2, {2: [[1, 1]]})
-    with pytest.raises(ValueError, match="does not match"):
-        bad.apply(cp2, cp2.basis_element(1))
+    cp2, t2 = projective_space(2), torus(2)
+    cases = [(cp2, GradedLinearMap(-2, {2: [[1, 1]]})),
+             (t2, GradedLinearMap(0, {1: [[1, 2], [3]]})),
+             (t2, GradedLinearMap(0, {1: [[1, 2], [3, 4, 5]]}))]
+    for alg, bad in cases:
+        for i in alg.graded_piece(next(iter(bad.blocks))):
+            with pytest.raises(ValueError, match="does not match"):
+                bad.apply(alg, alg.basis_element(i))
 
 
 def test_image_reads_one_column_and_apply_sums_them():
@@ -68,6 +76,15 @@ def test_image_reads_one_column_and_apply_sums_them():
     assert m.apply(t2, t2.basis_element(1) - 2 * t2.basis_element(2)) == Element({1: -3, 2: 2})
     assert GradedLinearMap.from_images(
         t2, 0, {i: m.image(t2, i) for i in range(t2.dim)}) == m
+    for name in corpus.names():
+        a = corpus.load(name)
+        for d in range(-1, -a.top_degree - 1, -1):
+            for m in derivation_space(a, d):
+                again = GradedLinearMap.from_images(
+                    a, d, {i: m.image(a, i) for i in range(a.dim)})
+                assert again == m == GradedLinearMap(d, m.blocks), (name, d)
+                assert all(type(x) is Fraction
+                           for mat in again.blocks.values() for row in mat for x in row)
 
 
 @pytest.mark.parametrize("index", [7, -1])
@@ -85,17 +102,26 @@ def test_basis_index_outside_the_basis_is_an_error(index):
 
 def test_shape_checks_survive_optimized_mode():
     script = (
-        "from negder import GradedLinearMap, Generator, Presentation, "
+        "from negder import Element, GradedLinearMap, Generator, Presentation, "
         "build_monomial_algebra\n"
         "s3 = build_monomial_algebra(Presentation('S3', (Generator('x', 3, 2),)))\n"
-        "try:\n"
-        "    GradedLinearMap.from_images(s3, -3, {0: s3.basis_element(0)})\n"
-        "except ValueError:\n"
-        "    print(__debug__, 'raised')\n")
+        "t2 = build_monomial_algebra(Presentation(\n"
+        "    'T2', (Generator('a', 1, 2), Generator('b', 1, 2))))\n"
+        "cases = [\n"
+        "    lambda: GradedLinearMap.from_images(s3, -3, {0: s3.basis_element(0)}),\n"
+        "    lambda: GradedLinearMap.from_images(s3, 0, {1: Element({-1: 1})}),\n"
+        "    lambda: GradedLinearMap.from_images(s3, 0, {1: Element({2: 1})}),\n"
+        "    lambda: GradedLinearMap(0, {1: [[1, 2], [3]]}).image(t2, 1),\n"
+        "    lambda: GradedLinearMap(0, {1: [[1, 2], [3]]}).image(t2, 2)]\n"
+        "for case in cases:\n"
+        "    try:\n"
+        "        case()\n"
+        "    except ValueError:\n"
+        "        print(__debug__, 'raised')\n")
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False raised\n"
+    assert proc.stdout == "False raised\n" * 5
 
 
 def test_identity_map():

@@ -275,6 +275,20 @@ def test_rank_arguments_must_be_ints():
             kunneth_model(s3, value)
         with pytest.raises(ValueError, match="^rank must be an int"):
             char_subspace(s3, value)
+        with pytest.raises(ValueError, match="^torus_rank must be an int"):
+            LambdaFamily(value)
+    theta = GradedLinearMap(-1, {1: [[1]]})
+    with pytest.raises(ValueError, match="^torus_rank must be an int"):
+        LambdaFamily(1.9, {(1.2,): theta})
+    for subset in ((1.2,), (1, 2.0), (True,)):
+        with pytest.raises(ValueError, match="^subset coordinate must be an int"):
+            LambdaFamily(2, {subset: theta})
+    with pytest.raises(ValueError, match="^shift must be an int"):
+        GradedLinearMap(-1.5, {2.7: [[1]]})
+    with pytest.raises(ValueError, match="^block degree must be an int"):
+        GradedLinearMap(-1, {2.7: [[1]]})
+    with pytest.raises(ValueError, match="^shift must be an int"):
+        GradedLinearMap.from_images(s3, -3.0, {1: s3.basis_element(0)})
     assert prove_rigidity(s3, 3).failed_level == 3
     assert char_subspace(s3, 1).rank == 1
 
