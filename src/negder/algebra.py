@@ -29,6 +29,24 @@ _ONE = Fraction(1)
 _ZERO = Fraction(0)
 
 
+def _check_int(name, value):
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, not {value!r}")
+
+
+def _to_int(name, value):
+    """An index or degree given as an int, or as a str that int() reads,
+    as an int.  A bool, a float, a Fraction or any other value raises
+    ValueError naming the field, rather than being truncated."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    _check_int(name, value)
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Generator:
     symbol: str
@@ -52,8 +70,9 @@ class Element:
     Keys are basis indices, zero coefficients are dropped on construction,
     and equality is coefficientwise.  As in the GradedAlgebra constructor,
     a value whose type is exactly Fraction and a key that is an int are
-    kept as they are; anything else is converted.  Elements are
-    algebra-agnostic; the product lives on GradedAlgebra.
+    kept as they are; any other value is converted, and so is a key that
+    is a str, while any other key (a bool, a float) raises ValueError.
+    Elements are algebra-agnostic; the product lives on GradedAlgebra.
     """
 
     __slots__ = ("coeffs",)
@@ -65,7 +84,7 @@ class Element:
                 if type(c) is not Fraction:
                     c = Fraction(c)
                 if c:
-                    data[i if type(i) is int else int(i)] = c
+                    data[i if type(i) is int else _to_int("Element key", i)] = c
         self.coeffs = data
 
     def coeff(self, i):
@@ -125,16 +144,17 @@ class GradedBasis:
     """A graded basis alone: labels, degrees, the unit index and a name,
     with the basis indexed by degree once: position[i] is the place of i
     in graded_piece(degrees[i]), its row or column in a block of a
-    GradedLinearMap.  GradedAlgebra adds the product table; monomial_basis
-    returns a bare GradedBasis, so that what reads only labels and degrees
-    builds no table."""
+    GradedLinearMap.  Degrees and the unit are ints, or strs that int()
+    reads; anything else raises ValueError.  GradedAlgebra adds the product
+    table; monomial_basis returns a bare GradedBasis, so that what reads
+    only labels and degrees builds no table."""
 
     def __init__(self, labels, degrees, unit, name=""):
         self.labels = list(labels)
-        self.degrees = [int(d) for d in degrees]
+        self.degrees = [d if type(d) is int else _to_int("degree", d) for d in degrees]
         if len(self.labels) != len(self.degrees):
             raise ValueError(f"{len(self.labels)} labels but {len(self.degrees)} degrees")
-        self.unit = int(unit)
+        self.unit = unit if type(unit) is int else _to_int("unit", unit)
         if not 0 <= self.unit < len(self.labels):
             raise ValueError(f"unit {self.unit} is not a basis index")
         self.name = name
@@ -172,8 +192,10 @@ class GradedAlgebra(GradedBasis):
     the keys that share it share its one fresh output entry, so table
     entries may be shared between keys and are read-only: replace an
     entry, never mutate it in place.  A key that is already a tuple of two
-    ints is kept as it is.  The constructor deliberately does not check
-    axioms, so corrupt tables stay representable for validate().
+    ints is kept as it is; a key index or term index that is a str is read
+    by int(), and one of any other type (a bool, a float) raises
+    ValueError.  The constructor deliberately does not check axioms, so
+    corrupt tables stay representable for validate().
     """
 
     def __init__(self, labels, degrees, unit, products, name=""):
@@ -185,7 +207,7 @@ class GradedAlgebra(GradedBasis):
         for key, terms in products.items():
             i, j = key
             if type(key) is not tuple or type(i) is not int or type(j) is not int:
-                key = (int(i), int(j))
+                key = (_to_int("table key", i), _to_int("table key", j))
             seen = done.get(id(terms))
             if seen is None:
                 cleaned = {}
@@ -193,7 +215,7 @@ class GradedAlgebra(GradedBasis):
                     if type(c) is not Fraction:
                         c = Fraction(c)
                     if c:
-                        cleaned[int(k)] = c
+                        cleaned[k if type(k) is int else _to_int("term index", k)] = c
                 seen = done[id(terms)] = (terms, cleaned)
             if seen[1]:
                 table[key] = seen[1]
@@ -216,14 +238,21 @@ class GradedAlgebra(GradedBasis):
 
     def _generators(self):
         """generator_indices of the table as it is at this call.  An entry
-        shared between keys is one row of the echelon: the row space, and
-        so every pivot, is that of the distinct entries."""
+        shared between keys is read once: the row space, and so every
+        pivot, is that of the distinct entries.  A one-term entry c e_k
+        puts e_k in the row space, so its k is a pivot column with no
+        elimination.  The row space is the span of those e_k plus that of
+        the longer entries with the columns k removed, which holds no
+        column k; so the pivots are the columns k together with those of
+        echelon over the longer entries, reduced so."""
         degrees = self.degrees
         if self.graded_piece(0) != [self.unit] or min(degrees) < 0:
             return tuple(range(self.dim))
         entries = {id(terms): terms for (i, j), terms in self.products.items()
-                   if degrees[i] > 0 and degrees[j] > 0}
-        pivots = echelon(entries.values())
+                   if degrees[i] > 0 and degrees[j] > 0}.values()
+        single = {k for terms in entries if len(terms) == 1 for k, c in terms.items() if c}
+        pivots = single.union(echelon({k: c for k, c in terms.items() if k not in single}
+                                      for terms in entries if len(terms) > 1))
         return (self.unit,) + tuple(i for i in range(self.dim)
                                     if degrees[i] > 0 and i not in pivots)
 
@@ -337,6 +366,17 @@ class GradedAlgebra(GradedBasis):
         time in proportion to the table, its nonzero contributions and dim,
         not dim^2.  Violations come in i, j, k order.
 
+        The index, degree and commutativity checks, and the index of the
+        table the associativity check reads, are made in one walk over the
+        keys, and each is worked out once per distinct table entry, as for
+        shared entries (see the constructor): whether every term index lies
+        in 0..dim-1, the degree its terms share (None if they do not), and
+        its integral view; and once per distinct (entry, mirror entry,
+        parity) triple, whether the two agree under the commutativity sign.
+        A key then costs a comparison or a lookup per check, and the text
+        of a violation, with its sort, is made only for the keys that fail,
+        in the order above.
+
         Associativity is decided on the rows i of the generators alone when
         every earlier check passes, degree 0 is exactly the unit line and
         no degree is negative.  The generators are those of
@@ -354,48 +394,72 @@ class GradedAlgebra(GradedBasis):
         generator, the pass runs over every row, so the violations and
         their order are those of the full check.
         """
-        dim = self.dim
+        dim, degrees, labels = self.dim, self.degrees, self.labels
         table = self.products
-        keys = sorted(table)
-        out = [f"basis index: table entry ({i}, {j}) names {x}, outside 0..{dim - 1}"
-               for i, j in keys for x in sorted({i, j, *table[i, j]}) if not 0 <= x < dim]
-        if out:
-            return out
-        for i, j in keys:
-            want = self.degrees[i] + self.degrees[j]
+        empty = {}
+        facts = {}  # id of an entry -> (indices in range, common degree, view)
+        agree = {}  # (id of P[i,j], id of P[j,i], parity) -> they agree
+        bad_index, bad_degree, bad_sign = [], [], []
+        rows = {}  # the index of the table that _associativity reads
+        by_m = {}
+        for key, terms in table.items():
+            entry = id(terms)
+            fact = facts.get(entry)
+            if fact is None:
+                inside = all(0 <= k < dim for k in terms)
+                common = {degrees[k] for k in terms} if inside else ()
+                fact = facts[entry] = (inside, common.pop() if len(common) == 1 else None,
+                                           {k: _fold(c) for k, c in terms.items()})
+            inside, common, view = fact
+            i, j = key
+            if not (inside and 0 <= i < dim and 0 <= j < dim):
+                bad_index.append(key)
+                continue
+            want = degrees[i] + degrees[j]
+            if common != want and any(degrees[k] != want for k in terms):
+                bad_degree.append(key)
+            # A pair {i, j} with neither order in the table is zero both
+            # ways; one with both is checked at i <= j.
+            if i <= j:
+                mirror = table.get((j, i), empty)
+                odd = degrees[i] & degrees[j] & 1
+                pair = (entry, id(mirror), odd)
+                same = agree.get(pair)
+                if same is None:
+                    same = agree[pair] = mirror == (
+                        {k: -c for k, c in terms.items()} if odd else terms)
+                if not same:
+                    bad_sign.append(key)
+            elif terms and (j, i) not in table:
+                bad_sign.append((j, i))
+            rows.setdefault(i, {})[j] = view
+            for m, c in view.items():
+                by_m.setdefault(m, []).append((i, j, c))
+        if bad_index:
+            return [f"basis index: table entry ({i}, {j}) names {x}, outside 0..{dim - 1}"
+                    for i, j in sorted(bad_index)
+                    for x in sorted({i, j, *table[i, j]}) if not 0 <= x < dim]
+        out = []
+        for i, j in sorted(bad_degree):
+            want = degrees[i] + degrees[j]
             for k in sorted(table[i, j]):
-                if self.degrees[k] != want:
+                if degrees[k] != want:
                     out.append(
-                        f"degree additivity: {self.labels[i]} * {self.labels[j]} "
-                        f"hits {self.labels[k]} of degree {self.degrees[k]}, expected {want}"
+                        f"degree additivity: {labels[i]} * {labels[j]} "
+                        f"hits {labels[k]} of degree {degrees[k]}, expected {want}"
                     )
         u = self.unit
-        empty = {}
         for j in range(dim):
             if table.get((u, j), empty) != {j: _ONE}:
-                out.append(f"unit law: 1 * {self.labels[j]} != {self.labels[j]}")
+                out.append(f"unit law: 1 * {labels[j]} != {labels[j]}")
             if j != u and table.get((j, u), empty) != {j: _ONE}:
-                out.append(f"unit law: {self.labels[j]} * 1 != {self.labels[j]}")
-        # A pair {i, j} with neither order in the table is zero both ways.
-        for i, j in sorted({(i, j) if i <= j else (j, i) for i, j in keys}):
-            sign = -1 if (self.degrees[i] * self.degrees[j]) % 2 else 1
-            mirror = table.get((i, j), empty)
-            if sign < 0:
-                mirror = {k: -c for k, c in mirror.items()}
-            if table.get((j, i), empty) != mirror:
-                rel = "-" if sign < 0 else ""
-                out.append(
-                    f"graded commutativity: {self.labels[j]} * {self.labels[i]} "
-                    f"!= {rel}({self.labels[i]} * {self.labels[j]})"
-                )
+                out.append(f"unit law: {labels[j]} * 1 != {labels[j]}")
+        for i, j in sorted(bad_sign):
+            rel = "-" if degrees[i] & degrees[j] & 1 else ""
+            out.append(f"graded commutativity: {labels[j]} * {labels[i]} "
+                       f"!= {rel}({labels[i]} * {labels[j]})")
         # The generator rows decide; the full pass, rerun on a violation,
         # keeps the full list in its order (see the docstring).
-        rows = {}
-        by_m = {}
-        for (j, k), view in integral_view(table).items():
-            rows.setdefault(j, {})[k] = view
-            for m, c in view.items():
-                by_m.setdefault(m, []).append((j, k, c))
         only = None
         if not out:
             gens = self._generators()

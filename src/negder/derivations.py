@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Element, integral_view
+from .algebra import Element, _check_int, integral_view
 from .linalg import _fold, echelon, nullspace_basis
 
 
@@ -124,11 +124,6 @@ class GradedLinearMap:
         m = cls.__new__(cls)
         m.shift, m.blocks = shift, blocks
         return m
-
-
-def _check_int(name, value):
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an int, not {value!r}")
 
 
 def _check_index(algebra, i):

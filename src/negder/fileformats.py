@@ -22,22 +22,28 @@ Structure-constant format (first directive is basis:):
     1 1 = 1*1
     1 x = 1*x
 
-Coefficients are exact rationals, "p/q" or an integer.  A product line
-may name a pair in either order.  A pair given in one order only gets its
-transposed entry from graded commutativity; a pair given in both orders
-keeps both lines, and validation cross-checks them.  Omitted pairs are
-zero.  A parsed table is validated before use and rejected with the full
-violation list if any axiom fails.
+Coefficients are exact rationals: an optional sign, ASCII digits, and an
+optional "/" and ASCII digits for a denominator, as in 3, -1 or -3/4;
+spaces may stand before the "*".  Since "+" separates terms, a written
+coefficient carries at most a minus sign.  Anything else (1.5, 1e3,
+1_000, 0x1) is a ParseError, so a coefficient costs time in proportion to
+its text.  A product line may name a pair in either order.  A pair given
+in one order only gets its transposed entry from graded commutativity; a
+pair given in both orders keeps both lines, and validation cross-checks
+them.  Omitted pairs are zero.  A parsed table is validated before use
+and rejected with the full violation list if any axiom fails.
 
 Each distinct right-hand side is parsed once, and the lines that share it
 share one entry dict, as does a transposed pair filled in from it (or one
-negated copy per entry), so the constructor normalizes it once too.  The
+negated copy per entry), so the constructor normalizes it once too.  Each
+distinct coefficient text is read once, and its Fraction shared.  The
 serializer walks the table's keys, not every pair of basis elements, so
 both directions cost time in proportion to the table plus dim.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,6 +51,7 @@ from .algebra import (Generator, GradedAlgebra, Presentation, build_monomial_alg
                       check_generator, monomial_basis)
 
 _RESERVED = set("=+#")
+_COEFFICIENT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 PRESENTATION = "presentation"
 STRUCTURE_CONSTANTS = "structure_constants"
@@ -127,7 +134,26 @@ def _check_label(label, line_no):
         raise ParseError(line_no, f"illegal basis label {label!r}")
 
 
-def _parse_terms(rhs, line_no, label_index):
+def _coefficient(text, line_no, coeffs):
+    """The Fraction of a coefficient text: an optional sign, ASCII digits
+    and an optional /digits denominator, with spaces after it.  Fraction()
+    alone would also read 1.5, 1_0 and 1e9999999, the last at a cost that
+    grows with the exponent.  coeffs maps each text read so far to its
+    Fraction, so a distinct text is checked and converted once."""
+    coeff = coeffs.get(text)
+    if coeff is None:
+        if not _COEFFICIENT.fullmatch(text.rstrip()):
+            raise ParseError(line_no, f"bad coefficient {text!r}")
+        try:
+            coeff = coeffs[text] = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(line_no, f"bad coefficient {text!r}") from None
+    return coeff
+
+
+def _parse_terms(rhs, line_no, label_index, coeffs):
+    """The terms {k: Fraction} of a right-hand side; coeffs is the cache
+    of _coefficient, shared by the lines of a table."""
     if rhs.strip() == "0":
         return {}
     terms = {}
@@ -136,10 +162,7 @@ def _parse_terms(rhs, line_no, label_index):
         if "*" not in part:
             raise ParseError(line_no, f"expected <coeff>*<label>, got {part!r}")
         coeff_text, label = part.split("*", 1)
-        try:
-            coeff = Fraction(coeff_text)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(line_no, f"bad coefficient {coeff_text!r}") from None
+        coeff = _coefficient(coeff_text, line_no, coeffs)
         if label not in label_index:
             raise ParseError(line_no, f"unknown basis label {label!r}")
         k = label_index[label]
@@ -199,6 +222,7 @@ def parse_structure_constants(text):
         raise ParseError(0, f"unit label {unit_label!r} is not in the basis")
     products = {}
     parsed = {}  # right-hand side text -> its terms, shared by its lines
+    coeffs = {}  # coefficient text -> its Fraction
     for line_no, il, jl, rhs in product_lines:
         for lab in (il, jl):
             if lab not in label_index:
@@ -209,7 +233,7 @@ def parse_structure_constants(text):
         rhs = rhs.strip()
         terms = parsed.get(rhs)
         if terms is None:
-            terms = parsed[rhs] = _parse_terms(rhs, line_no, label_index)
+            terms = parsed[rhs] = _parse_terms(rhs, line_no, label_index, coeffs)
         products[key] = terms
     # Fill in the transposed pairs by graded commutativity: the entry
     # itself, or its negation, made once per entry.

@@ -21,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .algebra import Element, Generator, Presentation, build_monomial_algebra, tensor
-from .derivations import GradedLinearMap, _check_int, check_class_h
+from .algebra import (Element, Generator, Presentation, _check_int, build_monomial_algebra,
+                      tensor)
+from .derivations import GradedLinearMap, check_class_h
 from .derivations import derivation_space  # noqa: F401  perfbench/spans.py patches this name
 
 

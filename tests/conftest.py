@@ -19,7 +19,7 @@ from negder import (Element, Generator, GradedAlgebra, GradedLinearMap, LevelRec
                     derivation_space, derivations, rigidity)
 from negder.algebra import _monomial_label, _sort_sign, check_generator
 from negder.derivations import leibniz_rows
-from negder.linalg import nullspace_basis, rref
+from negder.linalg import echelon, nullspace_basis, rref
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -195,11 +195,49 @@ def basis_changed(a, data):
     return GradedAlgebra(a.labels, a.degrees, a.unit, products, name=a.name)
 
 
+def keywise_checks(a):
+    """Oracle for the index, degree, unit and commutativity checks of
+    GradedAlgebra.validate: the loops it replaced, which sort and compare
+    every key and its entry afresh, with no work shared between keys that
+    share an entry.  Only the index violations, in key order, when there
+    are any; otherwise the degree, unit and commutativity violations."""
+    dim, degrees, labels = a.dim, a.degrees, a.labels
+    table = a.products
+    keys = sorted(table)
+    out = [f"basis index: table entry ({i}, {j}) names {x}, outside 0..{dim - 1}"
+           for i, j in keys for x in sorted({i, j, *table[i, j]}) if not 0 <= x < dim]
+    if out:
+        return out
+    for i, j in keys:
+        want = degrees[i] + degrees[j]
+        for k in sorted(table[i, j]):
+            if degrees[k] != want:
+                out.append(f"degree additivity: {labels[i]} * {labels[j]} "
+                           f"hits {labels[k]} of degree {degrees[k]}, expected {want}")
+    empty = {}
+    for j in range(dim):
+        if table.get((a.unit, j), empty) != {j: 1}:
+            out.append(f"unit law: 1 * {labels[j]} != {labels[j]}")
+        if j != a.unit and table.get((j, a.unit), empty) != {j: 1}:
+            out.append(f"unit law: {labels[j]} * 1 != {labels[j]}")
+    for i, j in sorted({(i, j) if i <= j else (j, i) for i, j in keys}):
+        sign = -1 if (degrees[i] * degrees[j]) % 2 else 1
+        mirror = {k: sign * c for k, c in table.get((i, j), empty).items()}
+        if table.get((j, i), empty) != mirror:
+            rel = "-" if sign < 0 else ""
+            out.append(f"graded commutativity: {labels[j]} * {labels[i]} "
+                       f"!= {rel}({labels[i]} * {labels[j]})")
+    return out
+
+
 def exhaustive_validate(a):
-    """Oracle for GradedAlgebra.validate: its degree, unit and commutativity
-    violations, then associativity on every basis triple by Element
-    arithmetic, rebuilding each basis product through multiply."""
-    out = [v for v in a.validate() if not v.startswith("associativity: ")]
+    """Oracle for GradedAlgebra.validate: the violations of keywise_checks,
+    which are all there is when an index lies outside the basis, then
+    associativity on every basis triple by Element arithmetic, rebuilding
+    each basis product through multiply."""
+    out = keywise_checks(a)
+    if out and out[0].startswith("basis index: "):
+        return out
     dim = a.dim
     for i in range(dim):
         ei = a.basis_element(i)
@@ -215,6 +253,22 @@ def exhaustive_validate(a):
                         f"!= {a.labels[i]} * ({a.labels[j]} * {a.labels[k]})"
                     )
     return out
+
+
+def echelon_generators(a):
+    """Oracle for GradedAlgebra._generators: echelon over every distinct
+    entry e_i e_j with |i|, |j| > 0, one-term entries included; the
+    generators are the unit and the positive-degree indices that are not
+    pivot columns.  Every index when degree 0 is more than the unit line
+    or a degree is negative."""
+    degrees = a.degrees
+    if a.graded_piece(0) != [a.unit] or min(degrees) < 0:
+        return tuple(range(a.dim))
+    entries = {id(terms): terms for (i, j), terms in a.products.items()
+               if degrees[i] > 0 and degrees[j] > 0}
+    pivots = echelon(entries.values())
+    return (a.unit,) + tuple(i for i in range(a.dim)
+                             if degrees[i] > 0 and i not in pivots)
 
 
 def all_pairs_monomial_algebra(p):

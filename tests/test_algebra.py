@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (all_pairs_monomial_algebra, basis_changed, crowded,
-                      dense_subalgebra_generated, exhaustive_validate, point,
-                      presentations, projective_space, sphere, torus)
+                      dense_subalgebra_generated, echelon_generators, exhaustive_validate,
+                      point, presentations, projective_space, sphere, torus)
 from negder import (Element, Generator, GradedAlgebra, GradedBasis, Presentation,
                     algebra, build_monomial_algebra, corpus, derivation_space,
                     monomial_basis, subalgebra_generated, tensor)
@@ -485,6 +485,72 @@ def test_validate_equals_exhaustive_oracle_on_shared_entries(p, change_basis, da
         {key: dict(terms) for key, terms in products.items()}).validate()
 
 
+def with_unit_rows(dim, products):
+    """products plus the unit laws of basis index 0 on dim elements."""
+    table = {(0, i): {i: 1} for i in range(dim)}
+    table.update({(i, 0): {i: 1} for i in range(1, dim)})
+    table.update(products)
+    return table
+
+
+def test_validate_checks_a_shared_entry_of_mixed_degrees_under_each_key():
+    # one entry u + w, of degrees 4 and 6, under x y, which wants degree
+    # 4, and x v, which wants 6, and their mirrors: each key fails at the
+    # term its own degree misses
+    one, x, y, v, u, w = range(6)
+    mixed = {u: 1, w: 1}
+    a = GradedAlgebra(["1", "x", "y", "v", "u", "w"], [0, 2, 2, 4, 4, 6], one,
+                      with_unit_rows(6, {(x, y): mixed, (y, x): mixed,
+                                         (x, v): mixed, (v, x): mixed}))
+    assert len({id(a.products[key]) for key in ((x, y), (y, x), (x, v), (v, x))}) == 1
+    assert a.validate() == exhaustive_validate(a) == [
+        "degree additivity: x * y hits w of degree 6, expected 4",
+        "degree additivity: x * v hits u of degree 4, expected 6",
+        "degree additivity: y * x hits w of degree 6, expected 4",
+        "degree additivity: v * x hits u of degree 4, expected 6",
+    ]
+
+
+def test_validate_checks_each_key_of_a_shared_entry_and_mirror_pair():
+    # a b, a c and b c share one entry t; b a and c a share its negation,
+    # but c b holds t itself, so only the pair {b, c} breaks the sign
+    one, a, b, c, t = range(5)
+    plus, minus = {t: 1}, {t: -1}
+    odd = GradedAlgebra(["1", "a", "b", "c", "t"], [0, 1, 1, 1, 2], one,
+                        with_unit_rows(5, {(a, b): plus, (a, c): plus, (b, c): plus,
+                                           (b, a): minus, (c, a): minus, (c, b): plus}))
+    assert odd.validate() == exhaustive_validate(odd) == [
+        "graded commutativity: c * b != -(b * c)",
+    ]
+    # one entry that is its own mirror under an odd pair and an even one:
+    # the parity decides, not the entries alone
+    one, a, x, y, b, t = range(6)
+    same = {t: 1}
+    mixed = GradedAlgebra(["1", "a", "x", "y", "b", "t"], [0, 1, 2, 2, 3, 4], one,
+                          with_unit_rows(6, {(a, b): same, (b, a): same,
+                                             (x, y): same, (y, x): same}))
+    assert mixed.validate() == exhaustive_validate(mixed) == [
+        "graded commutativity: b * a != -(a * b)",
+    ]
+
+
+def test_validate_reports_an_index_outside_the_basis_inside_a_shared_entry():
+    # the entry t + e_9 sits under x y, y x and x 8; key (7, 0) has an
+    # entry of its own
+    one, x, y, t = range(4)
+    stray = {t: 1, 9: 1}
+    a = GradedAlgebra(["1", "x", "y", "t"], [0, 2, 2, 4], one,
+                      with_unit_rows(4, {(x, y): stray, (y, x): stray, (x, 8): stray,
+                                         (7, 0): {0: 1}}))
+    assert a.validate() == exhaustive_validate(a) == [
+        "basis index: table entry (1, 2) names 9, outside 0..3",
+        "basis index: table entry (1, 8) names 8, outside 0..3",
+        "basis index: table entry (1, 8) names 9, outside 0..3",
+        "basis index: table entry (2, 1) names 9, outside 0..3",
+        "basis index: table entry (7, 0) names 7, outside 0..3",
+    ]
+
+
 def cancelling_algebra(b_coeff=-1):
     """|x| = |y| = |z| = 2, x y = a + b, a z = t and b z = b_coeff * t, with
     every other product of positive degree zero.  With b_coeff = -1, both
@@ -541,6 +607,30 @@ def test_constructor_normalizes_the_table():
     shared[0] = 4
     shared[2] = 7
     assert a.products == snapshot
+
+
+def test_indices_and_degrees_must_be_ints_or_digit_strings():
+    for value in (2.7, 2.0, Fraction(2), True, "x"):
+        with pytest.raises(ValueError, match="^degree must be an int"):
+            GradedBasis(["1", "x"], [0, value], 0)
+    for value in (0.0, 0.9, True, False, None):
+        with pytest.raises(ValueError, match="^unit must be an int"):
+            GradedBasis(["1"], [0], value)
+    for key in ((0.9, 1), (0, True), (1.0, 1)):
+        with pytest.raises(ValueError, match="^table key must be an int"):
+            GradedAlgebra(["1", "x"], [0, 2], 0, {key: {1: 1}})
+    for k in (1.5, 1.0, True):
+        with pytest.raises(ValueError, match="^term index must be an int"):
+            GradedAlgebra(["1", "x"], [0, 2], 0, {(0, 1): {k: 1}})
+    for k in (1.5, 1.0, True):
+        with pytest.raises(ValueError, match="^Element key must be an int"):
+            Element({k: 1})
+    # ints and digit strings convert
+    basis = GradedBasis(["1", "x"], ["0", " 2"], "0")
+    assert basis.degrees == [0, 2] and basis.unit == 0
+    assert GradedAlgebra(["1", "x"], [0, 2], 0, {("0", "1"): {"1": 1}}).products == {
+        (0, 1): {1: 1}}
+    assert Element({"1": 2}).coeffs == {1: 2}
 
 
 def test_builder_signs_only_with_odd_generators(monkeypatch):
@@ -692,6 +782,51 @@ def test_generator_indices_are_the_generators_on_the_corpus():
 def test_generator_indices_are_the_generators_on_random_presentations(p):
     a = build_monomial_algebra(p)
     assert a.generator_indices == single_generator_monomials(a)
+
+
+def test_generator_search_equals_the_echelon_oracle_on_the_corpus():
+    for name in corpus.names():
+        a = corpus.load(name)
+        assert a._generators() == echelon_generators(a), name
+
+
+@given(presentations(), presentations(), crowded(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_generator_search_equals_the_echelon_oracle_on_random_tables(p, q, r, data):
+    a, b = build_monomial_algebra(p), build_monomial_algebra(q)
+    tables = [a, basis_changed(build_monomial_algebra(r), data)]
+    if a.dim * b.dim <= 64:
+        tables.append(tensor(a, b))
+    for t in tables:
+        assert t._generators() == echelon_generators(t)
+
+
+def test_generator_search_reduces_longer_entries_by_the_one_term_pivots(monkeypatch):
+    # x x = u is one term, so u is a pivot with no elimination; x y = u + v
+    # reaches echelon as v alone, and makes v a pivot.  With y y = v as
+    # well, x y reduces to nothing.
+    handed = []
+    real = algebra.echelon
+
+    def recording(rows):
+        handed[:] = rows
+        return real(handed)
+
+    monkeypatch.setattr(algebra, "echelon", recording)
+    one, x, y, u, v = range(5)
+    labels, degrees = ["1", "x", "y", "u", "v"], [0, 2, 2, 4, 4]
+    both = {u: 1, v: 1}
+    for products, rows in (({(x, x): {u: 1}, (x, y): both, (y, x): both}, [{v: 1}]),
+                           ({(x, x): {u: 1}, (y, y): {v: 1}, (x, y): both, (y, x): both},
+                            [{}])):
+        a = GradedAlgebra(labels, degrees, one, with_unit_rows(5, products))
+        assert a._generators() == (one, x, y)
+        assert handed == rows
+        assert echelon_generators(a) == (one, x, y)
+        assert a.validate() == exhaustive_validate(a) == []
+    # with no one-term entry, x y alone makes u the pivot, and v a generator
+    a = GradedAlgebra(labels, degrees, one, with_unit_rows(5, {(x, y): both, (y, x): both}))
+    assert a._generators() == echelon_generators(a) == (one, x, y, v)
 
 
 def assert_expansions_rebuild_the_basis(a):

@@ -267,6 +267,18 @@ def test_the_one_line_cp399_presentation_validates_quickly(tmp_path):
     assert seconds < 3.0, f"{seconds:.2f} s"
 
 
+@pytest.mark.parametrize("coefficient", ["1e10000000", "1e3000000"])
+def test_a_coefficient_with_an_exponent_exits_2_quickly(tmp_path, coefficient):
+    # Fraction() reads 1e10000000, and builds a ten-million-digit integer
+    target = tmp_path / "exponent.alg"
+    target.write_text(f"basis:\n1 0\nunit: 1\nproducts:\n1 1 = {coefficient}*1\n")
+    seconds, proc = run_capped("validate", str(target))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"line 5: bad coefficient '{coefficient}'" in proc.stderr
+    assert seconds < 3.0, f"{seconds:.2f} s"
+
+
 def test_a_huge_generator_degree_solves_quickly(tmp_path):
     # the solver walks the degrees that occur, not every integer up to
     # the top degree: theta(x) = 1 is the one derivation of S^n at -n

@@ -1,14 +1,18 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import projective_space, sphere, torus
-from negder import (AlgebraFile, ParseError, ValidationError, detect_format,
-                    load_algebra_text, parse_presentation,
+from conftest import basis_changed, presentations, projective_space, sphere, torus
+from negder import (AlgebraFile, ParseError, ValidationError, build_monomial_algebra,
+                    detect_format, fileformats, load_algebra_text, parse_presentation,
                     parse_structure_constants, serialize_structure_constants,
                     tensor)
 from negder.corpus import names as corpus_names
 from negder.corpus import text as corpus_text
+from negder.fileformats import _coefficient, _parse_terms
 
 MINIMAL_TABLE = """\
 basis:
@@ -95,6 +99,41 @@ def test_parse_fractional_coefficients():
     assert alg.products[(0, 1)] == {1: Fraction(1)}
 
 
+@pytest.mark.parametrize("text, value", [
+    ("1/1", 1), ("-3/4", Fraction(-3, 4)), ("+2", 2), ("0", 0), ("12 ", 12),
+    ("6/4", Fraction(3, 2)),
+])
+def test_coefficients_of_the_documented_grammar_parse(text, value):
+    assert _coefficient(text, 1, {}) == value
+
+
+def test_terms_read_signed_and_fractional_coefficients():
+    assert _parse_terms("1/1*x + -3/4*x + 2 *y", 1, {"x": 0, "y": 1}, {}) == {
+        0: Fraction(1, 4), 1: 2}
+
+
+@pytest.mark.parametrize("text", [
+    "1.5", "1e3", "1e10000000", "1_000", "0x1", "\u0661", "\u00bd", "1/0", "--1",
+    "+-1", "1/-2", "1 /2", "1/ 2", "- 1", "", "inf", "nan",
+])
+def test_coefficients_outside_the_grammar_are_parse_errors(text):
+    with pytest.raises(ParseError, match="^line 3: bad coefficient"):
+        _coefficient(text, 3, {})
+    if "+" not in text:  # in a line, "+" separates terms
+        table = MINIMAL_TABLE.replace("1 x = 1*x", f"1 x = {text}*x")
+        with pytest.raises(ParseError, match="^line 9: bad coefficient"):
+            parse_structure_constants(table)
+
+
+def test_parser_reads_each_coefficient_text_once(monkeypatch):
+    texts = []
+    real = fileformats.Fraction
+    monkeypatch.setattr(fileformats, "Fraction", lambda text: texts.append(text) or real(text))
+    t6 = torus(6)
+    assert parse_structure_constants(serialize_structure_constants(t6)) == t6
+    assert sorted(texts) == ["-1", "1"]
+
+
 def test_parse_infers_transposes():
     # basis sorts by (degree, exponent vector): 1, i2, i1, i1*i2
     two_torus = torus(2)
@@ -177,6 +216,15 @@ def test_serializer_round_trips_tensor_products():
                 tensor(torus(2), projective_space(1))):
         again = parse_structure_constants(serialize_structure_constants(alg))
         assert again.products == alg.products
+
+
+@given(presentations().filter(lambda p: prod(g.truncation for g in p.generators) <= 16),
+       st.data())
+@settings(max_examples=40, deadline=None)
+def test_serializer_round_trips_basis_changed_tables(p, data):
+    # a change of basis gives fractional and negative coefficients
+    b = basis_changed(build_monomial_algebra(p), data)
+    assert parse_structure_constants(serialize_structure_constants(b)) == b
 
 
 def test_table_load_round_trips_a_dim_64_torus():
