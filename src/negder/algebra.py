@@ -68,10 +68,10 @@ class Element:
     """Sparse rational linear combination of basis vectors.
 
     Keys are basis indices, zero coefficients are dropped on construction,
-    and equality is coefficientwise.  As in the GradedAlgebra constructor,
-    a value whose type is exactly Fraction and a key that is an int are
-    kept as they are; any other value is converted, and so is a key that
-    is a str, while any other key (a bool, a float) raises ValueError.
+    and equality is coefficientwise.  Every value is a Fraction: one whose
+    type is exactly Fraction is kept as it is, any other is converted.  As
+    in the GradedAlgebra constructor, an int key is kept, a str key is read
+    by int(), and any other key (a bool, a float) raises ValueError.
     Elements are algebra-agnostic; the product lives on GradedAlgebra.
     """
 
@@ -125,21 +125,6 @@ class Element:
         return f"Element({dict(self.items())!r})"
 
 
-def integral_view(table):
-    """The structure-constant table with integral coefficients read as ints:
-    {key: {k: int or Fraction}}.  Keys that share a table entry share its
-    one view, so the cost is one view per distinct entry; the table itself
-    is left as it is."""
-    views = {}
-    out = {}
-    for key, terms in table.items():
-        view = views.get(id(terms))
-        if view is None:
-            view = views[id(terms)] = {k: _fold(c) for k, c in terms.items()}
-        out[key] = view
-    return out
-
-
 class GradedBasis:
     """A graded basis alone: labels, degrees, the unit index and a name,
     with the basis indexed by degree once: position[i] is the place of i
@@ -185,17 +170,17 @@ class GradedAlgebra(GradedBasis):
 
     products maps an ordered index pair (i, j) to {k: coefficient}; pairs
     absent from the table multiply to zero.  The constructor normalizes the
-    table into fresh dicts with int keys and exact Fraction values, zero
-    terms and empty entries dropped; a value whose type is exactly Fraction
-    is kept as it is, and anything else (int, str, a Fraction subclass) is
-    converted.  Each distinct input entry object is normalized once, and
-    the keys that share it share its one fresh output entry, so table
-    entries may be shared between keys and are read-only: replace an
-    entry, never mutate it in place.  A key that is already a tuple of two
-    ints is kept as it is; a key index or term index that is a str is read
-    by int(), and one of any other type (a bool, a float) raises
-    ValueError.  The constructor deliberately does not check axioms, so
-    corrupt tables stay representable for validate().
+    table into fresh dicts with int keys and exact values, zero terms and
+    empty entries dropped: linalg._fold stores each value as an int when it
+    is integral and as a Fraction otherwise, converting a str or a Fraction
+    subclass, and keeps a non-integral Fraction as it is.  Each distinct
+    input entry object is normalized once, and the keys that share it share
+    its one fresh output entry, so table entries may be shared between keys
+    and are read-only: replace an entry, never mutate it in place.  A key
+    that is already a tuple of two ints is kept as it is; a key index or
+    term index that is a str is read by int(), and one of any other type (a
+    bool, a float) raises ValueError.  The constructor deliberately does not
+    check axioms, so corrupt tables stay representable for validate().
     """
 
     def __init__(self, labels, degrees, unit, products, name=""):
@@ -212,8 +197,7 @@ class GradedAlgebra(GradedBasis):
             if seen is None:
                 cleaned = {}
                 for k, c in terms.items():
-                    if type(c) is not Fraction:
-                        c = Fraction(c)
+                    c = c if type(c) is int else _fold(c)
                     if c:
                         cleaned[k if type(k) is int else _to_int("term index", k)] = c
                 seen = done[id(terms)] = (terms, cleaned)
@@ -262,7 +246,7 @@ class GradedAlgebra(GradedBasis):
         products g y of a non-unit generator g and a positive-degree basis
         element y: {x: (terms, rest)} with e_x = sum c P[g, y] over terms
         {(g, y): c} minus sum c e_h over rest {h: c}, each h a generator of
-        x's degree, integral coefficients as ints.
+        x's degree, coefficients as echelon returns them.
 
         Read off echelon over the rows P[g, y] plus a tag column of (g, y).
         On an associative table the g y span A+ . A+, so the pivots at basis
@@ -291,9 +275,8 @@ class GradedAlgebra(GradedBasis):
         for p, row in echelon([{**self.products[key], top - k: 1}
                                for k, key in enumerate(keys)]).items():
             if p < dim:
-                fold = {c: _fold(x) for c, x in row.items()}
-                out[p] = ({keys[top - c]: x for c, x in fold.items() if c >= dim},
-                          {c: x for c, x in fold.items() if c < dim and c != p})
+                out[p] = ({keys[top - c]: x for c, x in row.items() if c >= dim},
+                          {c: x for c, x in row.items() if c < dim and c != p})
         if out.keys() | gens != set(range(dim)) or out.keys() & set(gens):
             raise ValueError("the products of the generators do not span the other "
                              "basis elements: validate() finds the fault")
@@ -357,22 +340,22 @@ class GradedAlgebra(GradedBasis):
         commutativity products(j,i) = (-1)^(|i||j|) products(i,j) on the
         pairs the table names, and associativity.  For each pair (i, j),
         both sides of (e_i e_j) e_k = e_i (e_j e_k) are summed straight from
-        the table for every k at once, over nonzero contributions only,
-        with integral coefficients read as ints, and compared at each k
-        where either side has one, zero sums dropped.  The right sides of a
-        row i are summed together, through an index of the table terms by
-        their basis element.  Every other triple is zero on both sides, so
-        the check is exact on any table, corrupt ones included, and costs
-        time in proportion to the table, its nonzero contributions and dim,
-        not dim^2.  Violations come in i, j, k order.
+        the table, as it stores its values, for every k at once, over nonzero
+        contributions only, and compared at each k where either side has
+        one, zero sums dropped.  The right sides of a row i are summed
+        together, through an index of the table terms by their basis
+        element.  Every other triple is zero on both sides, so the check is
+        exact on any table, corrupt ones included, and costs time in
+        proportion to the table, its nonzero contributions and dim, not
+        dim^2.  Violations come in i, j, k order.
 
         The index, degree and commutativity checks, and the index of the
         table the associativity check reads, are made in one walk over the
         keys, and each is worked out once per distinct table entry, as for
         shared entries (see the constructor): whether every term index lies
-        in 0..dim-1, the degree its terms share (None if they do not), and
-        its integral view; and once per distinct (entry, mirror entry,
-        parity) triple, whether the two agree under the commutativity sign.
+        in 0..dim-1 and the degree its terms share (None if they do not);
+        and once per distinct (entry, mirror entry, parity) triple, whether
+        the two agree under the commutativity sign.
         A key then costs a comparison or a lookup per check, and the text
         of a violation, with its sort, is made only for the keys that fail,
         in the order above.
@@ -397,7 +380,7 @@ class GradedAlgebra(GradedBasis):
         dim, degrees, labels = self.dim, self.degrees, self.labels
         table = self.products
         empty = {}
-        facts = {}  # id of an entry -> (indices in range, common degree, view)
+        facts = {}  # id of an entry -> (indices in range, common degree)
         agree = {}  # (id of P[i,j], id of P[j,i], parity) -> they agree
         bad_index, bad_degree, bad_sign = [], [], []
         rows = {}  # the index of the table that _associativity reads
@@ -408,9 +391,8 @@ class GradedAlgebra(GradedBasis):
             if fact is None:
                 inside = all(0 <= k < dim for k in terms)
                 common = {degrees[k] for k in terms} if inside else ()
-                fact = facts[entry] = (inside, common.pop() if len(common) == 1 else None,
-                                           {k: _fold(c) for k, c in terms.items()})
-            inside, common, view = fact
+                fact = facts[entry] = (inside, common.pop() if len(common) == 1 else None)
+            inside, common = fact
             i, j = key
             if not (inside and 0 <= i < dim and 0 <= j < dim):
                 bad_index.append(key)
@@ -432,8 +414,8 @@ class GradedAlgebra(GradedBasis):
                     bad_sign.append(key)
             elif terms and (j, i) not in table:
                 bad_sign.append((j, i))
-            rows.setdefault(i, {})[j] = view
-            for m, c in view.items():
+            rows.setdefault(i, {})[j] = terms
+            for m, c in terms.items():
                 by_m.setdefault(m, []).append((i, j, c))
         if bad_index:
             return [f"basis index: table entry ({i}, {j}) names {x}, outside 0..{dim - 1}"
@@ -450,9 +432,9 @@ class GradedAlgebra(GradedBasis):
                     )
         u = self.unit
         for j in range(dim):
-            if table.get((u, j), empty) != {j: _ONE}:
+            if table.get((u, j), empty) != {j: 1}:
                 out.append(f"unit law: 1 * {labels[j]} != {labels[j]}")
-            if j != u and table.get((j, u), empty) != {j: _ONE}:
+            if j != u and table.get((j, u), empty) != {j: 1}:
                 out.append(f"unit law: {labels[j]} * 1 != {labels[j]}")
         for i, j in sorted(bad_sign):
             rel = "-" if degrees[i] & degrees[j] & 1 else ""
@@ -474,7 +456,7 @@ class GradedAlgebra(GradedBasis):
         """Associativity violations of the rows i in only, or of every row
         when only is None, in i, j, k order.
 
-        rows[i][j] is the integral_view of P[i,j]; by_m[m] lists
+        rows[i][j] is the entry P[i,j] of the table; by_m[m] lists
         (j, k, P[j,k][m]).  For each i, both sides of every (j, k) are
         summed as {t: v}, over nonzero contributions only:
         (e_i e_j) e_k = sum_m P[i,j][m] P[m,k] per j, and
@@ -540,14 +522,15 @@ def _monomial_label(exps, gens):
 
 
 def _sort_sign(first, second, odd):
-    # Sign from sorting the concatenated word g^first . g^second back into
-    # generator order: each odd letter of the second block walks past the
-    # odd letters of higher generators in the first block.
-    t = 0
-    for i in range(len(odd)):
-        if odd[i] and second[i]:
-            t += second[i] * sum(first[j] for j in range(i + 1, len(odd)) if odd[j])
-    return -1 if t % 2 else 1
+    # Sign from sorting the word g^first . g^second back into generator
+    # order: each odd letter of the second block walks past the odd letters
+    # of higher generators in the first block, whose parity is later.
+    t = later = 0
+    for i in range(len(odd) - 1, -1, -1):
+        if odd[i]:
+            t ^= second[i] & later
+            later ^= first[i] & 1
+    return -1 if t else 1
 
 
 def monomial_basis(p):
@@ -590,8 +573,8 @@ def build_monomial_algebra(p):
     costs one step per nonzero table entry; every other product is zero
     and left out of the table.  Every product is +e_k or -e_k, and the
     builder hands the constructor one shared entry dict per (k, sign), at
-    most 2 dim of them, over two shared Fractions, +1 and -1; the
-    constructor then normalizes each entry once.  The result also carries
+    most 2 dim of them, {k: 1} or {k: -1}, with the int values that it
+    stores; it then normalizes each entry once.  The result also carries
     monomial_exponents, the exponent vector of each basis index.
 
     The table has prod t(t+1)/2 entries over the truncations t; a
@@ -605,9 +588,8 @@ def build_monomial_algebra(p):
     index_of = {e: i for i, e in enumerate(exps)}
     signed = any(odd)
     # one shared entry per (target, sign): +e_k, and -e_k when signs occur
-    minus_one = Fraction(-1)
-    plus = [{k: _ONE} for k in range(len(exps))]
-    minus = [{k: minus_one} for k in range(len(exps))] if signed else None
+    plus = [{k: 1} for k in range(len(exps))]
+    minus = [{k: -1} for k in range(len(exps))] if signed else None
     products = {}
     for i, e in enumerate(exps):
         for f in cartesian(*(range(g.truncation - x) for x, g in zip(e, gens))):

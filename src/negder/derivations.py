@@ -12,13 +12,14 @@ products g y that write it (GradedAlgebra.expansions), as linear forms
 over U_d, and the law is imposed on the pairs (g, x), x any basis
 element, in ascending degree of g x, until the rank is |U_d|.  On an
 associative table the law then holds on every ordered basis pair, so it
-works for any valid structure-constant table.  Solution spaces come back
-as the canonical basis of the kernel on every basis element, reshaped
-into per-degree blocks.  The exact self-check of nullspace_basis covers
-the system over U_d only, so check_class_h also checks its certificate
-on the table, apart from this path, before it returns it.  The system on
-the unknowns theta(e_i) for every i stays available as leibniz_rows and
-the dense leibniz_system, the oracles.
+works for any valid structure-constant table.  The rows are read off the
+table as it stores its values, ints where integral (see linalg).  Solution
+spaces come back as the canonical basis of the kernel on every basis
+element, reshaped into per-degree blocks of Fractions.  The exact
+self-check of nullspace_basis covers the system over U_d only, so
+check_class_h also checks its certificate on the table, apart from this
+path, before it returns it.  The system on the unknowns theta(e_i) for
+every i stays available, as the oracles leibniz_rows and leibniz_system.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Element, _check_int, integral_view
+from .algebra import Element, _check_int
 from .linalg import _fold, echelon, nullspace_basis
 
 
@@ -155,9 +156,8 @@ def leibniz_rows(a, d, left):
     every left factor i in left, in its order, every basis element j and
     every basis element of the target degree |i| + |j| + d, the Leibniz law
     on (e_i, e_j) written as LHS - RHS = 0, as a {column: coefficient} dict
-    of its nonzero entries (empty for a zero row).  The table is read
-    through integral_view, so an integral coefficient is an int and any
-    other a Fraction.  Returns (rows, unknowns).
+    of its nonzero entries (empty for a zero row), its values ints where
+    integral, as in the table.  Returns (rows, unknowns).
 
     left = range(a.dim) imposes the law on every ordered basis pair.  Any
     left that holds the unit and generates a as an algebra gives the same
@@ -173,7 +173,7 @@ def leibniz_rows(a, d, left):
     for i in range(a.dim):
         base.append(len(unknowns))
         unknowns.extend((i, t) for t in pieces.get(a.degrees[i] + d, none))
-    table = integral_view(a.products)
+    table = a.products
     empty = {}
     rows = []
     for i in left:
@@ -252,7 +252,7 @@ def _constraints(a, d, theta):
     ascending.  theta is first carried to the non-generators of degree n
     through their expansions, so it covers every basis element once the
     generator is exhausted."""
-    table = integral_view(a.products)
+    table = a.products
     degrees = a.degrees
     signs = {g: _sign(d * degrees[g]) for g in theta if g != a.unit}
     pieces = {n: a.graded_piece(n) for n in set(degrees)}
@@ -390,9 +390,8 @@ def _check_leibniz(a, m):
     pair (g, x), g in a.generator_indices: the law on every pair, on a
     validated table.  Both sides are summed straight from the table and
     the images of m, apart from the solver's path."""
-    table = integral_view(a.products)
+    table, empty = a.products, {}
     images = {i: {t: _fold(x) for t, x in m.image(a, i).coeffs.items()} for i in range(a.dim)}
-    empty = {}
     for g in a.generator_indices:
         sign = _sign(m.shift * a.degrees[g])
         for x in range(a.dim):

@@ -22,23 +22,24 @@ Structure-constant format (first directive is basis:):
     1 1 = 1*1
     1 x = 1*x
 
-Coefficients are exact rationals: an optional sign, ASCII digits, and an
-optional "/" and ASCII digits for a denominator, as in 3, -1 or -3/4;
-spaces may stand before the "*".  Since "+" separates terms, a written
-coefficient carries at most a minus sign.  Anything else (1.5, 1e3,
-1_000, 0x1) is a ParseError, so a coefficient costs time in proportion to
-its text.  A product line may name a pair in either order.  A pair given
-in one order only gets its transposed entry from graded commutativity; a
-pair given in both orders keeps both lines, and validation cross-checks
-them.  Omitted pairs are zero.  A parsed table is validated before use
-and rejected with the full violation list if any axiom fails.
+Coefficients are exact rationals: at most a minus sign, ASCII digits, and
+an optional "/" and ASCII digits for a denominator, as in 3, -1 or -3/4;
+spaces may stand before the "*".  "+" separates terms, so "+2*x" is an
+empty term before a "+".  Anything else (1.5, 1e3, 1_000, 0x1) is a
+ParseError, so a coefficient costs time in proportion to its text.  A
+product line may name a pair in either order.  A pair given in one order
+only gets its transposed entry from graded commutativity; a pair given in
+both orders keeps both lines, and validation cross-checks them.  Omitted
+pairs are zero.  A parsed table is validated before use and rejected with
+the full violation list if any axiom fails.
 
 Each distinct right-hand side is parsed once, and the lines that share it
 share one entry dict, as does a transposed pair filled in from it (or one
 negated copy per entry), so the constructor normalizes it once too.  Each
-distinct coefficient text is read once, and its Fraction shared.  The
-serializer walks the table's keys, not every pair of basis elements, so
-both directions cost time in proportion to the table plus dim.
+distinct coefficient text is read once, and its value shared, an int
+where it is integral, as the constructor stores it.  The serializer walks
+the table's keys, not every pair of basis elements, so both directions
+cost time in proportion to the table plus dim.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from fractions import Fraction
 
 from .algebra import (Generator, GradedAlgebra, Presentation, build_monomial_algebra,
                       check_generator, monomial_basis)
+from .linalg import _fold
 
 _RESERVED = set("=+#")
 _COEFFICIENT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
@@ -135,30 +137,34 @@ def _check_label(label, line_no):
 
 
 def _coefficient(text, line_no, coeffs):
-    """The Fraction of a coefficient text: an optional sign, ASCII digits
-    and an optional /digits denominator, with spaces after it.  Fraction()
-    alone would also read 1.5, 1_0 and 1e9999999, the last at a cost that
-    grows with the exponent.  coeffs maps each text read so far to its
-    Fraction, so a distinct text is checked and converted once."""
+    """The value of a coefficient text by linalg._fold: an optional sign,
+    ASCII digits and an optional /digits denominator, with spaces after it.
+    In a product line, split at "+" first, it carries at most a minus sign.
+    Fraction() alone would also read 1.5, 1_0 and 1e9999999, the last at a
+    cost that grows with the exponent.  coeffs maps each text read so far
+    to its value, so a distinct text is checked and converted once."""
     coeff = coeffs.get(text)
     if coeff is None:
         if not _COEFFICIENT.fullmatch(text.rstrip()):
             raise ParseError(line_no, f"bad coefficient {text!r}")
         try:
-            coeff = coeffs[text] = Fraction(text)
+            coeff = coeffs[text] = _fold(Fraction(text))
         except (ValueError, ZeroDivisionError):
             raise ParseError(line_no, f"bad coefficient {text!r}") from None
     return coeff
 
 
 def _parse_terms(rhs, line_no, label_index, coeffs):
-    """The terms {k: Fraction} of a right-hand side; coeffs is the cache
-    of _coefficient, shared by the lines of a table."""
+    """The terms {k: coefficient} of a right-hand side; coeffs is the
+    cache of _coefficient, shared by the lines of a table."""
     if rhs.strip() == "0":
         return {}
     terms = {}
-    for part in rhs.split("+"):
+    for n, part in enumerate(rhs.split("+")):
         part = part.strip()
+        if not part:
+            raise ParseError(line_no, f"the term {'after' if n else 'before'} a '+' is "
+                                      "empty; a coefficient carries at most a minus sign")
         if "*" not in part:
             raise ParseError(line_no, f"expected <coeff>*<label>, got {part!r}")
         coeff_text, label = part.split("*", 1)

@@ -4,10 +4,10 @@ A matrix is a list of rows, each row a list of Fraction (or int) entries;
 nullspace_basis also takes sparse {column: value} rows.  Every public
 routine is pure: inputs are never mutated, results are fresh, and all
 arithmetic is exact.  Kernels and spans come from one sparse elimination,
-_eliminate, behind echelon and nullspace_basis.  Inside it every value is
-the exact rational of the RREF, held as an int where it is integral and
-as a Fraction otherwise, so the small integer systems of the derivation
-solver run on int arithmetic; the public results are Fractions.
+_eliminate, behind echelon and nullspace_basis.  _fold decides how an
+exact rational is held, in _eliminate, echelon and the tables of algebra:
+as an int where it is integral and as a Fraction otherwise, so integer
+systems run on int arithmetic; nullspace_basis returns Fractions.
 _eliminate keeps an index from each non-pivot column to the pivot rows
 that hold it, so a new pivot touches only those rows.  Dense rref and
 the Bareiss rank are kept as independent oracles.
@@ -66,22 +66,22 @@ def rref(m):
     return reduced, len(pivots), pivots
 
 
-def _fold(q):
-    """A Fraction as an int when it is integral."""
+def _fold(x):
+    """The exact rational x as an int when it is integral and as a Fraction
+    otherwise; a Fraction that is not integral is returned as it is."""
+    q = x if type(x) is Fraction else Fraction(x)
     return q.numerator if q.denominator == 1 else q
 
 
 def _nonzero(row):
     """Fresh {column: value} of the nonzero entries of a dense list or dict
-    row, each value an int when it is integral and a Fraction otherwise."""
+    row, each value folded by _fold."""
     items = row.items() if isinstance(row, dict) else enumerate(row)
-    return {c: x if type(x) is int else _fold(x if type(x) is Fraction else Fraction(x))
-            for c, x in items if x}
+    return {c: x if type(x) is int else _fold(x) for c, x in items if x}
 
 
 def _subtract(row, f, other, skip):
-    """row -= f * other in place, over every column of other but skip; an
-    integral result is stored as an int."""
+    """row -= f * other in place, over every column of other but skip."""
     for j, y in other.items():
         if j != skip:
             x = row.get(j, 0) - f * y
@@ -95,22 +95,16 @@ def echelon(rows):
     """Sparse exact elimination of {column: value} rows, left unchanged;
     zero values are dropped, so an all-zero row is skipped.  Returns
     {pivot column: row}, each row fully reduced with a leading 1 at its
-    least column: the unique RREF of the row space.  The values come back
-    as Fractions, and an input Fraction that no step changes is returned
-    as that same object.  In between, as in nullspace_basis, an integral
-    result of a step is held as an int."""
-    pivots = _eliminate({c: x if type(x) is Fraction else Fraction(x)
-                         for c, x in row.items() if x} for row in rows)
-    return {p: {c: x if type(x) is Fraction else Fraction(x) for c, x in r.items()}
-            for p, r in pivots.items()}
+    least column: the unique RREF of the row space, its values ints where
+    integral, by _eliminate over _nonzero copies, so no row is an input."""
+    return _eliminate(_nonzero(row) for row in rows)
 
 
 def _eliminate(rows, ncols=None):
-    """Exact elimination of fresh nonzero {column: int or Fraction} rows,
-    which it reduces in place and keeps as pivot rows; returns {pivot
-    column: row}, the RREF of the rows.  An integral result is held as an
-    int.  Given the number of columns ncols, it reads no row after the
-    rank reaches it: every further row reduces to zero.
+    """Exact elimination of fresh nonzero {column: value} rows, values as
+    _fold holds them, which it reduces in place and keeps as pivot rows;
+    returns {pivot column: row}, the RREF of the rows.  Given the number of
+    columns ncols, it reads no row after the rank reaches it.
 
     holders maps each column that is not a pivot column to the pivot
     columns of the rows that hold it, so a new pivot is cleared from
@@ -156,11 +150,10 @@ def nullspace_basis(m, ncols=None):
     rows and exact duplicates are skipped, and the distinct rows are
     eliminated by _eliminate as they are read.  Once their rank is ncols
     the kernel is zero, and no further row is read, so the rows may come
-    from a generator that builds them on demand.  Values are exact
-    rationals held as ints where they are integral, and as Fractions
-    otherwise.  The basis is the one read off dense rref: one vector per
-    free column f, in ascending order, with entry 1 at f, 0 at every other
-    free column and the back-substituted pivot values elsewhere.
+    from a generator that builds them on demand.  The basis is the one
+    read off dense rref: one vector per free column f, in ascending order,
+    with entry 1 at f, 0 at every other free column and the
+    back-substituted pivot values elsewhere.
 
     Every vector is checked exactly against every distinct nonzero row, in
     time proportional to the nonzeros, and ArithmeticError is raised on a

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from negder import (Element, Generator, GradedAlgebra, GradedLinearMap, LevelRecord,
                     Presentation, ProofTrace, build_monomial_algebra,
                     derivation_space, derivations, rigidity)
-from negder.algebra import _monomial_label, _sort_sign, check_generator
+from negder.algebra import _monomial_label, check_generator
 from negder.derivations import leibniz_rows
 from negder.linalg import echelon, nullspace_basis, rref
 
@@ -271,6 +271,17 @@ def echelon_generators(a):
                              if degrees[i] > 0 and i not in pivots)
 
 
+def quadratic_sort_sign(first, second, odd):
+    """Oracle for algebra._sort_sign: for each odd generator i, the letters
+    of the second block at i walk past the odd letters of higher generators
+    in the first block, summed afresh for every i."""
+    t = 0
+    for i in range(len(odd)):
+        if odd[i] and second[i]:
+            t += second[i] * sum(first[j] for j in range(i + 1, len(odd)) if odd[j])
+    return -1 if t % 2 else 1
+
+
 def all_pairs_monomial_algebra(p):
     """Oracle for build_monomial_algebra: the same basis, with every pair
     of exponent vectors tested and kept when its sum stays below every
@@ -292,7 +303,7 @@ def all_pairs_monomial_algebra(p):
             total = tuple(a + b for a, b in zip(e, f))
             if any(t >= g.truncation for t, g in zip(total, gens)):
                 continue
-            products[(i, j)] = {index_of[total]: _sort_sign(e, f, odd)}
+            products[(i, j)] = {index_of[total]: quadratic_sort_sign(e, f, odd)}
     alg = GradedAlgebra(labels, degrees, index_of[tuple(0 for _ in gens)],
                         products, name=p.name)
     alg.monomial_exponents = exps

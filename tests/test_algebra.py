@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import (all_pairs_monomial_algebra, basis_changed, crowded,
                       dense_subalgebra_generated, echelon_generators, exhaustive_validate,
-                      point, presentations, projective_space, sphere, torus)
+                      point, presentations, projective_space, quadratic_sort_sign, sphere,
+                      torus)
 from negder import (Element, Generator, GradedAlgebra, GradedBasis, Presentation,
                     algebra, build_monomial_algebra, corpus, derivation_space,
                     monomial_basis, subalgebra_generated, tensor)
@@ -469,8 +470,8 @@ def keys_by_entry(products):
 @given(crowded(), st.booleans(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_validate_equals_exhaustive_oracle_on_shared_entries(p, change_basis, data):
-    # basis-changed tables have non-integral coefficients, which validate()
-    # reads as Fractions and the integral ones as ints
+    # basis-changed tables have non-integral coefficients, which the table
+    # holds as Fractions and the integral ones as ints
     a = build_monomial_algebra(p)
     if change_basis:
         a = basis_changed(a, data)
@@ -589,8 +590,11 @@ def test_constructor_normalizes_the_table():
     assert a.products == {(0, 0): {0: 1}, (0, 1): {1: half},
                           (1, 0): {1: half}, (1, 1): {0: 3},
                           (0, 2): {2: 1}, (2, 0): {2: 1}}
-    assert all(type(c) is Fraction for terms in a.products.values()
-               for c in terms.values())
+    # integral values are ints, whatever their input type; the others are
+    # Fractions
+    types = {key: [type(c) for c in terms.values()] for key, terms in a.products.items()}
+    assert types == {(0, 0): [int], (0, 1): [Fraction], (1, 0): [Fraction],
+                     (1, 1): [int], (0, 2): [int], (2, 0): [int]}
     assert all(type(i) is int for key in a.products for i in key)
     assert a.products[(0, 1)][1] is half  # a Fraction is kept, not rebuilt
     assert next(key for key in a.products if key == (0, 1)) is int_key
@@ -607,6 +611,50 @@ def test_constructor_normalizes_the_table():
     shared[0] = 4
     shared[2] = 7
     assert a.products == snapshot
+
+
+def assert_exact_values(a):
+    """Every value of the table is an int where integral, else a Fraction."""
+    for terms in a.products.values():
+        for c in terms.values():
+            assert type(c) is (int if Fraction(c).denominator == 1 else Fraction), c
+
+
+def rescaled(a):
+    """a in the basis (i + 1) e_i, the unit kept, whose table mixes
+    integral and non-integral values."""
+    scale = [1 if i == a.unit else i + 1 for i in range(a.dim)]
+    return GradedAlgebra(a.labels, a.degrees, a.unit, {
+        (i, j): {k: Fraction(c * scale[i] * scale[j], scale[k]) for k, c in terms.items()}
+        for (i, j), terms in a.products.items()})
+
+
+@given(crowded(), presentations().filter(
+    lambda p: prod(g.truncation for g in p.generators) <= 16), st.data())
+@settings(max_examples=40, deadline=None)
+def test_a_table_given_as_fractions_ints_or_strs_is_one_algebra(p, q, data):
+    # a basis change or a rescaling mixes integral and non-integral values
+    for source in (basis_changed(build_monomial_algebra(p), data),
+                   rescaled(build_monomial_algebra(q))):
+        def given_as(convert):
+            return GradedAlgebra(source.labels, source.degrees, source.unit,
+                                 {key: {k: convert(Fraction(c)) for k, c in terms.items()}
+                                  for key, terms in source.products.items()})
+
+        first, *others = [given_as(convert) for convert in (
+            lambda c: c, lambda c: c.numerator if c.denominator == 1 else c, str)]
+        for a in (first, *others):
+            assert a == source
+            assert_exact_values(a)
+        for a in others:
+            assert a.validate() == first.validate() == []
+            assert a.generator_indices == first.generator_indices
+            assert a.expansions == first.expansions
+            for d in range(-a.top_degree, a.top_degree + 1):
+                assert derivation_space(a, d) == derivation_space(first, d)
+        for terms, rest in first.expansions.values():
+            for c in (*terms.values(), *rest.values()):
+                assert type(c) is (int if c.denominator == 1 else Fraction), c
 
 
 def test_indices_and_degrees_must_be_ints_or_digit_strings():
@@ -646,7 +694,7 @@ def test_builder_signs_only_with_odd_generators(monkeypatch):
         built = build_monomial_algebra(p)
         assert bool(calls) == signed, p.name
         assert_builder_matches_oracle(p)
-        # every coefficient is one of two shared Fractions, +1 and -1
+        # every coefficient is one of two shared ints, +1 and -1
         coeffs = [c for terms in built.products.values() for c in terms.values()]
         assert {id(c) for c in coeffs} == {id(c) for c in set(coeffs)}
         assert set(coeffs) == ({1, -1} if signed else {1})
@@ -729,6 +777,14 @@ def test_tensor_of_random_presentations_validates(p, q):
     if a.dim * b.dim > 40:  # keep the example quick
         return
     assert tensor(a, b).validate() == []
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.booleans()),
+                max_size=12))
+def test_sort_sign_equals_the_quadratic_oracle(letters):
+    first, second, odd = zip(*letters) if letters else ((), (), ())
+    assert algebra._sort_sign(first, second, odd) == quadratic_sort_sign(
+        first, second, odd)
 
 
 def assert_builder_matches_oracle(p):

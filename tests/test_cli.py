@@ -9,7 +9,7 @@ import time
 import pytest
 from hypothesis import given, settings
 
-from conftest import presentations, src_env, torus
+from conftest import presentations, projective_space, src_env, torus
 from negder import GradedAlgebra, cli, corpus, serialize_structure_constants
 from negder.cli import run
 from negder.fileformats import PRESENTATION, AlgebraFile, detect_format
@@ -173,6 +173,22 @@ def test_duplicate_unit_line_is_an_input_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "duplicate unit" in err and "line " in err
+
+
+@pytest.mark.parametrize("rhs, side", [("+2*x^2", "before"), ("2*x^2 +", "after"),
+                                       ("1*x^2 + + 1*x^2", "after")])
+def test_an_empty_term_next_to_a_plus_is_an_input_error(capsys, tmp_path, rhs, side):
+    # "+" separates terms, so a coefficient in a product line carries at
+    # most a minus sign
+    text = serialize_structure_constants(projective_space(2))
+    target = tmp_path / "plus.alg"
+    target.write_text(text.replace("x x = 1*x^2", f"x x = {rhs}"))
+    code, out, err = invoke(capsys, "validate", str(target))
+    assert code == 2
+    assert out == ""
+    line = text.splitlines().index("x x = 1*x^2") + 1
+    assert (f"line {line}: the term {side} a '+' is empty; "
+            "a coefficient carries at most a minus sign") in err
 
 
 def test_missing_file_is_a_usage_error(capsys, tmp_path):

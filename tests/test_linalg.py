@@ -183,12 +183,21 @@ def test_echelon_is_pure_and_exact_on_int_rows():
     pivots = linalg.echelon(rows)
     assert rows == [{0: 2, 1: 4}, {1: 3, 2: Fraction(1, 2)}, {0: 1, 2: 1}]
     assert pivots == {0: {0: 1}, 1: {1: 1}, 2: {2: 1}}
-    assert all(type(x) is Fraction for row in pivots.values() for x in row.values())
-    # a Fraction value is taken as it is, and no pivot row aliases an input
-    one = Fraction(1)
-    single = [{3: one}]
+    assert all(type(x) is int for row in pivots.values() for x in row.values())
+    # integral values come back as ints and the others as Fractions, and
+    # no pivot row aliases an input
+    rows = [{0: 2, 1: 1, 2: Fraction(4)}, {1: 3, 2: Fraction(1, 2)}]
+    kept = [dict(row) for row in rows]
+    pivots = linalg.echelon(rows)
+    assert rows == kept and [type(row[2]) for row in rows] == [Fraction, Fraction]
+    assert pivots == {0: {0: 1, 2: Fraction(23, 12)}, 1: {1: 1, 2: Fraction(1, 6)}}
+    assert {c: [type(x) for x in row.values()] for c, row in pivots.items()} == {
+        0: [int, Fraction], 1: [int, Fraction]}
+    assert all(prow is not row for prow in pivots.values() for row in rows)
+    single = [{3: Fraction(1)}]
     pivots = linalg.echelon(single)
-    assert pivots[3] is not single[0] and pivots[3][3] is one
+    assert pivots == {3: {3: 1}} and type(pivots[3][3]) is int
+    assert pivots[3] is not single[0] and type(single[0][3]) is Fraction
 
 
 def test_nullspace_is_pure_and_exact_on_int_rows():
