@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product as cartesian
 from math import prod
-from operator import add
+from operator import add, mul
 
 from .linalg import _fold, echelon
 
@@ -372,10 +372,14 @@ class GradedAlgebra(GradedBasis):
         1966).  By degree additivity and graded Nakayama, the generators
         and the unit produce all of A by products alone, without using
         associativity.  So when every triple (g, y, z) with g a generator
-        associates, N is all of A and every triple does.  When that pass
-        finds a violation, or an earlier check failed, or every index is a
-        generator, the pass runs over every row, so the violations and
-        their order are those of the full check.
+        associates, N is all of A and every triple does.  The unit's own
+        row is left out of that pass: the unit laws have passed by then,
+        so the unit is in N and its row holds no violation, yet it would
+        walk every table contribution once (about a third of the pass on
+        T^6).  When that pass finds a violation, or an earlier check
+        failed, or every index is a generator, the pass runs over every
+        row, the unit's included, so the violations and their order are
+        those of the full check.
         """
         dim, degrees, labels = self.dim, self.degrees, self.labels
         table = self.products
@@ -440,13 +444,14 @@ class GradedAlgebra(GradedBasis):
             rel = "-" if degrees[i] & degrees[j] & 1 else ""
             out.append(f"graded commutativity: {labels[j]} * {labels[i]} "
                        f"!= {rel}({labels[i]} * {labels[j]})")
-        # The generator rows decide; the full pass, rerun on a violation,
-        # keeps the full list in its order (see the docstring).
+        # The generator rows decide, the unit's aside: the unit laws have
+        # passed, so its row holds no violation.  The full pass, rerun on
+        # a violation, keeps the full list in its order (see the docstring).
         only = None
         if not out:
             gens = self._generators()
             if len(gens) < dim:
-                only = set(gens)
+                only = set(gens) - {u}
         found = self._associativity(rows, by_m, only)
         if found and only is not None:
             found = self._associativity(rows, by_m, None)
@@ -541,7 +546,10 @@ def monomial_basis(p):
     violation, with the text that build_monomial_algebra raises.  Basis:
     all exponent vectors below the truncations, sorted by (degree, exponent
     vector) and labelled by their monomials; the zero vector, the only one
-    of degree 0, is the unit.  Returns a GradedBasis that also carries
+    of degree 0, is the unit.  The degree of each exponent vector is worked
+    out once, as its dot product with the generator degrees, and sorted
+    with it as the (degree, exponent vector) pair, so the sort and the
+    degree list share it.  Returns a GradedBasis that also carries
     monomial_exponents, the exponent vector of each basis index.  Its cost
     is one step per basis element, whatever the size of the table.
     """
@@ -553,11 +561,12 @@ def monomial_basis(p):
         raise ValueError(f"the presentation needs a table of {entries} entries, "
                          f"over the limit of {MAX_TABLE_ENTRIES}")
     gens = p.generators
-    degrees_of = lambda e: sum(x * g.degree for x, g in zip(e, gens))
-    exps = sorted(cartesian(*(range(g.truncation) for g in gens)),
-                  key=lambda e: (degrees_of(e), e))
+    weights = [g.degree for g in gens]
+    pairs = sorted((sum(map(mul, e, weights)), e)
+                   for e in cartesian(*(range(g.truncation) for g in gens)))
+    exps = [e for _, e in pairs]
     basis = GradedBasis([_monomial_label(e, gens) for e in exps],
-                        [degrees_of(e) for e in exps], 0, name=p.name)
+                        [d for d, _ in pairs], 0, name=p.name)
     basis.monomial_exponents = exps
     return basis
 

@@ -75,9 +75,11 @@ def _fold(x):
 
 def _nonzero(row):
     """Fresh {column: value} of the nonzero entries of a dense list or dict
-    row, each value folded by _fold."""
+    row, each value folded by _fold.  A value is dropped when it is zero
+    after folding, so one that is zero only as a number, such as the str
+    "0", is dropped too."""
     items = row.items() if isinstance(row, dict) else enumerate(row)
-    return {c: x if type(x) is int else _fold(x) for c, x in items if x}
+    return {c: y for c, x in items if x and (y := x if type(x) is int else _fold(x))}
 
 
 def _subtract(row, f, other, skip):

@@ -282,21 +282,28 @@ def quadratic_sort_sign(first, second, odd):
     return -1 if t % 2 else 1
 
 
+def key_sorted_basis(p):
+    """Oracle for monomial_basis: (exponent vectors, labels, degrees), the
+    vectors sorted with a key that works out each degree inside the sort
+    and again for the degree list."""
+    gens = list(p.generators)
+    degrees_of = lambda e: sum(x * g.degree for x, g in zip(e, gens))
+    exps = sorted(cartesian(*(range(g.truncation) for g in gens)),
+                  key=lambda e: (degrees_of(e), e))
+    return exps, [_monomial_label(e, gens) for e in exps], [degrees_of(e) for e in exps]
+
+
 def all_pairs_monomial_algebra(p):
-    """Oracle for build_monomial_algebra: the same basis, with every pair
-    of exponent vectors tested and kept when its sum stays below every
-    truncation."""
+    """Oracle for build_monomial_algebra: the basis of key_sorted_basis,
+    with every pair of exponent vectors tested and kept when its sum stays
+    below every truncation."""
     seen = set()
     for g in p.generators:
         check_generator(g, seen)
     gens = list(p.generators)
     odd = [g.degree % 2 == 1 for g in gens]
-    degrees_of = lambda e: sum(x * g.degree for x, g in zip(e, gens))
-    exps = sorted(cartesian(*(range(g.truncation) for g in gens)),
-                  key=lambda e: (degrees_of(e), e))
+    exps, labels, degrees = key_sorted_basis(p)
     index_of = {e: i for i, e in enumerate(exps)}
-    labels = [_monomial_label(e, gens) for e in exps]
-    degrees = [degrees_of(e) for e in exps]
     products = {}
     for i, e in enumerate(exps):
         for j, f in enumerate(exps):

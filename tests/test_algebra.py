@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import (all_pairs_monomial_algebra, basis_changed, crowded,
                       dense_subalgebra_generated, echelon_generators, exhaustive_validate,
-                      point, presentations, projective_space, quadratic_sort_sign, sphere,
-                      torus)
+                      key_sorted_basis, point, presentations, projective_space,
+                      quadratic_sort_sign, sphere, torus)
 from negder import (Element, Generator, GradedAlgebra, GradedBasis, Presentation,
                     algebra, build_monomial_algebra, corpus, derivation_space,
                     monomial_basis, subalgebra_generated, tensor)
@@ -88,6 +88,23 @@ def test_the_basis_alone_is_the_basis_of_the_build(p):
     assert basis.dim == built.dim and basis.top_degree == built.top_degree
     assert all(basis.graded_piece(n) == built.graded_piece(n)
                for n in range(-1, built.top_degree + 2))
+
+
+@given(presentations())
+@settings(max_examples=60, deadline=None)
+def test_the_basis_equals_the_key_sorted_oracle(p):
+    exps, labels, degrees = key_sorted_basis(p)
+    basis = monomial_basis(p)
+    assert basis.monomial_exponents == exps
+    assert (basis.labels, basis.degrees) == (labels, degrees)
+    # the table over that basis is the one the all-pairs oracle builds
+    assert_builder_matches_oracle(p)
+
+
+def test_the_cp399_basis_equals_the_key_sorted_oracle():
+    p = Presentation("CP399", (Generator("x", 2, 400),))
+    basis = monomial_basis(p)
+    assert (basis.monomial_exponents, basis.labels, basis.degrees) == key_sorted_basis(p)
 
 
 def test_table_size_is_the_product_of_triangular_numbers():
@@ -407,7 +424,10 @@ def test_validate_walks_the_generator_rows_unless_it_finds_a_violation(monkeypat
                         or real(self, rows, by_m, only))
     t4 = torus(4)
     assert t4.validate() == []
-    assert passes == [set(t4.generator_indices)] and len(passes[0]) == 5
+    # the unit row is left out: the unit laws have passed, so it holds no
+    # violation
+    rows = set(t4.generator_indices) - {t4.unit}
+    assert passes == [rows] and len(rows) == 4
     # a violation reruns the pass over every row, for the full list
     del passes[:]
     products = dict(t4.products)
@@ -416,7 +436,7 @@ def test_validate_walks_the_generator_rows_unless_it_finds_a_violation(monkeypat
         products[key] = {k: 2 * c for k, c in t4.products[key].items()}
     bad = GradedAlgebra(t4.labels, t4.degrees, t4.unit, products)
     violations = bad.validate()
-    assert passes == [set(t4.generator_indices), None]
+    assert passes == [rows, None]
     assert violations == exhaustive_validate(bad) != []
     # a failed earlier check, and a degree 0 that is more than the unit
     # line, walk every row at once
@@ -427,6 +447,28 @@ def test_validate_walks_the_generator_rows_unless_it_finds_a_violation(monkeypat
                                                 (1, 0): {1: 1}, (1, 1): {1: 1}})
     assert qxq.validate() == []
     assert passes == [None, None]
+
+
+def test_a_unit_law_fault_alone_walks_every_row(monkeypatch):
+    # 1 * x = 2 x is the only fault.  The generator pass, which skips the
+    # unit row because the unit laws passed, must not run: the full pass
+    # does, and reports every triple through the unit that fails.
+    passes = []
+    real = GradedAlgebra._associativity
+    monkeypatch.setattr(GradedAlgebra, "_associativity",
+                        lambda self, rows, by_m, only: passes.append(only)
+                        or real(self, rows, by_m, only))
+    for a, label in ((projective_space(3), "x"), (torus(3), "i1")):
+        x = a.labels.index(label)
+        products = dict(a.products)
+        products[(a.unit, x)] = {x: 2}
+        bad = GradedAlgebra(a.labels, a.degrees, a.unit, products)
+        del passes[:]
+        violations = bad.validate()
+        assert passes == [None]
+        assert violations == exhaustive_validate(bad)
+        assert violations[0] == f"unit law: 1 * {label} != {label}"
+        assert any(v.startswith("associativity: (1 * ") for v in violations)
 
 
 def test_validate_reads_the_generators_of_the_table_as_it_is():

@@ -9,7 +9,7 @@ import time
 import pytest
 from hypothesis import given, settings
 
-from conftest import presentations, projective_space, src_env, torus
+from conftest import exhaustive_validate, presentations, projective_space, src_env, torus
 from negder import GradedAlgebra, cli, corpus, serialize_structure_constants
 from negder.cli import run
 from negder.fileformats import PRESENTATION, AlgebraFile, detect_format
@@ -321,6 +321,33 @@ def test_a_wide_table_of_unit_products_validates_quickly(tmp_path):
     assert time.perf_counter() - start < 10.0
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "valid\n"
+
+
+def test_the_validator_survives_optimized_mode(tmp_path):
+    # one product of the T^4 table doubled: the generator pass finds it
+    # and the full pass lists every violation, with or without -O
+    text = serialize_structure_constants(torus(4))
+    assert "\ni2 i1 = -1*i1*i2\n" in text
+    target = tmp_path / "t4_doubled.alg"
+    target.write_text(text.replace("\ni2 i1 = -1*i1*i2\n", "\ni2 i1 = -2*i1*i2\n"))
+    outputs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-m", "negder", "validate",
+                               str(target), "--json"],
+                              capture_output=True, text=True, env=src_env(), timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        outputs.append(json.loads(proc.stdout))
+    plain, optimized = outputs
+    assert optimized == plain
+    assert plain["valid"] is False
+    t4 = torus(4)
+    products = dict(t4.products)
+    i1, i2 = t4.labels.index("i1"), t4.labels.index("i2")
+    for key in ((i1, i2), (i2, i1)):
+        products[key] = {k: 2 * c for k, c in t4.products[key].items()}
+    bad = GradedAlgebra(t4.labels, t4.degrees, t4.unit, products)
+    assert plain["violations"] == exhaustive_validate(bad) != []
+    assert all(v.startswith("associativity: ") for v in plain["violations"])
 
 
 def test_help_exits_zero(capsys):

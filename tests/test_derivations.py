@@ -13,8 +13,8 @@ from conftest import (basis_changed, crowded, generator_pair_space, point,
 from negder import (Element, Generator, GradedAlgebra, GradedLinearMap,
                     Presentation, bracket, build_monomial_algebra, check_class_h,
                     corpus, derivation_space, derivations, identity_map,
-                    is_derivation, leibniz_system, parse_structure_constants,
-                    prove_rigidity, tensor)
+                    is_derivation, leibniz_system, monomial_basis,
+                    parse_structure_constants, prove_rigidity, tensor)
 from negder.derivations import leibniz_rows
 from negder.linalg import nullspace_basis, rank_fraction_free
 
@@ -326,6 +326,44 @@ def test_seven_torus_has_seven_derivations_of_degree_minus_one():
     space = derivation_space(t7, -1)
     assert len(space) == 7
     assert is_derivation(t7, space[0]) == []
+
+
+# --- closed form for monomial presentations ---
+
+def closed_form_dimension(p, basis, d):
+    """Oracle for len(derivation_space) on a monomial presentation p with
+    basis monomial_basis(p): the only relations are g^t = 0 for even g,
+    and theta(g^t) = t g^(t-1) theta(g), so
+    Der_d = sum over odd g of A_(|g|+d) plus, over even g, the span of the
+    monomials of degree |g|+d with a positive exponent of g."""
+    return sum(1 for idx, g in enumerate(p.generators)
+               for n, e in zip(basis.degrees, basis.monomial_exponents)
+               if n == g.degree + d and (g.degree % 2 or e[idx]))
+
+
+@given(presentations())
+@settings(max_examples=40, deadline=None)
+def test_derivation_space_has_the_closed_form_dimension(p):
+    a, basis = build_monomial_algebra(p), monomial_basis(p)
+    for d in range(-a.top_degree - 1, a.top_degree + 2):
+        assert len(derivation_space(a, d)) == closed_form_dimension(p, basis, d), d
+    # an odd generator g gives theta(g) = 1 in degree -|g|; with none,
+    # every target degree |g| + d < |g| of an even g misses g's multiples
+    verdict = check_class_h(a)
+    assert verdict.complete
+    assert verdict.in_class == all(g.degree % 2 == 0 for g in p.generators)
+
+
+@pytest.mark.parametrize("p", [
+    Presentation("T10", tuple(Generator(f"i{j}", 1, 2) for j in range(1, 11))),
+    Presentation("CP399", (Generator("x", 2, 400),)),
+], ids=lambda p: p.name)
+def test_closed_form_dimension_where_the_dense_oracle_cannot_reach(p):
+    a, basis = build_monomial_algebra(p), monomial_basis(p)
+    for d in (-1, -2):
+        assert len(derivation_space(a, d)) == closed_form_dimension(p, basis, d), d
+    assert closed_form_dimension(p, basis, -1) == (10 if p.name == "T10" else 0)
+    assert closed_form_dimension(p, basis, 0) == (100 if p.name == "T10" else 1)
 
 
 def test_dense_oracle_keeps_every_ordered_pair():

@@ -219,6 +219,16 @@ def test_echelon_drops_explicit_zero_values():
     assert linalg.echelon([{0: 1, 1: 1}, {0: 0}]) == {0: {0: 1, 1: 1}}
 
 
+@pytest.mark.parametrize("zero", ["0", "0/5", Fraction(0)])
+def test_a_value_that_folds_to_zero_is_no_pivot(zero):
+    # the value is dropped after it is folded, so a str "0" is not kept
+    # as an int 0 that would become a pivot and be divided by
+    assert linalg.echelon([{0: zero, 1: 1}]) == {1: {1: 1}}
+    assert linalg.echelon([[zero, 2]]) == {1: {1: 1}}
+    assert nullspace_basis([{0: zero, 1: 1}], ncols=2) == [[1, 0]]
+    assert nullspace_basis([[zero, 1], [zero, zero]]) == [[1, 0]]
+
+
 @given(matrices)
 @settings(max_examples=120, deadline=None)
 def test_echelon_with_zeros_kept_equals_dense_rref(m):
