@@ -1,0 +1,100 @@
+#!/usr/bin/env python3
+"""Print the structure-constant table of the flag manifold Fl_N.
+
+    python3 scripts/flag_manifold.py 4 > fl4.alg
+
+H*(Fl_n; Q) = Q[x1..xn]/(e1..en) with |xi| = 2, the ei the elementary
+symmetric polynomials.  Under lex order with x1 > ... > xn the ideal has
+the Groebner basis hk(xk..xn), k = 1..n, hk the complete homogeneous
+symmetric polynomial, whose leading term is xk^k.  So the standard
+monomials, those with ak < k for every k, are a basis (n! of them, x1
+never occurs), and a product is reduced by xk^k -> xk^k - hk(xk..xn)
+until it is a sum of standard monomials; each step lowers its monomials
+in lex order.  The generators are x2..xn.  Stdlib only: flag_manifold(n)
+is imported by the tests.
+"""
+
+import argparse
+from functools import cache
+from itertools import combinations_with_replacement, product as cartesian
+
+from negder import GradedAlgebra, serialize_structure_constants
+
+
+def _tails(n):
+    """tails[k] lists the exponent vectors of the monomials of
+    hk(xk..xn) - xk^k, 0-based k: xk^j times a monomial of degree k+1-j
+    in x(k+1)..xn, for j <= k."""
+    tails = []
+    for k in range(n):
+        out = []
+        for j in range(k + 1):
+            for rest in combinations_with_replacement(range(k + 1, n), k + 1 - j):
+                e = [0] * n
+                e[k] = j
+                for v in rest:
+                    e[v] += 1
+                out.append(tuple(e))
+        tails.append(out)
+    return tails
+
+
+def _reducer(n):
+    """normal_form(e): the standard form {exponents: coefficient} of the
+    monomial with exponents e, memoized per monomial; read-only."""
+    tails = _tails(n)
+
+    @cache
+    def normal_form(e):
+        k = next((k for k in range(n) if e[k] > k), None)
+        if k is None:
+            return {e: 1}
+        # x^e = x^(e - (k+1) e_k) xk^(k+1), and xk^(k+1) = -(tail of hk)
+        base = list(e)
+        base[k] -= k + 1
+        out = {}
+        for t in tails[k]:
+            for m, c in normal_form(tuple(map(sum, zip(base, t)))).items():
+                out[m] = out.get(m, 0) - c
+        return {m: c for m, c in out.items() if c}
+
+    return normal_form
+
+
+def _label(e):
+    parts = [f"x{k + 1}" + (f"^{a}" if a > 1 else "") for k, a in enumerate(e) if a]
+    return "*".join(parts) or "1"
+
+
+def flag_manifold(n):
+    """H*(Fl_n; Q) as a GradedAlgebra over the standard monomials, sorted
+    by (degree, exponents); the unit is index 0."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    basis = sorted((2 * sum(e), e) for e in cartesian(*(range(k + 1) for k in range(n))))
+    index = {e: i for i, (_, e) in enumerate(basis)}
+    normal_form = _reducer(n)
+    products = {}
+    entries = {}  # exponents of the product -> its one shared entry
+    for i, (_, a) in enumerate(basis):
+        for j, (_, b) in enumerate(basis):
+            e = tuple(map(sum, zip(a, b)))
+            if e not in entries:
+                entries[e] = {index[m]: c for m, c in normal_form(e).items()}
+            if entries[e]:
+                products[i, j] = entries[e]
+    return GradedAlgebra([_label(e) for _, e in basis], [d for d, _ in basis], 0,
+                         products, name=f"Fl{n}")
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("n", type=int, help="the N of Fl_N, at least 1")
+    args = parser.parse_args()
+    if args.n < 1:
+        parser.error("N must be at least 1")
+    print(serialize_structure_constants(flag_manifold(args.n)), end="")
+
+
+if __name__ == "__main__":
+    main()

@@ -12,7 +12,6 @@ degree rule is trusted without being checkable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import product as cartesian
 from math import prod
@@ -25,13 +24,15 @@ from .linalg import _fold, echelon
 # entries; above the limit the build raises ValueError before allocating.
 MAX_TABLE_ENTRIES = 250_000
 
-_ONE = Fraction(1)
-_ZERO = Fraction(0)
-
 
 def _check_int(name, value):
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{name} must be an int, not {value!r}")
+
+
+def _check_index(basis, i):
+    if not 0 <= i < basis.dim:
+        raise ValueError(f"basis index {i} is outside 0..{basis.dim - 1}")
 
 
 def _to_int(name, value):
@@ -68,10 +69,10 @@ class Element:
     """Sparse rational linear combination of basis vectors.
 
     Keys are basis indices, zero coefficients are dropped on construction,
-    and equality is coefficientwise.  Every value is a Fraction: one whose
-    type is exactly Fraction is kept as it is, any other is converted.  As
-    in the GradedAlgebra constructor, an int key is kept, a str key is read
-    by int(), and any other key (a bool, a float) raises ValueError.
+    and equality is coefficientwise.  Every value is held as by _fold, as
+    in the table.  As in the GradedAlgebra constructor, an int key is kept,
+    a str key is read by int(), and any other key (a bool, a float) raises
+    ValueError.
     Elements are algebra-agnostic; the product lives on GradedAlgebra.
     """
 
@@ -81,14 +82,14 @@ class Element:
         data = {}
         if coeffs:
             for i, c in coeffs.items():
-                if type(c) is not Fraction:
-                    c = Fraction(c)
+                if type(c) is not int:
+                    c = _fold(c)
                 if c:
                     data[i if type(i) is int else _to_int("Element key", i)] = c
         self.coeffs = data
 
     def coeff(self, i):
-        return self.coeffs.get(i, _ZERO)
+        return self.coeffs.get(i, 0)
 
     def items(self):
         return sorted(self.coeffs.items())
@@ -117,7 +118,8 @@ class Element:
         return Element({i: -c for i, c in self.coeffs.items()})
 
     def __mul__(self, scalar):
-        return Element({i: c * Fraction(scalar) for i, c in self.coeffs.items()})
+        scalar = _fold(scalar)
+        return Element({i: c * scalar for i, c in self.coeffs.items()})
 
     __rmul__ = __mul__
 
@@ -283,10 +285,12 @@ class GradedAlgebra(GradedBasis):
         return out
 
     def basis_element(self, i):
-        return Element({i: _ONE})
+        return Element({i: 1})
 
     def multiply(self, u, v):
-        """Bilinear extension of the structure-constant table."""
+        """Bilinear extension of the table; ValueError on an index outside it."""
+        for i in u.coeffs.keys() | v.coeffs.keys():
+            _check_index(self, i)
         out = {}
         for i, cu in u.coeffs.items():
             for j, cv in v.coeffs.items():

@@ -15,7 +15,7 @@ associative table the law then holds on every ordered basis pair, so it
 works for any valid structure-constant table.  The rows are read off the
 table as it stores its values, ints where integral (see linalg).  Solution
 spaces come back as the canonical basis of the kernel on every basis
-element, reshaped into per-degree blocks of Fractions.  The exact
+element, reshaped into per-degree blocks held the same way.  The exact
 self-check of nullspace_basis covers the system over U_d only, so
 check_class_h also checks its certificate on the table, apart from this
 path, before it returns it.  The system on the unknowns theta(e_i) for
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Element, _check_int
+from .algebra import Element, _check_index, _check_int
 from .linalg import _fold, echelon, nullspace_basis
 
 
@@ -40,7 +40,7 @@ class GradedLinearMap:
     degree.  The block for source degree n has rows indexed by
     graded_piece(n + shift) and columns by graded_piece(n).  All-zero and
     empty blocks are dropped, so a map is zero iff it stores no blocks.
-    The shift and the block degrees must be ints."""
+    Entries are held as by _fold.  Shift and block degrees must be ints."""
 
     __slots__ = ("shift", "blocks")
 
@@ -50,7 +50,7 @@ class GradedLinearMap:
         cleaned = {}
         for n, mat in (blocks or {}).items():
             _check_int("block degree", n)
-            rows = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in mat]
+            rows = [[x if type(x) is int else _fold(x) for x in row] for row in mat]
             if any(any(row) for row in rows):
                 cleaned[n] = rows
         self.blocks = cleaned
@@ -90,7 +90,7 @@ class GradedLinearMap:
         return Element(out)
 
     def scaled(self, scalar):
-        scalar = Fraction(scalar)
+        scalar = _fold(scalar)
         return GradedLinearMap(
             self.shift,
             {n: [[scalar * x for x in row] for row in mat]
@@ -102,8 +102,8 @@ class GradedLinearMap:
         """Assemble a map of the int shift from basis images {index:
         Element}, omitted ones zero, writing each nonzero image straight
         into its column at algebra.position; every target must lie in the
-        piece of degree |i| + shift.  Each entry written is a nonzero
-        Fraction of an Element, so the blocks are kept as they are."""
+        piece of degree |i| + shift.  Each entry is 0 or a value of an
+        Element, held as by _fold, so the blocks are kept as they are."""
         _check_int("shift", shift)
         degrees, position = algebra.degrees, algebra.position
         blocks = {}
@@ -116,7 +116,7 @@ class GradedLinearMap:
                 tgt = algebra.graded_piece(n + shift)
                 if not tgt:
                     raise ValueError("image lands in an empty piece")
-                blocks[n] = [[Fraction(0)] * len(algebra.graded_piece(n)) for _ in tgt]
+                blocks[n] = [[0] * len(algebra.graded_piece(n)) for _ in tgt]
             col, block = position[i], blocks[n]
             for t, x in img.coeffs.items():
                 if not 0 <= t < algebra.dim or degrees[t] != n + shift:
@@ -125,11 +125,6 @@ class GradedLinearMap:
         m = cls.__new__(cls)
         m.shift, m.blocks = shift, blocks
         return m
-
-
-def _check_index(algebra, i):
-    if not 0 <= i < algebra.dim:
-        raise ValueError(f"basis index {i} is outside 0..{algebra.dim - 1}")
 
 
 def identity_map(algebra):
@@ -320,7 +315,7 @@ def derivation_space(a, d):
     for k, v in enumerate(kernel):
         for c, x in enumerate(v):
             if x:
-                at.setdefault(c, []).append((k, _fold(x)))
+                at.setdefault(c, []).append((k, x))
     vectors = [{} for _ in kernel]
     for i, img in theta.items():
         for (t, c), x in img.items():
@@ -391,7 +386,7 @@ def _check_leibniz(a, m):
     validated table.  Both sides are summed straight from the table and
     the images of m, apart from the solver's path."""
     table, empty = a.products, {}
-    images = {i: {t: _fold(x) for t, x in m.image(a, i).coeffs.items()} for i in range(a.dim)}
+    images = {i: m.image(a, i).coeffs for i in range(a.dim)}
     for g in a.generator_indices:
         sign = _sign(m.shift * a.degrees[g])
         for x in range(a.dim):

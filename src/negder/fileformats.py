@@ -10,7 +10,8 @@ Presentation format (first directive is name or generator):
 
 Odd-degree generators may omit the truncation, which defaults to 2 (it is
 also the only legal value for them); even-degree generators default to 2
-as well.
+as well.  Integers, here and in the basis section, are [+-]?[0-9]+: int()
+alone would also read 1_0 and non-ASCII digits.
 
 Structure-constant format (first directive is basis:):
 
@@ -53,6 +54,7 @@ from .algebra import (Generator, GradedAlgebra, Presentation, build_monomial_alg
 from .linalg import _fold
 
 _RESERVED = set("=+#")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 _COEFFICIENT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 PRESENTATION = "presentation"
@@ -94,9 +96,11 @@ def detect_format(text):
 
 def _int(token, line_no, what):
     try:
-        return int(token)
+        if _INTEGER.fullmatch(token):
+            return int(token)
     except ValueError:
-        raise ParseError(line_no, f"{what} must be an integer, got {token!r}") from None
+        pass
+    raise ParseError(line_no, f"{what} must be an integer, got {token!r}")
 
 
 def parse_presentation(text):

@@ -4,13 +4,13 @@ A matrix is a list of rows, each row a list of Fraction (or int) entries;
 nullspace_basis also takes sparse {column: value} rows.  Every public
 routine is pure: inputs are never mutated, results are fresh, and all
 arithmetic is exact.  Kernels and spans come from one sparse elimination,
-_eliminate, behind echelon and nullspace_basis.  _fold decides how an
-exact rational is held, in _eliminate, echelon and the tables of algebra:
-as an int where it is integral and as a Fraction otherwise, so integer
-systems run on int arithmetic; nullspace_basis returns Fractions.
-_eliminate keeps an index from each non-pivot column to the pivot rows
-that hold it, so a new pivot touches only those rows.  Dense rref and
-the Bareiss rank are kept as independent oracles.
+_eliminate, behind echelon and nullspace_basis.  _fold decides how the
+library holds every exact rational, here and in tables, Elements and
+maps: as an int where it is integral and as a Fraction otherwise, so
+integer systems run on int arithmetic.  _eliminate keeps an index from
+each non-pivot column to the pivot rows that hold it, so a new pivot
+touches only those rows.  Dense rref and the Bareiss rank are kept as
+independent oracles.
 """
 
 import math
@@ -159,7 +159,7 @@ def nullspace_basis(m, ncols=None):
 
     Every vector is checked exactly against every distinct nonzero row, in
     time proportional to the nonzeros, and ArithmeticError is raised on a
-    failure.  Vectors are dense lists of Fraction.
+    failure.  Vectors are dense lists, their values held as by _fold.
     """
     if ncols is None:
         if not m:
@@ -203,14 +203,7 @@ def nullspace_basis(m, ncols=None):
                 sums[k] = sums.get(k, 0) + x * y
         if any(sums.values()):
             raise ArithmeticError("a kernel vector fails a row of the system")
-    zero = Fraction(0)
-    dense = []
-    for v in vectors:
-        line = [zero] * ncols
-        for c, x in v.items():
-            line[c] = x if type(x) is Fraction else Fraction(x)
-        dense.append(line)
-    return dense
+    return [[v.get(c, 0) for c in range(ncols)] for v in vectors]
 
 
 def rank_fraction_free(m):

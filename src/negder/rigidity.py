@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .algebra import (Element, Generator, Presentation, _check_int, build_monomial_algebra,
-                      tensor)
+from .algebra import (Element, Generator, Presentation, _check_index, _check_int,
+                      build_monomial_algebra, tensor)
 from .derivations import GradedLinearMap, check_class_h
 from .derivations import derivation_space  # noqa: F401  perfbench/spans.py patches this name
 
@@ -62,9 +62,11 @@ class KunnethModel:
             (s for s in index_of if s), key=lambda s: (len(s), s))
 
     def total_index(self, base_index, subset):
+        _check_index(self.base, base_index)
         return self._torus_index_of_subset[tuple(subset)] * self.base.dim + base_index
 
     def split_index(self, t):
+        _check_index(self.total, t)
         return t % self.base.dim, self._subset_of_torus_index[t // self.base.dim]
 
 
@@ -116,13 +118,14 @@ def is_trivial_pullback(fam):
 
 def pullback_expand(model, fam, u):
     """Element of the total algebra: u on the empty subset plus each
-    component's image on its torus monomial."""
+    component's image on its torus monomial; u must lie in the base."""
     if fam.torus_rank != model.torus_rank:
         raise ValueError("family and model torus ranks differ")
     dim_b = model.base.dim
     out = {}
     offset = model._torus_index_of_subset[()] * dim_b
     for i, c in u.coeffs.items():
+        _check_index(model.base, i)
         out[offset + i] = c
     for subset in sorted(fam.components):
         img = fam.components[subset].apply(model.base, u)

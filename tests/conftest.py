@@ -6,6 +6,7 @@ themselves are under test whenever a test module uses them.  The oracles
 are the slow paths the library replaced, kept to check the fast ones.
 """
 
+import importlib.util
 import os
 from fractions import Fraction
 from itertools import product as cartesian
@@ -31,6 +32,20 @@ def src_env(**overrides):
     path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
                                          os.environ.get("PYTHONPATH")]))
     return dict(os.environ, PYTHONPATH=path, **overrides)
+
+
+def load_script(name):
+    """The module of scripts/<name>.py, loaded afresh."""
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(ROOT, "scripts", name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def flag_manifold(n):
+    """H*(Fl_n; Q), built by scripts/flag_manifold.py."""
+    return load_script("flag_manifold").flag_manifold(n)
 
 
 def projective_space(n):

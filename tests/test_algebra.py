@@ -139,6 +139,16 @@ def test_multiply_unit_and_powers():
     assert combo == x2 + 2 * x
 
 
+@pytest.mark.parametrize("index", [99, 3, -1])
+def test_multiply_rejects_indices_outside_the_basis(index):
+    # an index with no table entry used to multiply to zero
+    cp2 = projective_space(2)
+    one = cp2.basis_element(0)
+    for u, v in ((Element({index: 1}), one), (one, Element({1: 1, index: 2}))):
+        with pytest.raises(ValueError, match=f"basis index {index} is outside 0..2"):
+            cp2.multiply(u, v)
+
+
 def test_multiply_is_graded():
     for alg in (projective_space(3), torus(3), sphere(5),
                 tensor(projective_space(2), sphere(4))):
@@ -209,11 +219,15 @@ def test_element_keeps_exact_values_and_converts_the_rest():
     half = Fraction(1, 2)
     e = Element({0: half, 1: 2, "2": "1/3", 3: Exact(3), 4: 0})
     assert e.coeffs == {0: half, 1: 2, 2: Fraction(1, 3), 3: 3}
-    assert all(type(c) is Fraction for c in e.coeffs.values())
+    # held as _fold holds them: ints where integral, Fractions otherwise
+    assert [type(c) for c in e.coeffs.values()] == [Fraction, int, Fraction, int]
     assert all(type(i) is int for i in e.coeffs)
-    assert e.coeffs[0] is half  # a Fraction is kept, not rebuilt
+    assert e.coeffs[0] is half  # a non-integral Fraction is kept, not rebuilt
+    assert type(Element({0: Fraction(4, 2)}).coeffs[0]) is int
+    assert [type(c) for c in (Fraction(1, 2) * Element({0: 2, 1: 3})).coeffs.values()] \
+        == [int, Fraction]
     cp2 = projective_space(2)
-    assert cp2.basis_element(0).coeffs[0] is cp2.basis_element(2).coeffs[2]
+    assert type(cp2.basis_element(2).coeffs[2]) is int and cp2.basis_element(2).coeff(0) == 0
 
 
 def test_format_element():

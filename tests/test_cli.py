@@ -205,6 +205,29 @@ def test_unparseable_file_is_a_usage_error(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("text, line, token", [
+    ("generator x degree 1_0\n", 1, "1_0"),
+    ("generator x degree \u0663\n", 1, "\u0663"),
+    ("generator x degree 2 truncate 1_0\n", 1, "1_0"),
+    ("generator x degree 2 truncate \uff13\n", 1, "\uff13"),
+    ("basis:\n1 0\nx \u0662\nunit: 1\nproducts:\n1 1 = 1*1\n1 x = 1*x\n", 3, "\u0662"),
+    ("basis:\n1 0_0\nunit: 1\nproducts:\n1 1 = 1*1\n", 2, "0_0"),
+])
+def test_integers_outside_the_ascii_grammar_exit_2(capsys, tmp_path, text, line, token):
+    # int() alone reads each of these, and each file used to validate
+    bad = tmp_path / "bad.alg"
+    bad.write_text(text, encoding="utf-8")
+    code, out, err = invoke(capsys, "validate", str(bad))
+    assert (code, out) == (2, "")
+    assert f"line {line}: " in err and f"must be an integer, got {token!r}" in err
+
+
+def test_integers_of_the_ascii_grammar_parse(capsys, tmp_path):
+    good = tmp_path / "good.alg"
+    good.write_text("generator x degree +2 truncate 03\n")
+    assert invoke(capsys, "validate", str(good))[:2] == (0, "valid\n")
+
+
 def test_argparse_failures_map_to_exit_2(capsys):
     assert invoke(capsys, "frobnicate")[0] == 2
     assert invoke(capsys, "derivations", corpus.path("cp2"))[0] == 2

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (basis_changed, crowded, generator_pair_space, point,
-                      presentations, projective_space, rref_kernel, sphere,
+from conftest import (basis_changed, crowded, flag_manifold, generator_pair_space,
+                      point, presentations, projective_space, rref_kernel, sphere,
                       src_env, torus)
 from negder import (Element, Generator, GradedAlgebra, GradedLinearMap,
                     Presentation, bracket, build_monomial_algebra, check_class_h,
@@ -16,7 +16,7 @@ from negder import (Element, Generator, GradedAlgebra, GradedLinearMap,
                     is_derivation, leibniz_system, monomial_basis,
                     parse_structure_constants, prove_rigidity, tensor)
 from negder.derivations import leibniz_rows
-from negder.linalg import nullspace_basis, rank_fraction_free
+from negder.linalg import _fold, nullspace_basis, rank_fraction_free
 
 
 def lam(a=3, b=5):
@@ -69,7 +69,7 @@ def test_apply_rejects_misshapen_blocks():
 def test_image_reads_one_column_and_apply_sums_them():
     t2 = torus(2)
     m = GradedLinearMap(0, {1: [[1, 2], [3, "1/2"]]})
-    assert all(type(x) is Fraction for row in m.blocks[1] for x in row)
+    assert [[type(x) for x in row] for row in m.blocks[1]] == [[int, int], [int, Fraction]]
     assert m.image(t2, 1) == Element({1: 1, 2: 3})
     assert m.image(t2, 2) == Element({1: 2, 2: Fraction(1, 2)})
     assert not m.image(t2, 0)
@@ -83,7 +83,7 @@ def test_image_reads_one_column_and_apply_sums_them():
                 again = GradedLinearMap.from_images(
                     a, d, {i: m.image(a, i) for i in range(a.dim)})
                 assert again == m == GradedLinearMap(d, m.blocks), (name, d)
-                assert all(type(x) is Fraction
+                assert all(type(x) is type(_fold(x))
                            for mat in again.blocks.values() for row in mat for x in row)
 
 
@@ -298,6 +298,63 @@ def test_derivation_space_matches_the_generator_pair_oracle():
     for alg in (torus(6), tensor(tensor(torus(3), sphere(3)), projective_space(2))):
         for d in range(-alg.top_degree, alg.top_degree + 1):
             assert derivation_space(alg, d) == generator_pair_space(alg, d), (alg.name, d)
+
+
+@given(st.data())
+@settings(max_examples=3, deadline=None)
+def test_derivation_space_matches_the_generator_pair_oracle_on_basis_changed_fl4(data):
+    # Fl4 in a drawn basis: entries of several terms, and generators that
+    # are no longer basis monomials.  Below -2 every space is zero, with
+    # no system to solve, and the spaces at 0 and 2 are the largest
+    fl4 = basis_changed(flag_manifold(4), data)
+    assert fl4.validate() == [] and len(fl4.generator_indices) == 4
+    for d in range(-2, 3):
+        assert derivation_space(fl4, d) == generator_pair_space(fl4, d), d
+
+
+def held_values(a):
+    """Every value that a's table holds, and that multiply, apply,
+    derivation_space, from_images, scaled and nullspace_basis return on a,
+    in degrees -top..0.  The factors of the products are chosen so that
+    Fraction arithmetic gives integral Fractions."""
+    yield from (c for terms in a.products.values() for c in terms.values())
+    half = Element({i: Fraction(1, 2) for i in range(a.dim)})
+    two = Element({i: 2 for i in range(a.dim)})
+    yield from a.multiply(half, two).coeffs.values()
+    yield from (Fraction(2, 3) * a.multiply(two, half)).coeffs.values()
+    for d in range(-a.top_degree, 1):
+        rows, unknowns = leibniz_rows(a, d, a.generator_indices)
+        yield from (x for v in nullspace_basis(rows, ncols=len(unknowns)) for x in v)
+        for m in derivation_space(a, d):
+            images = {i: m.image(a, i) for i in range(a.dim)}
+            for n in (m, GradedLinearMap.from_images(a, d, images), m.scaled(Fraction(3, 2)),
+                      GradedLinearMap(d, m.blocks)):
+                yield from (x for mat in n.blocks.values() for row in mat for x in row)
+            yield from m.apply(a, half).coeffs.values()
+            yield from (x for img in images.values() for x in img.coeffs.values())
+
+
+def assert_held_as_folded(a):
+    for x in held_values(a):
+        y = _fold(x)
+        assert type(x) is type(y) and x == y, (a.name, x)
+
+
+def test_every_held_value_is_folded_on_the_corpus():
+    for name in corpus.names():
+        assert_held_as_folded(corpus.load(name))
+
+
+@given(presentations())
+@settings(max_examples=30, deadline=None)
+def test_every_held_value_is_folded_on_random_presentations(p):
+    assert_held_as_folded(build_monomial_algebra(p))
+
+
+@given(crowded(), st.data())
+@settings(max_examples=30, deadline=None)
+def test_every_held_value_is_folded_on_basis_changed_tables(p, data):
+    assert_held_as_folded(basis_changed(build_monomial_algebra(p), data))
 
 
 def test_six_torus_has_six_derivations_of_degree_minus_one():

@@ -208,7 +208,9 @@ def test_nullspace_is_pure_and_exact_on_int_rows():
         assert all(type(x) is int for row in rows
                    for x in (row.values() if isinstance(row, dict) else row))
         assert basis == [[-2, 1, 0], [0, 0, 1]]
-        assert all(type(x) is Fraction for v in basis for x in v)
+        assert all(type(x) is int for v in basis for x in v)
+    [v] = nullspace_basis([[2, 1]])
+    assert v == [Fraction(-1, 2), 1] and [type(x) for x in v] == [Fraction, int]
 
 
 def test_echelon_drops_explicit_zero_values():

@@ -36,6 +36,29 @@ def test_model_dimensions_and_index_maps():
     assert model.nonempty_subsets == [(1,), (2,), (1, 2)]
 
 
+@pytest.mark.parametrize("index", [5, -1])
+def test_model_index_maps_reject_indices_outside_the_basis(index):
+    # s3 has dim 2 and s3 x T1 has dim 4: neither 5 nor -1 names a basis
+    # element of either, and each used to come back as some other index
+    model = kunneth_model(sphere(3), 1)
+    with pytest.raises(ValueError, match=f"basis index {index} is outside 0..1"):
+        model.total_index(index, ())
+    with pytest.raises(ValueError, match=f"basis index {index} is outside 0..3"):
+        model.split_index(index)
+    with pytest.raises(ValueError, match="basis index 99 is outside 0..3"):
+        model.split_index(99)
+
+
+def test_pullback_expand_rejects_indices_outside_the_base():
+    # with the trivial family, index 3 of s3 used to land on total index 3,
+    # which is x (x) i1
+    s3 = sphere(3)
+    model = kunneth_model(s3, 1)
+    for fam in (LambdaFamily(1), LambdaFamily(1, {(1,): derivation_space(s3, -3)[0]})):
+        with pytest.raises(ValueError, match="basis index 3 is outside 0..1"):
+            pullback_expand(model, fam, Element({3: 1}))
+
+
 def test_torus_classes_anticommute_in_total():
     model = kunneth_model(projective_space(2), 2)
     t1 = model.total.basis_element(model.total_index(0, (1,)))

@@ -1,15 +1,15 @@
 """The survey scripts: subprocess smoke runs, and the one-sweep contract
 of the corpus survey; and the benchmark harness's own self-test."""
 
-import importlib.util
+import math
 import os
 import subprocess
 import sys
 
 import pytest
 
-from conftest import ROOT, src_env
-from negder import check_class_h, corpus
+from conftest import ROOT, flag_manifold, load_script, src_env
+from negder import check_class_h, corpus, parse_structure_constants
 
 
 def run_script(name, *args):
@@ -36,13 +36,34 @@ def test_derivation_census_runs():
         ["dim", "Der_-1", "=", "0"], ["dim", "Der_0", "=", "1"]]
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_flag_manifolds_are_valid_and_in_class_h(n):
+    # H*(Fl_n) has the n! standard monomials as its basis, is generated by
+    # x2..xn, and has no nonzero negative-degree derivation
+    fl = flag_manifold(n)
+    assert fl.dim == math.factorial(n)
+    assert fl.validate() == []
+    assert fl.generator_indices[0] == fl.unit
+    assert sorted(fl.labels[g] for g in fl.generator_indices[1:]) == [
+        f"x{k}" for k in range(2, n + 1)]
+    verdict = check_class_h(fl)
+    assert verdict.in_class and verdict.complete and verdict.connectivity_ok
+
+
+def test_flag_manifold_script_prints_a_table_negder_accepts(tmp_path):
+    text = "\n".join(run_script("flag_manifold.py", "4")) + "\n"
+    assert parse_structure_constants(text) == flag_manifold(4)
+    target = tmp_path / "fl4.alg"
+    target.write_text(text)
+    for command in ("validate", "check-h"):
+        proc = subprocess.run([sys.executable, "-m", "negder", command, str(target), "--json"],
+                              capture_output=True, text=True, env=src_env())
+        assert proc.returncode == 0, (command, proc.stdout + proc.stderr)
+
+
 @pytest.fixture
 def survey():
-    spec = importlib.util.spec_from_file_location(
-        "corpus_survey", os.path.join(ROOT, "scripts", "corpus_survey.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_script("corpus_survey")
 
 
 def test_survey_row_sweeps_each_degree_once(survey, space_calls):
