@@ -17,7 +17,7 @@ from itertools import product as cartesian
 from math import prod
 from operator import add, mul
 
-from .linalg import _fold, echelon
+from .linalg import _check_int, _fold, echelon
 
 # Largest structure-constant table build_monomial_algebra allocates.  The
 # largest bundled, tested or benchmarked presentation, CP399, has 80 200
@@ -25,27 +25,11 @@ from .linalg import _fold, echelon
 MAX_TABLE_ENTRIES = 250_000
 
 
-def _check_int(name, value):
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an int, not {value!r}")
-
-
 def _check_index(basis, i):
+    if type(i) is not int:
+        _check_int("basis index", i)
     if not 0 <= i < basis.dim:
         raise ValueError(f"basis index {i} is outside 0..{basis.dim - 1}")
-
-
-def _to_int(name, value):
-    """An index or degree given as an int, or as a str that int() reads,
-    as an int.  A bool, a float, a Fraction or any other value raises
-    ValueError naming the field, rather than being truncated."""
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    _check_int(name, value)
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -69,10 +53,9 @@ class Element:
     """Sparse rational linear combination of basis vectors.
 
     Keys are basis indices, zero coefficients are dropped on construction,
-    and equality is coefficientwise.  Every value is held as by _fold, as
-    in the table.  As in the GradedAlgebra constructor, an int key is kept,
-    a str key is read by int(), and any other key (a bool, a float) raises
-    ValueError.
+    and equality is coefficientwise.  As in the GradedAlgebra constructor,
+    keys must be ints and values ints or Fractions, held as by _fold;
+    anything else, a str, a float or a bool, raises ValueError.
     Elements are algebra-agnostic; the product lives on GradedAlgebra.
     """
 
@@ -85,7 +68,7 @@ class Element:
                 if type(c) is not int:
                     c = _fold(c)
                 if c:
-                    data[i if type(i) is int else _to_int("Element key", i)] = c
+                    data[i if type(i) is int else _check_int("Element key", i)] = c
         self.coeffs = data
 
     def coeff(self, i):
@@ -131,17 +114,17 @@ class GradedBasis:
     """A graded basis alone: labels, degrees, the unit index and a name,
     with the basis indexed by degree once: position[i] is the place of i
     in graded_piece(degrees[i]), its row or column in a block of a
-    GradedLinearMap.  Degrees and the unit are ints, or strs that int()
-    reads; anything else raises ValueError.  GradedAlgebra adds the product
+    GradedLinearMap.  Degrees and the unit must be ints; anything else
+    raises ValueError.  GradedAlgebra adds the product
     table; monomial_basis returns a bare GradedBasis, so that what reads
     only labels and degrees builds no table."""
 
     def __init__(self, labels, degrees, unit, name=""):
         self.labels = list(labels)
-        self.degrees = [d if type(d) is int else _to_int("degree", d) for d in degrees]
+        self.degrees = [d if type(d) is int else _check_int("degree", d) for d in degrees]
         if len(self.labels) != len(self.degrees):
             raise ValueError(f"{len(self.labels)} labels but {len(self.degrees)} degrees")
-        self.unit = unit if type(unit) is int else _to_int("unit", unit)
+        self.unit = unit if type(unit) is int else _check_int("unit", unit)
         if not 0 <= self.unit < len(self.labels):
             raise ValueError(f"unit {self.unit} is not a basis index")
         self.name = name
@@ -162,7 +145,9 @@ class GradedBasis:
         return max(self.degrees) if self.degrees else 0
 
     def graded_piece(self, n):
-        """Basis indices of degree n, ascending; empty list if none."""
+        """Basis indices of the int degree n, ascending; empty list if none."""
+        if type(n) is not int:
+            _check_int("degree", n)
         return list(self._by_degree.get(n, []))
 
 
@@ -173,15 +158,15 @@ class GradedAlgebra(GradedBasis):
     products maps an ordered index pair (i, j) to {k: coefficient}; pairs
     absent from the table multiply to zero.  The constructor normalizes the
     table into fresh dicts with int keys and exact values, zero terms and
-    empty entries dropped: linalg._fold stores each value as an int when it
-    is integral and as a Fraction otherwise, converting a str or a Fraction
-    subclass, and keeps a non-integral Fraction as it is.  Each distinct
-    input entry object is normalized once, and the keys that share it share
-    its one fresh output entry, so table entries may be shared between keys
-    and are read-only: replace an entry, never mutate it in place.  A key
-    that is already a tuple of two ints is kept as it is; a key index or
-    term index that is a str is read by int(), and one of any other type (a
-    bool, a float) raises ValueError.  The constructor deliberately does not
+    empty entries dropped: linalg._fold stores each int or Fraction value
+    as an int when it is integral and as a Fraction otherwise, and keeps a
+    non-integral Fraction as it is.  Each distinct input entry object is
+    normalized once, and the keys that share it share its one fresh output
+    entry, so table entries may be shared between keys and are read-only:
+    replace an entry, never mutate it in place.  A key that is already a
+    tuple of two ints is kept as it is.  A key or term index that is not an
+    int, or a value that is neither an int nor a Fraction (a str, a float,
+    a bool), raises ValueError.  The constructor deliberately does not
     check axioms, so corrupt tables stay representable for validate().
     """
 
@@ -194,14 +179,14 @@ class GradedAlgebra(GradedBasis):
         for key, terms in products.items():
             i, j = key
             if type(key) is not tuple or type(i) is not int or type(j) is not int:
-                key = (_to_int("table key", i), _to_int("table key", j))
+                key = (_check_int("table key", i), _check_int("table key", j))
             seen = done.get(id(terms))
             if seen is None:
                 cleaned = {}
                 for k, c in terms.items():
                     c = c if type(c) is int else _fold(c)
                     if c:
-                        cleaned[k if type(k) is int else _to_int("term index", k)] = c
+                        cleaned[k if type(k) is int else _check_int("term index", k)] = c
                 seen = done[id(terms)] = (terms, cleaned)
             if seen[1]:
                 table[key] = seen[1]
@@ -285,6 +270,7 @@ class GradedAlgebra(GradedBasis):
         return out
 
     def basis_element(self, i):
+        _check_index(self, i)
         return Element({i: 1})
 
     def multiply(self, u, v):
@@ -307,6 +293,7 @@ class GradedAlgebra(GradedBasis):
             return "0"
         parts = []
         for i, c in elt.items():
+            _check_index(self, i)
             if i == self.unit:
                 parts.append(str(c))
             elif c == 1:
@@ -355,14 +342,9 @@ class GradedAlgebra(GradedBasis):
 
         The index, degree and commutativity checks, and the index of the
         table the associativity check reads, are made in one walk over the
-        keys, and each is worked out once per distinct table entry, as for
-        shared entries (see the constructor): whether every term index lies
-        in 0..dim-1 and the degree its terms share (None if they do not);
-        and once per distinct (entry, mirror entry, parity) triple, whether
-        the two agree under the commutativity sign.
-        A key then costs a comparison or a lookup per check, and the text
-        of a violation, with its sort, is made only for the keys that fail,
-        in the order above.
+        keys, each worked out once per distinct entry (or entry, mirror and
+        parity), so a key costs a lookup; a violation's text is made only
+        for the keys that fail.
 
         Associativity is decided on the rows i of the generators alone when
         every earlier check passes, degree 0 is exactly the unit line and
@@ -378,12 +360,10 @@ class GradedAlgebra(GradedBasis):
         associativity.  So when every triple (g, y, z) with g a generator
         associates, N is all of A and every triple does.  The unit's own
         row is left out of that pass: the unit laws have passed by then,
-        so the unit is in N and its row holds no violation, yet it would
-        walk every table contribution once (about a third of the pass on
-        T^6).  When that pass finds a violation, or an earlier check
-        failed, or every index is a generator, the pass runs over every
-        row, the unit's included, so the violations and their order are
-        those of the full check.
+        so the unit is in N and its row holds no violation.  When that pass
+        finds a violation, or an earlier check failed, or every index is a
+        generator, the pass runs over every row, the unit's included, so
+        the violations and their order are those of the full check.
         """
         dim, degrees, labels = self.dim, self.degrees, self.labels
         table = self.products
@@ -512,6 +492,8 @@ def check_generator(g, seen):
     if g.symbol in seen:
         raise ValueError(f"duplicate generator symbol {g.symbol!r}")
     seen.add(g.symbol)
+    _check_int(f"degree of generator {g.symbol!r}", g.degree)
+    _check_int(f"truncation of generator {g.symbol!r}", g.truncation)
     if g.degree < 1:
         raise ValueError(f"generator {g.symbol!r} must have positive degree")
     if g.truncation < 2:
@@ -550,10 +532,7 @@ def monomial_basis(p):
     violation, with the text that build_monomial_algebra raises.  Basis:
     all exponent vectors below the truncations, sorted by (degree, exponent
     vector) and labelled by their monomials; the zero vector, the only one
-    of degree 0, is the unit.  The degree of each exponent vector is worked
-    out once, as its dot product with the generator degrees, and sorted
-    with it as the (degree, exponent vector) pair, so the sort and the
-    degree list share it.  Returns a GradedBasis that also carries
+    of degree 0, is the unit.  Returns a GradedBasis that also carries
     monomial_exponents, the exponent vector of each basis index.  Its cost
     is one step per basis element, whatever the size of the table.
     """
@@ -584,11 +563,9 @@ def build_monomial_algebra(p):
     otherwise every product is +1.  For each exponent vector e only the
     partners f with e + f below every truncation are visited, so the build
     costs one step per nonzero table entry; every other product is zero
-    and left out of the table.  Every product is +e_k or -e_k, and the
-    builder hands the constructor one shared entry dict per (k, sign), at
-    most 2 dim of them, {k: 1} or {k: -1}, with the int values that it
-    stores; it then normalizes each entry once.  The result also carries
-    monomial_exponents, the exponent vector of each basis index.
+    and left out of the table.  Every product is +e_k or -e_k, one shared
+    entry per (k, sign), which the constructor normalizes once.  The result
+    also carries monomial_exponents, the exponent vector of each basis index.
 
     The table has prod t(t+1)/2 entries over the truncations t; a
     presentation whose table would exceed MAX_TABLE_ENTRIES is rejected

@@ -5,7 +5,8 @@ property holds, 1 it fails (with a certificate or violation list on
 stdout), 2 usage or input errors, or a run out of memory or recursion
 depth (message on stderr).  With --json the stdout payload is a stable
 machine-readable document; rationals are always serialized as exact
-"p/q" strings.
+"p/q" strings.  Integer options are read by fileformats.integer, as the
+integers of a file are: 1_0, ٣ or " 2 " is a usage error.
 """
 
 import argparse
@@ -14,7 +15,7 @@ import sys
 
 from . import corpus
 from .derivations import check_class_h, derivation_space
-from .fileformats import AlgebraFile, ParseError, ValidationError, detect_format
+from .fileformats import AlgebraFile, ParseError, ValidationError, detect_format, integer
 from .rigidity import char_subspace, prove_rigidity
 
 
@@ -35,15 +36,15 @@ def build_parser():
 
     command("validate", "parse an algebra file and check every axiom")
     p = command("check-h", "decide class H: no nonzero negative-degree derivations")
-    p.add_argument("--max-degree", type=int, default=None, metavar="D",
+    p.add_argument("--max-degree", type=integer, default=None, metavar="D",
                    help="sweep derivation degrees -1..-D (default: top degree)")
     p = command("derivations", "compute the space of derivations of one degree")
-    p.add_argument("--degree", type=int, required=True, metavar="D",
+    p.add_argument("--degree", type=integer, required=True, metavar="D",
                    help="degree shift of the derivations (may be negative)")
     p = command("char", "characteristic subspace for a bundle rank")
-    p.add_argument("--rank", type=int, required=True, metavar="K", help="bundle rank, K >= 1")
+    p.add_argument("--rank", type=integer, required=True, metavar="K", help="bundle rank, K >= 1")
     p = command("rigidity", "run the level-by-level splitting-rigidity proof")
-    p.add_argument("--torus", type=int, required=True, metavar="S",
+    p.add_argument("--torus", type=integer, required=True, metavar="S",
                    help="torus rank of the product")
     p = command("examples", "list or print the bundled algebra files", with_file=False)
     p.add_argument("action", choices=["list", "show"])

@@ -27,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Element, _check_index, _check_int
-from .linalg import _fold, echelon, nullspace_basis
+from .algebra import Element, _check_index
+from .linalg import _check_int, _fold, echelon, nullspace_basis
 
 
 def _sign(exponent):
@@ -40,13 +40,12 @@ class GradedLinearMap:
     degree.  The block for source degree n has rows indexed by
     graded_piece(n + shift) and columns by graded_piece(n).  All-zero and
     empty blocks are dropped, so a map is zero iff it stores no blocks.
-    Entries are held as by _fold.  Shift and block degrees must be ints."""
+    Shift and block degrees are ints, entries ints or Fractions (_fold)."""
 
     __slots__ = ("shift", "blocks")
 
     def __init__(self, shift, blocks=None):
-        _check_int("shift", shift)
-        self.shift = shift
+        self.shift = _check_int("shift", shift)
         cleaned = {}
         for n, mat in (blocks or {}).items():
             _check_int("block degree", n)
@@ -160,6 +159,7 @@ def leibniz_rows(a, d, left):
     theta(1) = 0, and the elements u with the law on every (u, x) are
     closed under products.
     """
+    _check_int("d", d)
     pieces = {n: a.graded_piece(n) for n in set(a.degrees)}
     pos = a.position
     none = ()

@@ -10,8 +10,8 @@ Presentation format (first directive is name or generator):
 
 Odd-degree generators may omit the truncation, which defaults to 2 (it is
 also the only legal value for them); even-degree generators default to 2
-as well.  Integers, here and in the basis section, are [+-]?[0-9]+: int()
-alone would also read 1_0 and non-ASCII digits.
+as well.  Integers, here, in the basis section and in the options of the
+command line, are read by integer alone.
 
 Structure-constant format (first directive is basis:):
 
@@ -34,13 +34,11 @@ both orders keeps both lines, and validation cross-checks them.  Omitted
 pairs are zero.  A parsed table is validated before use and rejected with
 the full violation list if any axiom fails.
 
-Each distinct right-hand side is parsed once, and the lines that share it
-share one entry dict, as does a transposed pair filled in from it (or one
-negated copy per entry), so the constructor normalizes it once too.  Each
-distinct coefficient text is read once, and its value shared, an int
-where it is integral, as the constructor stores it.  The serializer walks
-the table's keys, not every pair of basis elements, so both directions
-cost time in proportion to the table plus dim.
+Each distinct right-hand side and coefficient text is read once; the lines
+that share a right-hand side, and a transposed pair filled in from it (or
+one negated copy), share one entry dict, which the constructor normalizes
+once.  The serializer walks the table's keys, so both directions cost time
+in proportion to the table plus dim.
 """
 
 from __future__ import annotations
@@ -94,13 +92,19 @@ def detect_format(text):
     raise ParseError(0, "empty input")
 
 
+def integer(text):
+    """The int that text writes as [+-]?[0-9]+, or ValueError: int() alone
+    would also read 1_0, non-ASCII digits such as ٣ and surrounding spaces."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
+
+
 def _int(token, line_no, what):
     try:
-        if _INTEGER.fullmatch(token):
-            return int(token)
+        return integer(token)
     except ValueError:
-        pass
-    raise ParseError(line_no, f"{what} must be an integer, got {token!r}")
+        raise ParseError(line_no, f"{what} must be an integer, got {token!r}") from None
 
 
 def parse_presentation(text):
@@ -232,7 +236,7 @@ def parse_structure_constants(text):
         raise ParseError(0, f"unit label {unit_label!r} is not in the basis")
     products = {}
     parsed = {}  # right-hand side text -> its terms, shared by its lines
-    coeffs = {}  # coefficient text -> its Fraction
+    coeffs = {}  # coefficient text -> its value, as _coefficient reads it
     for line_no, il, jl, rhs in product_lines:
         for lab in (il, jl):
             if lab not in label_index:

@@ -4,13 +4,14 @@ A matrix is a list of rows, each row a list of Fraction (or int) entries;
 nullspace_basis also takes sparse {column: value} rows.  Every public
 routine is pure: inputs are never mutated, results are fresh, and all
 arithmetic is exact.  Kernels and spans come from one sparse elimination,
-_eliminate, behind echelon and nullspace_basis.  _fold decides how the
-library holds every exact rational, here and in tables, Elements and
-maps: as an int where it is integral and as a Fraction otherwise, so
-integer systems run on int arithmetic.  _eliminate keeps an index from
-each non-pivot column to the pivot rows that hold it, so a new pivot
-touches only those rows.  Dense rref and the Bareiss rank are kept as
-independent oracles.
+_eliminate, behind echelon and nullspace_basis.  The library takes an
+int for an index, degree or rank (_check_int) and an int or a Fraction
+for a value (_fold); text is read by fileformats alone.  _fold holds every
+exact rational, here and in tables, Elements and maps, as an int where it
+is integral and as a Fraction otherwise, so integer systems run on int
+arithmetic.  _eliminate keeps an index from each non-pivot column to the
+pivot rows that hold it, so a new pivot touches only those rows.  Dense
+rref and the Bareiss rank are kept as independent oracles.
 """
 
 import math
@@ -66,20 +67,31 @@ def rref(m):
     return reduced, len(pivots), pivots
 
 
+def _check_int(name, value):
+    """value as an int; ValueError naming it unless it is a non-bool int."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, not {value!r}")
+    return int(value)
+
+
 def _fold(x):
-    """The exact rational x as an int when it is integral and as a Fraction
-    otherwise; a Fraction that is not integral is returned as it is."""
-    q = x if type(x) is Fraction else Fraction(x)
-    return q.numerator if q.denominator == 1 else q
+    """The int or Fraction x as an int when it is integral, else as a
+    Fraction, a non-integral Fraction as it is; ValueError for anything
+    else, such as a str, a float or a bool."""
+    if type(x) is not Fraction:
+        if type(x) is int:
+            return x
+        if not isinstance(x, (int, Fraction)) or isinstance(x, bool):
+            raise ValueError(f"a value must be an int or a Fraction, not {x!r}")
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def _nonzero(row):
     """Fresh {column: value} of the nonzero entries of a dense list or dict
-    row, each value folded by _fold.  A value is dropped when it is zero
-    after folding, so one that is zero only as a number, such as the str
-    "0", is dropped too."""
+    row, each value folded by _fold before a zero is dropped."""
     items = row.items() if isinstance(row, dict) else enumerate(row)
-    return {c: y for c, x in items if x and (y := x if type(x) is int else _fold(x))}
+    return {c: y for c, x in items if (y := x if type(x) is int else _fold(x))}
 
 
 def _subtract(row, f, other, skip):
@@ -148,7 +160,8 @@ def _eliminate(rows, ncols=None):
 def nullspace_basis(m, ncols=None):
     """Canonical kernel basis, read off the RREF of the system.
 
-    Rows are dense lists or {column: value} dicts, from any iterable; zero
+    Rows are dense lists or {column: value} dicts, from any iterable, and
+    ncols is required unless m is a nonempty list of dense rows; zero
     rows and exact duplicates are skipped, and the distinct rows are
     eliminated by _eliminate as they are read.  Once their rank is ncols
     the kernel is zero, and no further row is read, so the rows may come
@@ -162,11 +175,10 @@ def nullspace_basis(m, ncols=None):
     failure.  Vectors are dense lists, their values held as by _fold.
     """
     if ncols is None:
-        if not m:
-            raise ValueError("ncols is required for a matrix with no rows")
-        if isinstance(m[0], dict):
-            raise ValueError("ncols is required for dict rows")
+        if not isinstance(m, (list, tuple)) or not m or isinstance(m[0], dict):
+            raise ValueError("ncols is required unless m is a nonempty list of dense rows")
         ncols = len(m[0])
+    _check_int("ncols", ncols)
     # each row is copied once, by _nonzero; the frozen items of the
     # distinct rows outlive the elimination, which reduces the copies
     rows = set()
@@ -176,7 +188,7 @@ def nullspace_basis(m, ncols=None):
             r = _nonzero(row)
             if not r:
                 continue
-            if any(not 0 <= c < ncols for c in r):
+            if any(type(c) is not int or not 0 <= c < ncols for c in r):
                 raise ValueError(f"a row has an entry outside columns 0..{ncols - 1}")
             items = frozenset(r.items())
             if items not in rows:

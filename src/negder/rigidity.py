@@ -21,15 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .algebra import (Element, Generator, Presentation, _check_index, _check_int,
+from .algebra import (Element, Generator, Presentation, _check_index,
                       build_monomial_algebra, tensor)
 from .derivations import GradedLinearMap, check_class_h
 from .derivations import derivation_space  # noqa: F401  perfbench/spans.py patches this name
+from .linalg import _check_int
 
 
 def torus_exterior(s):
     """Exterior algebra on s torus generators i1..is, each of degree 1."""
-    gens = tuple(Generator(f"i{j}", 1, 2) for j in range(1, s + 1))
+    gens = tuple(Generator(f"i{j}", 1, 2) for j in range(1, _check_int("s", s) + 1))
     return build_monomial_algebra(Presentation(f"T{s}" if s else "pt", gens))
 
 
@@ -38,8 +39,8 @@ class KunnethModel:
 
     total is the tensor algebra with the torus factor first, flattened
     row-major, so the basis pair (subset S, base index i) sits at flat
-    index torus_index(S) * base.dim + i.  Subsets are tuples of 1-based
-    torus coordinates in increasing order.
+    index torus_index(S) * base.dim + i.  A subset is given by its 1-based
+    torus coordinates, in any order (see _subset).
     """
 
     def __init__(self, base, torus_rank):
@@ -63,7 +64,8 @@ class KunnethModel:
 
     def total_index(self, base_index, subset):
         _check_index(self.base, base_index)
-        return self._torus_index_of_subset[tuple(subset)] * self.base.dim + base_index
+        key = _subset(subset, self.torus_rank)
+        return self._torus_index_of_subset[key] * self.base.dim + base_index
 
     def split_index(self, t):
         _check_index(self.total, t)
@@ -74,6 +76,17 @@ def kunneth_model(base, torus_rank):
     return KunnethModel(base, torus_rank)
 
 
+def _subset(subset, torus_rank):
+    """The torus coordinates of subset as a sorted tuple; ValueError naming
+    subset unless they are ints in 1..torus_rank with no repeat."""
+    key = tuple(sorted(_check_int("subset coordinate", x) for x in subset))
+    if len(set(key)) != len(key):
+        raise ValueError(f"repeated coordinate in subset {subset!r}")
+    if key and (key[0] < 1 or key[-1] > torus_rank):
+        raise ValueError(f"subset {subset!r} is not within 1..{torus_rank}")
+    return key
+
+
 class LambdaFamily:
     """Coefficient maps of a candidate pullback, keyed by nonempty subsets
     of torus coordinates 1..torus_rank.  The empty subset acts as the
@@ -81,24 +94,17 @@ class LambdaFamily:
 
     A component's shift must match the parity of -|S| so the Koszul
     bookkeeping in the total algebra is coherent; the degree-preserving
-    pullback case is shift = -|S| exactly.  torus_rank and the coordinates
-    must be ints.
+    pullback case is shift = -|S| exactly.  torus_rank must be an int and
+    every subset pass _subset.
     """
 
     def __init__(self, torus_rank, components=None):
-        _check_int("torus_rank", torus_rank)
-        self.torus_rank = torus_rank
+        self.torus_rank = _check_int("torus_rank", torus_rank)
         comps = {}
         for subset, m in (components or {}).items():
-            for x in subset:
-                _check_int("subset coordinate", x)
-            key = tuple(sorted(subset))
+            key = _subset(subset, torus_rank)
             if not key:
                 raise ValueError("the empty subset is implicitly the identity")
-            if len(set(key)) != len(key):
-                raise ValueError(f"repeated coordinate in subset {subset!r}")
-            if key[0] < 1 or key[-1] > self.torus_rank:
-                raise ValueError(f"subset {subset!r} is not within 1..{self.torus_rank}")
             if (m.shift + len(key)) % 2:
                 raise ValueError(
                     f"component at {key} has shift {m.shift}, "
@@ -108,7 +114,7 @@ class LambdaFamily:
         self.components = comps
 
     def component(self, subset):
-        return self.components.get(tuple(sorted(subset)))
+        return self.components.get(_subset(subset, self.torus_rank))
 
 
 def is_trivial_pullback(fam):

@@ -11,9 +11,9 @@ from conftest import (all_pairs_monomial_algebra, basis_changed, crowded,
                       dense_subalgebra_generated, echelon_generators, exhaustive_validate,
                       key_sorted_basis, point, presentations, projective_space,
                       quadratic_sort_sign, sphere, torus)
-from negder import (Element, Generator, GradedAlgebra, GradedBasis, Presentation,
-                    algebra, build_monomial_algebra, corpus, derivation_space,
-                    monomial_basis, subalgebra_generated, tensor)
+from negder import (Element, Generator, GradedAlgebra, GradedBasis, GradedLinearMap,
+                    Presentation, algebra, build_monomial_algebra, corpus,
+                    derivation_space, monomial_basis, subalgebra_generated, tensor)
 from negder.linalg import rref
 
 
@@ -217,7 +217,11 @@ def test_element_keeps_exact_values_and_converts_the_rest():
         pass
 
     half = Fraction(1, 2)
-    e = Element({0: half, 1: 2, "2": "1/3", 3: Exact(3), 4: 0})
+    # text is read by fileformats alone: a str key or value is rejected
+    for coeffs in ({"2": 1}, {2: "1/3"}, {0: half, 1: 2, "2": "1/3", 3: Exact(3), 4: 0}):
+        with pytest.raises(ValueError, match="must be an int"):
+            Element(coeffs)
+    e = Element({0: half, 1: 2, 2: Fraction(1, 3), 3: Exact(3), 4: 0})
     assert e.coeffs == {0: half, 1: 2, 2: Fraction(1, 3), 3: 3}
     # held as _fold holds them: ints where integral, Fractions otherwise
     assert [type(c) for c in e.coeffs.values()] == [Fraction, int, Fraction, int]
@@ -228,6 +232,38 @@ def test_element_keeps_exact_values_and_converts_the_rest():
         == [int, Fraction]
     cp2 = projective_space(2)
     assert type(cp2.basis_element(2).coeffs[2]) is int and cp2.basis_element(2).coeff(0) == 0
+
+
+def test_an_index_beyond_the_basis_is_named():
+    # basis_element(99) used to return Element({99: 1}), on which
+    # format_element raised IndexError
+    cp2 = projective_space(2)
+    with pytest.raises(ValueError, match="basis index 99 is outside 0..2"):
+        cp2.basis_element(99)
+    with pytest.raises(ValueError, match="basis index 99 is outside 0..2"):
+        cp2.format_element(Element({99: 1}))
+
+
+def test_a_negative_index_does_not_wrap():
+    # format_element(Element({-2: 1})) used to print x, and basis_element(-1)
+    # to format as x^2
+    cp2 = projective_space(2)
+    with pytest.raises(ValueError, match="basis index -1 is outside 0..2"):
+        cp2.basis_element(-1)
+    with pytest.raises(ValueError, match="basis index -2 is outside 0..2"):
+        cp2.format_element(Element({-2: 1}))
+    with pytest.raises(ValueError, match="basis index -2 is outside 0..2"):
+        cp2.format_element(Element({0: 1, -2: 1}))
+
+
+def test_a_bool_is_no_index():
+    # image(cp2, True) used to read index 1
+    cp2 = projective_space(2)
+    ident = GradedLinearMap(0, {2: [[1]]})
+    for call in (lambda: ident.image(cp2, True), lambda: cp2.basis_element(True),
+                 lambda: cp2.graded_piece(True)):
+        with pytest.raises(ValueError, match="must be an int, not True"):
+            call()
 
 
 def test_format_element():
@@ -639,8 +675,12 @@ def test_constructor_normalizes_the_table():
     half = Fraction(1, 2)
     shared = {2: 1, 0: 0}
     int_key = (0, 1)
+    # text is read by fileformats alone: a str value or key index is rejected
+    for text in ({(1, 0): {1: "1/2"}}, {("1", 1): {0: Exact(3)}}):
+        with pytest.raises(ValueError, match="must be an int"):
+            GradedAlgebra(["1", "u", "v"], [0, 1, 1], 0, text)
     products = {(0, 0): {0: 1}, int_key: {1: half, 0: 0},
-                (1, 0): {1: "1/2"}, ("1", 1): {0: Exact(3)},
+                (1, 0): {1: Fraction(1, 2)}, (1, 1): {0: Exact(3)},
                 (2, 2): {0: Fraction(0)}, (0, 2): shared, (2, 0): shared}
     a = GradedAlgebra(["1", "u", "v"], [0, 1, 1], 0, products)
     assert a.products == {(0, 0): {0: 1}, (0, 1): {1: half},
@@ -697,8 +737,11 @@ def test_a_table_given_as_fractions_ints_or_strs_is_one_algebra(p, q, data):
                                  {key: {k: convert(Fraction(c)) for k, c in terms.items()}
                                   for key, terms in source.products.items()})
 
+        # text is read by fileformats alone: a table given as strs is rejected
+        with pytest.raises(ValueError, match="must be an int or a Fraction"):
+            given_as(str)
         first, *others = [given_as(convert) for convert in (
-            lambda c: c, lambda c: c.numerator if c.denominator == 1 else c, str)]
+            lambda c: c, lambda c: c.numerator if c.denominator == 1 else c)]
         for a in (first, *others):
             assert a == source
             assert_exact_values(a)
@@ -729,12 +772,17 @@ def test_indices_and_degrees_must_be_ints_or_digit_strings():
     for k in (1.5, 1.0, True):
         with pytest.raises(ValueError, match="^Element key must be an int"):
             Element({k: 1})
-    # ints and digit strings convert
-    basis = GradedBasis(["1", "x"], ["0", " 2"], "0")
-    assert basis.degrees == [0, 2] and basis.unit == 0
-    assert GradedAlgebra(["1", "x"], [0, 2], 0, {("0", "1"): {"1": 1}}).products == {
-        (0, 1): {1: 1}}
-    assert Element({"1": 2}).coeffs == {1: 2}
+    # digit strings are text, which fileformats alone reads
+    with pytest.raises(ValueError, match="^degree must be an int"):
+        GradedBasis(["1", "x"], ["0", " 2"], "0")
+    with pytest.raises(ValueError, match="^unit must be an int"):
+        GradedBasis(["1", "x"], [0, 2], "0")
+    with pytest.raises(ValueError, match="^table key must be an int"):
+        GradedAlgebra(["1", "x"], [0, 2], 0, {("0", "1"): {1: 1}})
+    with pytest.raises(ValueError, match="^term index must be an int"):
+        GradedAlgebra(["1", "x"], [0, 2], 0, {(0, 1): {"1": 1}})
+    with pytest.raises(ValueError, match="^Element key must be an int"):
+        Element({"1": 2})
 
 
 def test_builder_signs_only_with_odd_generators(monkeypatch):

@@ -228,6 +228,20 @@ def test_integers_of_the_ascii_grammar_parse(capsys, tmp_path):
     assert invoke(capsys, "validate", str(good))[:2] == (0, "valid\n")
 
 
+@pytest.mark.parametrize("command, option, plain, signed", [
+    ("check-h", "--max-degree", "2", "+02"), ("derivations", "--degree", "-3", "-03"),
+    ("char", "--rank", "5", "+5"), ("rigidity", "--torus", "0", "-0")])
+def test_integer_options_follow_the_file_grammar(capsys, command, option, plain, signed):
+    s3 = corpus.path("s3")
+    want = invoke(capsys, command, s3, option, plain, "--json")
+    assert want[0] in (0, 1)
+    assert invoke(capsys, command, s3, f"{option}={signed}", "--json") == want
+    for text in ("1_0", "٣", " 2 ", "2.0", "0x1"):
+        code, out, err = invoke(capsys, command, s3, f"{option}={text}")
+        assert (code, out) == (2, "")
+        assert f"invalid integer value: {text!r}" in err
+
+
 def test_argparse_failures_map_to_exit_2(capsys):
     assert invoke(capsys, "frobnicate")[0] == 2
     assert invoke(capsys, "derivations", corpus.path("cp2"))[0] == 2

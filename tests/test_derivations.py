@@ -68,7 +68,9 @@ def test_apply_rejects_misshapen_blocks():
 
 def test_image_reads_one_column_and_apply_sums_them():
     t2 = torus(2)
-    m = GradedLinearMap(0, {1: [[1, 2], [3, "1/2"]]})
+    with pytest.raises(ValueError, match="must be an int or a Fraction, not '1/2'"):
+        GradedLinearMap(0, {1: [[1, 2], [3, "1/2"]]})
+    m = GradedLinearMap(0, {1: [[1, 2], [3, Fraction(1, 2)]]})
     assert [[type(x) for x in row] for row in m.blocks[1]] == [[int, int], [int, Fraction]]
     assert m.image(t2, 1) == Element({1: 1, 2: 3})
     assert m.image(t2, 2) == Element({1: 2, 2: Fraction(1, 2)})

@@ -165,6 +165,15 @@ def test_nullspace_dict_rows_need_ncols():
         nullspace_basis([{0: 1}])
 
 
+def test_nullspace_rows_from_an_iterator_need_ncols():
+    # an iterator cannot be indexed for its first row: this used to raise
+    # TypeError: 'generator' object is not subscriptable
+    for rows in ((row for row in [[1, 2]]), iter([[1, 2]]), []):
+        with pytest.raises(ValueError, match="ncols is required"):
+            nullspace_basis(rows)
+    assert nullspace_basis((row for row in [[1, 2]]), ncols=2) == [[-2, 1]]
+
+
 def test_nullspace_rejects_entries_beyond_ncols():
     with pytest.raises(ValueError, match="outside columns"):
         nullspace_basis([{3: 1}], ncols=2)
@@ -223,12 +232,19 @@ def test_echelon_drops_explicit_zero_values():
 
 @pytest.mark.parametrize("zero", ["0", "0/5", Fraction(0)])
 def test_a_value_that_folds_to_zero_is_no_pivot(zero):
-    # the value is dropped after it is folded, so a str "0" is not kept
-    # as an int 0 that would become a pivot and be divided by
-    assert linalg.echelon([{0: zero, 1: 1}]) == {1: {1: 1}}
-    assert linalg.echelon([[zero, 2]]) == {1: {1: 1}}
-    assert nullspace_basis([{0: zero, 1: 1}], ncols=2) == [[1, 0]]
-    assert nullspace_basis([[zero, 1], [zero, zero]]) == [[1, 0]]
+    # the value is dropped after it is folded, so it is never kept as an
+    # int 0 that would become a pivot and be divided by; a str zero is
+    # text, which fileformats alone reads, and is rejected
+    calls = [(lambda: linalg.echelon([{0: zero, 1: 1}]), {1: {1: 1}}),
+             (lambda: linalg.echelon([[zero, 2]]), {1: {1: 1}}),
+             (lambda: nullspace_basis([{0: zero, 1: 1}], ncols=2), [[1, 0]]),
+             (lambda: nullspace_basis([[zero, 1], [zero, zero]]), [[1, 0]])]
+    for call, want in calls:
+        if isinstance(zero, str):
+            with pytest.raises(ValueError, match="must be an int or a Fraction"):
+                call()
+        else:
+            assert call() == want
 
 
 @given(matrices)

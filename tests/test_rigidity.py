@@ -59,6 +59,33 @@ def test_pullback_expand_rejects_indices_outside_the_base():
             pullback_expand(model, fam, Element({3: 1}))
 
 
+@pytest.mark.parametrize("subset", [(3,), (0,), (1, 1), (1.0,), (True,)])
+def test_model_total_index_rejects_a_subset_outside_the_torus(subset):
+    # each used to raise a bare KeyError, (1.0,) and (True,) to find (1,)
+    model = kunneth_model(sphere(3), 1)
+    with pytest.raises(ValueError, match=r"subset|coordinate") as info:
+        model.total_index(0, subset)
+    assert repr(subset[0]) in str(info.value)
+
+
+def test_a_subset_is_one_set_in_any_order():
+    # on s3 x T2, (2, 1) used to raise KeyError in total_index, although
+    # LambdaFamily took it as (1, 2)
+    model = kunneth_model(sphere(3), 2)
+    assert model.total_index(1, (2, 1)) == model.total_index(1, (1, 2))
+    assert model.split_index(model.total_index(1, [2, 1])) == (1, (1, 2))
+    cp2 = projective_space(2)
+    theta = GradedLinearMap.from_images(cp2, -2, {1: cp2.basis_element(0)})
+    fam = LambdaFamily(2, {(2, 1): theta})
+    assert fam.components == {(1, 2): theta}
+    assert fam.component((2, 1)) is fam.component([1, 2]) is theta
+    for subset in ((3,), (1, 1), ("1",)):
+        for call in (lambda: fam.component(subset),
+                     lambda: LambdaFamily(2, {subset: theta})):
+            with pytest.raises(ValueError, match=r"subset|coordinate"):
+                call()
+
+
 def test_torus_classes_anticommute_in_total():
     model = kunneth_model(projective_space(2), 2)
     t1 = model.total.basis_element(model.total_index(0, (1,)))
