@@ -9,6 +9,7 @@ the splitting-rigidity prover at a chosen torus rank.
 import argparse
 
 from negder import ProofTrace, check_class_h, corpus
+from negder.fileformats import integer
 
 
 def survey_row(name, torus_rank):
@@ -35,7 +36,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("names", nargs="*", default=None,
                         help="examples to survey (default: all)")
-    parser.add_argument("--torus", type=int, default=3, metavar="S",
+    parser.add_argument("--torus", type=integer, default=3, metavar="S",
                         help="torus rank for the rigidity column (default 3)")
     args = parser.parse_args()
     names = args.names or corpus.names()

@@ -17,9 +17,11 @@ table as it stores its values, ints where integral (see linalg).  Solution
 spaces come back as the canonical basis of the kernel on every basis
 element, reshaped into per-degree blocks held the same way.  The exact
 self-check of nullspace_basis covers the system over U_d only, so
-check_class_h also checks its certificate on the table, apart from this
-path, before it returns it.  The system on the unknowns theta(e_i) for
-every i stays available, as the oracles leibniz_rows and leibniz_system.
+check_class_h also checks its certificate on the table before it returns
+it.  The Leibniz residual is summed in one place apart from this path,
+_defects: on the pairs (g, x) for that check, and on every ordered basis
+pair for is_derivation.  The system on the unknowns theta(e_i) for every
+i stays available, as the oracles leibniz_rows and leibniz_system.
 """
 
 from __future__ import annotations
@@ -331,25 +333,40 @@ def derivation_space(a, d):
     return maps
 
 
+def _defects(a, m, left):
+    """Yield ((i, x), defect), i in left and x in the basis, in that order,
+    for each nonzero {index: value} defect m(e_i e_x) - m(e_i) e_x -
+    (-1)^(d |i|) e_i m(e_x), summed from the table and each image of m read
+    once, apart from the solver; ValueError for a term outside the basis."""
+    table, empty = a.products, {}
+    images = {i: m.image(a, i).coeffs for i in range(a.dim)}
+    for i in left:
+        sign = _sign(m.shift * a.degrees[i])
+        for x in range(a.dim):
+            defect = {}
+            for k, c in table.get((i, x), empty).items():
+                img = images.get(k)
+                if img is None:  # k is not a basis index
+                    _check_index(a, k)
+                for t, y in img.items():
+                    _add(defect, t, c * y)
+            for t, y in images[i].items():
+                for k, c in table.get((t, x), empty).items():
+                    _add(defect, k, -c * y)
+            for t, y in images[x].items():
+                for k, c in table.get((i, t), empty).items():
+                    _add(defect, k, -sign * c * y)
+            if defect:
+                yield (i, x), defect
+
+
 def is_derivation(a, m):
     """Exact Leibniz residual of m over every ordered basis pair.
 
     Returns a list of ((i, j), defect Element) entries for the violated
-    pairs; an empty list means m is a derivation.
+    pairs, in i, j order; an empty list means m is a derivation.
     """
-    out = []
-    images = [m.image(a, i) for i in range(a.dim)]
-    for i in range(a.dim):
-        ei = a.basis_element(i)
-        sign = _sign(m.shift * a.degrees[i])
-        for j in range(a.dim):
-            ej = a.basis_element(j)
-            defect = (m.apply(a, a.multiply(ei, ej))
-                      - a.multiply(images[i], ej)
-                      - sign * a.multiply(ei, images[j]))
-            if defect:
-                out.append(((i, j), defect))
-    return out
+    return [(pair, Element(defect)) for pair, defect in _defects(a, m, range(a.dim))]
 
 
 def bracket(a, m1, m2):
@@ -380,31 +397,6 @@ class ClassHVerdict:
     complete: bool
 
 
-def _check_leibniz(a, m):
-    """Raise ArithmeticError unless m satisfies the Leibniz law on every
-    pair (g, x), g in a.generator_indices: the law on every pair, on a
-    validated table.  Both sides are summed straight from the table and
-    the images of m, apart from the solver's path."""
-    table, empty = a.products, {}
-    images = {i: m.image(a, i).coeffs for i in range(a.dim)}
-    for g in a.generator_indices:
-        sign = _sign(m.shift * a.degrees[g])
-        for x in range(a.dim):
-            defect = {}
-            for k, c in table.get((g, x), empty).items():
-                for t, y in images.get(k, empty).items():
-                    _add(defect, t, c * y)
-            for t, y in images.get(g, empty).items():
-                for k, c in table.get((t, x), empty).items():
-                    _add(defect, k, -c * y)
-            for t, y in images.get(x, empty).items():
-                for k, c in table.get((g, t), empty).items():
-                    _add(defect, k, -sign * c * y)
-            if defect:
-                raise ArithmeticError(f"the certificate fails the Leibniz law on "
-                                      f"({a.labels[g]}, {a.labels[x]})")
-
-
 def check_class_h(a, max_degree=None):
     """Sweep derivation degrees -1, -2, ... down to -min(max_degree, top
     degree), with no cap meaning the top degree, below which every space
@@ -425,7 +417,9 @@ def check_class_h(a, max_degree=None):
         space = derivation_space(a, -k)
         dimensions[-k] = len(space)
         if space:
-            _check_leibniz(a, space[0])
+            for (g, x), _ in _defects(a, space[0], a.generator_indices):
+                raise ArithmeticError(f"the certificate fails the Leibniz law on "
+                                      f"({a.labels[g]}, {a.labels[x]})")
             certificate = (-k, space[0])
             break
     return ClassHVerdict(

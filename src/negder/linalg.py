@@ -19,7 +19,7 @@ from fractions import Fraction
 
 
 def dot(row, v):
-    return sum((Fraction(a) * b for a, b in zip(row, v)), Fraction(0))
+    return sum((_fold(a) * _fold(b) for a, b in zip(row, v)), Fraction(0))
 
 
 def mat_vec(m, v):
@@ -35,10 +35,11 @@ def rref(m):
 
     Returns (reduced, rank, pivot_columns).  Pivot columns are strictly
     increasing, pivot entries are 1 with zeros above and below, so the
-    output is the unique RREF of the row space.  Degenerate shapes
-    (no rows, no columns) are fine.
+    output is the unique RREF of the row space, its entries Fractions.
+    Values are taken as by _fold.  Degenerate shapes (no rows, no
+    columns) are fine.
     """
-    reduced = [[Fraction(x) for x in row] for row in m]
+    reduced = [[Fraction(_fold(x)) for x in row] for row in m]
     nrows = len(reduced)
     ncols = len(reduced[0]) if nrows else 0
     pivots = []
@@ -57,11 +58,13 @@ def rref(m):
         lead = reduced[r][c]
         if lead != 1:
             reduced[r] = [x / lead for x in reduced[r]]
-        row_r = reduced[r]
-        for i in range(nrows):
-            f = reduced[i][c]
+        # the rows are fresh copies: reduce them in place, over the pivot row's nonzeros
+        nonzero = [(j, y) for j, y in enumerate(reduced[r]) if y]
+        for i, row in enumerate(reduced):
+            f = row[c]
             if i != r and f:
-                reduced[i] = [a - f * b for a, b in zip(reduced[i], row_r)]
+                for j, y in nonzero:
+                    row[j] -= f * y
         pivots.append(c)
         r += 1
     return reduced, len(pivots), pivots
@@ -221,15 +224,16 @@ def nullspace_basis(m, ncols=None):
 def rank_fraction_free(m):
     """Rank via Bareiss fraction-free elimination.
 
-    Rows are scaled to integers, then eliminated in the two-step Bareiss
-    scheme where every division by the previous pivot is exact.  This is an
-    independent code path from rref and exists as a cross-check oracle.
+    Rows, their values taken as by _fold, are scaled to integers, then
+    eliminated in the two-step Bareiss scheme where every division by the
+    previous pivot is exact.  This is an independent code path from rref
+    and exists as a cross-check oracle.
     """
     if not m or not m[0]:
         return 0
     a = []
     for row in m:
-        fr = [Fraction(x) for x in row]
+        fr = [_fold(x) for x in row]
         scale = math.lcm(*(x.denominator for x in fr))
         a.append([int(x * scale) for x in fr])
     nrows, ncols = len(a), len(a[0])

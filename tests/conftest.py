@@ -104,6 +104,24 @@ def generator_pair_space(a, d):
     return maps
 
 
+def element_residual(a, m):
+    """Oracle for is_derivation: the Leibniz residual of m on every ordered
+    basis pair, by Element arithmetic through multiply and apply."""
+    out = []
+    images = [m.image(a, i) for i in range(a.dim)]
+    for i in range(a.dim):
+        ei = a.basis_element(i)
+        sign = -1 if (m.shift * a.degrees[i]) % 2 else 1
+        for j in range(a.dim):
+            ej = a.basis_element(j)
+            defect = (m.apply(a, a.multiply(ei, ej))
+                      - a.multiply(images[i], ej)
+                      - sign * a.multiply(ei, images[j]))
+            if defect:
+                out.append(((i, j), defect))
+    return out
+
+
 @st.composite
 def presentations(draw):
     """Up to three generators of degree 1..8, truncating at 2..4 when even."""

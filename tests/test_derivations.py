@@ -7,9 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (basis_changed, crowded, flag_manifold, generator_pair_space,
-                      point, presentations, projective_space, rref_kernel, sphere,
-                      src_env, torus)
+from conftest import (basis_changed, crowded, element_residual, flag_manifold,
+                      generator_pair_space, point, presentations, projective_space,
+                      rref_kernel, sphere, src_env, torus)
 from negder import (Element, Generator, GradedAlgebra, GradedLinearMap,
                     Presentation, bracket, build_monomial_algebra, check_class_h,
                     corpus, derivation_space, derivations, identity_map,
@@ -517,6 +517,59 @@ def test_leibniz_defect_reported():
 def test_zero_map_is_a_derivation():
     for alg in (projective_space(2), torus(2)):
         assert is_derivation(alg, GradedLinearMap(-1)) == []
+
+
+def perturbed(a, theta, x):
+    """theta plus x e_t on every basis element i that has a target, t the
+    first basis element of degree |i| + shift."""
+    images = {}
+    for i in range(a.dim):
+        piece = a.graded_piece(a.degrees[i] + theta.shift)
+        images[i] = theta.image(a, i) + Element({piece[0]: x} if piece else {})
+    return GradedLinearMap.from_images(a, theta.shift, images)
+
+
+def assert_residual_matches_oracle(a):
+    """is_derivation equals element_residual, as a list, in order and
+    value by value, on the derivations of each degree d <= 0 that takes
+    some piece to a piece, the zero map there, and each of them perturbed;
+    returns the number of defects of the perturbed maps."""
+    defects = 0
+    degrees = set(a.degrees)
+    for d in sorted({t - n for t in degrees for n in degrees if t <= n}):
+        for theta in derivation_space(a, d) + [GradedLinearMap(d)]:
+            for m in (theta, perturbed(a, theta, Fraction(1, 3)), perturbed(a, theta, -2)):
+                got, want = is_derivation(a, m), element_residual(a, m)
+                assert got == want and repr(got) == repr(want), (d, m)
+                defects += len(got) if m is not theta else 0
+    return defects
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_is_derivation_equals_element_oracle_on_corpus(name):
+    a = corpus.load(name)
+    cert = check_class_h(a).certificate
+    if cert is not None:
+        assert is_derivation(a, cert[1]) == element_residual(a, cert[1]) == []
+    assert assert_residual_matches_oracle(a) > 0
+
+
+@given(presentations().filter(lambda p: prod(g.truncation for g in p.generators) <= 8),
+       crowded(), st.data())
+@settings(max_examples=25, deadline=None)
+def test_is_derivation_equals_element_oracle_on_random_tables(p, q, data):
+    assert_residual_matches_oracle(build_monomial_algebra(p))
+    assert_residual_matches_oracle(basis_changed(build_monomial_algebra(q), data))
+
+
+def test_a_table_term_outside_the_basis_raises():
+    # x * x names index 2, or -1, of a two-element basis
+    for k in (2, -1):
+        a = GradedAlgebra(["1", "x"], [0, 2], 0, {
+            (0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {k: 1}})
+        for residual in (is_derivation, element_residual):
+            with pytest.raises(ValueError, match=f"basis index {k} is outside 0..1"):
+                residual(a, GradedLinearMap(-2))
 
 
 # --- brackets ---

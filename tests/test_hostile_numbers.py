@@ -19,7 +19,7 @@ from negder import (Element, Generator, GradedAlgebra, GradedBasis, GradedLinear
                     derivation_space, identity_map, kunneth_model, leibniz_system,
                     monomial_basis, nullspace_basis, prove_rigidity, torus_exterior)
 from negder.cli import run
-from negder.linalg import echelon
+from negder.linalg import dot, echelon, mat_vec, rank_fraction_free, rref
 from negder.rigidity import level_cap
 
 # an exponent that Fraction() reads at a cost that grows with it, an
@@ -80,6 +80,12 @@ def library_entries():
         ("nullspace_basis value", lambda v: nullspace_basis([{0: v}], ncols=1)),
         ("nullspace_basis column", lambda v: nullspace_basis([{v: 1}], ncols=2)),
         ("nullspace_basis ncols", lambda v: nullspace_basis([[1]], ncols=v)),
+        ("rref", lambda v: rref([[v]])),
+        ("rank_fraction_free", lambda v: rank_fraction_free([[v, 1]])),
+        ("dot row", lambda v: dot([v], [1])),
+        ("dot vector", lambda v: dot([1], [v])),
+        ("mat_vec matrix", lambda v: mat_vec([[v]], [1])),
+        ("mat_vec vector", lambda v: mat_vec([[1]], [v])),
     ]
 
 

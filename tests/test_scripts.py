@@ -28,6 +28,15 @@ def test_corpus_survey_runs():
     assert lines[4].split() == ["t2", "4", "2", "fails", "-1", "open", "at", "level", "1"]
 
 
+@pytest.mark.parametrize("rank", ["1_0", "٣", " 2 "])
+def test_corpus_survey_reads_the_torus_rank_as_the_file_grammar_does(rank):
+    # int() would read each of these; the command line's integer options do not
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "corpus_survey.py"),
+                           "--torus", rank, "s3"], capture_output=True, text=True, env=src_env())
+    assert proc.returncode == 2
+    assert "--torus" in proc.stderr and proc.stdout == ""
+
+
 def test_derivation_census_runs():
     lines = run_script("derivation_census.py", "--negative-only", "s3")
     assert lines[0] == "s3 (dim 2, top degree 3)"
