@@ -617,22 +617,3 @@ def tensor(a, b, name=None):
     return GradedAlgebra(labels, degrees, a.unit * dim_b + b.unit, products,
                          name=name or "")
 
-
-def subalgebra_generated(a, seed):
-    """Echelonized basis of the smallest unital subalgebra containing seed.
-
-    Iterates span <- span + span . span until the dimension stops growing,
-    echelonizing at each step, so the returned Elements are the canonical
-    reduced basis of the subalgebra, in pivot order.
-    """
-    def basis(rows):
-        pivots = echelon(rows)
-        return [Element(pivots[p]) for p in sorted(pivots)]
-
-    span = basis([a.basis_element(a.unit).coeffs] + [s.coeffs for s in seed])
-    while True:
-        grown = basis([e.coeffs for e in span]
-                      + [a.multiply(e1, e2).coeffs for e1 in span for e2 in span])
-        if len(grown) == len(span):
-            return span
-        span = grown

@@ -3,10 +3,12 @@
 Exit codes follow one convention across subcommands: 0 the queried
 property holds, 1 it fails (with a certificate or violation list on
 stdout), 2 usage or input errors, or a run out of memory or recursion
-depth (message on stderr).  With --json the stdout payload is a stable
-machine-readable document; rationals are always serialized as exact
-"p/q" strings.  Integer options are read by fileformats.integer, as the
-integers of a file are: 1_0, ٣ or " 2 " is a usage error.
+depth, 4 a self-check of the computation failed (an ArithmeticError),
+so there is no answer; the message of 2 or 4 goes to stderr.  With
+--json the stdout payload is a stable machine-readable document;
+rationals are always serialized as exact "p/q" strings.  Integer options
+are read by fileformats.integer, as the integers of a file are: 1_0, ٣
+or " 2 " is a usage error.
 """
 
 import argparse
@@ -243,6 +245,9 @@ def run(argv):
         # exit 1 would claim that the property fails
         print(f"error: out of resources ({type(exc).__name__})", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 def main():

@@ -22,6 +22,13 @@ it.  The Leibniz residual is summed in one place apart from this path,
 _defects: on the pairs (g, x) for that check, and on every ordered basis
 pair for is_derivation.  The system on the unknowns theta(e_i) for every
 i stays available, as the oracles leibniz_rows and leibniz_system.
+
+What is proved: the kernel check shows that each reported vector solves
+the system, so the true dimension is at least the reported one.  An
+empty space, and so "in class H", rests on _eliminate reaching full
+rank, which nothing checks independently yet.  The assembly of the
+system is checked only through the certificate guard, so only when the
+space is nonzero.
 """
 
 from __future__ import annotations
@@ -90,14 +97,6 @@ class GradedLinearMap:
                 out[t] = out.get(t, 0) + c * x
         return Element(out)
 
-    def scaled(self, scalar):
-        scalar = _fold(scalar)
-        return GradedLinearMap(
-            self.shift,
-            {n: [[scalar * x for x in row] for row in mat]
-             for n, mat in self.blocks.items()},
-        )
-
     @classmethod
     def from_images(cls, algebra, shift, images):
         """Assemble a map of the int shift from basis images {index:
@@ -126,11 +125,6 @@ class GradedLinearMap:
         m = cls.__new__(cls)
         m.shift, m.blocks = shift, blocks
         return m
-
-
-def identity_map(algebra):
-    return GradedLinearMap.from_images(
-        algebra, 0, {i: algebra.basis_element(i) for i in range(algebra.dim)})
 
 
 def _add(row, c, x):
@@ -367,15 +361,6 @@ def is_derivation(a, m):
     pairs, in i, j order; an empty list means m is a derivation.
     """
     return [(pair, Element(defect)) for pair, defect in _defects(a, m, range(a.dim))]
-
-
-def bracket(a, m1, m2):
-    """Graded commutator [m1, m2] = m1 m2 - (-1)^(d1 d2) m2 m1, a map of
-    shift d1 + d2 (a derivation whenever both inputs are)."""
-    sign = _sign(m1.shift * m2.shift)
-    images = {i: m1.apply(a, m2.image(a, i)) - sign * m2.apply(a, m1.image(a, i))
-              for i in range(a.dim)}
-    return GradedLinearMap.from_images(a, m1.shift + m2.shift, images)
 
 
 @dataclass

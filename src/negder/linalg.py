@@ -26,10 +26,6 @@ def mat_vec(m, v):
     return [dot(row, v) for row in m]
 
 
-def identity(n):
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
 def rref(m):
     """Reduced row echelon form of m.
 

@@ -72,10 +72,6 @@ class KunnethModel:
         return t % self.base.dim, self._subset_of_torus_index[t // self.base.dim]
 
 
-def kunneth_model(base, torus_rank):
-    return KunnethModel(base, torus_rank)
-
-
 def _subset(subset, torus_rank):
     """The torus coordinates of subset as a sorted tuple; ValueError naming
     subset unless they are ints in 1..torus_rank with no repeat."""
@@ -94,8 +90,8 @@ class LambdaFamily:
 
     A component's shift must match the parity of -|S| so the Koszul
     bookkeeping in the total algebra is coherent; the degree-preserving
-    pullback case is shift = -|S| exactly.  torus_rank must be an int and
-    every subset pass _subset.
+    pullback case is shift = -|S| exactly.  torus_rank must be an int,
+    every subset pass _subset and every component be a GradedLinearMap.
     """
 
     def __init__(self, torus_rank, components=None):
@@ -105,6 +101,9 @@ class LambdaFamily:
             key = _subset(subset, torus_rank)
             if not key:
                 raise ValueError("the empty subset is implicitly the identity")
+            if not isinstance(m, GradedLinearMap):
+                raise ValueError(f"component at {key} is a {type(m).__name__}, "
+                                 f"not a GradedLinearMap")
             if (m.shift + len(key)) % 2:
                 raise ValueError(
                     f"component at {key} has shift {m.shift}, "
@@ -115,11 +114,6 @@ class LambdaFamily:
 
     def component(self, subset):
         return self.components.get(_subset(subset, self.torus_rank))
-
-
-def is_trivial_pullback(fam):
-    """True iff every stored component is the zero map."""
-    return not fam.components
 
 
 def pullback_expand(model, fam, u):
@@ -203,16 +197,6 @@ def char_subspace(base, rank):
     basis_indices = {n: tuple(base.graded_piece(n)) for n in degrees}
     dimension = sum(len(v) for v in basis_indices.values())
     return CharSubspace(rank, degrees, basis_indices, dimension)
-
-
-def char_preserved(base, endo, rank):
-    """Whether a degree-preserving endomorphism maps the characteristic
-    subspace into itself (coefficient support stays on its indices)."""
-    if endo.shift != 0:
-        raise ValueError("endomorphism must preserve degree")
-    char = char_subspace(base, rank)
-    allowed = {i for idxs in char.basis_indices.values() for i in idxs}
-    return all(endo.image(base, i).coeffs.keys() <= allowed for i in sorted(allowed))
 
 
 @dataclass

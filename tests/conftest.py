@@ -2,8 +2,10 @@
 
 The builders construct the standard small algebras directly from
 presentations, independently of the bundled corpus files, so the builders
-themselves are under test whenever a test module uses them.  The oracles
-are the slow paths the library replaced, kept to check the fast ones.
+themselves are under test whenever a test module uses them; identity,
+identity_map, scaled and bracket build the matrices and maps that tests
+feed in.  The oracles are the slow paths the library replaced, kept to
+check the fast ones.
 """
 
 import importlib.util
@@ -68,6 +70,32 @@ def torus(s):
 def point():
     """The one-point algebra Q."""
     return build_monomial_algebra(Presentation("pt", ()))
+
+
+def identity(n):
+    """The n x n identity matrix, its entries Fractions."""
+    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+
+
+def identity_map(a):
+    """The identity of a as a degree-0 GradedLinearMap."""
+    return GradedLinearMap.from_images(
+        a, 0, {i: a.basis_element(i) for i in range(a.dim)})
+
+
+def scaled(m, scalar):
+    """scalar times the GradedLinearMap m."""
+    return GradedLinearMap(m.shift, {n: [[scalar * x for x in row] for row in mat]
+                                     for n, mat in m.blocks.items()})
+
+
+def bracket(a, m1, m2):
+    """Graded commutator [m1, m2] = m1 m2 - (-1)^(d1 d2) m2 m1, a map of
+    shift d1 + d2 (a derivation whenever both inputs are)."""
+    sign = -1 if (m1.shift * m2.shift) % 2 else 1
+    images = {i: m1.apply(a, m2.image(a, i)) - sign * m2.apply(a, m1.image(a, i))
+              for i in range(a.dim)}
+    return GradedLinearMap.from_images(a, m1.shift + m2.shift, images)
 
 
 def rref_kernel(m, ncols):
@@ -144,32 +172,6 @@ def space_calls(monkeypatch):
         monkeypatch.setattr(module, "derivation_space",
                             lambda a, d: calls.append(d) or real(a, d))
     return calls
-
-
-def dense_subalgebra_generated(a, seed):
-    """Oracle for subalgebra_generated: the same closure iteration, with
-    every span echelonized by dense rref."""
-    def dense(elt):
-        row = [Fraction(0)] * a.dim
-        for i, c in elt.coeffs.items():
-            row[i] = c
-        return row
-
-    def element(row):
-        return Element({i: c for i, c in enumerate(row) if c})
-
-    reduced, rank, _ = rref([dense(a.basis_element(a.unit))] + [dense(s) for s in seed])
-    span = reduced[:rank]
-    while True:
-        candidates = list(span)
-        for r1 in span:
-            for r2 in span:
-                candidates.append(dense(a.multiply(element(r1), element(r2))))
-        reduced, new_rank, _ = rref(candidates)
-        if new_rank == rank:
-            return [element(row) for row in span]
-        span = reduced[:new_rank]
-        rank = new_rank
 
 
 @st.composite

@@ -8,13 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (all_pairs_monomial_algebra, basis_changed, crowded,
-                      dense_subalgebra_generated, echelon_generators, exhaustive_validate,
-                      key_sorted_basis, point, presentations, projective_space,
-                      quadratic_sort_sign, sphere, torus)
+                      echelon_generators, exhaustive_validate, key_sorted_basis, point,
+                      presentations, projective_space, quadratic_sort_sign, sphere,
+                      torus)
 from negder import (Element, Generator, GradedAlgebra, GradedBasis, GradedLinearMap,
                     Presentation, algebra, build_monomial_algebra, corpus,
-                    derivation_space, monomial_basis, subalgebra_generated, tensor)
-from negder.linalg import rref
+                    derivation_space, monomial_basis, tensor)
 
 
 def test_projective_plane_basis():
@@ -816,54 +815,6 @@ def test_building_cp399_stays_small_in_memory():
         tracemalloc.stop()
     assert len(built.products) == 80_200
     assert peak < 20 * 2**20, f"{peak / 2**20:.1f} MB traced"
-
-
-def test_subalgebra_generated_by_power():
-    cp2 = projective_space(2)
-    closure = subalgebra_generated(cp2, [cp2.basis_element(1)])
-    assert closure == [Element({0: 1}), Element({1: 1}), Element({2: 1})]
-    small = subalgebra_generated(cp2, [cp2.basis_element(2)])
-    assert small == [Element({0: 1}), Element({2: 1})]
-    assert subalgebra_generated(cp2, []) == [Element({0: 1})]
-
-
-def test_subalgebra_closed_under_products():
-    t3 = torus(3)
-    seed = [t3.basis_element(1), t3.basis_element(2) + t3.basis_element(3)]
-    closure = subalgebra_generated(t3, seed)
-    rows = []
-    for e in closure:
-        row = [Fraction(0)] * t3.dim
-        for i, c in e.coeffs.items():
-            row[i] = c
-        rows.append(row)
-    base_rank = rref(rows)[1]
-    assert base_rank == len(closure)
-    for e1 in closure:
-        for e2 in closure:
-            prod = t3.multiply(e1, e2)
-            row = [Fraction(0)] * t3.dim
-            for i, c in prod.coeffs.items():
-                row[i] = c
-            assert rref(rows + [row])[1] == base_rank
-
-
-@given(presentations(), st.data())
-@settings(max_examples=60, deadline=None)
-def test_subalgebra_generated_equals_dense_oracle(p, data):
-    # seeds mix random elements with zero, duplicate and dependent ones
-    a = build_monomial_algebra(p)
-    if a.dim > 12:
-        return
-    coeffs = st.dictionaries(st.integers(0, a.dim - 1), st.integers(-3, 3), max_size=3)
-    seed = [Element(c) for c in data.draw(st.lists(coeffs, max_size=3))]
-    seed.append(Element())
-    if seed[:-1]:
-        seed.append(data.draw(st.sampled_from(seed[:-1])))
-        x, y = data.draw(st.sampled_from(seed)), data.draw(st.sampled_from(seed))
-        seed.append(2 * x - y)
-    seed = data.draw(st.permutations(seed))
-    assert subalgebra_generated(a, seed) == dense_subalgebra_generated(a, seed)
 
 
 @given(presentations())

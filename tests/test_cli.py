@@ -262,6 +262,44 @@ def test_resource_errors_map_to_exit_2(capsys, monkeypatch, error):
     assert err == f"error: out of resources ({error.__name__})\n"
 
 
+# Source that breaks one self-check, run with setattr as given: the
+# certificate guard finds a defect in the t3 certificate, or the kernel
+# solve of cp2 at degree -2 loses its one pivot, so its kernel vector
+# fails a row.  Both leave the answer unknown, which is exit 4, not 1.
+SELF_CHECK_FAILURES = {
+    "certificate guard": ("t3", """
+from negder import derivations
+setattr(derivations, "_defects",
+        lambda a, m, left: iter([((a.unit, a.unit), {a.unit: 1})]))
+"""),
+    "kernel check": ("cp2", """
+from negder import linalg
+eliminate = linalg._eliminate
+def lose_a_pivot(rows, ncols=None):
+    pivots = eliminate(rows, ncols)
+    if ncols is not None and pivots:  # a kernel solve, not an echelon
+        pivots.pop(min(pivots))
+    return pivots
+setattr(linalg, "_eliminate", lose_a_pivot)
+"""),
+}
+
+
+@pytest.mark.parametrize("check", sorted(SELF_CHECK_FAILURES))
+def test_a_failed_self_check_exits_4(capsys, monkeypatch, check):
+    name, source = SELF_CHECK_FAILURES[check]
+    argv = ["check-h", corpus.path(name), "--json"]
+    exec(source, {"setattr": monkeypatch.setattr})
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    # the checks raise rather than assert, so -O keeps them
+    main = source + "import sys\nfrom negder.cli import run\nsys.exit(run(sys.argv[1:]))\n"
+    proc = subprocess.run([sys.executable, "-O", "-c", main, *argv],
+                          capture_output=True, text=True, env=src_env(), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", err)
+
+
 def cap_memory():
     # should a budget or a fast path fail, the child runs out of memory,
     # not the machine

@@ -7,14 +7,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (basis_changed, crowded, element_residual, flag_manifold,
-                      generator_pair_space, point, presentations, projective_space,
-                      rref_kernel, sphere, src_env, torus)
+from conftest import (basis_changed, bracket, crowded, element_residual, flag_manifold,
+                      generator_pair_space, identity_map, point, presentations,
+                      projective_space, rref_kernel, scaled, sphere, src_env, torus)
 from negder import (Element, Generator, GradedAlgebra, GradedLinearMap,
-                    Presentation, bracket, build_monomial_algebra, check_class_h,
-                    corpus, derivation_space, derivations, identity_map,
-                    is_derivation, leibniz_system, monomial_basis,
-                    parse_structure_constants, prove_rigidity, tensor)
+                    Presentation, build_monomial_algebra, check_class_h, corpus,
+                    derivation_space, derivations, is_derivation, leibniz_system,
+                    monomial_basis, parse_structure_constants, prove_rigidity, tensor)
 from negder.derivations import leibniz_rows
 from negder.linalg import _fold, nullspace_basis, rank_fraction_free
 
@@ -329,7 +328,7 @@ def held_values(a):
         yield from (x for v in nullspace_basis(rows, ncols=len(unknowns)) for x in v)
         for m in derivation_space(a, d):
             images = {i: m.image(a, i) for i in range(a.dim)}
-            for n in (m, GradedLinearMap.from_images(a, d, images), m.scaled(Fraction(3, 2)),
+            for n in (m, GradedLinearMap.from_images(a, d, images), scaled(m, Fraction(3, 2)),
                       GradedLinearMap(d, m.blocks)):
                 yield from (x for mat in n.blocks.values() for row in mat for x in row)
             yield from m.apply(a, half).coeffs.values()
@@ -590,7 +589,7 @@ def test_bracket_with_euler_rescales():
     theta = GradedLinearMap.from_images(
         t2, -1, {2: t2.basis_element(0), 3: t2.basis_element(1)})
     assert is_derivation(t2, theta) == []
-    assert bracket(t2, euler, theta) == theta.scaled(-1)
+    assert bracket(t2, euler, theta) == scaled(theta, -1)
 
 
 def test_bracket_closes_on_derivations():

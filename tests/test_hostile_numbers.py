@@ -12,12 +12,12 @@ import subprocess
 import sys
 import time
 
-from conftest import projective_space, src_env
+from conftest import identity_map, projective_space, src_env
 from negder import (Element, Generator, GradedAlgebra, GradedBasis, GradedLinearMap,
-                    LambdaFamily, Presentation, ProofTrace, build_monomial_algebra,
-                    char_preserved, char_subspace, check_class_h, corpus,
-                    derivation_space, identity_map, kunneth_model, leibniz_system,
-                    monomial_basis, nullspace_basis, prove_rigidity, torus_exterior)
+                    KunnethModel, LambdaFamily, Presentation, ProofTrace,
+                    build_monomial_algebra, char_subspace, check_class_h, corpus,
+                    derivation_space, leibniz_system, monomial_basis, nullspace_basis,
+                    prove_rigidity, torus_exterior)
 from negder.cli import run
 from negder.linalg import dot, echelon, mat_vec, rank_fraction_free, rref
 from negder.rigidity import level_cap
@@ -34,7 +34,7 @@ def library_entries():
     call(v) passes v there, with every other argument valid."""
     cp2 = projective_space(2)
     ident = identity_map(cp2)
-    model = kunneth_model(cp2, 1)
+    model = KunnethModel(cp2, 1)
     theta = GradedLinearMap.from_images(cp2, -2, {1: cp2.basis_element(0)})
     fam = LambdaFamily(2, {(1, 2): theta})
     verdict = check_class_h(cp2)
@@ -57,14 +57,13 @@ def library_entries():
         ("GradedLinearMap block degree", lambda v: GradedLinearMap(0, {v: [[1]]})),
         ("GradedLinearMap entry", lambda v: GradedLinearMap(0, {2: [[v]]})),
         ("image", lambda v: ident.image(cp2, v)),
-        ("scaled", lambda v: ident.scaled(v)),
         ("from_images shift", lambda v: GradedLinearMap.from_images(cp2, v, {})),
         ("from_images index", lambda v: GradedLinearMap.from_images(cp2, 0, {v: Element()})),
         ("derivation_space", lambda v: derivation_space(cp2, v)),
         ("leibniz_system", lambda v: leibniz_system(cp2, v)),
         ("check_class_h", lambda v: check_class_h(cp2, v)),
         ("torus_exterior", lambda v: torus_exterior(v)),
-        ("kunneth_model", lambda v: kunneth_model(cp2, v)),
+        ("KunnethModel", lambda v: KunnethModel(cp2, v)),
         ("total_index base index", lambda v: model.total_index(v, ())),
         ("total_index coordinate", lambda v: model.total_index(0, (v,))),
         ("split_index", lambda v: model.split_index(v)),
@@ -72,7 +71,6 @@ def library_entries():
         ("LambdaFamily coordinate", lambda v: LambdaFamily(2, {(1, v): theta})),
         ("component", lambda v: fam.component((v,))),
         ("char_subspace", lambda v: char_subspace(cp2, v)),
-        ("char_preserved", lambda v: char_preserved(cp2, ident, v)),
         ("level_cap", lambda v: level_cap(cp2, v)),
         ("prove_rigidity", lambda v: prove_rigidity(cp2, v)),
         ("ProofTrace.from_verdict", lambda v: ProofTrace.from_verdict(cp2, verdict, v)),

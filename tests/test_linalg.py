@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rref_kernel, torus
+from conftest import identity, rref_kernel, torus
 from negder import linalg
 from negder.derivations import leibniz_rows
-from negder.linalg import (dot, identity, mat_vec, nullspace_basis,
-                           rank_fraction_free, rref)
+from negder.linalg import dot, mat_vec, nullspace_basis, rank_fraction_free, rref
 
 
 def frac(p, q=1):

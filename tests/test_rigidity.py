@@ -5,12 +5,10 @@ from hypothesis import given, settings
 
 from conftest import (point, presentations, projective_space,
                       rigidity_by_levels, sphere, torus)
-from negder import (Element, GradedLinearMap, LambdaFamily, ProofTrace,
-                    build_monomial_algebra, char_preserved, char_subspace,
-                    check_class_h, corpus, derivation_space, identity_map,
-                    is_derivation, is_trivial_pullback, kunneth_model,
-                    multiplicativity_residual, prove_rigidity,
-                    pullback_expand, tensor)
+from negder import (Element, GradedLinearMap, KunnethModel, LambdaFamily, ProofTrace,
+                    build_monomial_algebra, char_subspace, check_class_h, corpus,
+                    derivation_space, is_derivation, multiplicativity_residual,
+                    prove_rigidity, pullback_expand, tensor)
 from negder.linalg import nullspace_basis
 
 
@@ -18,7 +16,7 @@ from negder.linalg import nullspace_basis
 
 def test_model_trivial_torus_reproduces_base():
     cp2 = projective_space(2)
-    model = kunneth_model(cp2, 0)
+    model = KunnethModel(cp2, 0)
     assert model.total.degrees == cp2.degrees
     assert model.total.products == cp2.products
     assert model.total_index(1, ()) == 1
@@ -26,7 +24,7 @@ def test_model_trivial_torus_reproduces_base():
 
 def test_model_dimensions_and_index_maps():
     cp2 = projective_space(2)
-    model = kunneth_model(cp2, 2)
+    model = KunnethModel(cp2, 2)
     assert model.total.dim == cp2.dim * 4
     assert not model.total.validate()
     for i in range(cp2.dim):
@@ -40,7 +38,7 @@ def test_model_dimensions_and_index_maps():
 def test_model_index_maps_reject_indices_outside_the_basis(index):
     # s3 has dim 2 and s3 x T1 has dim 4: neither 5 nor -1 names a basis
     # element of either, and each used to come back as some other index
-    model = kunneth_model(sphere(3), 1)
+    model = KunnethModel(sphere(3), 1)
     with pytest.raises(ValueError, match=f"basis index {index} is outside 0..1"):
         model.total_index(index, ())
     with pytest.raises(ValueError, match=f"basis index {index} is outside 0..3"):
@@ -53,7 +51,7 @@ def test_pullback_expand_rejects_indices_outside_the_base():
     # with the trivial family, index 3 of s3 used to land on total index 3,
     # which is x (x) i1
     s3 = sphere(3)
-    model = kunneth_model(s3, 1)
+    model = KunnethModel(s3, 1)
     for fam in (LambdaFamily(1), LambdaFamily(1, {(1,): derivation_space(s3, -3)[0]})):
         with pytest.raises(ValueError, match="basis index 3 is outside 0..1"):
             pullback_expand(model, fam, Element({3: 1}))
@@ -62,7 +60,7 @@ def test_pullback_expand_rejects_indices_outside_the_base():
 @pytest.mark.parametrize("subset", [(3,), (0,), (1, 1), (1.0,), (True,)])
 def test_model_total_index_rejects_a_subset_outside_the_torus(subset):
     # each used to raise a bare KeyError, (1.0,) and (True,) to find (1,)
-    model = kunneth_model(sphere(3), 1)
+    model = KunnethModel(sphere(3), 1)
     with pytest.raises(ValueError, match=r"subset|coordinate") as info:
         model.total_index(0, subset)
     assert repr(subset[0]) in str(info.value)
@@ -71,7 +69,7 @@ def test_model_total_index_rejects_a_subset_outside_the_torus(subset):
 def test_a_subset_is_one_set_in_any_order():
     # on s3 x T2, (2, 1) used to raise KeyError in total_index, although
     # LambdaFamily took it as (1, 2)
-    model = kunneth_model(sphere(3), 2)
+    model = KunnethModel(sphere(3), 2)
     assert model.total_index(1, (2, 1)) == model.total_index(1, (1, 2))
     assert model.split_index(model.total_index(1, [2, 1])) == (1, (1, 2))
     cp2 = projective_space(2)
@@ -87,7 +85,7 @@ def test_a_subset_is_one_set_in_any_order():
 
 
 def test_torus_classes_anticommute_in_total():
-    model = kunneth_model(projective_space(2), 2)
+    model = KunnethModel(projective_space(2), 2)
     t1 = model.total.basis_element(model.total_index(0, (1,)))
     t2 = model.total.basis_element(model.total_index(0, (2,)))
     t12 = model.total_index(0, (1, 2))
@@ -100,7 +98,7 @@ def test_torus_classes_anticommute_in_total():
 
 def test_family_drops_zero_components():
     fam = LambdaFamily(2, {(1,): GradedLinearMap(-1), (2,): GradedLinearMap(-1)})
-    assert is_trivial_pullback(fam)
+    assert not fam.components
     assert fam.component((1,)) is None
 
 
@@ -112,6 +110,14 @@ def test_family_rejects_bad_subsets():
         LambdaFamily(1, {(2,): theta})
     with pytest.raises(ValueError):
         LambdaFamily(2, {(1, 1): theta})
+
+
+def test_family_rejects_a_component_that_is_not_a_map():
+    for value in ("x", None, [[1]], {1: [[1]]}):
+        with pytest.raises(ValueError, match=r"^component at \(1,\) is a \w+, not a Graded"):
+            LambdaFamily(1, {(1,): value})
+    with pytest.raises(ValueError, match=r"^component at \(1, 2\) is a str"):
+        LambdaFamily(2, {(2, 1): "x"})
 
 
 def test_family_rejects_shift_parity_mismatch():
@@ -129,7 +135,7 @@ def test_family_rejects_shift_parity_mismatch():
 
 def test_pullback_of_unit_is_unit():
     s3 = sphere(3)
-    model = kunneth_model(s3, 1)
+    model = KunnethModel(s3, 1)
     fam = LambdaFamily(1, {(1,): derivation_space(s3, -3)[0]})
     out = pullback_expand(model, fam, s3.basis_element(0))
     assert out == Element({model.total_index(0, ()): 1})
@@ -137,7 +143,7 @@ def test_pullback_of_unit_is_unit():
 
 def test_pullback_expansion_of_sphere_class():
     s3 = sphere(3)
-    model = kunneth_model(s3, 1)
+    model = KunnethModel(s3, 1)
     theta = derivation_space(s3, -3)[0]
     fam = LambdaFamily(1, {(1,): theta})
     out = pullback_expand(model, fam, s3.basis_element(1))
@@ -147,7 +153,7 @@ def test_pullback_expansion_of_sphere_class():
 
 def test_trivial_family_embeds_along_empty_subset():
     cp2 = projective_space(2)
-    model = kunneth_model(cp2, 3)
+    model = KunnethModel(cp2, 3)
     fam = LambdaFamily(3)
     u = cp2.basis_element(1) + 7 * cp2.basis_element(2)
     out = pullback_expand(model, fam, u)
@@ -159,13 +165,13 @@ def test_trivial_family_embeds_along_empty_subset():
 
 def test_trivial_family_is_multiplicative_everywhere():
     for alg in (projective_space(4), sphere(6), torus(3)):
-        model = kunneth_model(alg, 2)
+        model = KunnethModel(alg, 2)
         assert multiplicativity_residual(model, LambdaFamily(2)) == []
 
 
 def test_koszul_derivation_at_level_one_is_multiplicative():
     s3 = sphere(3)
-    model = kunneth_model(s3, 1)
+    model = KunnethModel(s3, 1)
     theta = derivation_space(s3, -3)[0]
     assert multiplicativity_residual(model, LambdaFamily(1, {(1,): theta})) == []
 
@@ -173,13 +179,13 @@ def test_koszul_derivation_at_level_one_is_multiplicative():
 def test_derivation_at_matching_level_is_multiplicative():
     # a component of shift -|S| that satisfies Leibniz is always multiplicative
     t2 = torus(2)
-    model = kunneth_model(t2, 3)
+    model = KunnethModel(t2, 3)
     for theta in derivation_space(t2, -1):
         for subset in [(1,), (2,), (3,)]:
             fam = LambdaFamily(3, {subset: theta})
             assert multiplicativity_residual(model, fam) == []
     s3 = sphere(3)
-    model3 = kunneth_model(s3, 3)
+    model3 = KunnethModel(s3, 3)
     theta3 = derivation_space(s3, -3)[0]
     fam3 = LambdaFamily(3, {(1, 2, 3): theta3})
     assert multiplicativity_residual(model3, fam3) == []
@@ -187,7 +193,7 @@ def test_derivation_at_matching_level_is_multiplicative():
 
 def test_non_derivation_component_leaves_residual():
     t2 = torus(2)
-    model = kunneth_model(t2, 1)
+    model = KunnethModel(t2, 1)
     broken = GradedLinearMap.from_images(t2, -1, {3: t2.basis_element(1)})
     assert is_derivation(t2, broken) != []
     fam = LambdaFamily(1, {(1,): broken})
@@ -207,7 +213,7 @@ def test_non_derivation_component_leaves_residual():
 
 def test_residual_empty_means_multiplicative_on_all_pairs():
     s3 = sphere(3)
-    model = kunneth_model(s3, 1)
+    model = KunnethModel(s3, 1)
     fam = LambdaFamily(1, {(1,): derivation_space(s3, -3)[0]})
     assert multiplicativity_residual(model, fam) == []
     for i in range(s3.dim):
@@ -270,17 +276,6 @@ def test_char_growth_under_even_tensor():
             assert len(big.basis_indices[n]) >= len(small.basis_indices[n])
 
 
-def test_char_preserved_by_degree_zero_maps():
-    cp2 = projective_space(2)
-    assert char_preserved(cp2, identity_map(cp2), 2)
-    assert char_preserved(cp2, GradedLinearMap(0), 4)
-    scaled = GradedLinearMap.from_images(
-        cp2, 0, {i: Fraction(3, 2) * cp2.basis_element(i) for i in range(3)})
-    assert char_preserved(cp2, scaled, 3)
-    with pytest.raises(ValueError):
-        char_preserved(cp2, GradedLinearMap(-1), 2)
-
-
 # --- the prover ---
 
 def test_rigidity_established_on_projective_plane():
@@ -322,7 +317,7 @@ def test_rank_arguments_must_be_ints():
         with pytest.raises(ValueError, match="^torus_rank must be an int"):
             prove_rigidity(s3, value)
         with pytest.raises(ValueError, match="^torus_rank must be an int"):
-            kunneth_model(s3, value)
+            KunnethModel(s3, value)
         with pytest.raises(ValueError, match="^rank must be an int"):
             char_subspace(s3, value)
         with pytest.raises(ValueError, match="^torus_rank must be an int"):
@@ -450,21 +445,21 @@ def test_induction_matches_residual_built_systems():
     for base in (projective_space(2), projective_space(3), sphere(2),
                  sphere(4), tensor(projective_space(1), projective_space(1))):
         for s in (1, 2):
-            model = kunneth_model(base, s)
+            model = KunnethModel(base, s)
             trace = prove_rigidity(base, s)
             assert trace.established
             for rec in trace.levels:
                 kernel_dim, subset_count = _solve_level_by_residual(model, rec.level)
                 assert kernel_dim == rec.dimension * subset_count == 0
             solved = LambdaFamily(s)
-            assert is_trivial_pullback(solved)
+            assert not solved.components
             assert multiplicativity_residual(model, solved) == []
 
 
 def test_residual_system_sees_sphere_obstruction():
     # the same residual-built system reports the nontrivial space on S^3
     s3 = sphere(3)
-    model = kunneth_model(s3, 3)
+    model = KunnethModel(s3, 3)
     kernel_dim, subset_count = _solve_level_by_residual(model, 3)
     assert subset_count == 1
     assert kernel_dim == 1 == len(derivation_space(s3, -3))
