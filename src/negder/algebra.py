@@ -19,9 +19,10 @@ from operator import add, mul
 
 from .linalg import _check_int, _fold, echelon
 
-# Largest structure-constant table build_monomial_algebra allocates.  The
-# largest bundled, tested or benchmarked presentation, CP399, has 80 200
-# entries; above the limit the build raises ValueError before allocating.
+# Largest structure-constant table that build_monomial_algebra or tensor
+# allocates.  The largest bundled, tested or benchmarked presentation,
+# CP399, has 80 200 entries; above the limit either builder raises
+# ValueError before allocating.
 MAX_TABLE_ENTRIES = 250_000
 
 
@@ -156,7 +157,11 @@ class GradedAlgebra(GradedBasis):
     and a structure-constant table.
 
     products maps an ordered index pair (i, j) to {k: coefficient}; pairs
-    absent from the table multiply to zero.  The constructor normalizes the
+    absent from the table multiply to zero.  It is a mapping, or an
+    iterable of ((i, j), terms) pairs read exactly as dict(pairs) would be,
+    a later pair for a key replacing an earlier one in the earlier one's
+    place, but without building that dict, so a builder that streams its
+    pairs holds one table, not two.  The constructor normalizes the
     table into fresh dicts with int keys and exact values, zero terms and
     empty entries dropped: linalg._fold stores each int or Fraction value
     as an int when it is integral and as a Fraction otherwise, and keeps a
@@ -176,9 +181,12 @@ class GradedAlgebra(GradedBasis):
         # id of an input entry -> (that entry, its normalized form); holding
         # the entry keeps its id from being reused while the loop runs
         done = {}
-        for key, terms in products.items():
+        emptied = False
+        for key, terms in products.items() if hasattr(products, "items") else products:
             i, j = key
-            if type(key) is not tuple or type(i) is not int or type(j) is not int:
+            # a key equal to one already held keeps that one, as in a dict
+            if (type(key) is not tuple or type(i) is not int or type(j) is not int) \
+                    and key not in table:
                 key = (_check_int("table key", i), _check_int("table key", j))
             seen = done.get(id(terms))
             if seen is None:
@@ -188,8 +196,13 @@ class GradedAlgebra(GradedBasis):
                     if c:
                         cleaned[k if type(k) is int else _check_int("term index", k)] = c
                 seen = done[id(terms)] = (terms, cleaned)
-            if seen[1]:
-                table[key] = seen[1]
+            # an empty entry keeps its key's place, as dict(pairs) would,
+            # until the loop is over
+            table[key] = seen[1]
+            emptied = emptied or not seen[1]
+        if emptied:
+            for key in [key for key, terms in table.items() if not terms]:
+                del table[key]
         self.products = table
 
     @cached_property
@@ -564,7 +577,9 @@ def build_monomial_algebra(p):
     partners f with e + f below every truncation are visited, so the build
     costs one step per nonzero table entry; every other product is zero
     and left out of the table.  Every product is +e_k or -e_k, one shared
-    entry per (k, sign), which the constructor normalizes once.  The result
+    entry per (k, sign), which the constructor normalizes once.  The pairs
+    go to the constructor as they are made, so the table is built once:
+    only the constructor's copy is ever held.  The result
     also carries monomial_exponents, the exponent vector of each basis index.
 
     The table has prod t(t+1)/2 entries over the truncations t; a
@@ -580,13 +595,15 @@ def build_monomial_algebra(p):
     # one shared entry per (target, sign): +e_k, and -e_k when signs occur
     plus = [{k: 1} for k in range(len(exps))]
     minus = [{k: -1} for k in range(len(exps))] if signed else None
-    products = {}
-    for i, e in enumerate(exps):
-        for f in cartesian(*(range(g.truncation - x) for x, g in zip(e, gens))):
-            k = index_of[tuple(map(add, e, f))]
-            negative = signed and _sort_sign(e, f, odd) < 0
-            products[(i, index_of[f])] = minus[k] if negative else plus[k]
-    alg = GradedAlgebra(basis.labels, basis.degrees, basis.unit, products, name=p.name)
+
+    def pairs():
+        for i, e in enumerate(exps):
+            for f in cartesian(*(range(g.truncation - x) for x, g in zip(e, gens))):
+                k = index_of[tuple(map(add, e, f))]
+                negative = signed and _sort_sign(e, f, odd) < 0
+                yield (i, index_of[f]), minus[k] if negative else plus[k]
+
+    alg = GradedAlgebra(basis.labels, basis.degrees, basis.unit, pairs(), name=p.name)
     alg.monomial_exponents = exps
     return alg
 
@@ -598,7 +615,15 @@ def tensor(a, b, name=None):
     Basis pairs are flattened row-major: (i, j) -> i * b.dim + j, so
     iterated tensors have literally identical structure constants under the
     flat index identification.
+
+    The table has one entry per pair of entries of a and b; when that
+    product exceeds MAX_TABLE_ENTRIES, ValueError is raised before anything
+    is allocated.
     """
+    entries = len(a.products) * len(b.products)
+    if entries > MAX_TABLE_ENTRIES:
+        raise ValueError(f"the tensor product needs a table of {entries} entries, "
+                         f"over the limit of {MAX_TABLE_ENTRIES}")
     dim_b = b.dim
     labels = [f"{la}⊗{lb}" for la in a.labels for lb in b.labels]
     degrees = [da + db for da in a.degrees for db in b.degrees]

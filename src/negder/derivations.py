@@ -386,10 +386,13 @@ def check_class_h(a, max_degree=None):
     """Sweep derivation degrees -1, -2, ... down to -min(max_degree, top
     degree), with no cap meaning the top degree, below which every space
     is empty for degree reasons; stop at the first nonzero space.
-    max_degree must be an int or None.  A certificate is checked on every
-    pair (g, x) with g a generator before it is returned, and
-    ArithmeticError is raised if it fails.  prove_rigidity reads its
-    levels off this sweep."""
+    max_degree must be an int or None.  Only the degrees -k with unknowns
+    are solved: U_(-k) is nonzero only for k = |g| - n, g a non-unit
+    generator and n a degree of a, and every other degree is recorded with
+    dimension 0, as derivation_space would return no map there.  A
+    certificate is checked on every pair (g, x) with g a generator before
+    it is returned, and ArithmeticError is raised if it fails.
+    prove_rigidity reads its levels off this sweep."""
     if max_degree is not None:
         _check_int("max_degree", max_degree)
     depth = a.top_degree if max_degree is None else max_degree
@@ -398,7 +401,13 @@ def check_class_h(a, max_degree=None):
     connectivity_ok = a.graded_piece(0) == [a.unit] and not a.graded_piece(1)
     dimensions = {}
     certificate = None
+    present = set(a.degrees)
+    solved = {a.degrees[g] - n for g in a.generator_indices if g != a.unit
+              for n in present}
     for k in range(1, min(depth, a.top_degree) + 1):
+        if k not in solved:
+            dimensions[-k] = 0
+            continue
         space = derivation_space(a, -k)
         dimensions[-k] = len(space)
         if space:

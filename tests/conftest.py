@@ -10,6 +10,7 @@ check the fast ones.
 
 import importlib.util
 import os
+import resource
 from fractions import Fraction
 from itertools import product as cartesian
 from math import prod
@@ -17,8 +18,8 @@ from math import prod
 import pytest
 from hypothesis import strategies as st
 
-from negder import (Element, Generator, GradedAlgebra, GradedLinearMap, LevelRecord,
-                    Presentation, ProofTrace, build_monomial_algebra,
+from negder import (ClassHVerdict, Element, Generator, GradedAlgebra, GradedLinearMap,
+                    LevelRecord, Presentation, ProofTrace, build_monomial_algebra,
                     derivation_space, derivations, rigidity)
 from negder.algebra import _monomial_label, check_generator
 from negder.derivations import leibniz_rows
@@ -34,6 +35,12 @@ def src_env(**overrides):
     path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
                                          os.environ.get("PYTHONPATH")]))
     return dict(os.environ, PYTHONPATH=path, **overrides)
+
+
+def cap_memory():
+    """preexec_fn for a child process: should a budget or a fast path
+    fail, the child runs out of memory, not the machine."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 def load_script(name):
@@ -350,6 +357,33 @@ def all_pairs_monomial_algebra(p):
                         products, name=p.name)
     alg.monomial_exponents = exps
     return alg
+
+
+def per_degree_class_h(a, max_degree=None):
+    """Oracle for check_class_h: the sweep it replaced, one derivation_space
+    call per degree -1, -2, ... down to -min(max_degree, top degree),
+    stopping at the first nonzero space; the certificate is not checked."""
+    depth = a.top_degree if max_degree is None else max_degree
+    dimensions = {}
+    certificate = None
+    for k in range(1, min(depth, a.top_degree) + 1):
+        space = derivation_space(a, -k)
+        dimensions[-k] = len(space)
+        if space:
+            certificate = (-k, space[0])
+            break
+    return ClassHVerdict(
+        in_class=certificate is None,
+        connectivity_ok=a.graded_piece(0) == [a.unit] and not a.graded_piece(1),
+        certificate=certificate,
+        dimensions=dimensions,
+        complete=certificate is not None or depth >= a.top_degree)
+
+
+def levels_with_unknowns(a):
+    """The k in 1..top degree for which the solver has unknowns at degree
+    -k, asked of the solver's own count of them."""
+    return {k for k in range(1, a.top_degree + 1) if derivations._unknowns(a, -k)[1]}
 
 
 def rigidity_by_levels(base, torus_rank):

@@ -1,3 +1,6 @@
+import json
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import product as cartesian
@@ -7,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (all_pairs_monomial_algebra, basis_changed, crowded,
+from conftest import (all_pairs_monomial_algebra, basis_changed, cap_memory, crowded,
                       echelon_generators, exhaustive_validate, key_sorted_basis, point,
                       presentations, projective_space, quadratic_sort_sign, sphere,
-                      torus)
+                      src_env, torus)
 from negder import (Element, Generator, GradedAlgebra, GradedBasis, GradedLinearMap,
                     Presentation, algebra, build_monomial_algebra, corpus,
                     derivation_space, monomial_basis, tensor)
@@ -815,6 +818,84 @@ def test_building_cp399_stays_small_in_memory():
         tracemalloc.stop()
     assert len(built.products) == 80_200
     assert peak < 20 * 2**20, f"{peak / 2**20:.1f} MB traced"
+
+
+def test_building_cp399_holds_one_table():
+    # the pairs stream into the constructor, so the peak is the result and
+    # a little more, not the builder's dict and the constructor's copy
+    p = Presentation("CP399", (Generator("x", 2, 400),))
+    tracemalloc.start()
+    try:
+        built = build_monomial_algebra(p)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(built.products) == 80_200
+    assert peak <= 1.2 * retained, f"peak {peak / retained:.2f} x the result"
+
+
+def test_a_table_given_as_pairs_is_read_as_their_dict():
+    half = Fraction(1, 2)
+    shared = {1: 1}
+    pairs = [((0, 0), {0: 1}), ((0, 1), shared), ((1, 1), {2: 1}),
+             ((0, 2), {2: half}), ((1, 0), {}), ((2, 0), {2: 0}),
+             ((1, 1.0), {2: 2}),  # replaces the earlier (1, 1), in its place
+             ((0, 2), {}),        # removes (0, 2)
+             ((1, 0), shared),    # fills the place of the earlier empty (1, 0)
+             ((2, 2), {0: Fraction(0)})]
+    streamed = GradedAlgebra(["1", "x", "y"], [0, 2, 4], 0, iter(pairs))
+    mapped = GradedAlgebra(["1", "x", "y"], [0, 2, 4], 0, dict(pairs))
+    assert streamed == mapped
+    assert all(type(i) is int for key in streamed.products for i in key)
+    assert list(streamed.products.items()) == list(mapped.products.items()) == [
+        ((0, 0), {0: 1}), ((0, 1), {1: 1}), ((1, 1), {2: 2}), ((1, 0), {1: 1})]
+    # one input entry under two keys: one fresh entry, shared by both
+    assert streamed.products[(0, 1)] is streamed.products[(1, 0)]
+    assert streamed.products[(0, 1)] is not shared
+    # a generator is read once, as it goes
+    once = GradedAlgebra(["1"], [0], 0, (((0, 0), {0: c}) for c in (1, 2, 3)))
+    assert once.products == {(0, 0): {0: 3}}
+
+
+@pytest.mark.parametrize("pair", [(("0", 0), {0: 1}), ((0, 0), {"0": 1}),
+                                  ((0, 0), {0: "1"}), ((0.0, 0), {0: 1})])
+def test_a_table_given_as_pairs_rejects_what_the_mapping_rejects(pair):
+    pairs = [((1, 0), {0: 1}), pair]
+    with pytest.raises(ValueError) as streamed:
+        GradedAlgebra(["1"], [0], 0, iter(pairs))
+    with pytest.raises(ValueError) as mapped:
+        GradedAlgebra(["1"], [0], 0, dict(pairs))
+    assert str(streamed.value) == str(mapped.value)
+
+
+def test_tensor_over_the_table_budget_raises_before_allocating():
+    # CP49 has 1 275 entries, so CP49 x CP49 asks for 1 625 625; a capped
+    # child, so a broken budget runs out of its own memory
+    script = (
+        "import json, time\n"
+        "from negder import (Generator, KunnethModel, Presentation,\n"
+        "                    build_monomial_algebra, tensor)\n"
+        "def raised(call):\n"
+        "    start = time.perf_counter()\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError as exc:\n"
+        "        return [str(exc), time.perf_counter() - start]\n"
+        "    return [None, time.perf_counter() - start]\n"
+        "cp = lambda n: build_monomial_algebra(Presentation('CP', (Generator('x', 2, n + 1),)))\n"
+        "cp49, cp399 = cp(49), cp(399)\n"
+        "print(json.dumps([raised(lambda: tensor(cp49, cp49)),\n"
+        "                  raised(lambda: KunnethModel(cp399, 10))]))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=src_env(), preexec_fn=cap_memory, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    (square, seconds), (model, _) = json.loads(proc.stdout)
+    limit = algebra.MAX_TABLE_ENTRIES
+    assert square == f"the tensor product needs a table of {1275 ** 2} entries, " \
+                     f"over the limit of {limit}"
+    assert model == f"the tensor product needs a table of {3 ** 10 * 80_200} entries, " \
+                    f"over the limit of {limit}"
+    assert seconds < 1.0
 
 
 @given(presentations())

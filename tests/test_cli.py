@@ -1,7 +1,6 @@
 import contextlib
 import io
 import json
-import resource
 import subprocess
 import sys
 import time
@@ -9,7 +8,8 @@ import time
 import pytest
 from hypothesis import given, settings
 
-from conftest import exhaustive_validate, presentations, projective_space, src_env, torus
+from conftest import (cap_memory, exhaustive_validate, presentations, projective_space,
+                      src_env, torus)
 from negder import GradedAlgebra, cli, corpus, serialize_structure_constants
 from negder.cli import run
 from negder.fileformats import PRESENTATION, AlgebraFile, detect_format
@@ -298,12 +298,6 @@ def test_a_failed_self_check_exits_4(capsys, monkeypatch, check):
     proc = subprocess.run([sys.executable, "-O", "-c", main, *argv],
                           capture_output=True, text=True, env=src_env(), timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", err)
-
-
-def cap_memory():
-    # should a budget or a fast path fail, the child runs out of memory,
-    # not the machine
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 def run_capped(*argv):

@@ -8,8 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (basis_changed, bracket, crowded, element_residual, flag_manifold,
-                      generator_pair_space, identity_map, point, presentations,
-                      projective_space, rref_kernel, scaled, sphere, src_env, torus)
+                      generator_pair_space, identity_map, levels_with_unknowns,
+                      per_degree_class_h, point, presentations, projective_space,
+                      rref_kernel, scaled, sphere, src_env, torus)
 from negder import (Element, Generator, GradedAlgebra, GradedLinearMap,
                     Presentation, build_monomial_algebra, check_class_h, corpus,
                     derivation_space, derivations, is_derivation, leibniz_system,
@@ -651,11 +652,66 @@ def test_max_degree_caps_the_sweep():
 
 
 def test_sweep_stops_at_the_top_degree(space_calls):
-    # below degree -4 every space on CP^2 is empty for degree reasons
+    # below degree -4 every space on CP^2 is empty for degree reasons, and
+    # above it only -2 = 0 - |x| has unknowns, so it alone is solved
     verdict = check_class_h(projective_space(2), max_degree=10)
-    assert space_calls == [-1, -2, -3, -4]
+    assert space_calls == [-2]
     assert verdict.in_class and verdict.complete
-    assert sorted(verdict.dimensions) == [-4, -3, -2, -1]
+    assert verdict.dimensions == {-1: 0, -2: 0, -3: 0, -4: 0}
+
+
+def sweep_cases():
+    """Corpus algebras, a product of three, algebras off the unit line and
+    one with a negative degree, for the sweep against its oracle."""
+    qxq = parse_structure_constants(
+        "basis:\n1 0\ne 0\nunit: 1\nproducts:\n1 1 = 1*1\n1 e = 1*e\n"
+        "e e = 1*e\n")
+    neg = GradedAlgebra(["1", "y"], [0, -2], 0,
+                        {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}})
+    cp2 = projective_space(2)
+    return ([corpus.load(name) for name in corpus.names()]
+            + [tensor(tensor(cp2, cp2), projective_space(1)), qxq,
+               tensor(qxq, sphere(3)), neg])
+
+
+def test_sweep_equals_per_degree_oracle_on_corpus():
+    for a in sweep_cases():
+        for cap in (None, 0, 1, 2, 3, a.top_degree + 1):
+            assert check_class_h(a, cap) == per_degree_class_h(a, cap), (a, cap)
+
+
+@given(presentations(), st.integers(0, 9))
+@settings(max_examples=60, deadline=None)
+def test_sweep_equals_per_degree_oracle_on_random_presentations(p, cap):
+    a = build_monomial_algebra(p)
+    for limit in (None, cap):
+        assert check_class_h(a, limit) == per_degree_class_h(a, limit)
+
+
+@given(crowded(), st.data())
+@settings(max_examples=30, deadline=None)
+def test_sweep_equals_per_degree_oracle_on_basis_changed_tables(p, data):
+    a = basis_changed(build_monomial_algebra(p), data)
+    assert check_class_h(a) == per_degree_class_h(a)
+
+
+def test_sweep_solves_only_the_degrees_with_unknowns(space_calls):
+    # CP2 x CP2 x CP1: generators of degree 2 over degrees 0..10, so only
+    # -2 has unknowns; the per-degree sweep solved all ten
+    cp2 = projective_space(2)
+    verdict = check_class_h(tensor(tensor(cp2, cp2), projective_space(1)))
+    assert space_calls == [-2]
+    assert verdict.dimensions == {-k: 0 for k in range(1, 11)}
+    # S^19999: one system, at the top degree, where x -> 1 is a derivation
+    del space_calls[:]
+    verdict = check_class_h(sphere(19999))
+    assert space_calls == [-19999]
+    assert verdict.dimensions == {**{-k: 0 for k in range(1, 19999)}, -19999: 1}
+    for a in sweep_cases():
+        del space_calls[:]
+        verdict = check_class_h(a)
+        assert space_calls == [d for d in verdict.dimensions
+                               if -d in levels_with_unknowns(a)], a
 
 
 def test_capped_sweep_is_incomplete_until_it_decides():

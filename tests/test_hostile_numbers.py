@@ -47,6 +47,12 @@ def library_entries():
         ("GradedAlgebra key", lambda v: GradedAlgebra(["1"], [0], 0, {(v, 0): {0: 1}})),
         ("GradedAlgebra term index", lambda v: GradedAlgebra(["1"], [0], 0, {(0, 0): {v: 1}})),
         ("GradedAlgebra value", lambda v: GradedAlgebra(["1"], [0], 0, {(0, 0): {0: v}})),
+        ("GradedAlgebra pairs key",
+         lambda v: GradedAlgebra(["1"], [0], 0, iter([((v, 0), {0: 1})]))),
+        ("GradedAlgebra pairs term index",
+         lambda v: GradedAlgebra(["1"], [0], 0, iter([((0, 0), {v: 1})]))),
+        ("GradedAlgebra pairs value",
+         lambda v: GradedAlgebra(["1"], [0], 0, iter([((0, 0), {0: v})]))),
         ("graded_piece", lambda v: cp2.graded_piece(v)),
         ("basis_element", lambda v: cp2.basis_element(v)),
         ("generator degree",
