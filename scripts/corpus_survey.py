@@ -39,6 +39,9 @@ def main():
     parser.add_argument("--torus", type=integer, default=3, metavar="S",
                         help="torus rank for the rigidity column (default 3)")
     args = parser.parse_args()
+    for name in args.names:
+        if name not in corpus.names():
+            parser.error(f"unknown example {name!r}; choose from {', '.join(corpus.names())}")
     names = args.names or corpus.names()
 
     header = ("name", "dim", "top", "class H", "first fail",

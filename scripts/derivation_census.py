@@ -28,6 +28,9 @@ def main():
     parser.add_argument("--nonzero-only", action="store_true",
                         help="print only degrees with dim > 0")
     args = parser.parse_args()
+    for name in args.names:
+        if name not in corpus.names():
+            parser.error(f"unknown example {name!r}; choose from {', '.join(corpus.names())}")
 
     for name in args.names or corpus.names():
         alg, dims = census(name, args.negative_only)

@@ -14,10 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as cartesian
-from math import prod
 from operator import add, mul
 
 from .linalg import _check_int, _fold, echelon
+
+# Symbol characters that the structure-constant format or a monomial label
+# reserves.
+_SYMBOL_RESERVED = frozenset("=+#*^")
 
 # Largest structure-constant table that build_monomial_algebra or tensor
 # allocates.  The largest bundled, tested or benchmarked presentation,
@@ -342,22 +345,25 @@ class GradedAlgebra(GradedBasis):
         order, since every later check indexes by them.  Otherwise it checks
         degree additivity of every table entry, both unit laws, graded
         commutativity products(j,i) = (-1)^(|i||j|) products(i,j) on the
-        pairs the table names, and associativity.  For each pair (i, j),
-        both sides of (e_i e_j) e_k = e_i (e_j e_k) are summed straight from
-        the table, as it stores its values, for every k at once, over nonzero
-        contributions only, and compared at each k where either side has
-        one, zero sums dropped.  The right sides of a row i are summed
-        together, through an index of the table terms by their basis
-        element.  Every other triple is zero on both sides, so the check is
-        exact on any table, corrupt ones included, and costs time in
-        proportion to the table, its nonzero contributions and dim, not
-        dim^2.  Violations come in i, j, k order.
+        pairs the table names, and associativity.  For each row i, each
+        side of (e_i e_j) e_k = e_i (e_j e_k) is summed straight from the
+        table, as it stores its values, for every j, k and basis element t
+        at once, into one flat dict keyed (j, k, t), over nonzero
+        contributions only; the right side reaches its terms through an
+        index of the table terms by their basis element.  The two sums are
+        compared with one ==, and only when they differ are the (j, k)
+        found whose terms differ, a missing term counting as 0.  Every
+        other triple is zero on both sides, so the check is exact on any
+        table, corrupt ones included, and costs time in proportion to the
+        table, its nonzero contributions and dim, not dim^2.  Violations
+        come in i, j, k order.
 
-        The index, degree and commutativity checks, and the index of the
-        table the associativity check reads, are made in one walk over the
-        keys, each worked out once per distinct entry (or entry, mirror and
-        parity), so a key costs a lookup; a violation's text is made only
-        for the keys that fail.
+        The index, degree and commutativity checks, and the two indexes of
+        the table the associativity check reads, are made in one walk over
+        the keys, each check worked out once per distinct entry (or entry,
+        mirror and parity), so a key costs a lookup; an index gets a
+        container only for a row or basis element it has not seen yet, and
+        a violation's text is made only for the keys that fail.
 
         Associativity is decided on the rows i of the generators alone when
         every earlier check passes, degree 0 is exactly the unit line and
@@ -415,9 +421,16 @@ class GradedAlgebra(GradedBasis):
                     bad_sign.append(key)
             elif terms and (j, i) not in table:
                 bad_sign.append((j, i))
-            rows.setdefault(i, {})[j] = terms
+            row = rows.get(i)
+            if row is None:
+                row = rows[i] = {}
+            row[j] = terms
             for m, c in terms.items():
-                by_m.setdefault(m, []).append((i, j, c))
+                at = by_m.get(m)
+                if at is None:
+                    by_m[m] = [(i, j, c)]
+                else:
+                    at.append((i, j, c))
         if bad_index:
             return [f"basis index: table entry ({i}, {j}) names {x}, outside 0..{dim - 1}"
                     for i, j in sorted(bad_index)
@@ -459,60 +472,67 @@ class GradedAlgebra(GradedBasis):
         when only is None, in i, j, k order.
 
         rows[i][j] is the entry P[i,j] of the table; by_m[m] lists
-        (j, k, P[j,k][m]).  For each i, both sides of every (j, k) are
-        summed as {t: v}, over nonzero contributions only:
-        (e_i e_j) e_k = sum_m P[i,j][m] P[m,k] per j, and
-        e_i (e_j e_k) = sum_m P[j,k][m] P[i,m] for all j at once, through
-        by_m of each m in row i.  A pair with no contribution is zero on
-        that side, and an i with no row or a j in neither side has none
-        at all.
+        (j, k, P[j,k][m]).  For each i, each side is summed over nonzero
+        contributions only into one flat dict {(j, k, t): v} for all j and
+        k at once: (e_i e_j) e_k = sum_m P[i,j][m] P[m,k] through the rows
+        m of row i's entries, and e_i (e_j e_k) = sum_m P[j,k][m] P[i,m]
+        through by_m of each m in row i.  A key with no contribution on a
+        side is missing there and counts as 0; an i with no row has no
+        contribution at all.  Equal sums, the common case, cost one ==;
+        otherwise a pair (j, k) is a violation when some t differs.
         """
         out = []
         empty = {}
+        labels = self.labels
         for i in sorted(rows.keys() if only is None else rows.keys() & only):
             row_i = rows[i]
-            right = {}
+            lhs = {}
+            for j, terms_ij in row_i.items():
+                for m, c in terms_ij.items():
+                    for k, terms in rows.get(m, empty).items():
+                        for t, d in terms.items():
+                            key = (j, k, t)
+                            lhs[key] = lhs.get(key, 0) + c * d
+            rhs = {}
             for m, terms in row_i.items():
                 for j, k, c in by_m.get(m, ()):
-                    acc = right.setdefault(j, {}).setdefault(k, {})
                     for t, d in terms.items():
-                        v = c * d
-                        acc[t] = acc[t] + v if t in acc else v
-            for j in sorted(row_i.keys() | right.keys()):
-                lhs = {}
-                for m, c in row_i.get(j, empty).items():
-                    for k, terms in rows.get(m, empty).items():
-                        acc = lhs.setdefault(k, {})
-                        for t, d in terms.items():
-                            v = c * d
-                            acc[t] = acc[t] + v if t in acc else v
-                rhs = right.get(j, empty)
-                if lhs == rhs:
-                    continue
-                for k in sorted(lhs.keys() | rhs.keys()):
-                    left = {t: v for t, v in lhs.get(k, empty).items() if v}
-                    if left != {t: v for t, v in rhs.get(k, empty).items() if v}:
-                        out.append(
-                            f"associativity: ({self.labels[i]} * {self.labels[j]}) * {self.labels[k]} "
-                            f"!= {self.labels[i]} * ({self.labels[j]} * {self.labels[k]})"
-                        )
+                        key = (j, k, t)
+                        rhs[key] = rhs.get(key, 0) + c * d
+            if lhs == rhs:
+                continue
+            for j, k in sorted({key[:2] for key in lhs.keys() | rhs.keys()
+                                if lhs.get(key, 0) != rhs.get(key, 0)}):
+                out.append(f"associativity: ({labels[i]} * {labels[j]}) * {labels[k]} "
+                           f"!= {labels[i]} * ({labels[j]} * {labels[k]})")
         return out
 
 
 def check_generator(g, seen):
     """The presentation rules for one generator, given the set of symbols
-    seen before it, which it joins; raises ValueError on a violation."""
-    if g.symbol in seen:
-        raise ValueError(f"duplicate generator symbol {g.symbol!r}")
-    seen.add(g.symbol)
-    _check_int(f"degree of generator {g.symbol!r}", g.degree)
-    _check_int(f"truncation of generator {g.symbol!r}", g.truncation)
+    seen before it, which it joins; raises ValueError on a violation.
+
+    The symbol must be a non-empty str that labels its monomials apart
+    from every other basis element and survives the structure-constant
+    format: no whitespace, none of =+#*^, not 0 or 1, and not starting
+    with unit:."""
+    symbol = g.symbol
+    if (type(symbol) is not str or symbol.split() != [symbol] or symbol in ("0", "1")
+            or not _SYMBOL_RESERVED.isdisjoint(symbol) or symbol.startswith("unit:")):
+        raise ValueError(f"illegal generator symbol {symbol!r}")
+    if symbol in seen:
+        raise ValueError(f"duplicate generator symbol {symbol!r}")
+    seen.add(symbol)
+    if type(g.degree) is not int:
+        _check_int(f"degree of generator {symbol!r}", g.degree)
+    if type(g.truncation) is not int:
+        _check_int(f"truncation of generator {symbol!r}", g.truncation)
     if g.degree < 1:
-        raise ValueError(f"generator {g.symbol!r} must have positive degree")
+        raise ValueError(f"generator {symbol!r} must have positive degree")
     if g.truncation < 2:
-        raise ValueError(f"generator {g.symbol!r} needs truncation >= 2")
+        raise ValueError(f"generator {symbol!r} needs truncation >= 2")
     if g.degree % 2 and g.truncation != 2:
-        raise ValueError(f"odd-degree generator {g.symbol!r} must truncate at 2")
+        raise ValueError(f"odd-degree generator {symbol!r} must truncate at 2")
 
 
 def _monomial_label(exps, gens):
@@ -542,7 +562,9 @@ def monomial_basis(p):
 
     Checks every generator, then the MAX_TABLE_ENTRIES budget of the table
     that build_monomial_algebra would allocate, and raises ValueError on a
-    violation, with the text that build_monomial_algebra raises.  Basis:
+    violation, with the text that build_monomial_algebra raises; the
+    budget's count stops at the first generator that takes it over the
+    limit.  Basis:
     all exponent vectors below the truncations, sorted by (degree, exponent
     vector) and labelled by their monomials; the zero vector, the only one
     of degree 0, is the unit.  Returns a GradedBasis that also carries
@@ -552,10 +574,16 @@ def monomial_basis(p):
     seen = set()
     for g in p.generators:
         check_generator(g, seen)
-    entries = prod(g.truncation * (g.truncation + 1) // 2 for g in p.generators)
-    if entries > MAX_TABLE_ENTRIES:
-        raise ValueError(f"the presentation needs a table of {entries} entries, "
-                         f"over the limit of {MAX_TABLE_ENTRIES}")
+    # The running count stops at the first generator that takes it over
+    # the budget, and a factor over the budget counts as just over it, so
+    # the count stays small enough to print.
+    entries = 1
+    for g in p.generators:
+        t = g.truncation
+        entries *= t * (t + 1) // 2 if t <= MAX_TABLE_ENTRIES else MAX_TABLE_ENTRIES + 1
+        if entries > MAX_TABLE_ENTRIES:
+            raise ValueError(f"the presentation needs a table of at least {entries} "
+                             f"entries, over the limit of {MAX_TABLE_ENTRIES}")
     gens = p.generators
     weights = [g.degree for g in gens]
     pairs = sorted((sum(map(mul, e, weights)), e)

@@ -10,8 +10,11 @@ Presentation format (first directive is name or generator):
 
 Odd-degree generators may omit the truncation, which defaults to 2 (it is
 also the only legal value for them); even-degree generators default to 2
-as well.  Integers, here, in the basis section and in the options of the
-command line, are read by integer alone.
+as well.  A symbol is checked by algebra.check_generator, so that it
+labels its monomials apart from every other basis element and a table
+written from the presentation parses back.  Integers, here, in the basis
+section and in the options of the command line, are read by integer
+alone.
 
 Structure-constant format (first directive is basis:):
 
@@ -76,7 +79,7 @@ class ValidationError(ValueError):
 
 def _meaningful_lines(text):
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if line:
             yield line_no, line
 
@@ -238,13 +241,11 @@ def parse_structure_constants(text):
     parsed = {}  # right-hand side text -> its terms, shared by its lines
     coeffs = {}  # coefficient text -> its value, as _coefficient reads it
     for line_no, il, jl, rhs in product_lines:
-        for lab in (il, jl):
-            if lab not in label_index:
-                raise ParseError(line_no, f"unknown basis label {lab!r}")
-        key = (label_index[il], label_index[jl])
+        key = (label_index.get(il), label_index.get(jl))
+        if None in key:
+            raise ParseError(line_no, f"unknown basis label {il if key[0] is None else jl!r}")
         if key in products:
             raise ParseError(line_no, f"duplicate product line for {il} {jl}")
-        rhs = rhs.strip()
         terms = parsed.get(rhs)
         if terms is None:
             terms = parsed[rhs] = _parse_terms(rhs, line_no, label_index, coeffs)

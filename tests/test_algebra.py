@@ -16,7 +16,8 @@ from conftest import (all_pairs_monomial_algebra, basis_changed, cap_memory, cro
                       src_env, torus)
 from negder import (Element, Generator, GradedAlgebra, GradedBasis, GradedLinearMap,
                     Presentation, algebra, build_monomial_algebra, corpus,
-                    derivation_space, monomial_basis, tensor)
+                    derivation_space, monomial_basis, parse_structure_constants,
+                    serialize_structure_constants, tensor)
 
 
 def test_projective_plane_basis():
@@ -76,6 +77,25 @@ def test_the_basis_alone_is_checked_like_the_build():
         with pytest.raises(ValueError) as alone:
             monomial_basis(p)
         assert str(alone.value) == str(built.value)
+
+
+@pytest.mark.parametrize("symbol", ["x^2", "1", "0", "a+b", "unit:a", "a b", "a#b", "a*b",
+                                    "a=b", "", " x", "x\n", None, 3])
+def test_generator_symbols_that_break_labels_are_rejected(symbol):
+    # x^2 next to x truncating at 3 would label two basis elements alike, and
+    # 1 would share the unit's label; the rest break the table format
+    p = Presentation("p", (Generator("x", 2, 3), Generator(symbol, 4)))
+    for check in (monomial_basis, build_monomial_algebra):
+        with pytest.raises(ValueError, match="illegal generator symbol"):
+            check(p)
+
+
+def test_accepted_generator_symbols_survive_the_table_format():
+    p = Presentation("p", (Generator("x_1", 2, 3), Generator("α", 3), Generator("basis:", 2),
+                           Generator("products:", 1)))
+    alg = build_monomial_algebra(p)
+    assert len(set(alg.labels)) == alg.dim
+    assert parse_structure_constants(serialize_structure_constants(alg)) == alg
 
 
 @given(presentations())
@@ -832,6 +852,24 @@ def test_building_cp399_holds_one_table():
         tracemalloc.stop()
     assert len(built.products) == 80_200
     assert peak <= 1.2 * retained, f"peak {peak / retained:.2f} x the result"
+
+
+def test_validating_cp399_peaks_below_three_and_a_half_tables():
+    # each side of a row is summed into one flat dict keyed (j, k, t), not
+    # a dict per pair (j, k), so the sums stay within a few tables
+    p = Presentation("CP399", (Generator("x", 2, 400),))
+    tracemalloc.start()
+    try:
+        built = build_monomial_algebra(p)
+        retained = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        violations = built.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert violations == []
+    above = peak - retained
+    assert above <= 3.5 * retained, f"validate peaks {above / retained:.2f} x the algebra"
 
 
 def test_a_table_given_as_pairs_is_read_as_their_dict():

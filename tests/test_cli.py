@@ -300,6 +300,17 @@ def test_a_failed_self_check_exits_4(capsys, monkeypatch, check):
     assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", err)
 
 
+# Presentations whose tables would exceed MAX_TABLE_ENTRIES.  The last two
+# counts have more digits than int() may print: the budget check stops at
+# the first generator over the limit and never prints them.
+OVER_THE_BUDGET = [
+    ["generator x degree 2 truncate 100000"],
+    [f"generator e{k} degree 1" for k in range(30)],
+    [f"generator e{k} degree 1" for k in range(20_000)],
+    ["generator x degree 2 truncate " + "9" * 4000],
+]
+
+
 def run_capped(*argv):
     """(seconds, completed process) of negder argv in a memory-capped child."""
     start = time.perf_counter()
@@ -309,10 +320,7 @@ def run_capped(*argv):
     return time.perf_counter() - start, proc
 
 
-@pytest.mark.parametrize("lines", [
-    ["generator x degree 2 truncate 100000"],
-    [f"generator e{k} degree 1" for k in range(30)],
-])
+@pytest.mark.parametrize("lines", OVER_THE_BUDGET)
 def test_presentations_over_the_budget_exit_2_quickly(tmp_path, lines):
     target = tmp_path / "huge.alg"
     target.write_text("\n".join(lines) + "\n")
@@ -326,10 +334,7 @@ def test_presentations_over_the_budget_exit_2_quickly(tmp_path, lines):
     assert "over the limit of" in proc.stderr
 
 
-@pytest.mark.parametrize("lines", [
-    ["generator x degree 2 truncate 100000"],
-    [f"generator e{k} degree 1" for k in range(30)],
-])
+@pytest.mark.parametrize("lines", OVER_THE_BUDGET)
 def test_char_on_a_presentation_over_the_budget_exits_2_quickly(tmp_path, lines):
     # char builds no table, but the budget still bounds the basis
     target = tmp_path / "huge.alg"

@@ -74,6 +74,11 @@ def test_presentation_errors_carry_line_numbers():
         parse_presentation("generator x degree 3 truncate 4\n")
     with pytest.raises(ParseError, match="truncat"):
         parse_presentation("generator x degree 2 truncate 1\n")
+    # symbols that would collide with a monomial label or the unit, or
+    # break the structure-constant format
+    for symbol in ("x^2", "1", "0", "a+b", "unit:a", "a*b", "a=b"):
+        with pytest.raises(ParseError, match=r"line 2: illegal generator symbol"):
+            parse_presentation(f"generator x degree 2 truncate 3\ngenerator {symbol} degree 4\n")
 
 
 def test_presentation_with_no_generators_builds_the_point():

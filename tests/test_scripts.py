@@ -45,6 +45,16 @@ def test_derivation_census_runs():
         ["dim", "Der_-1", "=", "0"], ["dim", "Der_0", "=", "1"]]
 
 
+@pytest.mark.parametrize("script", ["corpus_survey.py", "derivation_census.py"])
+def test_scripts_reject_an_unknown_example_as_a_usage_error(script):
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", script), "s3", "nosuch"],
+                          capture_output=True, text=True, env=src_env())
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "error: unknown example 'nosuch'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_flag_manifolds_are_valid_and_in_class_h(n):
     # H*(Fl_n) has the n! standard monomials as its basis, is generated by
