@@ -508,14 +508,19 @@ class GradedAlgebra(GradedBasis):
         return out
 
 
-def check_generator(g, seen):
-    """The presentation rules for one generator, given the set of symbols
-    seen before it, which it joins; raises ValueError on a violation.
+def check_generator(g, seen, entries):
+    """The presentation rules, the duplicate-symbol check and the table
+    budget for one generator.  seen holds the symbols before g, and g's
+    joins it; entries is the running count of table entries before g, 1
+    for the first.  Returns the count times t(t+1)/2 for g's truncation t,
+    and raises ValueError on a violation, a count over MAX_TABLE_ENTRIES
+    included, so a caller stops at the generator that passes the budget.
 
     The symbol must be a non-empty str that labels its monomials apart
     from every other basis element and survives the structure-constant
     format: no whitespace, none of =+#*^, not 0 or 1, and not starting
-    with unit:."""
+    with unit:.  A factor over the budget counts as just over it, so the
+    count stays small enough to print."""
     symbol = g.symbol
     if (type(symbol) is not str or symbol.split() != [symbol] or symbol in ("0", "1")
             or not _SYMBOL_RESERVED.isdisjoint(symbol) or symbol.startswith("unit:")):
@@ -523,16 +528,22 @@ def check_generator(g, seen):
     if symbol in seen:
         raise ValueError(f"duplicate generator symbol {symbol!r}")
     seen.add(symbol)
+    t = g.truncation
     if type(g.degree) is not int:
         _check_int(f"degree of generator {symbol!r}", g.degree)
-    if type(g.truncation) is not int:
-        _check_int(f"truncation of generator {symbol!r}", g.truncation)
+    if type(t) is not int:
+        _check_int(f"truncation of generator {symbol!r}", t)
     if g.degree < 1:
         raise ValueError(f"generator {symbol!r} must have positive degree")
-    if g.truncation < 2:
+    if t < 2:
         raise ValueError(f"generator {symbol!r} needs truncation >= 2")
-    if g.degree % 2 and g.truncation != 2:
+    if g.degree % 2 and t != 2:
         raise ValueError(f"odd-degree generator {symbol!r} must truncate at 2")
+    entries *= t * (t + 1) // 2 if t <= MAX_TABLE_ENTRIES else MAX_TABLE_ENTRIES + 1
+    if entries > MAX_TABLE_ENTRIES:
+        raise ValueError(f"the presentation needs a table of at least {entries} "
+                         f"entries, over the limit of {MAX_TABLE_ENTRIES}")
+    return entries
 
 
 def _monomial_label(exps, gens):
@@ -560,30 +571,18 @@ def _sort_sign(first, second, odd):
 def monomial_basis(p):
     """The graded basis of a monomial presentation, without its table.
 
-    Checks every generator, then the MAX_TABLE_ENTRIES budget of the table
-    that build_monomial_algebra would allocate, and raises ValueError on a
-    violation, with the text that build_monomial_algebra raises; the
-    budget's count stops at the first generator that takes it over the
-    limit.  Basis:
+    Each generator goes through check_generator first, which raises
+    ValueError at the first one that breaks a rule or takes the table that
+    build_monomial_algebra would allocate over MAX_TABLE_ENTRIES.  Basis:
     all exponent vectors below the truncations, sorted by (degree, exponent
     vector) and labelled by their monomials; the zero vector, the only one
     of degree 0, is the unit.  Returns a GradedBasis that also carries
     monomial_exponents, the exponent vector of each basis index.  Its cost
     is one step per basis element, whatever the size of the table.
     """
-    seen = set()
+    seen, entries = set(), 1
     for g in p.generators:
-        check_generator(g, seen)
-    # The running count stops at the first generator that takes it over
-    # the budget, and a factor over the budget counts as just over it, so
-    # the count stays small enough to print.
-    entries = 1
-    for g in p.generators:
-        t = g.truncation
-        entries *= t * (t + 1) // 2 if t <= MAX_TABLE_ENTRIES else MAX_TABLE_ENTRIES + 1
-        if entries > MAX_TABLE_ENTRIES:
-            raise ValueError(f"the presentation needs a table of at least {entries} "
-                             f"entries, over the limit of {MAX_TABLE_ENTRIES}")
+        entries = check_generator(g, seen, entries)
     gens = p.generators
     weights = [g.degree for g in gens]
     pairs = sorted((sum(map(mul, e, weights)), e)
@@ -597,7 +596,8 @@ def monomial_basis(p):
 
 def build_monomial_algebra(p):
     """Build the algebra of a monomial presentation over monomial_basis(p),
-    which checks the presentation and the table budget first.
+    which checks each generator and the table budget with check_generator
+    first.
 
     Products add exponents and pick up the Koszul sign of sorting odd
     factors, which is worked out only when some generator has odd degree;

@@ -82,12 +82,19 @@ class GradedLinearMap:
         mat = self.blocks.get(n)
         if mat is None:
             return Element()
+        c = algebra.position[i]
+        return Element({t: row[c] for t, row in zip(self._target(algebra, n), mat) if row[c]})
+
+    def _target(self, algebra, n):
+        """The target piece of the block at source degree n; ValueError
+        unless the block has a row per target and a column per source
+        basis element, so a block at a degree the algebra lacks fails."""
+        mat = self.blocks[n]
         width = len(algebra.graded_piece(n))
         tgt = algebra.graded_piece(n + self.shift)
         if len(mat) != len(tgt) or any(len(row) != width for row in mat):
             raise ValueError(f"block at degree {n} does not match the graded pieces")
-        c = algebra.position[i]
-        return Element({t: row[c] for t, row in zip(tgt, mat) if row[c]})
+        return tgt
 
     def apply(self, algebra, elt):
         """Image of elt: the sum of c * image(i) over its terms c e_i."""
@@ -331,9 +338,15 @@ def _defects(a, m, left):
     """Yield ((i, x), defect), i in left and x in the basis, in that order,
     for each nonzero {index: value} defect m(e_i e_x) - m(e_i) e_x -
     (-1)^(d |i|) e_i m(e_x), summed from the table and each image of m read
-    once, apart from the solver; ValueError for a term outside the basis."""
+    once, apart from the solver.  Every stored block of m is checked
+    against its pieces before any image is read, so a block that no image
+    reads still raises ValueError, as does a term outside the basis."""
     table, empty = a.products, {}
-    images = {i: m.image(a, i).coeffs for i in range(a.dim)}
+    images = dict.fromkeys(range(a.dim), empty)
+    for n, mat in m.blocks.items():
+        tgt = m._target(a, n)
+        for c, i in enumerate(a.graded_piece(n)):
+            images[i] = {t: row[c] for t, row in zip(tgt, mat) if row[c]}
     for i in left:
         sign = _sign(m.shift * a.degrees[i])
         for x in range(a.dim):
@@ -358,7 +371,8 @@ def is_derivation(a, m):
     """Exact Leibniz residual of m over every ordered basis pair.
 
     Returns a list of ((i, j), defect Element) entries for the violated
-    pairs, in i, j order; an empty list means m is a derivation.
+    pairs, in i, j order; an empty list means m is a derivation.  A block
+    of m whose shape does not match the pieces of a raises ValueError.
     """
     return [(pair, Element(defect)) for pair, defect in _defects(a, m, range(a.dim))]
 

@@ -327,8 +327,11 @@ def quadratic_sort_sign(first, second, odd):
 def key_sorted_basis(p):
     """Oracle for monomial_basis: (exponent vectors, labels, degrees), the
     vectors sorted with a key that works out each degree inside the sort
-    and again for the degree list."""
+    and again for the degree list, once check_generator passes p."""
     gens = list(p.generators)
+    seen, entries = set(), 1
+    for g in gens:
+        entries = check_generator(g, seen, entries)
     degrees_of = lambda e: sum(x * g.degree for x, g in zip(e, gens))
     exps = sorted(cartesian(*(range(g.truncation) for g in gens)),
                   key=lambda e: (degrees_of(e), e))
@@ -338,13 +341,10 @@ def key_sorted_basis(p):
 def all_pairs_monomial_algebra(p):
     """Oracle for build_monomial_algebra: the basis of key_sorted_basis,
     with every pair of exponent vectors tested and kept when its sum stays
-    below every truncation."""
-    seen = set()
-    for g in p.generators:
-        check_generator(g, seen)
+    below every truncation; key_sorted_basis checks p."""
+    exps, labels, degrees = key_sorted_basis(p)
     gens = list(p.generators)
     odd = [g.degree % 2 == 1 for g in gens]
-    exps, labels, degrees = key_sorted_basis(p)
     index_of = {e: i for i, e in enumerate(exps)}
     products = {}
     for i, e in enumerate(exps):

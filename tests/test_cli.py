@@ -300,14 +300,16 @@ def test_a_failed_self_check_exits_4(capsys, monkeypatch, check):
     assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", err)
 
 
-# Presentations whose tables would exceed MAX_TABLE_ENTRIES.  The last two
-# counts have more digits than int() may print: the budget check stops at
-# the first generator over the limit and never prints them.
+# Presentations whose tables would exceed MAX_TABLE_ENTRIES.  The third
+# and fourth counts have more digits than int() may print: the budget check
+# stops at the first generator over the limit and never prints them.  The
+# last input is 10.7 MB, of which the parse reads twelve lines.
 OVER_THE_BUDGET = [
     ["generator x degree 2 truncate 100000"],
     [f"generator e{k} degree 1" for k in range(30)],
     [f"generator e{k} degree 1" for k in range(20_000)],
     ["generator x degree 2 truncate " + "9" * 4000],
+    [f"generator e{k} degree 1" for k in range(400_000)],
 ]
 
 
@@ -332,6 +334,19 @@ def test_presentations_over_the_budget_exit_2_quickly(tmp_path, lines):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "over the limit of" in proc.stderr
+
+
+def test_the_budget_check_raises_under_python_O(tmp_path):
+    # a check written as an assert would be gone under -O, and the child
+    # would try to build 3**30 entries
+    target = tmp_path / "t30.alg"
+    target.write_text("\n".join(OVER_THE_BUDGET[1]) + "\n")
+    proc = subprocess.run([sys.executable, "-O", "-m", "negder", "check-h", str(target)],
+                          capture_output=True, text=True, env=src_env(),
+                          preexec_fn=cap_memory, timeout=30)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: line 12: the presentation needs a table of at least "
+                           "531441 entries, over the limit of 250000\n")
 
 
 @pytest.mark.parametrize("lines", OVER_THE_BUDGET)

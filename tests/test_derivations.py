@@ -57,13 +57,20 @@ def test_from_images_rejects_off_piece_images():
 
 def test_apply_rejects_misshapen_blocks():
     cp2, t2 = projective_space(2), torus(2)
+    # cp2 has nothing in degrees 3 and 5, so no basis image reads those
+    # blocks: is_derivation must reject them before it reads any image
     cases = [(cp2, GradedLinearMap(-2, {2: [[1, 1]]})),
              (t2, GradedLinearMap(0, {1: [[1, 2], [3]]})),
-             (t2, GradedLinearMap(0, {1: [[1, 2], [3, 4, 5]]}))]
+             (t2, GradedLinearMap(0, {1: [[1, 2], [3, 4, 5]]})),
+             (cp2, GradedLinearMap(-2, {3: [[1]]})),
+             (cp2, GradedLinearMap(-2, {5: [[1, 0]], 2: [[1]]}))]
     for alg, bad in cases:
-        for i in alg.graded_piece(next(iter(bad.blocks))):
+        n = next(iter(bad.blocks))
+        for i in alg.graded_piece(n):
             with pytest.raises(ValueError, match="does not match"):
                 bad.apply(alg, alg.basis_element(i))
+        with pytest.raises(ValueError, match=f"block at degree {n} does not match"):
+            is_derivation(alg, bad)
 
 
 def test_image_reads_one_column_and_apply_sums_them():

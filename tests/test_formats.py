@@ -79,6 +79,13 @@ def test_presentation_errors_carry_line_numbers():
     for symbol in ("x^2", "1", "0", "a+b", "unit:a", "a*b", "a=b"):
         with pytest.raises(ParseError, match=r"line 2: illegal generator symbol"):
             parse_presentation(f"generator x degree 2 truncate 3\ngenerator {symbol} degree 4\n")
+    # the table budget stops the parse at the line that passes it, the
+    # twelfth exterior generator at 3**12 entries: the malformed line after
+    # it is never read
+    lines = ["name T13", "# exterior"] + [f"generator e{k} degree 1" for k in range(12)]
+    with pytest.raises(ParseError, match=r"^line 14: the presentation needs a table of at "
+                                         r"least 531441 entries, over the limit of 250000$"):
+        parse_presentation("\n".join(lines + ["widget", "generator e12 degree 1"]) + "\n")
 
 
 def test_presentation_with_no_generators_builds_the_point():
