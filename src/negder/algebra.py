@@ -360,7 +360,8 @@ class GradedAlgebra(GradedBasis):
 
         The index, degree and commutativity checks, and the two indexes of
         the table the associativity check reads, are made in one walk over
-        the keys, each check worked out once per distinct entry (or entry,
+        the keys, the unit's keys held out of the indexes until a full
+        pass, each check worked out once per distinct entry (or entry,
         mirror and parity), so a key costs a lookup; an index gets a
         container only for a row or basis element it has not seen yet, and
         a violation's text is made only for the keys that fail.
@@ -377,12 +378,16 @@ class GradedAlgebra(GradedBasis):
         1966).  By degree additivity and graded Nakayama, the generators
         and the unit produce all of A by products alone, without using
         associativity.  So when every triple (g, y, z) with g a generator
-        associates, N is all of A and every triple does.  The unit's own
-        row is left out of that pass: the unit laws have passed by then,
-        so the unit is in N and its row holds no violation.  When that pass
-        finds a violation, or an earlier check failed, or every index is a
-        generator, the pass runs over every row, the unit's included, so
-        the violations and their order are those of the full check.
+        associates, N is all of A and every triple does.  That pass reads
+        an index without the unit's keys, (u, j) and (i, u): the unit laws
+        have passed by then, so every triple with the unit as i, j or k
+        associates, and degree additivity keeps the unit out of every
+        product of two non-unit elements, so no other triple loses a
+        contribution.  When that pass finds a violation, or an earlier
+        check failed, or every index is a generator, the pass runs over
+        every row with every key, the unit's included, so the violations
+        and their order are those of the full check: there a corrupt
+        product such as b b = 1 carries the unit into other triples.
         """
         dim, degrees, labels = self.dim, self.degrees, self.labels
         table = self.products
@@ -392,6 +397,8 @@ class GradedAlgebra(GradedBasis):
         bad_index, bad_degree, bad_sign = [], [], []
         rows = {}  # the index of the table that _associativity reads
         by_m = {}
+        u = self.unit
+        aside = []  # the unit's keys, held out of the index until a full pass
         for key, terms in table.items():
             entry = id(terms)
             fact = facts.get(entry)
@@ -421,6 +428,9 @@ class GradedAlgebra(GradedBasis):
                     bad_sign.append(key)
             elif terms and (j, i) not in table:
                 bad_sign.append((j, i))
+            if i == u or j == u:
+                aside.append((i, j, terms))
+                continue
             row = rows.get(i)
             if row is None:
                 row = rows[i] = {}
@@ -444,7 +454,6 @@ class GradedAlgebra(GradedBasis):
                         f"degree additivity: {labels[i]} * {labels[j]} "
                         f"hits {labels[k]} of degree {degrees[k]}, expected {want}"
                     )
-        u = self.unit
         for j in range(dim):
             if table.get((u, j), empty) != {j: 1}:
                 out.append(f"unit law: 1 * {labels[j]} != {labels[j]}")
@@ -454,18 +463,19 @@ class GradedAlgebra(GradedBasis):
             rel = "-" if degrees[i] & degrees[j] & 1 else ""
             out.append(f"graded commutativity: {labels[j]} * {labels[i]} "
                        f"!= {rel}({labels[i]} * {labels[j]})")
-        # The generator rows decide, the unit's aside: the unit laws have
-        # passed, so its row holds no violation.  The full pass, rerun on
-        # a violation, keeps the full list in its order (see the docstring).
-        only = None
+        # The generator rows decide, on the index without the unit's keys:
+        # the unit laws have passed, so no triple through the unit fails.
+        # The full pass, run on a violation, reads every key and keeps the
+        # full list in its order (see the docstring).
         if not out:
             gens = self._generators()
-            if len(gens) < dim:
-                only = set(gens) - {u}
-        found = self._associativity(rows, by_m, only)
-        if found and only is not None:
-            found = self._associativity(rows, by_m, None)
-        return out + found
+            if len(gens) < dim and not self._associativity(rows, by_m, set(gens) - {u}):
+                return []
+        for i, j, terms in aside:
+            rows.setdefault(i, {})[j] = terms
+            for m, c in terms.items():
+                by_m.setdefault(m, []).append((i, j, c))
+        return out + self._associativity(rows, by_m, None)
 
     def _associativity(self, rows, by_m, only):
         """Associativity violations of the rows i in only, or of every row

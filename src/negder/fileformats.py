@@ -33,7 +33,9 @@ empty term before a "+".  Anything else (1.5, 1e3, 1_000, 0x1) is a
 ParseError, so a coefficient costs time in proportion to its text.  A
 product line may name a pair in either order.  A pair given in one order
 only gets its transposed entry from graded commutativity; a pair given in
-both orders keeps both lines, and validation cross-checks them.  Omitted
+both orders keeps both lines, and validation cross-checks them; the
+serializer writes both lines, an absent entry as 0, when the two orders
+disagree, so a corrupt table reads back as it was.  Omitted
 pairs are zero.  A parsed table is validated before use and rejected with
 the full violation list if any axiom fails.
 
@@ -58,6 +60,12 @@ _RESERVED = set("=+#")
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 _COEFFICIENT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
+# Characters of text that _meaningful_lines splits at a time: every bundled
+# and benchmark file is one chunk.
+_CHUNK = 1 << 16
+# The line breaks of str.splitlines but "\r", which a "\n" after it joins.
+_FINAL_BREAKS = frozenset("\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+
 PRESENTATION = "presentation"
 STRUCTURE_CONSTANTS = "structure_constants"
 
@@ -77,8 +85,32 @@ class ValidationError(ValueError):
         self.violations = list(violations)
 
 
+def _split_lines(text):
+    """The lines of text.splitlines(keepends=True), read _CHUNK characters
+    at a time, so a reader that stops early splits little of a long text.
+    A line's pieces are joined once, when its break is read; a "\r" that
+    ends a chunk waits for the next one, since a "\n" there joins it."""
+    held = []  # the pieces of the line that runs on past the last chunk
+    for start in range(0, len(text), _CHUNK):
+        lines = text[start:start + _CHUNK].splitlines(keepends=True)
+        if held and (held[-1][-1] != "\r" or lines[0] == "\n"):
+            held.append(lines[0])
+            if len(lines) == 1 and lines[0][-1] not in _FINAL_BREAKS:
+                continue
+            lines[0] = "".join(held)
+        elif held:
+            yield "".join(held)
+        held = []
+        if lines[-1][-1] not in _FINAL_BREAKS:
+            held.append(lines.pop())
+        yield from lines
+    if held:
+        yield "".join(held)
+
+
 def _meaningful_lines(text):
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # str.strip() also removes the line break that _split_lines keeps
+    for line_no, raw in enumerate(_split_lines(text), start=1):
         line = raw.partition("#")[0].strip()
         if line:
             yield line_no, line
@@ -142,9 +174,13 @@ def parse_presentation(text):
     return Presentation(name, tuple(gens))
 
 
-def _check_label(label, line_no):
-    if label == "0" or _RESERVED & set(label):
-        raise ParseError(line_no, f"illegal basis label {label!r}")
+def _legal_label(label):
+    """Whether a basis line can carry label: a str of one word, not 0,
+    with none of =+#, not starting with unit:.  A parsed word has no
+    whitespace and a line starting with unit: is the unit line, so the
+    parser tests only the rest; the serializer tests it all."""
+    return (type(label) is str and label.split() == [label] and label != "0"
+            and _RESERVED.isdisjoint(label) and not label.startswith("unit:"))
 
 
 def _coefficient(text, line_no, coeffs):
@@ -213,7 +249,8 @@ def parse_structure_constants(text):
             if len(words) != 2:
                 raise ParseError(line_no, "expected: <label> <degree>")
             label, degree = words[0], _int(words[1], line_no, "degree")
-            _check_label(label, line_no)
+            if not _legal_label(label):
+                raise ParseError(line_no, f"illegal basis label {label!r}")
             if label in label_index:
                 raise ParseError(line_no, f"duplicate basis label {label!r}")
             if degree < 0:
@@ -270,18 +307,41 @@ def parse_structure_constants(text):
 def serialize_structure_constants(a):
     """Canonical structure-constant text: basis in index order, then the
     unit, then each nonzero product with i <= j, terms ordered by index.
-    parse(serialize(a)) reproduces basis order, degrees, unit and table."""
+    When P[j,i] is not the graded-commutative mirror of P[i,j], the line
+    j i follows the line i j, and an absent entry of the two is written
+    as 0, so the parser infers neither; a valid table has no such pair.
+    parse(serialize(a)) reproduces basis order, degrees, unit and table,
+    and so the violations of a corrupt one.  ValueError names the first
+    basis label that the format cannot carry, before any text is made."""
+    labels, degrees, table = a.labels, a.degrees, a.products
+    seen = set()
+    for label in labels:
+        if not _legal_label(label):
+            raise ValueError(f"illegal basis label {label!r}: the structure-constant "
+                             "format cannot carry it")
+        if label in seen:
+            raise ValueError(f"duplicate basis label {label!r}")
+        seen.add(label)
     lines = ["basis:"]
-    for label, d in zip(a.labels, a.degrees):
+    for label, d in zip(labels, degrees):
         lines.append(f"{label} {d}")
-    lines.append(f"unit: {a.labels[a.unit]}")
+    lines.append(f"unit: {labels[a.unit]}")
     lines.append("products:")
-    for i, j in sorted(key for key in a.products if key[0] <= key[1]):
-        terms = a.products[i, j]
-        if not terms:
-            continue
-        body = " + ".join(f"{c}*{a.labels[k]}" for k, c in sorted(terms.items()))
-        lines.append(f"{a.labels[i]} {a.labels[j]} = {body}")
+    empty = {}
+
+    def line(i, j, terms):
+        body = " + ".join(f"{c}*{labels[k]}" for k, c in sorted(terms.items())) or "0"
+        lines.append(f"{labels[i]} {labels[j]} = {body}")
+
+    for i, j in sorted({(i, j) if i <= j else (j, i) for i, j in table}):
+        terms = table.get((i, j), empty)
+        mirror = table.get((j, i), empty)
+        if i != j and mirror != ({k: -c for k, c in terms.items()}
+                                 if degrees[i] & degrees[j] & 1 else terms):
+            line(i, j, terms)
+            line(j, i, mirror)
+        elif terms:
+            line(i, j, terms)
     return "\n".join(lines) + "\n"
 
 

@@ -237,6 +237,26 @@ def basis_changed(a, data):
     return GradedAlgebra(a.labels, a.degrees, a.unit, products, name=a.name)
 
 
+@st.composite
+def corrupted(draw, algebra):
+    """algebra's table with one to three entries added, dropped or negated."""
+    products = {key: dict(terms) for key, terms in algebra.products.items()}
+    index = st.integers(0, algebra.dim - 1)
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["add", "drop", "negate"]))
+        if op == "add":
+            key = (draw(index), draw(index))
+            products.setdefault(key, {})[draw(index)] = draw(
+                st.sampled_from([-2, -1, 1, 2]))
+        elif products:
+            key = draw(st.sampled_from(sorted(products)))
+            if op == "drop":
+                del products[key]
+            else:
+                products[key] = {k: -c for k, c in products[key].items()}
+    return GradedAlgebra(algebra.labels, algebra.degrees, algebra.unit, products)
+
+
 def keywise_checks(a):
     """Oracle for the index, degree, unit and commutativity checks of
     GradedAlgebra.validate: the loops it replaced, which sort and compare

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (all_pairs_monomial_algebra, basis_changed, cap_memory, crowded,
-                      echelon_generators, exhaustive_validate, key_sorted_basis, point,
-                      presentations, projective_space, quadratic_sort_sign, sphere,
+from conftest import (all_pairs_monomial_algebra, basis_changed, cap_memory, corrupted,
+                      crowded, echelon_generators, exhaustive_validate, key_sorted_basis,
+                      point, presentations, projective_space, quadratic_sort_sign, sphere,
                       src_env, torus)
 from negder import (Element, Generator, GradedAlgebra, GradedBasis, GradedLinearMap,
                     Presentation, algebra, build_monomial_algebra, corpus,
@@ -396,26 +396,6 @@ def test_validate_multiplies_only_where_a_side_can_be_nonzero(monkeypatch):
     assert calls == []
 
 
-@st.composite
-def corrupted(draw, algebra):
-    """algebra's table with one to three entries added, dropped or negated."""
-    products = {key: dict(terms) for key, terms in algebra.products.items()}
-    index = st.integers(0, algebra.dim - 1)
-    for _ in range(draw(st.integers(1, 3))):
-        op = draw(st.sampled_from(["add", "drop", "negate"]))
-        if op == "add":
-            key = (draw(index), draw(index))
-            products.setdefault(key, {})[draw(index)] = draw(
-                st.sampled_from([-2, -1, 1, 2]))
-        elif products:
-            key = draw(st.sampled_from(sorted(products)))
-            if op == "drop":
-                del products[key]
-            else:
-                products[key] = {k: -c for k, c in products[key].items()}
-    return GradedAlgebra(algebra.labels, algebra.degrees, algebra.unit, products)
-
-
 @given(presentations().filter(lambda p: prod(g.truncation for g in p.generators) <= 16),
        st.data())
 @settings(max_examples=60, deadline=None)
@@ -541,6 +521,65 @@ def test_a_unit_law_fault_alone_walks_every_row(monkeypatch):
         assert violations == exhaustive_validate(bad)
         assert violations[0] == f"unit law: 1 * {label} != {label}"
         assert any(v.startswith("associativity: (1 * ") for v in violations)
+
+
+def test_the_generator_pass_reads_no_key_of_the_unit(monkeypatch):
+    # the unit laws have passed, so every triple with the unit as j or k
+    # associates, and degree additivity keeps the unit out of every product
+    # of two non-unit elements: the unit's keys add nothing that pass needs.
+    # A violation makes the full pass read every key, the unit's included.
+    seen = []
+    real = GradedAlgebra._associativity
+    monkeypatch.setattr(GradedAlgebra, "_associativity",
+                        lambda self, rows, by_m, only: seen.append(
+                            (only, {i: dict(row) for i, row in rows.items()},
+                             {m: list(at) for m, at in by_m.items()}))
+                        or real(self, rows, by_m, only))
+
+    def keys(rows):
+        return {(i, j) for i, row in rows.items() for j in row}
+
+    def contributions(by_m):
+        return sorted((j, k, m, c) for m, at in by_m.items() for j, k, c in at)
+
+    t4 = torus(4)
+    u = t4.unit
+    assert t4.validate() == []
+    [(only, rows, by_m)] = seen
+    assert only == set(t4.generator_indices) - {u}
+    assert u not in rows and all(u not in row for row in rows.values())
+    assert all(u not in (j, k) for at in by_m.values() for j, k, c in at)
+    assert keys(rows) == {key for key in t4.products if u not in key}
+    del seen[:]
+    products = dict(t4.products)
+    i1, i2 = t4.labels.index("i1"), t4.labels.index("i2")
+    for key in ((i1, i2), (i2, i1)):
+        products[key] = {k: 2 * c for k, c in t4.products[key].items()}
+    bad = GradedAlgebra(t4.labels, t4.degrees, t4.unit, products)
+    assert bad.validate() == exhaustive_validate(bad) != []
+    [(_, gen_rows, _), (full, rows, by_m)] = seen
+    assert u not in gen_rows
+    assert full is None and keys(rows) == set(bad.products)
+    assert contributions(by_m) == sorted((j, k, m, c) for (j, k), terms in bad.products.items()
+                                         for m, c in terms.items())
+
+
+def test_a_unit_term_in_a_corrupt_product_reaches_the_full_pass():
+    # b * b = 1 breaks degree additivity, so the full pass runs, and there
+    # the unit's keys carry (b * b) * a = a, which b * (b * a) = 0 misses
+    one, a, b, ab = range(4)
+    products = {(one, i): {i: 1} for i in range(4)}
+    products.update({(i, one): {i: 1} for i in range(1, 4)})
+    products[(a, b)], products[(b, a)], products[(b, b)] = {ab: 1}, {ab: -1}, {one: 1}
+    t2 = GradedAlgebra(["1", "a", "b", "ab"], [0, 1, 1, 2], one, products)
+    assert t2.validate() == exhaustive_validate(t2) == [
+        "degree additivity: b * b hits 1 of degree 0, expected 2",
+        "graded commutativity: b * b != -(b * b)",
+        "associativity: (a * b) * b != a * (b * b)",
+        "associativity: (b * b) * a != b * (b * a)",
+        "associativity: (b * b) * ab != b * (b * ab)",
+        "associativity: (ab * b) * b != ab * (b * b)",
+    ]
 
 
 def test_validate_reads_the_generators_of_the_table_as_it_is():

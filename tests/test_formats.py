@@ -1,3 +1,6 @@
+import re
+import time
+import tracemalloc
 from fractions import Fraction
 from math import prod
 
@@ -5,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import basis_changed, presentations, projective_space, sphere, torus
-from negder import (AlgebraFile, ParseError, ValidationError, build_monomial_algebra,
+from conftest import basis_changed, corrupted, presentations, projective_space, sphere, torus
+from negder import (AlgebraFile, GradedAlgebra, ParseError, ValidationError,
+                    build_monomial_algebra,
                     detect_format, fileformats, load_algebra_text, parse_presentation,
                     parse_structure_constants, serialize_structure_constants,
                     tensor)
@@ -270,6 +274,102 @@ def test_serializer_walks_the_table_in_pair_order():
 def test_serializer_omits_zero_rows():
     text = serialize_structure_constants(sphere(2))
     assert "x x" not in text
+
+
+def round_trip(a):
+    """The table that parse_structure_constants builds from a's text, as
+    its validate() call sees it, and the violations the parse raises."""
+    built = []
+    validate = GradedAlgebra.validate
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(GradedAlgebra, "validate",
+                      lambda self: built.append(self) or validate(self))
+        try:
+            parse_structure_constants(serialize_structure_constants(a))
+            violations = []
+        except ValidationError as exc:
+            violations = exc.violations
+    [again] = built
+    return again, violations
+
+
+def test_serializer_keeps_a_pair_that_breaks_commutativity():
+    # x y = z with y x = 2 z, or y x = 2 z alone: a line for y x and, when
+    # x y is absent, "x y = 0" keep the parser from inferring either entry
+    one, x, y, z = range(4)
+    products = {(one, i): {i: 1} for i in range(4)}
+    products.update({(i, one): {i: 1} for i in range(1, 4)})
+    products[(x, y)], products[(y, x)] = {z: 1}, {z: 2}
+    lines = {"x y = 1*z", "y x = 2*z"}
+    for table in (products, {key: terms for key, terms in products.items() if key != (x, y)}):
+        a = GradedAlgebra(["1", "x", "y", "z"], [0, 2, 2, 4], one, table)
+        text = serialize_structure_constants(a)
+        assert set(text.split("products:\n")[1].splitlines()) >= lines
+        again, violations = round_trip(a)
+        assert again == a
+        assert violations == a.validate() == ["graded commutativity: y * x != (x * y)"]
+        lines = {"x y = 0", "y x = 2*z"}
+
+
+@given(presentations().filter(lambda p: prod(g.truncation for g in p.generators) <= 16),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_serializer_round_trips_corrupt_tables(p, data):
+    bad = data.draw(corrupted(build_monomial_algebra(p)))
+    again, violations = round_trip(bad)
+    assert again == bad
+    assert violations == bad.validate()
+
+
+@pytest.mark.parametrize("label", ["a b", "x#", "0", "x=y", "x+y", "unit:x", "1"])
+def test_serializer_refuses_a_label_its_parser_rejects(label):
+    # each would come back as a ParseError; the first such label is named
+    for labels in (["1", label], ["1", "x", label, "a b"]):
+        products = {(0, i): {i: 1} for i in range(len(labels))}
+        a = GradedAlgebra(labels, [0] + [2] * (len(labels) - 1), 0, products)
+        with pytest.raises(ValueError, match=re.escape(repr(label))):
+            serialize_structure_constants(a)
+
+
+# --- reading lines ---
+
+@pytest.mark.parametrize("sep", ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                 "\x85", "\u2028", "\u2029"])
+def test_lines_are_read_in_chunks_as_splitlines_reads_them(monkeypatch, sep):
+    # every chunk size from 1 to 3 puts some "\r\n" across a boundary
+    text = sep.join(["name a", "", "b # c", "#", "\r\nd\r", " e", "\rf\r", "g"])
+    want = [(n, raw.partition("#")[0].strip()) for n, raw in enumerate(text.splitlines(), 1)]
+    for chunk in (1, 2, 3):
+        monkeypatch.setattr(fileformats, "_CHUNK", chunk)
+        for tail in ("", sep, "\r"):
+            assert list(fileformats._split_lines(text + tail)) == (
+                text + tail).splitlines(keepends=True)
+        assert list(fileformats._meaningful_lines(text)) == [(n, line) for n, line in want
+                                                             if line]
+
+
+def test_a_text_with_no_line_break_is_joined_once(monkeypatch):
+    # one chunk per character: joining the line so far at every chunk would
+    # copy some 2 * 10**10 characters
+    monkeypatch.setattr(fileformats, "_CHUNK", 1)
+    text = "x" * 200_000
+    start = time.perf_counter()
+    assert list(fileformats._meaningful_lines(text)) == [(1, text)]
+    assert time.perf_counter() - start < 10
+
+
+def test_a_parse_that_stops_early_splits_little_of_the_text():
+    # the budget stops the parse at line 12 of 400 000; detect_format
+    # reads one line
+    text = "".join(f"generator e{k} degree 1\n" for k in range(400_000))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="^line 12: the presentation needs a table"):
+            load_algebra_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, f"{peak / 2**20:.1f} MB traced"
 
 
 # --- the combined loader ---
