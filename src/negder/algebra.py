@@ -488,8 +488,12 @@ class GradedAlgebra(GradedBasis):
         m of row i's entries, and e_i (e_j e_k) = sum_m P[j,k][m] P[i,m]
         through by_m of each m in row i.  A key with no contribution on a
         side is missing there and counts as 0; an i with no row has no
-        contribution at all.  Equal sums, the common case, cost one ==;
-        otherwise a pair (j, k) is a violation when some t differs.
+        contribution at all.  Equal sums cost one ==; otherwise a pair
+        (j, k) is a violation when some t differs.  Contributions that
+        cancel leave a key whose value is 0 on one side and missing on the
+        other, so the == can fail on a valid table, and then every key is
+        compared: it does on 4 of the 5 generator rows of Fl_6, though not
+        on the tori.
         """
         out = []
         empty = {}

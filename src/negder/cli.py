@@ -9,49 +9,25 @@ so there is no answer; the message of 2 or 4 goes to stderr.  With
 rationals are always serialized as exact "p/q" strings.  Integer options
 are read by fileformats.integer, as the integers of a file are: 1_0, ٣
 or " 2 " is a usage error.
+
+Each subcommand is listed once, in _COMMANDS: its handler, help text,
+whether it reads an algebra file, and its arguments.  build_parser reads
+that table.  run builds the parser anew on every call, with no cache:
+for the named subcommand alone when the command line starts with one (2
+ArgumentParsers, where the full parser makes 7, most of a call on a
+small algebra), and in full otherwise, so help, usage and error text are
+the same either way.
 """
 
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 
 from . import corpus
 from .derivations import check_class_h, derivation_space
 from .fileformats import AlgebraFile, ParseError, ValidationError, detect_format, integer
 from .rigidity import char_subspace, prove_rigidity
-
-
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="negder",
-        description="Exact-rational checks for graded-commutative algebras: "
-                    "negative-degree derivations, class-H membership, "
-                    "characteristic subspaces, torus splitting rigidity.")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def command(name, help_text, with_file=True):
-        p = sub.add_parser(name, help=help_text)
-        if with_file:
-            p.add_argument("file", help="algebra file (presentation or structure constants)")
-        p.add_argument("--json", action="store_true", help="emit a stable JSON document")
-        return p
-
-    command("validate", "parse an algebra file and check every axiom")
-    p = command("check-h", "decide class H: no nonzero negative-degree derivations")
-    p.add_argument("--max-degree", type=integer, default=None, metavar="D",
-                   help="sweep derivation degrees -1..-D (default: top degree)")
-    p = command("derivations", "compute the space of derivations of one degree")
-    p.add_argument("--degree", type=integer, required=True, metavar="D",
-                   help="degree shift of the derivations (may be negative)")
-    p = command("char", "characteristic subspace for a bundle rank")
-    p.add_argument("--rank", type=integer, required=True, metavar="K", help="bundle rank, K >= 1")
-    p = command("rigidity", "run the level-by-level splitting-rigidity proof")
-    p.add_argument("--torus", type=integer, required=True, metavar="S",
-                   help="torus rank of the product")
-    p = command("examples", "list or print the bundled algebra files", with_file=False)
-    p.add_argument("action", choices=["list", "show"])
-    p.add_argument("name", nargs="?", help="example name (for show)")
-    return parser
 
 
 def _emit(args, doc, lines):
@@ -102,7 +78,7 @@ def _cmd_validate(args):
         violations = alg.validate()
     except ValidationError as exc:
         violations = exc.violations
-    doc = {"command": "validate", "file": args.file,
+    doc = {"command": args.command, "file": args.file,
            "format": algebra_file.format,
            "valid": not violations, "violations": violations}
     lines = ["valid"] if not violations else violations
@@ -115,7 +91,7 @@ def _cmd_check_h(args):
     verdict = check_class_h(alg, args.max_degree)
     checked = sorted(verdict.dimensions, reverse=True)
     doc = {
-        "command": "check-h",
+        "command": args.command,
         "file": args.file,
         "in_class": verdict.in_class,
         "connectivity_ok": verdict.connectivity_ok,
@@ -147,7 +123,7 @@ def _cmd_check_h(args):
 def _cmd_derivations(args):
     alg = _load(args.file).build()
     space = derivation_space(alg, args.degree)
-    doc = {"command": "derivations", "file": args.file, "degree": args.degree,
+    doc = {"command": args.command, "file": args.file, "degree": args.degree,
            "dimension": len(space), "basis": [_map_doc(alg, m) for m in space]}
 
     def text():
@@ -164,7 +140,7 @@ def _cmd_char(args):
     basis = _load(args.file).basis()
     char = char_subspace(basis, args.rank)
     labels = {n: [basis.labels[i] for i in char.basis_indices[n]] for n in char.degrees}
-    doc = {"command": "char", "file": args.file, "rank": char.rank,
+    doc = {"command": args.command, "file": args.file, "rank": char.rank,
            "degrees": list(char.degrees), "dimension": char.dimension,
            "basis": [{"degree": n, "labels": labels[n]} for n in char.degrees]}
     lines = [f"degrees: {', '.join(map(str, char.degrees))}",
@@ -178,7 +154,7 @@ def _cmd_char(args):
 def _cmd_rigidity(args):
     alg = _load(args.file).build()
     trace = prove_rigidity(alg, args.torus)
-    doc = {"command": "rigidity", "file": args.file,
+    doc = {"command": args.command, "file": args.file,
            "torus_rank": trace.torus_rank, "level_cap": trace.level_cap,
            "levels": [{"level": rec.level, "dimension": rec.dimension,
                        "certificate": (_map_doc(alg, rec.certificate)
@@ -202,7 +178,7 @@ def _cmd_rigidity(args):
 
 def _cmd_examples(args):
     if args.action == "list":
-        doc = {"command": "examples", "names": corpus.names(),
+        doc = {"command": args.command, "names": corpus.names(),
                "descriptions": {n: corpus.entry(n).description for n in corpus.names()}}
         lines = [f"{n}: {corpus.entry(n).description}" for n in corpus.names()]
         _emit(args, doc, lines)
@@ -215,29 +191,85 @@ def _cmd_examples(args):
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    doc = {"command": "examples", "name": args.name, "text": payload}
+    doc = {"command": args.command, "name": args.name, "text": payload}
     _emit(args, doc, payload.splitlines())
     return 0
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "check-h": _cmd_check_h,
-    "derivations": _cmd_derivations,
-    "char": _cmd_char,
-    "rigidity": _cmd_rigidity,
-    "examples": _cmd_examples,
+@dataclass(frozen=True)
+class _Command:
+    """One subcommand: its handler, its help text, whether it reads an
+    algebra file, and its further arguments as (name, add_argument
+    keywords) pairs, in the order they are added."""
+
+    handler: object
+    help: str
+    takes_file: bool = True
+    arguments: tuple = ()
+
+
+_COMMANDS = {
+    "validate": _Command(_cmd_validate, "parse an algebra file and check every axiom"),
+    "check-h": _Command(
+        _cmd_check_h, "decide class H: no nonzero negative-degree derivations",
+        arguments=(("--max-degree", dict(
+            type=integer, default=None, metavar="D",
+            help="sweep derivation degrees -1..-D (default: top degree)")),)),
+    "derivations": _Command(
+        _cmd_derivations, "compute the space of derivations of one degree",
+        arguments=(("--degree", dict(
+            type=integer, required=True, metavar="D",
+            help="degree shift of the derivations (may be negative)")),)),
+    "char": _Command(
+        _cmd_char, "characteristic subspace for a bundle rank",
+        arguments=(("--rank", dict(type=integer, required=True, metavar="K",
+                                   help="bundle rank, K >= 1")),)),
+    "rigidity": _Command(
+        _cmd_rigidity, "run the level-by-level splitting-rigidity proof",
+        arguments=(("--torus", dict(type=integer, required=True, metavar="S",
+                                    help="torus rank of the product")),)),
+    "examples": _Command(
+        _cmd_examples, "list or print the bundled algebra files", takes_file=False,
+        arguments=(("action", dict(choices=["list", "show"])),
+                   ("name", dict(nargs="?", help="example name (for show)")))),
 }
 
 
+def build_parser(command=None):
+    """The argparse parser with every subcommand, or with the one named
+    command alone (KeyError if there is none).  A command line that
+    starts with that name parses the same way under either."""
+    parser = argparse.ArgumentParser(
+        prog="negder",
+        description="Exact-rational checks for graded-commutative algebras: "
+                    "negative-degree derivations, class-H membership, "
+                    "characteristic subspaces, torus splitting rigidity.")
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    for name in _COMMANDS if command is None else (command,):
+        spec = _COMMANDS[name]
+        p = sub.add_parser(name, help=spec.help)
+        if spec.takes_file:
+            p.add_argument("file", help="algebra file (presentation or structure constants)")
+        p.add_argument("--json", action="store_true", help="emit a stable JSON document")
+        for arg, options in spec.arguments:
+            p.add_argument(arg, **options)
+    return parser
+
+
 def run(argv):
-    parser = build_parser()
+    """Run one command line (None: sys.argv[1:]) and return its exit code.
+    When the first argument names a subcommand, only that subcommand's
+    parser is built; anything else (help, no arguments, an unknown
+    command, a leading option) gets the full parser and its messages."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    first = argv[0] if argv else None
+    command = first if isinstance(first, str) and first in _COMMANDS else None
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return _HANDLERS[args.command](args)
+        return _COMMANDS[args.command].handler(args)
     except (OSError, ParseError, ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

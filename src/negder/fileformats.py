@@ -311,17 +311,31 @@ def serialize_structure_constants(a):
     j i follows the line i j, and an absent entry of the two is written
     as 0, so the parser infers neither; a valid table has no such pair.
     parse(serialize(a)) reproduces basis order, degrees, unit and table,
-    and so the violations of a corrupt one.  ValueError names the first
-    basis label that the format cannot carry, before any text is made."""
+    and so the violations of a corrupt one.  What the format cannot carry
+    raises ValueError before any text is made: the first basis label its
+    parser rejects or that repeats, the first negative degree, or else an
+    index outside the basis, named as validate()'s first "basis index"
+    violation names it."""
     labels, degrees, table = a.labels, a.degrees, a.products
+    dim = len(labels)
     seen = set()
-    for label in labels:
+    for label, d in zip(labels, degrees):
         if not _legal_label(label):
             raise ValueError(f"illegal basis label {label!r}: the structure-constant "
                              "format cannot carry it")
         if label in seen:
             raise ValueError(f"duplicate basis label {label!r}")
         seen.add(label)
+        if d < 0:
+            raise ValueError(f"basis label {label!r} has negative degree {d}: the "
+                             "structure-constant format cannot carry it")
+    bad = [(i, j) for (i, j), terms in table.items()
+           if not (0 <= i < dim and 0 <= j < dim and all(0 <= k < dim for k in terms))]
+    if bad:
+        i, j = min(bad)
+        x = min(x for x in (i, j, *table[i, j]) if not 0 <= x < dim)
+        raise ValueError(f"basis index: table entry ({i}, {j}) names {x}, "
+                         f"outside 0..{dim - 1}")
     lines = ["basis:"]
     for label, d in zip(labels, degrees):
         lines.append(f"{label} {d}")

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -442,6 +443,72 @@ def test_the_validator_survives_optimized_mode(tmp_path):
 def test_help_exits_zero(capsys):
     assert invoke(capsys, "--help")[0] == 0
     assert invoke(capsys, "check-h", "--help")[0] == 0
+
+
+# --- building the parser ---
+
+def test_a_named_subcommand_builds_its_parser_alone(capsys, monkeypatch):
+    made = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *args, **kwargs: made.append(self) or init(
+                            self, *args, **kwargs))
+    assert invoke(capsys, "check-h", corpus.path("cp2"), "--json")[0] == 0
+    assert len(made) == 2  # negder and negder check-h
+    made.clear()
+    assert invoke(capsys, "--help")[0] == 0
+    assert len(made) == 1 + len(cli._COMMANDS)
+
+
+def equivalence_argv(tmp_path):
+    cp2, s3, missing = corpus.path("cp2"), corpus.path("s3"), str(tmp_path / "missing.alg")
+    yield from ([], ["-h"], ["--help"], ["--he"], ["--json"], ["--json", "check-h", cp2],
+                ["-x"], ["frobnicate"], ["check"], ["Check-h", cp2], ["--", "check-h", cp2])
+    options = {"validate": [], "check-h": ["--max-degree", "2"], "derivations": ["--degree", "-3"],
+               "char": ["--rank", "2"], "rigidity": ["--torus", "1"]}
+    for name, extra in options.items():
+        yield from ([name], [name, "-h"], [name, "--help"], [name, s3, *extra],
+                    [name, s3, *extra, "--json"], [name, s3, *extra, "--js"],
+                    [name, missing, *extra], [name, s3, *extra, "extra"],
+                    [name, s3, *extra, "--bogus"], [name, s3, *extra, "--json=1"],
+                    [name, s3, *extra, "--", "x"], [name, "--json", *extra])
+        if extra:
+            option, value = extra
+            yield from ([name, s3], [name, s3, option], [name, s3, option, "two"],
+                        [name, s3, option, "1_0"], [name, s3, f"{option}={value}"],
+                        [name, s3, option[:5], value], [name, s3, option, "-0"],
+                        [name, cp2, option, value, option, value])
+    yield from (["examples"], ["examples", "-h"], ["examples", "list"], ["examples", "list", "--json"],
+                ["examples", "show", "cp2"], ["examples", "show"], ["examples", "show", "nope"],
+                ["examples", "bogus"], ["examples", "list", "a", "b"], ["examples", "--j", "list"])
+
+
+def test_a_subcommand_parser_answers_as_the_full_parser(capsys, monkeypatch, tmp_path):
+    full = cli.build_parser
+    for argv in equivalence_argv(tmp_path):
+        alone = invoke(capsys, *argv)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "build_parser", lambda command=None: full())
+            assert invoke(capsys, *argv) == alone, argv
+
+
+def test_run_can_be_reused_in_one_process(capsys, tmp_path):
+    # every later run answers as the same run did first: a cap, a usage
+    # error or a help text leaves nothing behind for the next call
+    cp2 = corpus.path("cp2")
+    correct = ("check-h", cp2, "--json")
+    sequence = [(("check-h", cp2, "--max-degree", "2"), 0), (correct, 0),
+                (("check-h", cp2, "--max-degree", "two"), 2),
+                (("check-h", cp2, "--frobnicate"), 2),
+                (("check-h", str(tmp_path / "missing.alg")), 2), (("-h",), 0)]
+    first = {}
+    for argv, code in sequence * 2:
+        for args in (argv, correct):
+            result = invoke(capsys, *args)[:2]
+            assert first.setdefault(args, result) == result, args
+        assert first[argv][0] == code
+    assert first[correct][0] == 0
+    assert json.loads(first[correct][1])["degrees"][-1]["degree"] == -4
 
 
 # --- the examples subcommand ---

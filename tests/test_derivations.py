@@ -512,6 +512,69 @@ def test_check_class_h_agrees_with_the_corpus_metadata(name):
     assert verdict.connectivity_ok == entry.simply_connected
 
 
+# --- the Kunneth identity for derivations ---
+
+def kunneth_dimensions(a, b):
+    """Oracle for len(derivation_space(tensor(a, b), d)), d = -top..0, read
+    off the factors alone: Der(A (x) B) = Der(A) (x) B + A (x) Der(B), since
+    a derivation of A (x) B is fixed by its restrictions to A and B, any
+    such pair extends, and A (x) B is a free A-module on a basis of B.  So
+    dim Der_d = sum_n dim Der_(d-n)(A) dim B_n + dim A_n dim Der_(d-n)(B)."""
+    spaces = {}
+
+    def der(x, e):
+        if (id(x), e) not in spaces:
+            spaces[id(x), e] = len(derivation_space(x, e))
+        return spaces[id(x), e]
+
+    def pieces(x):
+        return {n: len(x.graded_piece(n)) for n in set(x.degrees)}
+
+    return {d: sum(der(a, d - n) * size for n, size in pieces(b).items())
+            + sum(size * der(b, d - n) for n, size in pieces(a).items())
+            for d in range(-a.top_degree - b.top_degree, 1)}
+
+
+def assert_kunneth(a, b):
+    expected = kunneth_dimensions(a, b)
+    product = tensor(a, b)
+    assert {d: len(derivation_space(product, d)) for d in expected} == expected
+
+
+factor = presentations().filter(lambda p: prod(g.truncation for g in p.generators) <= 8)
+
+
+@given(factor, factor)
+@settings(max_examples=40, deadline=None)
+def test_kunneth_identity_on_random_tensor_products(p, q):
+    assert_kunneth(build_monomial_algebra(p), build_monomial_algebra(q))
+
+
+@given(crowded(), small, st.data())
+@settings(max_examples=20, deadline=None)
+def test_kunneth_identity_on_basis_changed_tables(p, q, data):
+    # a basis change mixes generators with products, so the factor's
+    # table and the product's are no longer monomial
+    a = basis_changed(build_monomial_algebra(p), data)
+    b = build_monomial_algebra(q)
+    assert_kunneth(a, b)
+    assert_kunneth(b, a)
+
+
+def test_kunneth_identity_on_corpus_products():
+    cp2, s3 = corpus.load("cp2"), corpus.load("s3")
+    assert_kunneth(cp2, s3)
+    assert_kunneth(torus(2), cp2)
+
+
+@given(factor, factor)
+@settings(max_examples=40, deadline=None)
+def test_a_product_has_a_negative_derivation_iff_a_factor_has_one(p, q):
+    a, b = build_monomial_algebra(p), build_monomial_algebra(q)
+    assert (check_class_h(tensor(a, b)).in_class
+            == (check_class_h(a).in_class and check_class_h(b).in_class))
+
+
 # --- is_derivation residuals ---
 
 def test_leibniz_defect_reported():

@@ -311,14 +311,60 @@ def test_serializer_keeps_a_pair_that_breaks_commutativity():
         lines = {"x y = 0", "y x = 2*z"}
 
 
+@st.composite
+def beyond_the_format(draw, algebra):
+    """algebra with, at times, a degree made negative, and none, one or
+    two table terms added whose key or index may lie outside the basis,
+    below 0 or at dim and above."""
+    dim = algebra.dim
+    degrees = list(algebra.degrees)
+    if draw(st.integers(0, 3)) == 0:
+        degrees[draw(st.integers(0, dim - 1))] = draw(st.integers(-3, -1))
+    products = {key: dict(terms) for key, terms in algebra.products.items()}
+    index = st.one_of(st.integers(0, dim - 1), st.integers(-2, -1), st.integers(dim, dim + 2))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        products.setdefault((draw(index), draw(index)), {})[draw(index)] = draw(
+            st.sampled_from([-1, 1, 2]))
+    return GradedAlgebra(algebra.labels, degrees, algebra.unit, products)
+
+
 @given(presentations().filter(lambda p: prod(g.truncation for g in p.generators) <= 16),
        st.data())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_serializer_round_trips_corrupt_tables(p, data):
-    bad = data.draw(corrupted(build_monomial_algebra(p)))
-    again, violations = round_trip(bad)
-    assert again == bad
-    assert violations == bad.validate()
+    # the serializer raises exactly where the format ends: at a negative
+    # degree or a basis-index violation; otherwise validate() sees the same
+    bad = data.draw(beyond_the_format(data.draw(corrupted(build_monomial_algebra(p)))))
+    expected = bad.validate()
+    index = [v for v in expected if v.startswith("basis index:")]
+    if min(bad.degrees) < 0:
+        with pytest.raises(ValueError, match="negative degree"):
+            serialize_structure_constants(bad)
+    elif index:
+        with pytest.raises(ValueError, match=f"^{re.escape(index[0])}$"):
+            serialize_structure_constants(bad)
+    else:
+        again, violations = round_trip(bad)
+        assert again == bad
+        assert violations == expected
+
+
+def test_serializer_refuses_what_it_would_write_wrongly():
+    # a negative degree used to be written and then refused on reading; an
+    # index past the basis raised IndexError, and a negative one wrapped to
+    # the last label: term -1 of x x was written as "x x = 1*x", key (-1, 1)
+    # as a second "x x" line
+    unit_laws = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}
+    cases = [([0, -2], {}, "basis label 'x' has negative degree -2"),
+             ([0, 2], {(1, 1): {5: 1}}, "basis index: table entry (1, 1) names 5, outside 0..1"),
+             ([0, 2], {(1, 1): {-1: 1}}, "basis index: table entry (1, 1) names -1, outside 0..1"),
+             ([0, 2], {(-1, 1): {1: 1}}, "basis index: table entry (-1, 1) names -1, outside 0..1")]
+    for degrees, extra, message in cases:
+        a = GradedAlgebra(["1", "x"], degrees, 0, {**unit_laws, **extra})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            serialize_structure_constants(a)
+        if extra:
+            assert a.validate() == [message]
 
 
 @pytest.mark.parametrize("label", ["a b", "x#", "0", "x=y", "x+y", "unit:x", "1"])
