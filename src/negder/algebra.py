@@ -155,6 +155,22 @@ class GradedBasis:
         return list(self._by_degree.get(n, []))
 
 
+def _table_key(key, table):
+    """A table key that is not a tuple of two ints as the table is to hold
+    it: the equal key that it holds already, kept as a dict keeps it, or
+    else the pair of ints it names.  ValueError naming the table key
+    otherwise: for a key that is no tuple of two items, such as a list,
+    (0,) or (0, 0, 0), or one whose items are not ints."""
+    if not isinstance(key, tuple) or len(key) != 2:
+        raise ValueError(f"table key must be a pair (i, j) of ints, not {key!r}")
+    try:
+        if key in table:
+            return key
+    except TypeError:  # an unhashable item, which _check_int names
+        pass
+    return (_check_int("table key", key[0]), _check_int("table key", key[1]))
+
+
 class GradedAlgebra(GradedBasis):
     """Graded-commutative algebra given by labels, degrees, the unit index,
     and a structure-constant table.
@@ -172,10 +188,12 @@ class GradedAlgebra(GradedBasis):
     normalized once, and the keys that share it share its one fresh output
     entry, so table entries may be shared between keys and are read-only:
     replace an entry, never mutate it in place.  A key that is already a
-    tuple of two ints is kept as it is.  A key or term index that is not an
-    int, or a value that is neither an int nor a Fraction (a str, a float,
-    a bool), raises ValueError.  The constructor deliberately does not
-    check axioms, so corrupt tables stay representable for validate().
+    tuple of two ints is kept as it is.  A key that is not a tuple of two
+    items, an entry that is not a mapping, a key or term index that is not
+    an int, or a value that is neither an int nor a Fraction (a str, a
+    float, a bool), raises ValueError naming it.  The constructor
+    deliberately does not check axioms, so corrupt tables stay
+    representable for validate().
     """
 
     def __init__(self, labels, degrees, unit, products, name=""):
@@ -186,13 +204,17 @@ class GradedAlgebra(GradedBasis):
         done = {}
         emptied = False
         for key, terms in products.items() if hasattr(products, "items") else products:
-            i, j = key
-            # a key equal to one already held keeps that one, as in a dict
-            if (type(key) is not tuple or type(i) is not int or type(j) is not int) \
-                    and key not in table:
-                key = (_check_int("table key", i), _check_int("table key", j))
+            try:
+                i, j = key
+            except (TypeError, ValueError):
+                i = j = None  # not a pair: _table_key names it
+            if type(key) is not tuple or type(i) is not int or type(j) is not int:
+                key = _table_key(key, table)
             seen = done.get(id(terms))
             if seen is None:
+                if not hasattr(terms, "items"):
+                    raise ValueError(f"table entry of {key} must be a mapping "
+                                     f"{{k: coefficient}}, not {terms!r}")
                 cleaned = {}
                 for k, c in terms.items():
                     c = c if type(c) is int else _fold(c)
@@ -358,13 +380,12 @@ class GradedAlgebra(GradedBasis):
         table, its nonzero contributions and dim, not dim^2.  Violations
         come in i, j, k order.
 
-        The index, degree and commutativity checks, and the two indexes of
-        the table the associativity check reads, are made in one walk over
-        the keys, the unit's keys held out of the indexes until a full
-        pass, each check worked out once per distinct entry (or entry,
-        mirror and parity), so a key costs a lookup; an index gets a
-        container only for a row or basis element it has not seen yet, and
-        a violation's text is made only for the keys that fail.
+        The index, degree and commutativity checks are made in one walk
+        over the keys, each worked out once per distinct entry (or entry,
+        mirror and parity), so a key costs a lookup, and a violation's text
+        is made only for the keys that fail.  Each associativity pass
+        builds the two indexes of the table it reads itself, in
+        _associativity.
 
         Associativity is decided on the rows i of the generators alone when
         every earlier check passes, degree 0 is exactly the unit line and
@@ -378,8 +399,8 @@ class GradedAlgebra(GradedBasis):
         1966).  By degree additivity and graded Nakayama, the generators
         and the unit produce all of A by products alone, without using
         associativity.  So when every triple (g, y, z) with g a generator
-        associates, N is all of A and every triple does.  That pass reads
-        an index without the unit's keys, (u, j) and (i, u): the unit laws
+        associates, N is all of A and every triple does.  That pass leaves
+        the unit's keys, (u, j) and (i, u), out of its index: the unit laws
         have passed by then, so every triple with the unit as i, j or k
         associates, and degree additivity keeps the unit out of every
         product of two non-unit elements, so no other triple loses a
@@ -395,10 +416,7 @@ class GradedAlgebra(GradedBasis):
         facts = {}  # id of an entry -> (indices in range, common degree)
         agree = {}  # (id of P[i,j], id of P[j,i], parity) -> they agree
         bad_index, bad_degree, bad_sign = [], [], []
-        rows = {}  # the index of the table that _associativity reads
-        by_m = {}
         u = self.unit
-        aside = []  # the unit's keys, held out of the index until a full pass
         for key, terms in table.items():
             entry = id(terms)
             fact = facts.get(entry)
@@ -428,19 +446,6 @@ class GradedAlgebra(GradedBasis):
                     bad_sign.append(key)
             elif terms and (j, i) not in table:
                 bad_sign.append((j, i))
-            if i == u or j == u:
-                aside.append((i, j, terms))
-                continue
-            row = rows.get(i)
-            if row is None:
-                row = rows[i] = {}
-            row[j] = terms
-            for m, c in terms.items():
-                at = by_m.get(m)
-                if at is None:
-                    by_m[m] = [(i, j, c)]
-                else:
-                    at.append((i, j, c))
         if bad_index:
             return [f"basis index: table entry ({i}, {j}) names {x}, outside 0..{dim - 1}"
                     for i, j in sorted(bad_index)
@@ -463,38 +468,37 @@ class GradedAlgebra(GradedBasis):
             rel = "-" if degrees[i] & degrees[j] & 1 else ""
             out.append(f"graded commutativity: {labels[j]} * {labels[i]} "
                        f"!= {rel}({labels[i]} * {labels[j]})")
-        # The generator rows decide, on the index without the unit's keys:
-        # the unit laws have passed, so no triple through the unit fails.
-        # The full pass, run on a violation, reads every key and keeps the
-        # full list in its order (see the docstring).
+        # The generator rows decide when every check so far passed; the
+        # full pass, run on a violation, keeps the full list in its order
+        # (see the docstring).
         if not out:
             gens = self._generators()
-            if len(gens) < dim and not self._associativity(rows, by_m, set(gens) - {u}):
+            if len(gens) < dim and not self._associativity(set(gens) - {u}):
                 return []
-        for i, j, terms in aside:
-            rows.setdefault(i, {})[j] = terms
-            for m, c in terms.items():
-                by_m.setdefault(m, []).append((i, j, c))
-        return out + self._associativity(rows, by_m, None)
+        return out + self._associativity(None)
 
-    def _associativity(self, rows, by_m, only):
+    def _associativity(self, only):
         """Associativity violations of the rows i in only, or of every row
         when only is None, in i, j, k order.
 
-        rows[i][j] is the entry P[i,j] of the table; by_m[m] lists
-        (j, k, P[j,k][m]).  For each i, each side is summed over nonzero
-        contributions only into one flat dict {(j, k, t): v} for all j and
-        k at once: (e_i e_j) e_k = sum_m P[i,j][m] P[m,k] through the rows
-        m of row i's entries, and e_i (e_j e_k) = sum_m P[j,k][m] P[i,m]
-        through by_m of each m in row i.  A key with no contribution on a
-        side is missing there and counts as 0; an i with no row has no
-        contribution at all.  Equal sums cost one ==; otherwise a pair
-        (j, k) is a violation when some t differs.  Contributions that
-        cancel leave a key whose value is 0 on one side and missing on the
-        other, so the == can fail on a valid table, and then every key is
-        compared: it does on 4 of the 5 generator rows of Fl_6, though not
-        on the tori.
+        The pass builds the two indexes it reads from the table at each
+        call, with _index: rows[i][j] is the entry P[i,j], and by_m[m]
+        lists (j, k, P[j,k][m]).  They leave out every key with the unit in
+        it exactly when only is given, for validate()'s generator pass,
+        which needs none of them; the full pass reads every key.  For each
+        i, each side is summed over nonzero contributions only into one
+        flat dict {(j, k, t): v} for all j and k at once: (e_i e_j) e_k =
+        sum_m P[i,j][m] P[m,k] through the rows m of row i's entries, and
+        e_i (e_j e_k) = sum_m P[j,k][m] P[i,m] through by_m of each m in
+        row i.  A key with no contribution on a side is missing there and
+        counts as 0; an i with no row has no contribution at all.  Equal
+        sums cost one ==; otherwise a pair (j, k) is a violation when some
+        t differs.  Contributions that cancel leave a key whose value is 0
+        on one side and missing on the other, so the == can fail on a
+        valid table, and then every key is compared: it does on 4 of the 5
+        generator rows of Fl_6, though not on the tori.
         """
+        rows, by_m = _index(self.products, None if only is None else self.unit)
         out = []
         empty = {}
         labels = self.labels
@@ -520,6 +524,27 @@ class GradedAlgebra(GradedBasis):
                 out.append(f"associativity: ({labels[i]} * {labels[j]}) * {labels[k]} "
                            f"!= {labels[i]} * ({labels[j]} * {labels[k]})")
         return out
+
+
+def _index(table, skip):
+    """The two indexes of a table that _associativity reads, leaving out
+    every key with skip in it (none when skip is None): rows[i][j] is the
+    entry P[i,j], and by_m[m] lists (j, k, P[j,k][m]) in key order."""
+    rows, by_m = {}, {}
+    for (i, j), terms in table.items():
+        if i == skip or j == skip:
+            continue
+        row = rows.get(i)
+        if row is None:
+            row = rows[i] = {}
+        row[j] = terms
+        for m, c in terms.items():
+            at = by_m.get(m)
+            if at is None:
+                by_m[m] = [(i, j, c)]
+            else:
+                at.append((i, j, c))
+    return rows, by_m
 
 
 def check_generator(g, seen, entries):

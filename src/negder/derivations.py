@@ -49,7 +49,8 @@ class GradedLinearMap:
     degree.  The block for source degree n has rows indexed by
     graded_piece(n + shift) and columns by graded_piece(n).  All-zero and
     empty blocks are dropped, so a map is zero iff it stores no blocks.
-    Shift and block degrees are ints, entries ints or Fractions (_fold)."""
+    Shift and block degrees are ints, blocks lists of rows, entries ints
+    or Fractions (_fold); anything else raises ValueError naming it."""
 
     __slots__ = ("shift", "blocks")
 
@@ -58,7 +59,11 @@ class GradedLinearMap:
         cleaned = {}
         for n, mat in (blocks or {}).items():
             _check_int("block degree", n)
-            rows = [[x if type(x) is int else _fold(x) for x in row] for row in mat]
+            try:
+                rows = [[x if type(x) is int else _fold(x) for x in row] for row in mat]
+            except TypeError:
+                raise ValueError(f"block at degree {n} must be a list of rows, "
+                                 f"not {mat!r}") from None
             if any(any(row) for row in rows):
                 cleaned[n] = rows
         self.blocks = cleaned
@@ -110,7 +115,8 @@ class GradedLinearMap:
         Element}, omitted ones zero, writing each nonzero image straight
         into its column at algebra.position; every target must lie in the
         piece of degree |i| + shift.  Each entry is 0 or a value of an
-        Element, held as by _fold, so the blocks are kept as they are."""
+        Element, held as by _fold, so the blocks are kept as they are.  A
+        nonzero image that is not an Element raises ValueError."""
         _check_int("shift", shift)
         degrees, position = algebra.degrees, algebra.position
         blocks = {}
@@ -118,6 +124,10 @@ class GradedLinearMap:
             _check_index(algebra, i)
             if not img:
                 continue
+            try:
+                coeffs = img.coeffs
+            except AttributeError:
+                raise ValueError(f"image of {i} must be an Element, not {img!r}") from None
             n = degrees[i]
             if n not in blocks:
                 tgt = algebra.graded_piece(n + shift)
@@ -125,7 +135,7 @@ class GradedLinearMap:
                     raise ValueError("image lands in an empty piece")
                 blocks[n] = [[0] * len(algebra.graded_piece(n)) for _ in tgt]
             col, block = position[i], blocks[n]
-            for t, x in img.coeffs.items():
+            for t, x in coeffs.items():
                 if not 0 <= t < algebra.dim or degrees[t] != n + shift:
                     raise ValueError("image off the shifted piece")
                 block[position[t]][col] = x

@@ -60,11 +60,13 @@ _RESERVED = set("=+#")
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 _COEFFICIENT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
-# Characters of text that _meaningful_lines splits at a time: every bundled
-# and benchmark file is one chunk.
+# _split_lines splits text a piece at a time: each piece but the last runs
+# _CHUNK characters and on to the first line break from there.  Every
+# bundled and benchmark file is one piece.
 _CHUNK = 1 << 16
-# The line breaks of str.splitlines but "\r", which a "\n" after it joins.
-_FINAL_BREAKS = frozenset("\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+# The line breaks of str.splitlines, "\r\n" tried first, so that a cut
+# never parts it.
+_BREAK = re.compile(r"\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 
 PRESENTATION = "presentation"
 STRUCTURE_CONSTANTS = "structure_constants"
@@ -86,26 +88,17 @@ class ValidationError(ValueError):
 
 
 def _split_lines(text):
-    """The lines of text.splitlines(keepends=True), read _CHUNK characters
-    at a time, so a reader that stops early splits little of a long text.
-    A line's pieces are joined once, when its break is read; a "\r" that
-    ends a chunk waits for the next one, since a "\n" there joins it."""
-    held = []  # the pieces of the line that runs on past the last chunk
-    for start in range(0, len(text), _CHUNK):
-        lines = text[start:start + _CHUNK].splitlines(keepends=True)
-        if held and (held[-1][-1] != "\r" or lines[0] == "\n"):
-            held.append(lines[0])
-            if len(lines) == 1 and lines[0][-1] not in _FINAL_BREAKS:
-                continue
-            lines[0] = "".join(held)
-        elif held:
-            yield "".join(held)
-        held = []
-        if lines[-1][-1] not in _FINAL_BREAKS:
-            held.append(lines.pop())
-        yield from lines
-    if held:
-        yield "".join(held)
+    """The lines of text.splitlines(keepends=True), split one piece at a
+    time, so a reader that stops early splits little of a long text.  Each
+    piece ends right after the first line break at or past _CHUNK
+    characters from its start, or at the end of the text, so no line runs
+    from one piece into the next."""
+    start = 0
+    while start < len(text):
+        cut = _BREAK.search(text, start + _CHUNK)
+        end = cut.end() if cut else len(text)
+        yield from text[start:end].splitlines(keepends=True)
+        start = end
 
 
 def _meaningful_lines(text):

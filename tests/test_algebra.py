@@ -472,8 +472,7 @@ def test_validate_walks_the_generator_rows_unless_it_finds_a_violation(monkeypat
     passes = []
     real = GradedAlgebra._associativity
     monkeypatch.setattr(GradedAlgebra, "_associativity",
-                        lambda self, rows, by_m, only: passes.append(only)
-                        or real(self, rows, by_m, only))
+                        lambda self, only: passes.append(only) or real(self, only))
     t4 = torus(4)
     assert t4.validate() == []
     # the unit row is left out: the unit laws have passed, so it holds no
@@ -508,8 +507,7 @@ def test_a_unit_law_fault_alone_walks_every_row(monkeypatch):
     passes = []
     real = GradedAlgebra._associativity
     monkeypatch.setattr(GradedAlgebra, "_associativity",
-                        lambda self, rows, by_m, only: passes.append(only)
-                        or real(self, rows, by_m, only))
+                        lambda self, only: passes.append(only) or real(self, only))
     for a, label in ((projective_space(3), "x"), (torus(3), "i1")):
         x = a.labels.index(label)
         products = dict(a.products)
@@ -529,12 +527,14 @@ def test_the_generator_pass_reads_no_key_of_the_unit(monkeypatch):
     # of two non-unit elements: the unit's keys add nothing that pass needs.
     # A violation makes the full pass read every key, the unit's included.
     seen = []
-    real = GradedAlgebra._associativity
-    monkeypatch.setattr(GradedAlgebra, "_associativity",
-                        lambda self, rows, by_m, only: seen.append(
-                            (only, {i: dict(row) for i, row in rows.items()},
-                             {m: list(at) for m, at in by_m.items()}))
-                        or real(self, rows, by_m, only))
+    real = algebra._index
+
+    def spy(table, skip):
+        index = real(table, skip)
+        seen.append((skip, *index))
+        return index
+
+    monkeypatch.setattr(algebra, "_index", spy)
 
     def keys(rows):
         return {(i, j) for i, row in rows.items() for j in row}
@@ -545,8 +545,8 @@ def test_the_generator_pass_reads_no_key_of_the_unit(monkeypatch):
     t4 = torus(4)
     u = t4.unit
     assert t4.validate() == []
-    [(only, rows, by_m)] = seen
-    assert only == set(t4.generator_indices) - {u}
+    [(skip, rows, by_m)] = seen
+    assert skip == u
     assert u not in rows and all(u not in row for row in rows.values())
     assert all(u not in (j, k) for at in by_m.values() for j, k, c in at)
     assert keys(rows) == {key for key in t4.products if u not in key}
@@ -557,9 +557,9 @@ def test_the_generator_pass_reads_no_key_of_the_unit(monkeypatch):
         products[key] = {k: 2 * c for k, c in t4.products[key].items()}
     bad = GradedAlgebra(t4.labels, t4.degrees, t4.unit, products)
     assert bad.validate() == exhaustive_validate(bad) != []
-    [(_, gen_rows, _), (full, rows, by_m)] = seen
+    [(_, gen_rows, _), (skip, rows, by_m)] = seen
     assert u not in gen_rows
-    assert full is None and keys(rows) == set(bad.products)
+    assert skip is None and keys(rows) == set(bad.products)
     assert contributions(by_m) == sorted((j, k, m, c) for (j, k), terms in bad.products.items()
                                          for m, c in terms.items())
 
@@ -844,6 +844,28 @@ def test_indices_and_degrees_must_be_ints_or_digit_strings():
         GradedAlgebra(["1", "x"], [0, 2], 0, {(0, 1): {"1": 1}})
     with pytest.raises(ValueError, match="^Element key must be an int"):
         Element({"1": 2})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: GradedAlgebra(["1"], [0], 0, iter([([0, 0], {0: 1})])),
+     r"^table key must be a pair \(i, j\) of ints, not \[0, 0\]$"),
+    (lambda: GradedAlgebra(["1"], [0], 0, {(0,): {0: 1}}),
+     r"^table key must be a pair \(i, j\) of ints, not \(0,\)$"),
+    (lambda: GradedAlgebra(["1"], [0], 0, {(0, 0, 0): {0: 1}}),
+     r"^table key must be a pair \(i, j\) of ints, not \(0, 0, 0\)$"),
+    (lambda: GradedAlgebra(["1"], [0], 0, iter([(([0], 0), {0: 1})])),
+     r"^table key must be an int, not \[0\]$"),
+    (lambda: GradedAlgebra(["1"], [0], 0, {(0, 0): [1]}),
+     r"^table entry of \(0, 0\) must be a mapping \{k: coefficient\}, not \[1\]$"),
+    (lambda: GradedLinearMap(0, {0: 5}), r"^block at degree 0 must be a list of rows, not 5$"),
+    (lambda: GradedLinearMap(0, {2: [1]}), r"^block at degree 2 must be a list of rows"),
+    (lambda: GradedLinearMap.from_images(projective_space(2), 0, {0: {0: 1}}),
+     r"^image of 0 must be an Element, not \{0: 1\}$"),
+], ids=["list key", "short key", "long key", "unhashable key item", "list entry",
+        "int block", "list of ints block", "dict image"])
+def test_arguments_of_the_wrong_shape_raise_value_error_naming_them(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_builder_signs_only_with_odd_generators(monkeypatch):

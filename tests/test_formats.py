@@ -394,6 +394,23 @@ def test_lines_are_read_in_chunks_as_splitlines_reads_them(monkeypatch, sep):
                                                              if line]
 
 
+# the line breaks of str.splitlines, "\r\n" among them, and what a line holds
+LINE_PARTS = ["\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+              "\r\n", "a", "b", "#", " "]
+
+
+@given(st.lists(st.sampled_from(LINE_PARTS), max_size=30).map("".join))
+@settings(max_examples=300, deadline=None)
+def test_random_mixes_of_breaks_are_read_as_splitlines_reads_them(text):
+    want = [(n, raw.partition("#")[0].strip()) for n, raw in enumerate(text.splitlines(), 1)]
+    with pytest.MonkeyPatch.context() as patch:
+        for chunk in range(1, 9):
+            patch.setattr(fileformats, "_CHUNK", chunk)
+            assert list(fileformats._split_lines(text)) == text.splitlines(keepends=True)
+            assert list(fileformats._meaningful_lines(text)) == [(n, line) for n, line in want
+                                                                 if line]
+
+
 def test_a_text_with_no_line_break_is_joined_once(monkeypatch):
     # one chunk per character: joining the line so far at every chunk would
     # copy some 2 * 10**10 characters
