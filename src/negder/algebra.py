@@ -155,19 +155,14 @@ class GradedBasis:
         return list(self._by_degree.get(n, []))
 
 
-def _table_key(key, table):
-    """A table key that is not a tuple of two ints as the table is to hold
-    it: the equal key that it holds already, kept as a dict keeps it, or
-    else the pair of ints it names.  ValueError naming the table key
-    otherwise: for a key that is no tuple of two items, such as a list,
-    (0,) or (0, 0, 0), or one whose items are not ints."""
+def _table_key(key):
+    """The plain tuple (i, j) of ints that a table key names when it is a
+    tuple subclass or its items are int subclasses other than bool.
+    ValueError naming the table key otherwise: for a key that is no tuple
+    of two items, such as a list, (0,) or (0, 0, 0), or one whose items
+    are not ints, such as (0.0, 1), even where an equal key came before."""
     if not isinstance(key, tuple) or len(key) != 2:
         raise ValueError(f"table key must be a pair (i, j) of ints, not {key!r}")
-    try:
-        if key in table:
-            return key
-    except TypeError:  # an unhashable item, which _check_int names
-        pass
     return (_check_int("table key", key[0]), _check_int("table key", key[1]))
 
 
@@ -177,21 +172,22 @@ class GradedAlgebra(GradedBasis):
 
     products maps an ordered index pair (i, j) to {k: coefficient}; pairs
     absent from the table multiply to zero.  It is a mapping, or an
-    iterable of ((i, j), terms) pairs read exactly as dict(pairs) would be,
-    a later pair for a key replacing an earlier one in the earlier one's
-    place, but without building that dict, so a builder that streams its
-    pairs holds one table, not two.  The constructor normalizes the
-    table into fresh dicts with int keys and exact values, zero terms and
+    iterable of ((i, j), terms) pairs read as dict(pairs) would read it,
+    except that every key must be a pair of ints: a later pair for a key
+    replaces an earlier one in the earlier one's place.  That dict is
+    never built, so a builder that streams its pairs holds one table, not
+    two.  The constructor normalizes the table into fresh dicts with int keys and exact values, zero terms and
     empty entries dropped: linalg._fold stores each int or Fraction value
     as an int when it is integral and as a Fraction otherwise, and keeps a
     non-integral Fraction as it is.  Each distinct input entry object is
     normalized once, and the keys that share it share its one fresh output
     entry, so table entries may be shared between keys and are read-only:
     replace an entry, never mutate it in place.  A key that is already a
-    tuple of two ints is kept as it is.  A key that is not a tuple of two
-    items, an entry that is not a mapping, a key or term index that is not
-    an int, or a value that is neither an int nor a Fraction (a str, a
-    float, a bool), raises ValueError naming it.  The constructor
+    tuple of two ints is kept as it is.  Products that are neither a
+    mapping nor an iterable, a key that is not a tuple of two items, an
+    entry that is not a mapping, a key or term index that is not an int,
+    or a value that is neither an int nor a Fraction (a str, a float, a
+    bool), raises ValueError naming it.  The constructor
     deliberately does not check axioms, so corrupt tables stay
     representable for validate().
     """
@@ -203,13 +199,18 @@ class GradedAlgebra(GradedBasis):
         # the entry keeps its id from being reused while the loop runs
         done = {}
         emptied = False
-        for key, terms in products.items() if hasattr(products, "items") else products:
+        try:
+            pairs = products.items() if hasattr(products, "items") else iter(products)
+        except TypeError:
+            raise ValueError(f"products must be a mapping or an iterable of "
+                             f"((i, j), terms) pairs, not {products!r}") from None
+        for key, terms in pairs:
             try:
                 i, j = key
             except (TypeError, ValueError):
                 i = j = None  # not a pair: _table_key names it
             if type(key) is not tuple or type(i) is not int or type(j) is not int:
-                key = _table_key(key, table)
+                key = _table_key(key)
             seen = done.get(id(terms))
             if seen is None:
                 if not hasattr(terms, "items"):

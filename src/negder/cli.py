@@ -12,11 +12,13 @@ or " 2 " is a usage error.
 
 Each subcommand is listed once, in _COMMANDS: its handler, help text,
 whether it reads an algebra file, and its arguments.  build_parser reads
-that table.  run builds the parser anew on every call, with no cache:
-for the named subcommand alone when the command line starts with one (2
-ArgumentParsers, where the full parser makes 7, most of a call on a
-small algebra), and in full otherwise, so help, usage and error text are
-the same either way.
+that table, and one helper adds a subcommand's arguments to the full
+parser and to the subcommand's own.  run builds a parser anew on every
+call, with no cache: when the command line starts with a subcommand
+name, that subcommand's parser alone (1 ArgumentParser, where the full
+parser makes 7; building them is most of a call on a small algebra),
+and the full parser otherwise or when arguments are left over, so help,
+usage and error text are the same either way.
 """
 
 import argparse
@@ -235,39 +237,61 @@ _COMMANDS = {
 }
 
 
+def _add_arguments(parser, spec):
+    """Add the arguments of the subcommand spec to its parser."""
+    if spec.takes_file:
+        parser.add_argument("file", help="algebra file (presentation or structure constants)")
+    parser.add_argument("--json", action="store_true", help="emit a stable JSON document")
+    for arg, options in spec.arguments:
+        parser.add_argument(arg, **options)
+
+
 def build_parser(command=None):
-    """The argparse parser with every subcommand, or with the one named
-    command alone (KeyError if there is none).  A command line that
-    starts with that name parses the same way under either."""
+    """The argparse parser with every subcommand, or the parser of the one
+    named command alone (KeyError if there is none), as the full parser's
+    add_parser makes it, with args.command set to its name.  The named
+    parser reads the rest of a command line that starts with that name
+    as the full parser's subparser reads it."""
+    if command is not None:
+        spec = _COMMANDS[command]
+        parser = argparse.ArgumentParser(prog=f"negder {command}")
+        parser.set_defaults(command=command)
+        _add_arguments(parser, spec)
+        return parser
     parser = argparse.ArgumentParser(
         prog="negder",
         description="Exact-rational checks for graded-commutative algebras: "
                     "negative-degree derivations, class-H membership, "
                     "characteristic subspaces, torus splitting rigidity.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name in _COMMANDS if command is None else (command,):
-        spec = _COMMANDS[name]
-        p = sub.add_parser(name, help=spec.help)
-        if spec.takes_file:
-            p.add_argument("file", help="algebra file (presentation or structure constants)")
-        p.add_argument("--json", action="store_true", help="emit a stable JSON document")
-        for arg, options in spec.arguments:
-            p.add_argument(arg, **options)
+    for name, spec in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=spec.help), spec)
     return parser
 
 
 def run(argv):
     """Run one command line (None: sys.argv[1:]) and return its exit code.
     When the first argument names a subcommand, only that subcommand's
-    parser is built; anything else (help, no arguments, an unknown
-    command, a leading option) gets the full parser and its messages."""
+    parser is built, and it reads the rest of the line.  The full parser
+    reads the whole line when that leaves arguments over, so that it
+    names them, and for anything else (help, no arguments, an unknown
+    command, a leading option), so every message is its own."""
     argv = sys.argv[1:] if argv is None else list(argv)
     first = argv[0] if argv else None
     command = first if isinstance(first, str) and first in _COMMANDS else None
     try:
-        args = build_parser(command).parse_args(argv)
+        if command is not None:
+            args, rest = build_parser(command).parse_known_args(argv[1:])
+        if command is None or rest:
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    return _dispatch(args)
+
+
+def _dispatch(args):
+    """Run the handler of the parsed command line args and return its exit
+    code, mapping the errors it raises to exit codes 2 and 4."""
     try:
         return _COMMANDS[args.command].handler(args)
     except (OSError, ParseError, ValidationError, ValueError) as exc:

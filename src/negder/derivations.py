@@ -49,15 +49,21 @@ class GradedLinearMap:
     degree.  The block for source degree n has rows indexed by
     graded_piece(n + shift) and columns by graded_piece(n).  All-zero and
     empty blocks are dropped, so a map is zero iff it stores no blocks.
-    Shift and block degrees are ints, blocks lists of rows, entries ints
-    or Fractions (_fold); anything else raises ValueError naming it."""
+    Shift and block degrees are ints, blocks a mapping of lists of rows,
+    entries ints or Fractions (_fold); anything else raises ValueError
+    naming it."""
 
     __slots__ = ("shift", "blocks")
 
     def __init__(self, shift, blocks=None):
         self.shift = _check_int("shift", shift)
         cleaned = {}
-        for n, mat in (blocks or {}).items():
+        try:
+            items = (blocks or {}).items()
+        except AttributeError:
+            raise ValueError(f"blocks must be a mapping {{degree: block}}, "
+                             f"not {blocks!r}") from None
+        for n, mat in items:
             _check_int("block degree", n)
             try:
                 rows = [[x if type(x) is int else _fold(x) for x in row] for row in mat]
@@ -115,12 +121,18 @@ class GradedLinearMap:
         Element}, omitted ones zero, writing each nonzero image straight
         into its column at algebra.position; every target must lie in the
         piece of degree |i| + shift.  Each entry is 0 or a value of an
-        Element, held as by _fold, so the blocks are kept as they are.  A
-        nonzero image that is not an Element raises ValueError."""
+        Element, held as by _fold, so the blocks are kept as they are.
+        Images that are not a mapping, or a nonzero image that is not an
+        Element, raise ValueError."""
         _check_int("shift", shift)
         degrees, position = algebra.degrees, algebra.position
         blocks = {}
-        for i, img in images.items():
+        try:
+            items = images.items()
+        except AttributeError:
+            raise ValueError(f"images must be a mapping {{index: Element}}, "
+                             f"not {images!r}") from None
+        for i, img in items:
             _check_index(algebra, i)
             if not img:
                 continue

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
+from enum import IntEnum
 from fractions import Fraction
 from itertools import product as cartesian
 from math import prod
@@ -846,6 +847,19 @@ def test_indices_and_degrees_must_be_ints_or_digit_strings():
         Element({"1": 2})
 
 
+def test_a_table_key_of_no_two_ints_is_rejected_in_either_order():
+    # (0.0, 1) equals (0, 1), and is rejected whether or not that key came first
+    for pairs in ([((0, 1), {1: 1}), ((0.0, 1), {1: 1})],
+                  [((0.0, 1), {1: 1}), ((0, 1), {1: 1})]):
+        with pytest.raises(ValueError, match=r"^table key must be an int, not 0\.0$"):
+            GradedAlgebra(["1", "x"], [0, 2], 0, pairs)
+    # a tuple subclass of int subclasses names the plain pair of ints
+    key = type("Key", (tuple,), {})((IntEnum("I", [("zero", 0)]).zero, 1))
+    a = GradedAlgebra(["1", "x"], [0, 2], 0, [((0, 1), {1: 1}), (key, {1: 2})])
+    assert a.products == {(0, 1): {1: 2}}
+    assert [type(i) for k in a.products for i in (k, *k)] == [tuple, int, int]
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: GradedAlgebra(["1"], [0], 0, iter([([0, 0], {0: 1})])),
      r"^table key must be a pair \(i, j\) of ints, not \[0, 0\]$"),
@@ -861,8 +875,14 @@ def test_indices_and_degrees_must_be_ints_or_digit_strings():
     (lambda: GradedLinearMap(0, {2: [1]}), r"^block at degree 2 must be a list of rows"),
     (lambda: GradedLinearMap.from_images(projective_space(2), 0, {0: {0: 1}}),
      r"^image of 0 must be an Element, not \{0: 1\}$"),
+    (lambda: GradedLinearMap(0, [1]), r"^blocks must be a mapping \{degree: block\}, not \[1\]$"),
+    (lambda: GradedLinearMap.from_images(projective_space(2), 0, [1]),
+     r"^images must be a mapping \{index: Element\}, not \[1\]$"),
+    (lambda: GradedAlgebra(["1"], [0], 0, 5),
+     r"^products must be a mapping or an iterable of \(\(i, j\), terms\) pairs, not 5$"),
 ], ids=["list key", "short key", "long key", "unhashable key item", "list entry",
-        "int block", "list of ints block", "dict image"])
+        "int block", "list of ints block", "dict image", "list of blocks", "list of images",
+        "int products"])
 def test_arguments_of_the_wrong_shape_raise_value_error_naming_them(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -938,7 +958,7 @@ def test_a_table_given_as_pairs_is_read_as_their_dict():
     shared = {1: 1}
     pairs = [((0, 0), {0: 1}), ((0, 1), shared), ((1, 1), {2: 1}),
              ((0, 2), {2: half}), ((1, 0), {}), ((2, 0), {2: 0}),
-             ((1, 1.0), {2: 2}),  # replaces the earlier (1, 1), in its place
+             ((1, 1), {2: 2}),    # replaces the earlier (1, 1), in its place
              ((0, 2), {}),        # removes (0, 2)
              ((1, 0), shared),    # fills the place of the earlier empty (1, 0)
              ((2, 2), {0: Fraction(0)})]
