@@ -16,11 +16,11 @@ from functools import cached_property
 from itertools import product as cartesian
 from operator import add, mul
 
-from .linalg import _check_int, _fold, echelon
+from .linalg import _check_int, _fold, _terms, echelon
 
-# Symbol characters that the structure-constant format or a monomial label
-# reserves.
-_SYMBOL_RESERVED = frozenset("=+#*^")
+# Characters that the structure-constant format reserves: no basis label
+# holds one.
+_RESERVED = frozenset("=+#")
 
 # Largest structure-constant table that build_monomial_algebra or tensor
 # allocates.  The largest bundled, tested or benchmarked presentation,
@@ -56,24 +56,18 @@ class Presentation:
 class Element:
     """Sparse rational linear combination of basis vectors.
 
-    Keys are basis indices, zero coefficients are dropped on construction,
-    and equality is coefficientwise.  As in the GradedAlgebra constructor,
-    keys must be ints and values ints or Fractions, held as by _fold;
-    anything else, a str, a float or a bool, raises ValueError.
-    Elements are algebra-agnostic; the product lives on GradedAlgebra.
+    coeffs is a mapping {basis index: coefficient}, or None for zero; it
+    is read by linalg._terms, as a table entry is, so zero coefficients
+    are dropped, keys must be ints and values ints or Fractions, held as
+    by _fold, and anything else, a non-mapping, a str, a float or a bool,
+    raises ValueError.  Equality is coefficientwise.  Elements are
+    algebra-agnostic; the product lives on GradedAlgebra.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        data = {}
-        if coeffs:
-            for i, c in coeffs.items():
-                if type(c) is not int:
-                    c = _fold(c)
-                if c:
-                    data[i if type(i) is int else _check_int("Element key", i)] = c
-        self.coeffs = data
+        self.coeffs = _terms(coeffs, "Element key") if coeffs else {}
 
     def coeff(self, i):
         return self.coeffs.get(i, 0)
@@ -118,14 +112,20 @@ class GradedBasis:
     """A graded basis alone: labels, degrees, the unit index and a name,
     with the basis indexed by degree once: position[i] is the place of i
     in graded_piece(degrees[i]), its row or column in a block of a
-    GradedLinearMap.  Degrees and the unit must be ints; anything else
-    raises ValueError.  GradedAlgebra adds the product
-    table; monomial_basis returns a bare GradedBasis, so that what reads
-    only labels and degrees builds no table."""
+    GradedLinearMap.  Labels and degrees are iterables, degrees and the
+    unit ints; anything else raises ValueError.  GradedAlgebra adds the
+    product table; monomial_basis returns a bare GradedBasis, so that what
+    reads only labels and degrees builds no table."""
 
     def __init__(self, labels, degrees, unit, name=""):
-        self.labels = list(labels)
-        self.degrees = [d if type(d) is int else _check_int("degree", d) for d in degrees]
+        try:
+            self.labels = list(labels)
+        except TypeError:
+            raise ValueError(f"labels must be an iterable, not {labels!r}") from None
+        try:
+            self.degrees = [d if type(d) is int else _check_int("degree", d) for d in degrees]
+        except TypeError:
+            raise ValueError(f"degrees must be an iterable of ints, not {degrees!r}") from None
         if len(self.labels) != len(self.degrees):
             raise ValueError(f"{len(self.labels)} labels but {len(self.degrees)} degrees")
         self.unit = unit if type(unit) is int else _check_int("unit", unit)
@@ -146,7 +146,7 @@ class GradedBasis:
 
     @property
     def top_degree(self):
-        return max(self.degrees) if self.degrees else 0
+        return max(self.degrees)
 
     def graded_piece(self, n):
         """Basis indices of the int degree n, ascending; empty list if none."""
@@ -172,24 +172,25 @@ class GradedAlgebra(GradedBasis):
 
     products maps an ordered index pair (i, j) to {k: coefficient}; pairs
     absent from the table multiply to zero.  It is a mapping, or an
-    iterable of ((i, j), terms) pairs read as dict(pairs) would read it,
-    except that every key must be a pair of ints: a later pair for a key
-    replaces an earlier one in the earlier one's place.  That dict is
-    never built, so a builder that streams its pairs holds one table, not
-    two.  The constructor normalizes the table into fresh dicts with int keys and exact values, zero terms and
-    empty entries dropped: linalg._fold stores each int or Fraction value
-    as an int when it is integral and as a Fraction otherwise, and keeps a
-    non-integral Fraction as it is.  Each distinct input entry object is
-    normalized once, and the keys that share it share its one fresh output
-    entry, so table entries may be shared between keys and are read-only:
-    replace an entry, never mutate it in place.  A key that is already a
-    tuple of two ints is kept as it is.  Products that are neither a
-    mapping nor an iterable, a key that is not a tuple of two items, an
-    entry that is not a mapping, a key or term index that is not an int,
-    or a value that is neither an int nor a Fraction (a str, a float, a
-    bool), raises ValueError naming it.  The constructor
-    deliberately does not check axioms, so corrupt tables stay
-    representable for validate().
+    iterable of ((i, j), terms) pairs, each key a pair of ints, read in
+    one pass: a pair sets its key, in its earlier place if it had one, and
+    an empty entry removes it.  So the table holds the items of
+    dict(pairs) with the empty entries dropped, in that order but for a
+    key that an empty entry removed and a later pair set again, which
+    comes last; that dict is never built, so a builder that streams its
+    pairs holds one table, not two.  Each entry is read by linalg._terms
+    into a fresh dict of its nonzero terms, int keys and values as _fold
+    holds them: an int where integral, else a Fraction.  Each distinct
+    input entry object is read once, and the keys that share it share its
+    one fresh output entry, so table entries may be shared between keys
+    and are read-only: replace an entry, never mutate it in place.  A key
+    that is already a tuple of two ints is kept as it is.  Products that
+    are neither a mapping nor an iterable, an item that is not a (key,
+    terms) pair, a key that is not a tuple of two items, an entry that is
+    not a mapping, a key or term index that is not an int, or a value that
+    is neither an int nor a Fraction (a str, a float, a bool), raises
+    ValueError naming it.  The constructor deliberately does not check
+    axioms, so corrupt tables stay representable for validate().
     """
 
     def __init__(self, labels, degrees, unit, products, name=""):
@@ -198,13 +199,17 @@ class GradedAlgebra(GradedBasis):
         # id of an input entry -> (that entry, its normalized form); holding
         # the entry keeps its id from being reused while the loop runs
         done = {}
-        emptied = False
         try:
             pairs = products.items() if hasattr(products, "items") else iter(products)
         except TypeError:
             raise ValueError(f"products must be a mapping or an iterable of "
                              f"((i, j), terms) pairs, not {products!r}") from None
-        for key, terms in pairs:
+        for item in pairs:
+            try:
+                key, terms = item
+            except (TypeError, ValueError):
+                raise ValueError(f"a table item must be a pair ((i, j), terms), "
+                                 f"not {item!r}") from None
             try:
                 i, j = key
             except (TypeError, ValueError):
@@ -213,22 +218,15 @@ class GradedAlgebra(GradedBasis):
                 key = _table_key(key)
             seen = done.get(id(terms))
             if seen is None:
+                # checked here too, so that the error names the key
                 if not hasattr(terms, "items"):
                     raise ValueError(f"table entry of {key} must be a mapping "
                                      f"{{k: coefficient}}, not {terms!r}")
-                cleaned = {}
-                for k, c in terms.items():
-                    c = c if type(c) is int else _fold(c)
-                    if c:
-                        cleaned[k if type(k) is int else _check_int("term index", k)] = c
-                seen = done[id(terms)] = (terms, cleaned)
-            # an empty entry keeps its key's place, as dict(pairs) would,
-            # until the loop is over
-            table[key] = seen[1]
-            emptied = emptied or not seen[1]
-        if emptied:
-            for key in [key for key, terms in table.items() if not terms]:
-                del table[key]
+                seen = done[id(terms)] = (terms, _terms(terms, "term index"))
+            if seen[1]:
+                table[key] = seen[1]
+            else:
+                table.pop(key, None)
         self.products = table
 
     @cached_property
@@ -548,6 +546,15 @@ def _index(table, skip):
     return rows, by_m
 
 
+def _legal_label(label):
+    """Whether a basis line of the structure-constant format can carry
+    label: a str of one word, not 0, with none of =+#, not starting with
+    unit:.  The one label grammar: the parser and serializer test labels
+    by it, and check_generator generator symbols."""
+    return (type(label) is str and label.split() == [label] and label != "0"
+            and _RESERVED.isdisjoint(label) and not label.startswith("unit:"))
+
+
 def check_generator(g, seen, entries):
     """The presentation rules, the duplicate-symbol check and the table
     budget for one generator.  seen holds the symbols before g, and g's
@@ -556,14 +563,13 @@ def check_generator(g, seen, entries):
     and raises ValueError on a violation, a count over MAX_TABLE_ENTRIES
     included, so a caller stops at the generator that passes the budget.
 
-    The symbol must be a non-empty str that labels its monomials apart
-    from every other basis element and survives the structure-constant
-    format: no whitespace, none of =+#*^, not 0 or 1, and not starting
-    with unit:.  A factor over the budget counts as just over it, so the
-    count stays small enough to print."""
+    The symbol must pass _legal_label, so its monomial labels, which join
+    symbols by * and ^, pass it too; and it must label its monomials apart
+    from every other basis element: not 1, and no * or ^.  A factor over
+    the budget counts as just over it, so the count stays small enough to
+    print."""
     symbol = g.symbol
-    if (type(symbol) is not str or symbol.split() != [symbol] or symbol in ("0", "1")
-            or not _SYMBOL_RESERVED.isdisjoint(symbol) or symbol.startswith("unit:")):
+    if not _legal_label(symbol) or symbol == "1" or "*" in symbol or "^" in symbol:
         raise ValueError(f"illegal generator symbol {symbol!r}")
     if symbol in seen:
         raise ValueError(f"duplicate generator symbol {symbol!r}")
@@ -676,13 +682,14 @@ def build_monomial_algebra(p):
     return alg
 
 
-def tensor(a, b, name=None):
+def tensor(a, b):
     """Tensor product with the Koszul sign rule
     (x (x) w) * (y (x) h) = (-1)^(|w| |y|) (x y) (x) (w h).
 
     Basis pairs are flattened row-major: (i, j) -> i * b.dim + j, so
     iterated tensors have literally identical structure constants under the
-    flat index identification.
+    flat index identification.  The product is named axb when both
+    factors have names a and b, and unnamed otherwise.
 
     The table has one entry per pair of entries of a and b; when that
     product exceeds MAX_TABLE_ENTRIES, ValueError is raised before anything
@@ -695,18 +702,15 @@ def tensor(a, b, name=None):
     dim_b = b.dim
     labels = [f"{la}⊗{lb}" for la in a.labels for lb in b.labels]
     degrees = [da + db for da in a.degrees for db in b.degrees]
+    # each key and each target k1 * dim_b + k2 occurs once, and no product
+    # of two nonzero terms is zero
     products = {}
     for (i1, i2), aterms in a.products.items():
         for (j1, j2), bterms in b.products.items():
             sign = -1 if (b.degrees[j1] * a.degrees[i2]) % 2 else 1
-            key = (i1 * dim_b + j1, i2 * dim_b + j2)
-            entry = products.setdefault(key, {})
-            for k1, c1 in aterms.items():
-                for k2, c2 in bterms.items():
-                    k = k1 * dim_b + k2
-                    entry[k] = entry.get(k, 0) + sign * c1 * c2
-    if name is None and a.name and b.name:
-        name = f"{a.name}x{b.name}"
-    return GradedAlgebra(labels, degrees, a.unit * dim_b + b.unit, products,
-                         name=name or "")
+            products[i1 * dim_b + j1, i2 * dim_b + j2] = {
+                k1 * dim_b + k2: sign * c1 * c2
+                for k1, c1 in aterms.items() for k2, c2 in bterms.items()}
+    name = f"{a.name}x{b.name}" if a.name and b.name else ""
+    return GradedAlgebra(labels, degrees, a.unit * dim_b + b.unit, products, name=name)
 

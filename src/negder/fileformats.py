@@ -52,11 +52,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (Generator, GradedAlgebra, Presentation, build_monomial_algebra,
-                      check_generator, monomial_basis)
+from .algebra import (Generator, GradedAlgebra, Presentation, _legal_label,
+                      build_monomial_algebra, check_generator, monomial_basis)
 from .linalg import _fold
 
-_RESERVED = set("=+#")
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 _COEFFICIENT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
@@ -165,15 +164,6 @@ def parse_presentation(text):
         else:
             raise ParseError(line_no, f"unknown directive {words[0]!r}")
     return Presentation(name, tuple(gens))
-
-
-def _legal_label(label):
-    """Whether a basis line can carry label: a str of one word, not 0,
-    with none of =+#, not starting with unit:.  A parsed word has no
-    whitespace and a line starting with unit: is the unit line, so the
-    parser tests only the rest; the serializer tests it all."""
-    return (type(label) is str and label.split() == [label] and label != "0"
-            and _RESERVED.isdisjoint(label) and not label.startswith("unit:"))
 
 
 def _coefficient(text, line_no, coeffs):

@@ -6,7 +6,8 @@ routine is pure: inputs are never mutated, results are fresh, and all
 arithmetic is exact.  Kernels and spans come from one sparse elimination,
 _eliminate, behind echelon and nullspace_basis.  The library takes an
 int for an index, degree or rank (_check_int) and an int or a Fraction
-for a value (_fold); text is read by fileformats alone.  _fold holds every
+for a value (_fold), and the sparse terms of an Element or a table entry
+through _terms; text is read by fileformats alone.  _fold holds every
 exact rational, here and in tables, Elements and maps, as an int where it
 is integral and as a Fraction otherwise, so integer systems run on int
 arithmetic.  _eliminate keeps an index from each non-pivot column to the
@@ -84,6 +85,26 @@ def _fold(x):
             raise ValueError(f"a value must be an int or a Fraction, not {x!r}")
         x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
+
+
+def _terms(mapping, name):
+    """Fresh {int: value} of the nonzero terms of a mapping, each value
+    held as _fold holds it, an int subclass key as a plain int.  The one
+    reader of sparse terms, for Elements and table entries.  ValueError
+    for a non-mapping, and for a key, called name, that is not an int
+    where its term is nonzero; a zero term's key is not read."""
+    try:
+        items = mapping.items()
+    except AttributeError:
+        raise ValueError(f"a mapping {{{name}: coefficient}} is needed, "
+                         f"not {mapping!r}") from None
+    out = {}
+    for k, c in items:
+        if type(c) is not int:
+            c = _fold(c)
+        if c:
+            out[k if type(k) is int else _check_int(name, k)] = c
+    return out
 
 
 def _nonzero(row):

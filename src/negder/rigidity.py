@@ -91,13 +91,19 @@ class LambdaFamily:
     A component's shift must match the parity of -|S| so the Koszul
     bookkeeping in the total algebra is coherent; the degree-preserving
     pullback case is shift = -|S| exactly.  torus_rank must be an int,
-    every subset pass _subset and every component be a GradedLinearMap.
+    components a mapping or None, every subset pass _subset and every
+    component be a GradedLinearMap.
     """
 
     def __init__(self, torus_rank, components=None):
         self.torus_rank = _check_int("torus_rank", torus_rank)
         comps = {}
-        for subset, m in (components or {}).items():
+        try:
+            items = (components or {}).items()
+        except AttributeError:
+            raise ValueError(f"components must be a mapping {{subset: GradedLinearMap}}, "
+                             f"not {components!r}") from None
+        for subset, m in items:
             key = _subset(subset, torus_rank)
             if not key:
                 raise ValueError("the empty subset is implicitly the identity")

@@ -379,6 +379,25 @@ def all_pairs_monomial_algebra(p):
     return alg
 
 
+def accumulating_tensor(a, b):
+    """Oracle for tensor: each entry summed term by term into a dict that
+    a key may already hold, with the Koszul sign of tensor."""
+    dim_b = b.dim
+    products = {}
+    for (i1, i2), aterms in a.products.items():
+        for (j1, j2), bterms in b.products.items():
+            sign = -1 if (b.degrees[j1] * a.degrees[i2]) % 2 else 1
+            entry = products.setdefault((i1 * dim_b + j1, i2 * dim_b + j2), {})
+            for k1, c1 in aterms.items():
+                for k2, c2 in bterms.items():
+                    k = k1 * dim_b + k2
+                    entry[k] = entry.get(k, 0) + sign * c1 * c2
+    return GradedAlgebra([f"{la}⊗{lb}" for la in a.labels for lb in b.labels],
+                         [da + db for da in a.degrees for db in b.degrees],
+                         a.unit * dim_b + b.unit, products,
+                         name=f"{a.name}x{b.name}" if a.name and b.name else "")
+
+
 def per_degree_class_h(a, max_degree=None):
     """Oracle for check_class_h: the sweep it replaced, one derivation_space
     call per degree -1, -2, ... down to -min(max_degree, top degree),

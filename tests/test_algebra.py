@@ -11,14 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (all_pairs_monomial_algebra, basis_changed, cap_memory, corrupted,
-                      crowded, echelon_generators, exhaustive_validate, key_sorted_basis,
-                      point, presentations, projective_space, quadratic_sort_sign, sphere,
-                      src_env, torus)
+from conftest import (accumulating_tensor, all_pairs_monomial_algebra, basis_changed,
+                      cap_memory, corrupted, crowded, echelon_generators,
+                      exhaustive_validate, key_sorted_basis, point, presentations,
+                      projective_space, quadratic_sort_sign, sphere, src_env, torus)
 from negder import (Element, Generator, GradedAlgebra, GradedBasis, GradedLinearMap,
-                    Presentation, algebra, build_monomial_algebra, corpus,
-                    derivation_space, monomial_basis, parse_structure_constants,
-                    serialize_structure_constants, tensor)
+                    LambdaFamily, Presentation, algebra, build_monomial_algebra, corpus,
+                    derivation_space, load_algebra_text, monomial_basis,
+                    parse_structure_constants, serialize_structure_constants, tensor)
 
 
 def test_projective_plane_basis():
@@ -97,6 +97,33 @@ def test_accepted_generator_symbols_survive_the_table_format():
     alg = build_monomial_algebra(p)
     assert len(set(alg.labels)) == alg.dim
     assert parse_structure_constants(serialize_structure_constants(alg)) == alg
+
+
+def symbol_accepted(symbol):
+    try:
+        algebra.check_generator(Generator(symbol, 2), set(), 1)
+    except ValueError:
+        return False
+    return True
+
+
+@given(st.lists(st.text(min_size=1, max_size=5).filter(symbol_accepted),
+                min_size=1, max_size=3, unique=True),
+       st.integers(0, 5), st.sampled_from("*^"))
+@settings(max_examples=200, deadline=None)
+def test_every_accepted_symbol_makes_labels_the_table_format_carries(symbols, at, mark):
+    # one grammar: the monomial labels of accepted symbols are legal labels,
+    # and the table round-trips through its text
+    p = Presentation("p", tuple(Generator(s, d, 3 if d % 2 == 0 else 2)
+                                for s, d in zip(symbols, (2, 3, 4))))
+    alg = build_monomial_algebra(p)
+    assert all(algebra._legal_label(label) for label in alg.labels)
+    assert len(set(alg.labels)) == alg.dim
+    assert load_algebra_text(serialize_structure_constants(alg)) == alg
+    # a * or ^ anywhere in an accepted symbol, or the symbol 1, is rejected
+    symbol = symbols[0]
+    assert not symbol_accepted(symbol[:at] + mark + symbol[at:])
+    assert not symbol_accepted("1")
 
 
 @given(presentations())
@@ -223,6 +250,20 @@ def test_tensor_flattening_is_associative():
     assert left.degrees == right.degrees
     assert left.unit == right.unit
     assert left.products == right.products
+
+
+@given(crowded(), presentations(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_tensor_equals_the_accumulating_oracle(p, q, data):
+    # a basis change gives entries of several terms with Fraction values
+    a = basis_changed(build_monomial_algebra(p), data)
+    b = build_monomial_algebra(q)
+    if len(a.products) * len(b.products) > 4000:
+        return
+    for x, y in ((a, b), (b, a)):
+        got, want = tensor(x, y), accumulating_tensor(x, y)
+        assert got == want and got.name == want.name
+        assert list(got.products.items()) == list(want.products.items())
 
 
 def test_element_arithmetic():
@@ -880,9 +921,22 @@ def test_a_table_key_of_no_two_ints_is_rejected_in_either_order():
      r"^images must be a mapping \{index: Element\}, not \[1\]$"),
     (lambda: GradedAlgebra(["1"], [0], 0, 5),
      r"^products must be a mapping or an iterable of \(\(i, j\), terms\) pairs, not 5$"),
+    (lambda: GradedAlgebra(["1"], [0], 0, [1]),
+     r"^a table item must be a pair \(\(i, j\), terms\), not 1$"),
+    (lambda: GradedAlgebra(["1"], [0], 0, [((0, 0),)]),
+     r"^a table item must be a pair \(\(i, j\), terms\), not \(\(0, 0\),\)$"),
+    (lambda: GradedAlgebra(["1"], [0], 0, [((0, 0), {0: 1}, 1)]),
+     r"^a table item must be a pair \(\(i, j\), terms\), not \(\(0, 0\), \{0: 1\}, 1\)$"),
+    (lambda: Element([1]), r"^a mapping \{Element key: coefficient\} is needed, not \[1\]$"),
+    (lambda: Element(5), r"^a mapping \{Element key: coefficient\} is needed, not 5$"),
+    (lambda: LambdaFamily(1, [1]),
+     r"^components must be a mapping \{subset: GradedLinearMap\}, not \[1\]$"),
+    (lambda: GradedBasis(5, [0], 0), r"^labels must be an iterable, not 5$"),
+    (lambda: GradedBasis(["1"], 5, 0), r"^degrees must be an iterable of ints, not 5$"),
 ], ids=["list key", "short key", "long key", "unhashable key item", "list entry",
         "int block", "list of ints block", "dict image", "list of blocks", "list of images",
-        "int products"])
+        "int products", "int item", "short item", "long item", "list Element",
+        "int Element", "list of components", "int labels", "int degrees"])
 def test_arguments_of_the_wrong_shape_raise_value_error_naming_them(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -974,6 +1028,20 @@ def test_a_table_given_as_pairs_is_read_as_their_dict():
     # a generator is read once, as it goes
     once = GradedAlgebra(["1"], [0], 0, (((0, 0), {0: c}) for c in (1, 2, 3)))
     assert once.products == {(0, 0): {0: 3}}
+
+
+def test_a_key_emptied_and_set_again_in_a_stream_comes_last():
+    # the pairs are read in one pass: the empty entry removes (0, 1), and
+    # the pair after it sets (0, 1) anew, after (1, 0); dict(pairs) would
+    # keep (0, 1) in its first place
+    for empty in ({}, {1: 0}, {1: Fraction(0)}):
+        pairs = [((0, 0), {0: 1}), ((0, 1), {1: 1}), ((1, 0), {1: 1}),
+                 ((0, 1), empty), ((0, 1), {1: 2})]
+        a = GradedAlgebra(["1", "x"], [0, 2], 0, iter(pairs))
+        assert list(a.products.items()) == [
+            ((0, 0), {0: 1}), ((1, 0), {1: 1}), ((0, 1), {1: 2})]
+        assert a == GradedAlgebra(["1", "x"], [0, 2], 0, dict(pairs))
+        assert list(dict(pairs)) == [(0, 0), (0, 1), (1, 0)]
 
 
 @pytest.mark.parametrize("pair", [(("0", 0), {0: 1}), ((0, 0), {"0": 1}),
