@@ -11,7 +11,8 @@ monomials, those with ak < k for every k, are a basis (n! of them, x1
 never occurs), and a product is reduced by xk^k -> xk^k - hk(xk..xn)
 until it is a sum of standard monomials; each step lowers its monomials
 in lex order.  The generators are x2..xn.  Stdlib only: flag_manifold(n)
-is imported by the tests.
+is imported by the tests.  An N whose table would pass MAX_TABLE_ENTRIES
+(N >= 7) is refused with exit 2.
 """
 
 import argparse
@@ -19,6 +20,8 @@ from functools import cache
 from itertools import combinations_with_replacement, product as cartesian
 
 from negder import GradedAlgebra, serialize_structure_constants
+from negder.algebra import MAX_TABLE_ENTRIES
+from negder.fileformats import integer
 
 
 def _tails(n):
@@ -68,9 +71,19 @@ def _label(e):
 
 def flag_manifold(n):
     """H*(Fl_n; Q) as a GradedAlgebra over the standard monomials, sorted
-    by (degree, exponents); the unit is index 0."""
+    by (degree, exponents); the unit is index 0.  ValueError, before
+    the basis is built, when the table would pass MAX_TABLE_ENTRIES."""
     if n < 1:
-        raise ValueError("n must be at least 1")
+        raise ValueError("N must be at least 1")
+    # a pair whose exponents add to a standard monomial has it as product,
+    # a nonzero entry; with (k+1)(k+2)/2 such pairs at each 0-based k,
+    # their count bounds the table's from below, and is at least n!
+    entries = 1
+    for k in range(n):
+        entries *= (k + 1) * (k + 2) // 2
+        if entries > MAX_TABLE_ENTRIES:
+            raise ValueError(f"Fl{n} needs a table of at least {entries} entries, "
+                             f"over the limit of {MAX_TABLE_ENTRIES}")
     basis = sorted((2 * sum(e), e) for e in cartesian(*(range(k + 1) for k in range(n))))
     index = {e: i for i, (_, e) in enumerate(basis)}
     normal_form = _reducer(n)
@@ -89,11 +102,13 @@ def flag_manifold(n):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("n", type=int, help="the N of Fl_N, at least 1")
+    parser.add_argument("n", type=integer, help="the N of Fl_N, at least 1")
     args = parser.parse_args()
-    if args.n < 1:
-        parser.error("N must be at least 1")
-    print(serialize_structure_constants(flag_manifold(args.n)), end="")
+    try:
+        algebra = flag_manifold(args.n)
+    except ValueError as exc:
+        parser.error(str(exc))
+    print(serialize_structure_constants(algebra), end="")
 
 
 if __name__ == "__main__":

@@ -366,25 +366,15 @@ class GradedAlgebra(GradedBasis):
         order, since every later check indexes by them.  Otherwise it checks
         degree additivity of every table entry, both unit laws, graded
         commutativity products(j,i) = (-1)^(|i||j|) products(i,j) on the
-        pairs the table names, and associativity.  For each row i, each
-        side of (e_i e_j) e_k = e_i (e_j e_k) is summed straight from the
-        table, as it stores its values, for every j, k and basis element t
-        at once, into one flat dict keyed (j, k, t), over nonzero
-        contributions only; the right side reaches its terms through an
-        index of the table terms by their basis element.  The two sums are
-        compared with one ==, and only when they differ are the (j, k)
-        found whose terms differ, a missing term counting as 0.  Every
-        other triple is zero on both sides, so the check is exact on any
-        table, corrupt ones included, and costs time in proportion to the
-        table, its nonzero contributions and dim, not dim^2.  Violations
-        come in i, j, k order.
+        pairs the table names, and associativity, row by row in
+        _associativity: exact on any table, corrupt ones included, in time
+        that follows the table, its nonzero contributions and dim.
+        Violations come in i, j, k order.
 
         The index, degree and commutativity checks are made in one walk
         over the keys, each worked out once per distinct entry (or entry,
         mirror and parity), so a key costs a lookup, and a violation's text
-        is made only for the keys that fail.  Each associativity pass
-        builds the two indexes of the table it reads itself, in
-        _associativity.
+        is made only for the keys that fail.
 
         Associativity is decided on the rows i of the generators alone when
         every earlier check passes, degree 0 is exactly the unit line and
@@ -480,22 +470,16 @@ class GradedAlgebra(GradedBasis):
         """Associativity violations of the rows i in only, or of every row
         when only is None, in i, j, k order.
 
-        The pass builds the two indexes it reads from the table at each
-        call, with _index: rows[i][j] is the entry P[i,j], and by_m[m]
-        lists (j, k, P[j,k][m]).  They leave out every key with the unit in
-        it exactly when only is given, for validate()'s generator pass,
-        which needs none of them; the full pass reads every key.  For each
-        i, each side is summed over nonzero contributions only into one
-        flat dict {(j, k, t): v} for all j and k at once: (e_i e_j) e_k =
-        sum_m P[i,j][m] P[m,k] through the rows m of row i's entries, and
-        e_i (e_j e_k) = sum_m P[j,k][m] P[i,m] through by_m of each m in
-        row i.  A key with no contribution on a side is missing there and
-        counts as 0; an i with no row has no contribution at all.  Equal
-        sums cost one ==; otherwise a pair (j, k) is a violation when some
-        t differs.  Contributions that cancel leave a key whose value is 0
-        on one side and missing on the other, so the == can fail on a
-        valid table, and then every key is compared: it does on 4 of the 5
-        generator rows of Fl_6, though not on the tori.
+        The two indexes come from _index at each call: rows[i][j] is the
+        entry P[i,j], and by_m[m] lists (j, k, P[j,k][m]).  They leave out
+        every key with the unit in it exactly when only is given, for
+        validate()'s generator pass, which needs none of them.  For each i,
+        one dict {(j, k, t): v} holds (e_i e_j) e_k - e_i (e_j e_k) for all
+        j and k at once: it adds sum_m P[i,j][m] P[m,k] through the rows m
+        of row i's entries and subtracts sum_m P[j,k][m] P[i,m] through
+        by_m of each m in row i, over nonzero contributions only.  A pair
+        (j, k) is a violation exactly when some t is nonzero; every other
+        triple is zero on both sides.
         """
         rows, by_m = _index(self.products, None if only is None else self.unit)
         out = []
@@ -503,23 +487,19 @@ class GradedAlgebra(GradedBasis):
         labels = self.labels
         for i in sorted(rows.keys() if only is None else rows.keys() & only):
             row_i = rows[i]
-            lhs = {}
+            diff = {}
             for j, terms_ij in row_i.items():
                 for m, c in terms_ij.items():
                     for k, terms in rows.get(m, empty).items():
                         for t, d in terms.items():
                             key = (j, k, t)
-                            lhs[key] = lhs.get(key, 0) + c * d
-            rhs = {}
+                            diff[key] = diff.get(key, 0) + c * d
             for m, terms in row_i.items():
                 for j, k, c in by_m.get(m, ()):
                     for t, d in terms.items():
                         key = (j, k, t)
-                        rhs[key] = rhs.get(key, 0) + c * d
-            if lhs == rhs:
-                continue
-            for j, k in sorted({key[:2] for key in lhs.keys() | rhs.keys()
-                                if lhs.get(key, 0) != rhs.get(key, 0)}):
+                        diff[key] = diff.get(key, 0) - c * d
+            for j, k in sorted({key[:2] for key, v in diff.items() if v}):
                 out.append(f"associativity: ({labels[i]} * {labels[j]}) * {labels[k]} "
                            f"!= {labels[i]} * ({labels[j]} * {labels[k]})")
         return out

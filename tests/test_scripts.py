@@ -1,6 +1,7 @@
 """The survey scripts: subprocess smoke runs, and the one-sweep contract
 of the corpus survey; and the benchmark harness's own self-test."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -78,6 +79,28 @@ def test_flag_manifold_script_prints_a_table_negder_accepts(tmp_path):
         proc = subprocess.run([sys.executable, "-m", "negder", command, str(target), "--json"],
                               capture_output=True, text=True, env=src_env())
         assert proc.returncode == 0, (command, proc.stdout + proc.stderr)
+
+
+@pytest.mark.parametrize("n, digest", [
+    ("4", "967e20482bf730664eb5c39229300b71dfef31135525b201b5d6fb92ce40da54"),
+    ("5", "8b863e7b6f8779eaff986a0dc60472fb14863847c9c80bbbb7fb14ee05e23b95"),
+    ("6", "b48018466579a1a5000be3f074aca646682c9e7ec9ef2c29d896718ef90e16f6"),
+])
+def test_flag_manifold_script_prints_the_pinned_tables(n, digest):
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "flag_manifold.py"), n],
+                          capture_output=True, env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n", [" 4 ", "٤", "0_4", "0", "7"])
+def test_flag_manifold_script_refuses_a_bad_or_too_large_n(n):
+    # int() reads the first three; Fl_7 needs at least 1 587 600 table
+    # entries, over MAX_TABLE_ENTRIES, and is refused before its basis
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "flag_manifold.py"), n],
+                          capture_output=True, text=True, env=src_env(), timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
 @pytest.fixture
