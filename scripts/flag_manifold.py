@@ -16,7 +16,6 @@ is imported by the tests.  An N whose table would pass MAX_TABLE_ENTRIES
 """
 
 import argparse
-from functools import cache
 from itertools import combinations_with_replacement, product as cartesian
 
 from negder import GradedAlgebra, serialize_structure_constants
@@ -42,26 +41,27 @@ def _tails(n):
     return tails
 
 
-def _reducer(n):
-    """normal_form(e): the standard form {exponents: coefficient} of the
-    monomial with exponents e, memoized per monomial; read-only."""
-    tails = _tails(n)
-
-    @cache
-    def normal_form(e):
-        k = next((k for k in range(n) if e[k] > k), None)
+def _normal_form(e, tails, memo):
+    """The standard form {exponents: coefficient} of the monomial with
+    exponents e, tails as _tails makes them; memo maps each monomial
+    reduced so far to its form, read-only.  A module-level function, so
+    the memo is a plain dict in no reference cycle, freed with its caller."""
+    form = memo.get(e)
+    if form is None:
+        k = next((k for k in range(len(e)) if e[k] > k), None)
         if k is None:
-            return {e: 1}
-        # x^e = x^(e - (k+1) e_k) xk^(k+1), and xk^(k+1) = -(tail of hk)
-        base = list(e)
-        base[k] -= k + 1
-        out = {}
-        for t in tails[k]:
-            for m, c in normal_form(tuple(map(sum, zip(base, t)))).items():
-                out[m] = out.get(m, 0) - c
-        return {m: c for m, c in out.items() if c}
-
-    return normal_form
+            form = {e: 1}
+        else:
+            # x^e = x^(e - (k+1) e_k) xk^(k+1), and xk^(k+1) = -(tail of hk)
+            base = list(e)
+            base[k] -= k + 1
+            out = {}
+            for t in tails[k]:
+                for m, c in _normal_form(tuple(map(sum, zip(base, t))), tails, memo).items():
+                    out[m] = out.get(m, 0) - c
+            form = {m: c for m, c in out.items() if c}
+        memo[e] = form
+    return form
 
 
 def _label(e):
@@ -86,18 +86,22 @@ def flag_manifold(n):
                              f"over the limit of {MAX_TABLE_ENTRIES}")
     basis = sorted((2 * sum(e), e) for e in cartesian(*(range(k + 1) for k in range(n))))
     index = {e: i for i, (_, e) in enumerate(basis)}
-    normal_form = _reducer(n)
-    products = {}
-    entries = {}  # exponents of the product -> its one shared entry
-    for i, (_, a) in enumerate(basis):
-        for j, (_, b) in enumerate(basis):
-            e = tuple(map(sum, zip(a, b)))
-            if e not in entries:
-                entries[e] = {index[m]: c for m, c in normal_form(e).items()}
-            if entries[e]:
-                products[i, j] = entries[e]
+
+    def pairs():
+        tails, memo = _tails(n), {}
+        entries = {}  # exponents of the product -> its one shared entry
+        for i, (_, a) in enumerate(basis):
+            for j, (_, b) in enumerate(basis):
+                e = tuple(map(sum, zip(a, b)))
+                if e not in entries:
+                    entries[e] = {index[m]: c for m, c in _normal_form(e, tails, memo).items()}
+                if entries[e]:
+                    yield (i, j), entries[e]
+
+    # the pairs go to the constructor as they are made, so only its copy
+    # of the table is ever held
     return GradedAlgebra([_label(e) for _, e in basis], [d for d, _ in basis], 0,
-                         products, name=f"Fl{n}")
+                         pairs(), name=f"Fl{n}")
 
 
 def main():

@@ -10,18 +10,20 @@ so the unknowns are U_d, the sum of A_(|g| + d) over the non-unit
 generators g.  theta is carried to every other basis element through the
 products g y that write it (GradedAlgebra.expansions), as linear forms
 over U_d, and the law is imposed on the pairs (g, x), x any basis
-element, in ascending degree of g x, until the rank is |U_d|.  On an
-associative table the law then holds on every ordered basis pair, so it
-works for any valid structure-constant table.  The rows are read off the
-table as it stores its values, ints where integral (see linalg).  Solution
-spaces come back as the canonical basis of the kernel on every basis
-element, reshaped into per-degree blocks held the same way.  The exact
-self-check of nullspace_basis covers the system over U_d only, so
-check_class_h also checks its certificate on the table before it returns
-it.  The Leibniz residual is summed in one place apart from this path,
-_defects: on the pairs (g, x) for that check, and on every ordered basis
-pair for is_derivation.  The system on the unknowns theta(e_i) for every
-i stays available, as the oracles leibniz_rows and leibniz_system.
+element, in ascending degree of g x, until the rank is |U_d|.  The pairs
+are summed one at a time, as the solver reads their rows, so once the
+rank is full no further pair is built.  On an associative table the law
+then holds on every ordered basis pair, so it works for any valid
+structure-constant table.  The rows are read off the table as it stores
+its values, ints where integral (see linalg).  Solution spaces come back
+as the canonical basis of the kernel on every basis element, reshaped
+into per-degree blocks held the same way.  The exact self-check of
+nullspace_basis covers the system over U_d only, so check_class_h also
+checks its certificate on the table before it returns it.  The Leibniz
+residual is summed in one place apart from this path, _defects: on the
+pairs (g, x) for that check, and on every ordered basis pair for
+is_derivation.  The system on the unknowns theta(e_i) for every i stays
+available, as the oracles leibniz_rows and leibniz_system.
 
 What is proved: the kernel check shows that each reported vector solves
 the system, so the true dimension is at least the reported one.  An
@@ -267,11 +269,14 @@ def _unknowns(a, d):
 
 def _constraints(a, d, theta):
     """The Leibniz law on the pairs (g, x), g a non-unit generator and x
-    not the unit, as its nonzero rows {column: coefficient} over U_d, one
-    per basis element of A_(|g x| + d): yields (n, rows) for n = |g x|
-    ascending.  theta is first carried to the non-generators of degree n
-    through their expansions, so it covers every basis element once the
-    generator is exhausted."""
+    not the unit, as its nonzero rows {column: coefficient} over U_d, at
+    most one per basis element of A_(|g x| + d).  The pairs come in
+    ascending n = |g x|, then g, then x, and each pair's rows are yielded
+    as soon as that pair is summed, in the order their first nonzero
+    entry was reached, so a reader that stops early leaves the later
+    pairs unsummed.  Before the first pair of degree n, theta is carried
+    to the non-generators of degree n through their expansions, so it
+    covers every basis element once the generator is exhausted."""
     table = a.products
     degrees = a.degrees
     signs = {g: _sign(d * degrees[g]) for g in theta if g != a.unit}
@@ -290,21 +295,23 @@ def _constraints(a, d, theta):
                     for key, v in theta[h].items():
                         out[key] = out.get(key, 0) - c * v
                 theta[x] = {key: v for key, v in out.items() if v}
-        rows = {}
-        if n + d in pieces:
-            for g, sign in signs.items():
-                for x in pieces.get(n - degrees[g], none):
-                    if x == a.unit:
-                        continue
-                    out = {}
-                    for k, p in table.get((g, x), empty).items():
-                        for key, v in theta[k].items():
-                            out[key] = out.get(key, 0) + p * v
-                    _product_rule(out, table, theta, sign, g, x, -1)
+        if n + d not in pieces:
+            continue
+        for g, sign in signs.items():
+            for x in pieces.get(n - degrees[g], none):
+                if x == a.unit:
+                    continue
+                out = {}
+                for k, p in table.get((g, x), empty).items():
+                    for key, v in theta[k].items():
+                        out[key] = out.get(key, 0) + p * v
+                _product_rule(out, table, theta, sign, g, x, -1)
+                if out:
+                    rows = {}
                     for (t, c), v in out.items():
                         if v:
-                            rows.setdefault((g, x, t), {})[c] = v
-        yield n, list(rows.values())
+                            rows.setdefault(t, {})[c] = v
+                    yield from rows.values()
 
 
 def derivation_space(a, d):
@@ -315,10 +322,11 @@ def derivation_space(a, d):
     unknowns are U_d (see the module docstring); with U_d empty, no system
     is solved.  theta(g y) = theta(g) y + (-1)^(d |g|) g theta(y) carries
     theta to every other basis element, and the Leibniz rows on the pairs
-    (g, x) go to nullspace_basis in ascending degree of g x, built as it
-    reads them: at rank |U_d| it stops, and the space is zero.  The table
-    must be associative, as every validated table is.  In the fallback
-    every index is a generator and nothing is carried.
+    (g, x) go to nullspace_basis pair by pair, in ascending degree of g x,
+    each pair summed only when the solver reads past the one before: at
+    rank |U_d| it stops, no later pair is summed, and the space is zero.
+    The table must be associative, as every validated table is.  In the
+    fallback every index is a generator and nothing is carried.
 
     The basis is the one read off the system on every basis element, with
     unknowns (i, t) in order of i, then t: one vector per free column, its
@@ -333,8 +341,7 @@ def derivation_space(a, d):
     theta, ncols = _unknowns(a, d)
     if not ncols:
         return []
-    rows = (row for _, batch in _constraints(a, d, theta) for row in batch)
-    kernel = nullspace_basis(rows, ncols=ncols)
+    kernel = nullspace_basis(_constraints(a, d, theta), ncols=ncols)
     # vector number and entry of the kernel vectors nonzero at each column
     at = {}
     for k, v in enumerate(kernel):

@@ -207,6 +207,17 @@ def _parse_terms(rhs, line_no, label_index, coeffs):
 
 
 def parse_structure_constants(text):
+    alg = _read_table(text)
+    violations = alg.validate()
+    if violations:
+        raise ValidationError(violations)
+    return alg
+
+
+def _read_table(text):
+    """The GradedAlgebra a structure-constant text writes, not yet
+    validated; the lines and caches it reads them through die with this
+    call, before the validator's own index is built."""
     labels = []
     degrees = []
     label_index = {}
@@ -280,11 +291,7 @@ def parse_structure_constants(text):
                     negated[id(terms)] = {k: -c for k, c in terms.items()}
                 terms = negated[id(terms)]
             products[(j, i)] = terms
-    alg = GradedAlgebra(labels, degrees, label_index[unit_label], products)
-    violations = alg.validate()
-    if violations:
-        raise ValidationError(violations)
-    return alg
+    return GradedAlgebra(labels, degrees, label_index[unit_label], products)
 
 
 def serialize_structure_constants(a):

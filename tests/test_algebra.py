@@ -1020,7 +1020,7 @@ def test_validating_fl5_peaks_below_five_and_a_half_tables():
         "spec.loader.exec_module(module)\n"
         "tracemalloc.start()\n"
         "built = module.flag_manifold(5)\n"
-        "gc.collect()  # the reducer's memo is a reference cycle\n"
+        "gc.collect()  # empties the free lists, so the baseline is the algebra\n"
         "retained = tracemalloc.get_traced_memory()[0]\n"
         "tracemalloc.reset_peak()\n"
         "violations = built.validate()\n"

@@ -399,7 +399,9 @@ def test_a_huge_generator_degree_solves_quickly(tmp_path):
 
 def test_a_wide_table_of_unit_products_validates_quickly(tmp_path):
     # 20 001 basis elements and only the unit products: the validator and
-    # the parser cost time in proportion to the table plus dim, not dim^2
+    # the parser cost time in proportion to the table plus dim, not dim^2,
+    # and check-h reads only the Leibniz rows of the first generator's
+    # pairs, which reach full rank, not one row set per pair of generators
     n = 20_001
     lines = ["basis:", "1 0", *(f"x{k} 2" for k in range(1, n)),
              "unit: 1", "products:", "1 1 = 1*1", *(f"1 x{k} = 1*x{k}" for k in range(1, n))]
@@ -411,6 +413,11 @@ def test_a_wide_table_of_unit_products_validates_quickly(tmp_path):
     assert time.perf_counter() - start < 10.0
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "valid\n"
+    proc = subprocess.run([sys.executable, "-m", "negder", "check-h", str(target), "--json"],
+                          capture_output=True, text=True, env=src_env(),
+                          preexec_fn=cap_memory, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["in_class"] is True
 
 
 def test_the_validator_survives_optimized_mode(tmp_path):

@@ -288,18 +288,42 @@ def test_no_system_is_built_where_every_generator_target_is_empty(monkeypatch):
     verdict = check_class_h(cp2xcp2xcp1)
     assert verdict.in_class and verdict.complete
     assert verdict.dimensions == {-k: 0 for k in range(1, 11)}
-    # One solve, over theta(x), theta(y), theta(z).  z^2 = 0 gives the
-    # first rank at constraint degree |z z| = 4, x^3 = y^3 = 0 the rest at
-    # degree 6, and no row of a higher degree is read.
+    # One solve, over theta(x), theta(y), theta(z).  The rows come pair by
+    # pair, and the solver reads exactly the shortest prefix of the stream
+    # whose rank, found apart from the solver, is 3: z^2 = 0 and x^3 =
+    # y^3 = 0 give it, and the pairs after it are never built.
     theta, ncols = derivations._unknowns(cp2xcp2xcp1, -2)
-    rows = {n: len(batch) for n, batch
-            in derivations._constraints(cp2xcp2xcp1, -2, theta)}
-    upto = lambda top: sum(count for n, count in rows.items() if n <= top)
+    stream = list(derivations._constraints(cp2xcp2xcp1, -2, theta))
+    dense = [[row.get(c, 0) for c in range(ncols)] for row in stream]
     [(cols, read, unread)] = solved
     assert (cols, ncols) == (3, 3)
-    assert upto(4) < read <= upto(6) < upto(12) == read + unread
-    assert max(rows) == 12 and rows[12] > 0
+    assert read + unread == len(stream)
+    assert rank_fraction_free(dense[:read]) == 3 > rank_fraction_free(dense[:read - 1])
+    assert unread > 0
     assert_matches_dense_oracle(cp2xcp2xcp1)
+
+
+def test_class_h_on_many_generators_sums_about_one_pair_per_table_entry(monkeypatch):
+    # U_1000: a unit and x_1..x_1000 in degree 2, unit products only.  At
+    # degree -2 each theta(x_k) is a multiple of 1, and the pairs (x_1, x)
+    # already give all 1 000 ranks, so the solve stops there instead of
+    # summing all 10^6 pairs (g, x)
+    n = 1000
+    pairs = [((0, 0), {0: 1})]
+    for k in range(1, n + 1):
+        pairs += [((0, k), {k: 1}), ((k, 0), {k: 1})]
+    wide = GradedAlgebra(["1", *(f"x{k}" for k in range(1, n + 1))], [0] + [2] * n, 0, pairs)
+    calls = []
+    real = derivations._product_rule
+
+    def spy(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(derivations, "_product_rule", spy)
+    verdict = check_class_h(wide)
+    assert verdict.in_class and verdict.complete
+    assert len(calls) <= 2 * len(wide.products) == 2 * (2 * n + 1)
 
 
 def test_derivation_space_matches_the_generator_pair_oracle():

@@ -1,4 +1,7 @@
+import json
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -8,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import basis_changed, corrupted, presentations, projective_space, sphere, torus
+from conftest import (basis_changed, corrupted, flag_manifold, presentations,
+                      projective_space, sphere, src_env, torus)
 from negder import (AlgebraFile, GradedAlgebra, ParseError, ValidationError,
                     build_monomial_algebra,
                     detect_format, fileformats, load_algebra_text, parse_presentation,
@@ -433,6 +437,27 @@ def test_a_parse_that_stops_early_splits_little_of_the_text():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20, f"{peak / 2**20:.1f} MB traced"
+
+
+def test_parsing_fl5_peaks_below_four_times_what_it_keeps(tmp_path):
+    # the parser's lines, parsed right-hand sides and mirrored entries are
+    # gone before validate() builds its index, so the two peaks do not
+    # stack.  A fresh interpreter, as the table is small enough that what
+    # earlier tests leave on the free lists would shift its traced size
+    target = tmp_path / "fl5.alg"
+    target.write_text(serialize_structure_constants(flag_manifold(5)))
+    script = (
+        "import json, sys, tracemalloc\n"
+        "from negder import parse_structure_constants\n"
+        "text = open(sys.argv[1]).read()\n"
+        "tracemalloc.start()\n"
+        "parsed = parse_structure_constants(text)\n"
+        "print(json.dumps(tracemalloc.get_traced_memory()))\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(target)],
+                          capture_output=True, text=True, env=src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    retained, peak = json.loads(proc.stdout)
+    assert peak <= 4.0 * retained, f"the parse peaks {peak / retained:.2f} x the algebra"
 
 
 # --- the combined loader ---

@@ -2,6 +2,7 @@
 of the corpus survey; and the benchmark harness's own self-test."""
 
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -91,6 +92,31 @@ def test_flag_manifold_script_prints_the_pinned_tables(n, digest):
                           capture_output=True, env=src_env())
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+def test_building_fl5_leaves_nothing_for_the_cycle_collector():
+    # the reducer's memo is a plain dict that dies with the build.  A young
+    # collection finds cycles as a full one does, without emptying the free
+    # lists, whose blocks would read as freed memory
+    script = (
+        "import gc, importlib.util, json, sys, tracemalloc\n"
+        "gc.disable()\n"
+        "spec = importlib.util.spec_from_file_location('flag_manifold', sys.argv[1])\n"
+        "module = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(module)\n"
+        "gc.collect()\n"
+        "tracemalloc.start()\n"
+        "built = module.flag_manifold(5)\n"
+        "before = tracemalloc.get_traced_memory()[0]\n"
+        "found = gc.collect(0)\n"
+        "print(json.dumps([found, before, tracemalloc.get_traced_memory()[0]]))\n")
+    proc = subprocess.run([sys.executable, "-c", script,
+                           os.path.join(ROOT, "scripts", "flag_manifold.py")],
+                          capture_output=True, text=True, env=src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    found, before, after = json.loads(proc.stdout)
+    assert found == 0
+    assert after >= before, f"the collector freed {before - after} B"
 
 
 @pytest.mark.parametrize("n", [" 4 ", "٤", "0_4", "0", "7"])
