@@ -297,6 +297,7 @@ def test_no_system_is_built_where_every_generator_target_is_empty(monkeypatch):
     dense = [[row.get(c, 0) for c in range(ncols)] for row in stream]
     [(cols, read, unread)] = solved
     assert (cols, ncols) == (3, 3)
+    assert (read, len(stream)) == (5, 21)
     assert read + unread == len(stream)
     assert rank_fraction_free(dense[:read]) == 3 > rank_fraction_free(dense[:read - 1])
     assert unread > 0
