@@ -11,14 +11,23 @@ are read by fileformats.integer, as the integers of a file are: 1_0, ٣
 or " 2 " is a usage error.
 
 Each subcommand is listed once, in _COMMANDS: its handler, help text,
-whether it reads an algebra file, and its arguments.  build_parser reads
-that table, and one helper adds a subcommand's arguments to the full
-parser and to the subcommand's own.  run builds a parser anew on every
-call, with no cache: when the command line starts with a subcommand
-name, that subcommand's parser alone (1 ArgumentParser, where the full
-parser makes 7; building them is most of a call on a small algebra),
-and the full parser otherwise or when arguments are left over, so help,
-usage and error text are the same either way.
+whether it reads an algebra file, and its arguments.  A handler takes
+(args, source), source being the AlgebraFile of a subcommand that reads
+one and None otherwise, and returns (doc, lines, code): its JSON
+document, its text lines (a list, or a generator, so --json renders no
+text) and its exit code; it prints nothing.  _dispatch is the one place
+that prints a report: it loads the file, adds "command" and, where a
+file is read, "file" to the document, prints it or the lines, and maps
+errors to exit codes.
+
+build_parser reads _COMMANDS, and one helper adds a subcommand's
+arguments to the full parser and to the subcommand's own.  run builds a
+parser anew on every call, with no cache: when the command line starts
+with a subcommand name, that subcommand's parser alone (1
+ArgumentParser, where the full parser makes 7; building them is most of
+a call on a small algebra), and the full parser otherwise or when
+arguments are left over, so help, usage and error text are the same
+either way.
 """
 
 import argparse
@@ -30,16 +39,6 @@ from . import corpus
 from .derivations import check_class_h, derivation_space
 from .fileformats import AlgebraFile, ParseError, ValidationError, detect_format, integer
 from .rigidity import char_subspace, prove_rigidity
-
-
-def _emit(args, doc, lines):
-    """Print doc as JSON under --json, else lines; lines may be a
-    generator, which then builds the text only when it is printed."""
-    if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
 
 
 def _load(path):
@@ -73,28 +72,20 @@ def _map_lines(algebra, m, symbol="theta"):
     return lines
 
 
-def _cmd_validate(args):
-    algebra_file = _load(args.file)
+def _cmd_validate(args, source):
     try:
-        alg = algebra_file.build()
-        violations = alg.validate()
+        violations = source.build().validate()
     except ValidationError as exc:
         violations = exc.violations
-    doc = {"command": args.command, "file": args.file,
-           "format": algebra_file.format,
-           "valid": not violations, "violations": violations}
-    lines = ["valid"] if not violations else violations
-    _emit(args, doc, lines)
-    return 0 if not violations else 1
+    doc = {"format": source.format, "valid": not violations, "violations": violations}
+    return doc, violations or ["valid"], 0 if not violations else 1
 
 
-def _cmd_check_h(args):
-    alg = _load(args.file).build()
+def _cmd_check_h(args, source):
+    alg = source.build()
     verdict = check_class_h(alg, args.max_degree)
     checked = sorted(verdict.dimensions, reverse=True)
     doc = {
-        "command": args.command,
-        "file": args.file,
         "in_class": verdict.in_class,
         "connectivity_ok": verdict.connectivity_ok,
         "degrees": [{"degree": d, "dimension": verdict.dimensions[d]} for d in checked],
@@ -118,15 +109,14 @@ def _cmd_check_h(args):
             yield ("connectivity check failed: needs one-dimensional degree 0 "
                    "and empty degree 1")
 
-    _emit(args, doc, text())
-    return 0 if ok else 1
+    return doc, text(), 0 if ok else 1
 
 
-def _cmd_derivations(args):
-    alg = _load(args.file).build()
+def _cmd_derivations(args, source):
+    alg = source.build()
     space = derivation_space(alg, args.degree)
-    doc = {"command": args.command, "file": args.file, "degree": args.degree,
-           "dimension": len(space), "basis": [_map_doc(alg, m) for m in space]}
+    doc = {"degree": args.degree, "dimension": len(space),
+           "basis": [_map_doc(alg, m) for m in space]}
 
     def text():
         yield f"dimension {len(space)}"
@@ -134,30 +124,26 @@ def _cmd_derivations(args):
             yield f"basis map {idx}:"
             yield from ("  " + t for t in _map_lines(alg, m))
 
-    _emit(args, doc, text())
-    return 0 if not space else 1
+    return doc, text(), 0 if not space else 1
 
 
-def _cmd_char(args):
-    basis = _load(args.file).basis()
+def _cmd_char(args, source):
+    basis = source.basis()
     char = char_subspace(basis, args.rank)
     labels = {n: [basis.labels[i] for i in char.basis_indices[n]] for n in char.degrees}
-    doc = {"command": args.command, "file": args.file, "rank": char.rank,
-           "degrees": list(char.degrees), "dimension": char.dimension,
+    doc = {"rank": char.rank, "degrees": list(char.degrees), "dimension": char.dimension,
            "basis": [{"degree": n, "labels": labels[n]} for n in char.degrees]}
     lines = [f"degrees: {', '.join(map(str, char.degrees))}",
              f"dimension: {char.dimension}"]
     lines.extend(f"degree {n}: " + (", ".join(labels[n]) or "(empty)")
                  for n in char.degrees)
-    _emit(args, doc, lines)
-    return 0
+    return doc, lines, 0
 
 
-def _cmd_rigidity(args):
-    alg = _load(args.file).build()
+def _cmd_rigidity(args, source):
+    alg = source.build()
     trace = prove_rigidity(alg, args.torus)
-    doc = {"command": args.command, "file": args.file,
-           "torus_rank": trace.torus_rank, "level_cap": trace.level_cap,
+    doc = {"torus_rank": trace.torus_rank, "level_cap": trace.level_cap,
            "levels": [{"level": rec.level, "dimension": rec.dimension,
                        "certificate": (_map_doc(alg, rec.certificate)
                                        if rec.certificate else None)}
@@ -174,28 +160,21 @@ def _cmd_rigidity(args):
             cert = trace.levels[-1].certificate
             yield "certificate: " + "; ".join(_map_lines(alg, cert, symbol="lambda"))
 
-    _emit(args, doc, text())
-    return 0 if trace.established else 1
+    return doc, text(), 0 if trace.established else 1
 
 
-def _cmd_examples(args):
+def _cmd_examples(args, source):
     if args.action == "list":
-        doc = {"command": args.command, "names": corpus.names(),
+        doc = {"names": corpus.names(),
                "descriptions": {n: corpus.entry(n).description for n in corpus.names()}}
-        lines = [f"{n}: {corpus.entry(n).description}" for n in corpus.names()]
-        _emit(args, doc, lines)
-        return 0
+        return doc, [f"{n}: {corpus.entry(n).description}" for n in corpus.names()], 0
     if not args.name:
-        print("error: examples show needs a name", file=sys.stderr)
-        return 2
+        raise ValueError("examples show needs a name")
     try:
         payload = corpus.text(args.name)
     except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    doc = {"command": args.command, "name": args.name, "text": payload}
-    _emit(args, doc, payload.splitlines())
-    return 0
+        raise ValueError(exc.args[0])
+    return {"name": args.name, "text": payload}, payload.splitlines(), 0
 
 
 @dataclass(frozen=True)
@@ -290,10 +269,22 @@ def run(argv):
 
 
 def _dispatch(args):
-    """Run the handler of the parsed command line args and return its exit
-    code, mapping the errors it raises to exit codes 2 and 4."""
+    """Run the handler of the parsed command line args on the algebra
+    file it reads, if any, print its report (see the module docstring)
+    and return its exit code, mapping the errors it raises to exit codes
+    2 and 4."""
+    spec = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command].handler(args)
+        doc, lines, code = spec.handler(args, _load(args.file) if spec.takes_file else None)
+        doc["command"] = args.command
+        if spec.takes_file:
+            doc["file"] = args.file
+        if args.json:
+            print(json.dumps(doc, indent=2, sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
+        return code
     except (OSError, ParseError, ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -283,8 +283,8 @@ def _constraints(a, d, theta):
     pieces = {n: a.graded_piece(n) for n in set(degrees)}
     none = ()
     empty = {}
-    # the degrees of the basis and of the pairs, not every integer between
-    for n in sorted(pieces.keys() | {degrees[g] + m for g in signs for m in pieces}):
+    # the degrees of the basis, and those whose targets n + d hold a row
+    for n in sorted(pieces.keys() | {m - d for m in pieces}):
         for x in pieces.get(n, none):
             if x not in theta:
                 terms, rest = a.expansions[x]

@@ -43,10 +43,10 @@ def cap_memory():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def load_script(name):
-    """The module of scripts/<name>.py, loaded afresh."""
+def load_script(name, folder="scripts"):
+    """The module of <folder>/<name>.py, loaded afresh."""
     spec = importlib.util.spec_from_file_location(
-        name, os.path.join(ROOT, "scripts", name + ".py"))
+        name, os.path.join(ROOT, folder, name + ".py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

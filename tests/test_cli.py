@@ -574,8 +574,35 @@ def test_examples_show_prints_the_file(capsys):
 
 
 def test_examples_show_requires_a_known_name(capsys):
-    assert invoke(capsys, "examples", "show")[0] == 2
-    assert invoke(capsys, "examples", "show", "nope")[0] == 2
+    assert invoke(capsys, "examples", "show") == (
+        2, "", "error: examples show needs a name\n")
+    assert invoke(capsys, "examples", "show", "nope") == (
+        2, "", "error: unknown example 'nope'\n")
+
+
+HANDLER_ARGV = {
+    "validate": [corpus.path("cp2")],
+    "check-h": [corpus.path("s3")],
+    "derivations": [corpus.path("t3"), "--degree", "-1"],
+    "char": [corpus.path("cp4"), "--rank", "5"],
+    "rigidity": [corpus.path("cp1xcp1"), "--torus", "2"],
+    "examples": ["show", "s3"],
+}
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_handlers_return_their_report_and_print_nothing(capsys, json_flag):
+    # _dispatch alone prints: a handler returns (document, lines, exit code)
+    assert set(HANDLER_ARGV) == set(cli._COMMANDS)
+    for name, spec in cli._COMMANDS.items():
+        args = cli.build_parser(name).parse_args(HANDLER_ARGV[name] + json_flag)
+        source = cli._load(args.file) if spec.takes_file else None
+        doc, lines, code = spec.handler(args, source)
+        text = list(lines)
+        assert capsys.readouterr() == ("", ""), name
+        assert isinstance(doc, dict) and isinstance(code, int), name
+        assert "command" not in doc and "file" not in doc, name
+        assert all(isinstance(line, str) for line in text) and text, name
 
 
 # --- JSON output ---
@@ -594,7 +621,8 @@ def test_json_documents_parse_and_are_stable(capsys):
         second = invoke(capsys, *argv, "--json")
         assert first == second
         doc = json.loads(first[1])
-        assert doc["command"] == argv[0].replace("examples", "examples")
+        assert doc["command"] == argv[0]
+        assert doc.get("file") == (None if argv[0] == "examples" else argv[1])
 
 
 def test_json_rationals_are_exact_strings(capsys):

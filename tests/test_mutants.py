@@ -1,0 +1,154 @@
+"""Committed mutants: each row changes one fragment of one module's source
+and names the check that must catch it.
+
+The mutated source is executed into a fresh module object, so the package
+itself is never touched.  Each row asserts that its fragment occurs
+exactly once in the source, so a refactor that moves it fails the row
+loudly rather than leaving a mutant that no longer mutates.  The check
+must pass on an unchanged copy of the module and fail on the mutant.
+"""
+
+import contextlib
+import inspect
+import io
+import json
+import os
+import sys
+import types
+from typing import NamedTuple
+
+import pytest
+
+from conftest import (ROOT, exhaustive_validate, generator_pair_space, load_script,
+                      projective_space, sphere, torus)
+from negder import (Generator, GradedAlgebra, Presentation, algebra, cli, corpus, derivation_space,
+                    derivations, fileformats, linalg, serialize_structure_constants)
+
+golden = load_script("golden", "perfbench")
+
+
+def mutant(module, fragment, replacement):
+    """module with its one occurrence of fragment replaced, as a new module
+    object whose relative imports read the package."""
+    source = inspect.getsource(module)
+    assert source.count(fragment) == 1, fragment
+    mutated = types.ModuleType(module.__name__ + "_mutant")
+    mutated.__package__ = "negder"
+    # @dataclass looks its class's module up in sys.modules
+    sys.modules[mutated.__name__] = mutated
+    try:
+        exec(compile(source.replace(fragment, replacement), module.__file__, "exec"),
+             mutated.__dict__)
+    finally:
+        del sys.modules[mutated.__name__]
+    return mutated
+
+
+def tensor_of_circles_is_valid(m):
+    assert m.tensor(torus(1), torus(1)).validate() == []
+
+
+def exterior_presentation_is_valid(m):
+    gens = (Generator("i1", 1, 2), Generator("i2", 1, 2))
+    assert m.build_monomial_algebra(Presentation("T2", gens)).validate() == []
+
+
+def serialized_exterior_table_parses(m):
+    t2 = torus(2)
+    assert m.parse_structure_constants(serialize_structure_constants(t2)) == t2
+
+
+def validate_finds_what_the_oracle_finds(m):
+    # CP4 with x * x^2 = x^2 * x = 2 x^3: the degrees, units and mirrors
+    # hold, and only associativity on the generator x fails
+    cp4 = projective_space(4)
+    products = {key: dict(terms) for key, terms in cp4.products.items()}
+    products[1, 2] = products[2, 1] = {3: 2}
+    bad = m.GradedAlgebra(cp4.labels, cp4.degrees, cp4.unit, products)
+    violations = bad.validate()
+    assert len(violations) == 2 and violations == exhaustive_validate(bad)
+
+
+def rebased_cp2xs4():
+    """CP2 x S4 with the degree-4 basis {y, z = x^2 + y}, so x * x = z - y:
+    a non-generator whose expansion has a rest term."""
+    labels = ["1", "x", "y", "z", "x*y", "x^2*y"]
+    half = {(1, 1): {3: 1, 2: -1}, (1, 2): {4: 1}, (1, 3): {4: 1}, (1, 4): {5: 1},
+            (2, 3): {5: 1}, (3, 3): {5: 2}}
+    products = {(0, i): {i: 1} for i in range(6)}
+    products.update({(i, 0): {i: 1} for i in range(6)})
+    for (i, j), terms in half.items():
+        products[i, j] = products[j, i] = terms
+    return GradedAlgebra(labels, [0, 2, 4, 4, 6, 8], 0, products)
+
+
+def rebased_space_matches_the_oracle(m):
+    a = rebased_cp2xs4()
+    assert a.validate() == []
+    # the mutant's maps are of its own class, so compare what they hold
+    blocks = [(theta.shift, theta.blocks) for theta in m.derivation_space(a, 0)]
+    assert blocks == [(theta.shift, theta.blocks) for theta in generator_pair_space(a, 0)]
+
+
+def kernel_of_a_chain_is_exact(m):
+    assert m.nullspace_basis([[1, 1, 0], [0, 1, 1]]) == [[1, -1, 1]]
+
+
+def sphere_derivation_has_no_defect(m):
+    s3 = sphere(3)
+    (theta,) = derivation_space(s3, -3)
+    assert m.is_derivation(s3, theta) == []
+
+
+def check_h_json_matches_its_golden_digest(m):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = m.run(["check-h", corpus.path("s3"), "--json"])
+    pinned = golden.load(os.path.join(ROOT, "perfbench", "golden.json"))["check-h s3"]
+    assert (code, golden.digest(json.loads(out.getvalue()))) == (pinned["exit"], pinned["sha256"])
+
+
+class Row(NamedTuple):
+    module: types.ModuleType
+    fragment: str
+    replacement: str
+    check: object
+    raises: object = AssertionError  # or the name of the mutant's own class
+
+
+ROWS = {
+    "tensor Koszul sign": Row(
+        algebra, "sign = -1 if (b.degrees[j1] * a.degrees[i2]) % 2 else 1", "sign = 1",
+        tensor_of_circles_is_valid),
+    "_sort_sign": Row(
+        algebra, "t ^= second[i] & later", "t ^= 0", exterior_presentation_is_valid),
+    "parser's odd mirror": Row(
+        fileformats, "if (degrees[i] * degrees[j]) % 2:", "if False:",
+        serialized_exterior_table_parses, "ValidationError"),
+    "validate skips a generator": Row(
+        algebra, "gens = self._generators()", "gens = self._generators()[:-1]",
+        validate_finds_what_the_oracle_finds),
+    "_constraints drops rest": Row(
+        derivations, "out[key] = out.get(key, 0) - c * v", "pass",
+        rebased_space_matches_the_oracle),
+    "_eliminate skips a pivot clear": Row(
+        linalg, "_subtract(prow, prow.pop(p), r, p)", "prow.pop(p)",
+        kernel_of_a_chain_is_exact, ArithmeticError),
+    "_defects sign": Row(
+        derivations, "sign = _sign(m.shift * a.degrees[i])", "sign = 1",
+        sphere_derivation_has_no_defect),
+    "report without its command": Row(
+        cli, 'doc["command"] = args.command', "pass", check_h_json_matches_its_golden_digest),
+}
+
+
+@pytest.mark.parametrize("name", ROWS)
+def test_the_check_catches_the_mutant(name):
+    row = ROWS[name]
+    # the control is a copy made the same way, so a check that a copy
+    # fails for another reason (its own classes, say) cannot pass the row
+    row.check(mutant(row.module, row.fragment, row.fragment))
+    mutated = mutant(row.module, row.fragment, row.replacement)
+    raises = getattr(mutated, row.raises) if isinstance(row.raises, str) else row.raises
+    with pytest.raises(raises):
+        row.check(mutated)

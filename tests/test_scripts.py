@@ -150,3 +150,39 @@ def test_benchmark_harness_self_test_passes():
     proc = subprocess.run([sys.executable, os.path.join(ROOT, "perfbench", "selftest.py")],
                           capture_output=True, text=True, env=src_env(), cwd=ROOT)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+CODE_LINES_FIXTURE = '''"""Module docstring,
+on two lines."""
+# a comment
+
+import os  # trailing comment
+
+
+def f(x):
+    """Function docstring."""
+    # another comment
+    text = """not a
+docstring"""
+    return (x +
+            1)
+
+
+class C:
+    """Class docstring."""
+
+    def g(self):
+        "one-line docstring"
+        "a second string is code"
+        return None
+'''
+
+
+def test_code_lines_counts_tokens_but_not_comments_docstrings_or_blanks(tmp_path):
+    # code: import, def f, the two lines of text, the two of return, class,
+    # def g, the second string and its return
+    counted, empty = tmp_path / "counted.py", tmp_path / "empty.py"
+    counted.write_text(CODE_LINES_FIXTURE)
+    empty.write_text('"""Only a docstring."""\n\n# and a comment\n')
+    assert run_script("code_lines.py", str(counted), str(empty)) == [
+        f"    10  {counted}", f"     0  {empty}", "    10  total"]
