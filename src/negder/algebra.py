@@ -67,7 +67,7 @@ class Element:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        self.coeffs = _terms(coeffs, "Element key") if coeffs else {}
+        self.coeffs = {} if coeffs is None else _terms(coeffs, "Element key")
 
     def coeff(self, i):
         return self.coeffs.get(i, 0)
@@ -230,81 +230,67 @@ class GradedAlgebra(GradedBasis):
         self.products = table
 
     @cached_property
-    def generator_indices(self):
-        """Basis indices that generate the algebra, read off the table alone.
+    def _elimination(self):
+        """(generator_indices, expansions), read off one echelon over the
+        products of two positive-degree basis elements, computed once, on
+        first use, from the table as it is then.
 
-        When degree 0 is exactly the unit line (and no degree is negative),
-        these are the unit followed, ascending, by the positive-degree
-        indices that are not pivot columns of echelon over the products
-        e_i e_j with |i|, |j| > 0.  Those indices span a complement of
-        A+ . A+, so by graded Nakayama they generate A together with the
-        unit; for a monomial presentation they are the single-generator
-        monomials.  Otherwise every basis index is returned.  Computed
-        once, on first use, from the table as it is then.
-        """
-        return self._generators()
-
-    def _generators(self):
-        """generator_indices of the table as it is at this call.  An entry
-        shared between keys is read once: the row space, and so every
-        pivot, is that of the distinct entries.  A one-term entry c e_k
-        puts e_k in the row space, so its k is a pivot column with no
-        elimination.  The row space is the span of those e_k plus that of
-        the longer entries with the columns k removed, which holds no
-        column k; so the pivots are the columns k together with those of
-        echelon over the longer entries, reduced so."""
-        degrees = self.degrees
+        Each distinct product P[i, j] with |i|, |j| > 0 is a row, in
+        ascending (i, j), plus a tag column of (i, j); a product whose
+        entry, or whose single basis element, an earlier one had is
+        skipped, since it adds no pivot.  Tags are numbered down from the
+        last row, so a row that reduces to a relation among products pivots
+        at its own tag, which no other row holds, and changes no earlier
+        row.  The pivots at basis columns span A+ . A+, so the
+        positive-degree indices that are not pivots span a complement and,
+        by graded Nakayama, generate A together with the unit; each pivot
+        row writes its index through products.  When degree 0 is not
+        exactly the unit line, or a degree is negative, every index is a
+        generator and nothing is written."""
+        dim, degrees, table = self.dim, self.degrees, self.products
         if self.graded_piece(0) != [self.unit] or min(degrees) < 0:
-            return tuple(range(self.dim))
-        entries = {id(terms): terms for (i, j), terms in self.products.items()
-                   if degrees[i] > 0 and degrees[j] > 0}.values()
-        single = {k for terms in entries if len(terms) == 1 for k, c in terms.items() if c}
-        pivots = single.union(echelon({k: c for k, c in terms.items() if k not in single}
-                                      for terms in entries if len(terms) > 1))
-        return (self.unit,) + tuple(i for i in range(self.dim)
-                                    if degrees[i] > 0 and i not in pivots)
-
-    @cached_property
-    def expansions(self):
-        """Each basis index x outside generator_indices written through the
-        products g y of a non-unit generator g and a positive-degree basis
-        element y: {x: (terms, rest)} with e_x = sum c P[g, y] over terms
-        {(g, y): c} minus sum c e_h over rest {h: c}, each h a generator of
-        x's degree, coefficients as echelon returns them.
-
-        Read off echelon over the rows P[g, y] plus a tag column of (g, y).
-        On an associative table the g y span A+ . A+, so the pivots at basis
-        columns are the non-generators; ValueError is raised otherwise.  A
-        product whose entry, or whose single basis element, an earlier one
-        had is skipped: it adds no pivot.  Tags are numbered down from the
-        last row, so a row that reduces to a relation among products
-        pivots at its own tag, which no other row holds, and changes no
-        earlier row.  Empty in the fallback, where every index is a
-        generator; computed once, on first use, like generator_indices."""
-        dim, degrees, gens = self.dim, self.degrees, self.generator_indices
-        if len(gens) == dim:
-            return {}
+            return tuple(range(dim)), {}
         keys = []
-        seen = set()
-        for g in gens[1:]:
-            for y in range(dim):
-                terms = self.products.get((g, y))
-                if terms and degrees[y] > 0:
-                    key = ("term", *terms) if len(terms) == 1 else ("entry", id(terms))
-                    if key not in seen:
-                        seen.add(key)
-                        keys.append((g, y))
+        entries, single = set(), set()
+        for key in sorted(table):
+            i, j = key
+            terms = table[key]
+            if id(terms) not in entries and degrees[i] > 0 and degrees[j] > 0:
+                entries.add(id(terms))
+                if len(terms) == 1:
+                    if not single.isdisjoint(terms):
+                        continue
+                    single.update(terms)
+                keys.append(key)
         top = dim + len(keys)
         out = {}
-        for p, row in echelon([{**self.products[key], top - k: 1}
+        for p, row in echelon([{**table[key], top - k: 1}
                                for k, key in enumerate(keys)]).items():
             if p < dim:
                 out[p] = ({keys[top - c]: x for c, x in row.items() if c >= dim},
                           {c: x for c, x in row.items() if c < dim and c != p})
-        if out.keys() | gens != set(range(dim)) or out.keys() & set(gens):
-            raise ValueError("the products of the generators do not span the other "
-                             "basis elements: validate() finds the fault")
-        return out
+        return (self.unit,) + tuple(i for i in range(dim)
+                                    if degrees[i] > 0 and i not in out), out
+
+    @property
+    def generator_indices(self):
+        """Basis indices that generate the algebra, read off the table alone
+        by _elimination: the unit followed, ascending, by the
+        positive-degree indices that are not pivots of the products
+        e_i e_j with |i|, |j| > 0.  For a monomial presentation they are
+        the single-generator monomials.  Every basis index when degree 0 is
+        more than the unit line or a degree is negative."""
+        return self._elimination[0]
+
+    @property
+    def expansions(self):
+        """Each basis index x outside generator_indices written through
+        products, as _elimination reads it off: {x: (terms, rest)} with
+        e_x = sum c P[i, j] over terms {(i, j): c} minus sum c e_h over rest
+        {h: c}, where i and j have positive degrees adding to |x| and each h
+        is a generator of x's degree, coefficients as echelon returns them.
+        Empty in the fallback, where every index is a generator."""
+        return self._elimination[1]
 
     def basis_element(self, i):
         _check_index(self, i)
@@ -376,28 +362,29 @@ class GradedAlgebra(GradedBasis):
         mirror and parity), so a key costs a lookup, and a violation's text
         is made only for the keys that fail.
 
-        Associativity is decided on the rows i of the generators alone when
-        every earlier check passes, degree 0 is exactly the unit line and
-        no degree is negative.  The generators are those of
-        generator_indices, computed afresh from the table as it is at this
-        call, never read from the cache.  The left nucleus
-        N = {x : (x y) z = x (y z) for all y, z} is a subspace that holds
-        the unit, by the unit laws, and is closed under products: for
-        g, h in N, ((g h) y) z = (g (h y)) z = g ((h y) z) = g (h (y z))
-        = (g h)(y z) (Schafer, An Introduction to Nonassociative Algebras,
-        1966).  By degree additivity and graded Nakayama, the generators
-        and the unit produce all of A by products alone, without using
-        associativity.  So when every triple (g, y, z) with g a generator
-        associates, N is all of A and every triple does.  That pass leaves
-        the unit's keys, (u, j) and (i, u), out of its index: the unit laws
-        have passed by then, so every triple with the unit as i, j or k
-        associates, and degree additivity keeps the unit out of every
-        product of two non-unit elements, so no other triple loses a
-        contribution.  When that pass finds a violation, or an earlier
-        check failed, or every index is a generator, the pass runs over
-        every row with every key, the unit's included, so the violations
-        and their order are those of the full check: there a corrupt
-        product such as b b = 1 carries the unit into other triples.
+        Associativity is decided on the decisive rows alone when every
+        earlier check passes, degree 0 is exactly the unit line and no
+        degree is negative: the positive-degree indices that no one-term
+        product c e_k = e_i e_j of two positive-degree elements reaches.
+        The left nucleus N = {x : (x y) z = x (y z) for all y, z} is a
+        subspace that holds the unit, by the unit laws, and is closed under
+        products: for g, h in N, ((g h) y) z = (g (h y)) z = g ((h y) z)
+        = g (h (y z)) = (g h)(y z) (Schafer, An Introduction to
+        Nonassociative Algebras, 1966).  Every other positive e_k is
+        c^-1 e_i e_j with |i|, |j| < |k|, by degree additivity, so
+        induction on degree puts every basis element in N once every triple
+        (g, y, z) with g decisive associates; then every triple does.  The
+        decisive rows are read off the table as it is at this call, with no
+        elimination.  That pass leaves the unit's keys, (u, j) and (i, u),
+        out of its index: the unit laws have passed by then, so every
+        triple with the unit as i, j or k associates, and degree additivity
+        keeps the unit out of every product of two non-unit elements, so no
+        other triple loses a contribution.  When that pass finds a
+        violation, or an earlier check failed, or no index is reached, the
+        pass runs over every row with every key, the unit's included, so
+        the violations and their order are those of the full check: there
+        a corrupt product such as b b = 1 carries the unit into other
+        triples.
         """
         dim, degrees, labels = self.dim, self.degrees, self.labels
         table = self.products
@@ -457,12 +444,13 @@ class GradedAlgebra(GradedBasis):
             rel = "-" if degrees[i] & degrees[j] & 1 else ""
             out.append(f"graded commutativity: {labels[j]} * {labels[i]} "
                        f"!= {rel}({labels[i]} * {labels[j]})")
-        # The generator rows decide when every check so far passed; the
-        # full pass, run on a violation, keeps the full list in its order
-        # (see the docstring).
-        if not out:
-            gens = self._generators()
-            if len(gens) < dim and not self._associativity(set(gens) - {u}):
+        # The decisive rows decide when every check so far passed; the full
+        # pass, run on a violation, keeps the full list in its order (see
+        # the docstring).
+        if not out and self.graded_piece(0) == [u] and min(degrees) >= 0:
+            reached = {k for (i, j), terms in table.items()
+                       if len(terms) == 1 and degrees[i] > 0 and degrees[j] > 0 for k in terms}
+            if reached and not self._associativity(set(range(dim)) - reached - {u}):
                 return []
         return out + self._associativity(None)
 
@@ -473,7 +461,7 @@ class GradedAlgebra(GradedBasis):
         The two indexes come from _index at each call: rows[i][j] is the
         entry P[i,j], and by_m[m] lists (j, k, P[j,k][m]).  They leave out
         every key with the unit in it exactly when only is given, for
-        validate()'s generator pass, which needs none of them.  For each i,
+        validate()'s decisive pass, which needs none of them.  For each i,
         one dict {(j, k, t): v} holds (e_i e_j) e_k - e_i (e_j e_k) for all
         j and k at once: it adds sum_m P[i,j][m] P[m,k] through the rows m
         of row i's entries and subtracts sum_m P[j,k][m] P[i,m] through

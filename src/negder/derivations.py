@@ -8,22 +8,23 @@ The solver knows nothing about presentations.  A derivation is fixed by
 its values on the algebra's generator_indices, read off the table alone,
 so the unknowns are U_d, the sum of A_(|g| + d) over the non-unit
 generators g.  theta is carried to every other basis element through the
-products g y that write it (GradedAlgebra.expansions), as linear forms
-over U_d, and the law is imposed on the pairs (g, x), x any basis
-element, in ascending degree of g x, until the rank is |U_d|.  The pairs
-are summed one at a time, as the solver reads their rows, so once the
-rank is full no further pair is built.  On an associative table the law
-then holds on every ordered basis pair, so it works for any valid
-structure-constant table.  The rows are read off the table as it stores
-its values, ints where integral (see linalg).  Solution spaces come back
-as the canonical basis of the kernel on every basis element, reshaped
-into per-degree blocks held the same way.  The exact self-check of
-nullspace_basis covers the system over U_d only, so check_class_h also
-checks its certificate on the table before it returns it.  The Leibniz
-residual is summed in one place apart from this path, _defects: on the
-pairs (g, x) for that check, and on every ordered basis pair for
-is_derivation.  The system on the unknowns theta(e_i) for every i stays
-available, as the oracles leibniz_rows and leibniz_system.
+products i j of two positive-degree elements of lower degree that write
+it (GradedAlgebra.expansions), as linear forms over U_d, and the law is
+imposed on the pairs (g, x), x any basis element, in ascending degree of
+g x, until the rank is |U_d|.  The pairs are summed one at a time, as
+the solver reads their rows, so once the rank is full no further pair is
+built.  On an associative table the law then holds on every ordered
+basis pair, so it works for any valid structure-constant table.  The
+rows are read off the table as it stores its values, ints where integral
+(see linalg).  Solution spaces come back as the canonical basis of the
+kernel on every basis element, reshaped into per-degree blocks held the
+same way.  The exact self-check of nullspace_basis covers the system
+over U_d only, so check_class_h also checks its certificate on the table
+before it returns it.  The Leibniz residual is summed in one place apart
+from this path, _defects: on the pairs (g, x) for that check, and on
+every ordered basis pair for is_derivation.  The system on the unknowns
+theta(e_i) for every i stays available, as the oracles leibniz_rows and
+leibniz_system.
 
 What is proved: the kernel check shows that each reported vector solves
 the system, so the true dimension is at least the reported one.  An
@@ -61,7 +62,7 @@ class GradedLinearMap:
         self.shift = _check_int("shift", shift)
         cleaned = {}
         try:
-            items = (blocks or {}).items()
+            items = ({} if blocks is None else blocks).items()
         except AttributeError:
             raise ValueError(f"blocks must be a mapping {{degree: block}}, "
                              f"not {blocks!r}") from None
@@ -239,16 +240,16 @@ def leibniz_system(a, d):
     return dense, unknowns
 
 
-def _product_rule(out, table, theta, sign, g, y, f):
-    """out += f (theta(g) y + sign g theta(y)), the Leibniz value of
-    theta(g y), on {(basis index, column): coefficient} with zeros kept."""
+def _product_rule(out, table, theta, sign, i, j, f):
+    """out += f (theta(i) j + sign i theta(j)), the Leibniz value of
+    theta(i j), on {(basis index, column): coefficient} with zeros kept."""
     empty = {}
-    for (t, c), x in theta[g].items():
-        for m, p in table.get((t, y), empty).items():
+    for (t, c), x in theta[i].items():
+        for m, p in table.get((t, j), empty).items():
             out[m, c] = out.get((m, c), 0) + f * p * x
     f *= sign
-    for (t, c), x in theta[y].items():
-        for m, p in table.get((g, t), empty).items():
+    for (t, c), x in theta[j].items():
+        for m, p in table.get((i, t), empty).items():
             out[m, c] = out.get((m, c), 0) + f * p * x
 
 
@@ -275,8 +276,11 @@ def _constraints(a, d, theta):
     as soon as that pair is summed, in the order their first nonzero
     entry was reached, so a reader that stops early leaves the later
     pairs unsummed.  Before the first pair of degree n, theta is carried
-    to the non-generators of degree n through their expansions, so it
-    covers every basis element once the generator is exhausted."""
+    to the non-generators of degree n through their expansions, by
+    theta(i j) = theta(i) j + (-1)^(d |i|) i theta(j) for any two
+    positive-degree factors, whose theta is carried already since their
+    degrees are below n; so it covers every basis element once the
+    generator is exhausted."""
     table = a.products
     degrees = a.degrees
     signs = {g: _sign(d * degrees[g]) for g in theta if g != a.unit}
@@ -289,8 +293,8 @@ def _constraints(a, d, theta):
             if x not in theta:
                 terms, rest = a.expansions[x]
                 out = {}
-                for (g, y), c in terms.items():
-                    _product_rule(out, table, theta, signs[g], g, y, c)
+                for (i, j), c in terms.items():
+                    _product_rule(out, table, theta, _sign(d * degrees[i]), i, j, c)
                 for h, c in rest.items():
                     for key, v in theta[h].items():
                         out[key] = out.get(key, 0) - c * v
@@ -320,8 +324,9 @@ def derivation_space(a, d):
     A derivation is fixed by its values on the generators, and
     theta(1) = theta(1 1) = 2 theta(1) is 0 in any unital algebra, so the
     unknowns are U_d (see the module docstring); with U_d empty, no system
-    is solved.  theta(g y) = theta(g) y + (-1)^(d |g|) g theta(y) carries
-    theta to every other basis element, and the Leibniz rows on the pairs
+    is solved.  theta(i j) = theta(i) j + (-1)^(d |i|) i theta(j), for the
+    two positive-degree factors of each expansion term, carries theta to
+    every other basis element, and the Leibniz rows on the pairs
     (g, x) go to nullspace_basis pair by pair, in ascending degree of g x,
     each pair summed only when the solver reads past the one before: at
     rank |U_d| it stops, no later pair is summed, and the space is zero.

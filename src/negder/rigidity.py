@@ -99,7 +99,7 @@ class LambdaFamily:
         self.torus_rank = _check_int("torus_rank", torus_rank)
         comps = {}
         try:
-            items = (components or {}).items()
+            items = ({} if components is None else components).items()
         except AttributeError:
             raise ValueError(f"components must be a mapping {{subset: GradedLinearMap}}, "
                              f"not {components!r}") from None

@@ -74,6 +74,19 @@ def torus(s):
     return build_monomial_algebra(Presentation(f"T{s}", gens))
 
 
+def rebased_cp2xs4(cls=GradedAlgebra):
+    """CP2 x S4 with the degree-4 basis {y, z = x^2 + y}, so x * x = z - y:
+    a non-generator whose expansion has a rest term, built by cls."""
+    labels = ["1", "x", "y", "z", "x*y", "x^2*y"]
+    half = {(1, 1): {3: 1, 2: -1}, (1, 2): {4: 1}, (1, 3): {4: 1}, (1, 4): {5: 1},
+            (2, 3): {5: 1}, (3, 3): {5: 2}}
+    products = {(0, i): {i: 1} for i in range(6)}
+    products.update({(i, 0): {i: 1} for i in range(6)})
+    for (i, j), terms in half.items():
+        products[i, j] = products[j, i] = terms
+    return cls(labels, [0, 2, 4, 4, 6, 8], 0, products)
+
+
 def point():
     """The one-point algebra Q."""
     return build_monomial_algebra(Presentation("pt", ()))
@@ -318,7 +331,7 @@ def exhaustive_validate(a):
 
 
 def echelon_generators(a):
-    """Oracle for GradedAlgebra._generators: echelon over every distinct
+    """Oracle for GradedAlgebra.generator_indices: echelon over every distinct
     entry e_i e_j with |i|, |j| > 0, one-term entries included; the
     generators are the unit and the positive-degree indices that are not
     pivot columns.  Every index when degree 0 is more than the unit line

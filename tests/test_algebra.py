@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from conftest import (ROOT, accumulating_tensor, all_pairs_monomial_algebra, basis_changed,
                       cap_memory, corrupted, crowded, echelon_generators,
-                      exhaustive_validate, key_sorted_basis, point, presentations,
-                      projective_space, quadratic_sort_sign, sphere, src_env, torus)
+                      exhaustive_validate, flag_manifold, key_sorted_basis, point,
+                      presentations, projective_space, quadratic_sort_sign,
+                      rebased_cp2xs4, sphere, src_env, torus)
 from negder import (Element, Generator, GradedAlgebra, GradedBasis, GradedLinearMap,
                     LambdaFamily, Presentation, algebra, build_monomial_algebra, corpus,
                     derivation_space, load_algebra_text, monomial_basis,
@@ -647,6 +648,67 @@ def test_validate_reads_the_generators_of_the_table_as_it_is():
     ]
 
 
+def spied_passes(monkeypatch):
+    """The only argument of each _associativity call, in call order."""
+    passes = []
+    real = GradedAlgebra._associativity
+    monkeypatch.setattr(GradedAlgebra, "_associativity",
+                        lambda self, only: passes.append(only) or real(self, only))
+    return passes
+
+
+def test_the_decisive_rows_are_the_generators_but_the_unit(monkeypatch):
+    # on these tables every non-generator is a one-term product of two
+    # positive-degree elements; where every index is a generator, no row is
+    # reached and the full pass runs alone
+    def table(a):
+        return parse_structure_constants(serialize_structure_constants(a))
+
+    def presentation(*gens):
+        return build_monomial_algebra(Presentation("", tuple(Generator(*g) for g in gens)))
+
+    algebras = [*(corpus.load(name) for name in corpus.names()), torus(4),
+                presentation(*((f"i{k}", 1, 2) for k in range(1, 4)), ("y", 3, 2)),
+                table(torus(5)), table(torus(6)),
+                presentation(("x", 2, 3), ("y", 2, 3), ("z", 2, 2)),
+                presentation(("x", 2, 4), ("y", 2, 4)), flag_manifold(4), flag_manifold(5)]
+    passes = spied_passes(monkeypatch)
+    decided = 0
+    for a in algebras:
+        del passes[:]
+        assert a.validate() == []
+        rows = set(a.generator_indices) - {a.unit}
+        if len(rows) < a.dim - 1:
+            decided += 1
+            assert passes == [rows], a
+        else:
+            assert passes == [None], a
+    assert decided == 15
+
+
+def test_decisive_rows_may_exceed_the_generators_on_a_basis_changed_table(monkeypatch):
+    # x x = z - y is two terms, so no one-term product reaches y or z, yet
+    # only z is a generator: every positive-degree row below degree 6 is
+    # decisive, and the pass still finds what the oracle finds
+    a = rebased_cp2xs4()
+    passes = spied_passes(monkeypatch)
+    assert a.validate() == exhaustive_validate(a) == []
+    [rows] = passes
+    assert rows == {1, 2, 3} > set(a.generator_indices) - {a.unit} == {1, 3}
+
+
+def test_validate_runs_no_elimination(monkeypatch):
+    algebras = (parse_structure_constants(serialize_structure_constants(torus(6))),
+                flag_manifold(4))
+
+    def refuse(rows):
+        raise AssertionError("validate() ran an elimination")
+
+    monkeypatch.setattr(algebra, "echelon", refuse)
+    for a in algebras:
+        assert a.validate() == []
+
+
 def sharing(products):
     """products with each entry replaced by the first entry of equal
     content, so that equal entries are one dict shared between keys."""
@@ -934,10 +996,23 @@ def test_a_table_key_of_no_two_ints_is_rejected_in_either_order():
      r"^components must be a mapping \{subset: GradedLinearMap\}, not \[1\]$"),
     (lambda: GradedBasis(5, [0], 0), r"^labels must be an iterable, not 5$"),
     (lambda: GradedBasis(["1"], 5, 0), r"^degrees must be an iterable of ints, not 5$"),
+    # a falsy argument that is not None is no mapping either
+    (lambda: Element(0), r"^a mapping \{Element key: coefficient\} is needed, not 0$"),
+    (lambda: Element([]), r"^a mapping \{Element key: coefficient\} is needed, not \[\]$"),
+    (lambda: Element(""), r"^a mapping \{Element key: coefficient\} is needed, not ''$"),
+    (lambda: Element(False), r"^a mapping \{Element key: coefficient\} is needed, not False$"),
+    (lambda: GradedLinearMap(0, []), r"^blocks must be a mapping \{degree: block\}, not \[\]$"),
+    (lambda: GradedLinearMap(0, 0), r"^blocks must be a mapping \{degree: block\}, not 0$"),
+    (lambda: LambdaFamily(1, []),
+     r"^components must be a mapping \{subset: GradedLinearMap\}, not \[\]$"),
+    (lambda: LambdaFamily(1, 0),
+     r"^components must be a mapping \{subset: GradedLinearMap\}, not 0$"),
 ], ids=["list key", "short key", "long key", "unhashable key item", "list entry",
         "int block", "list of ints block", "dict image", "list of blocks", "list of images",
         "int products", "int item", "short item", "long item", "list Element",
-        "int Element", "list of components", "int labels", "int degrees"])
+        "int Element", "list of components", "int labels", "int degrees", "zero Element",
+        "empty list Element", "empty str Element", "False Element", "empty list of blocks",
+        "zero blocks", "empty list of components", "zero components"])
 def test_arguments_of_the_wrong_shape_raise_value_error_naming_them(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -1194,7 +1269,7 @@ def test_generator_indices_are_the_generators_on_random_presentations(p):
 def test_generator_search_equals_the_echelon_oracle_on_the_corpus():
     for name in corpus.names():
         a = corpus.load(name)
-        assert a._generators() == echelon_generators(a), name
+        assert a.generator_indices == echelon_generators(a), name
 
 
 @given(presentations(), presentations(), crowded(), st.data())
@@ -1205,43 +1280,33 @@ def test_generator_search_equals_the_echelon_oracle_on_random_tables(p, q, r, da
     if a.dim * b.dim <= 64:
         tables.append(tensor(a, b))
     for t in tables:
-        assert t._generators() == echelon_generators(t)
+        assert t.generator_indices == echelon_generators(t)
 
 
-def test_generator_search_reduces_longer_entries_by_the_one_term_pivots(monkeypatch):
-    # x x = u is one term, so u is a pivot with no elimination; x y = u + v
-    # reaches echelon as v alone, and makes v a pivot.  With y y = v as
-    # well, x y reduces to nothing.
-    handed = []
-    real = algebra.echelon
-
-    def recording(rows):
-        handed[:] = rows
-        return real(handed)
-
-    monkeypatch.setattr(algebra, "echelon", recording)
+def test_generator_search_reduces_longer_entries_by_the_one_term_pivots():
+    # x x = u is one term, so u is a pivot; x y = u + v then makes v a
+    # pivot.  With y y = v as well, x y reduces to a relation.
     one, x, y, u, v = range(5)
     labels, degrees = ["1", "x", "y", "u", "v"], [0, 2, 2, 4, 4]
     both = {u: 1, v: 1}
-    for products, rows in (({(x, x): {u: 1}, (x, y): both, (y, x): both}, [{v: 1}]),
-                           ({(x, x): {u: 1}, (y, y): {v: 1}, (x, y): both, (y, x): both},
-                            [{}])):
+    for products in ({(x, x): {u: 1}, (x, y): both, (y, x): both},
+                     {(x, x): {u: 1}, (y, y): {v: 1}, (x, y): both, (y, x): both}):
         a = GradedAlgebra(labels, degrees, one, with_unit_rows(5, products))
-        assert a._generators() == (one, x, y)
-        assert handed == rows
+        assert a.generator_indices == (one, x, y)
         assert echelon_generators(a) == (one, x, y)
         assert a.validate() == exhaustive_validate(a) == []
     # with no one-term entry, x y alone makes u the pivot, and v a generator
     a = GradedAlgebra(labels, degrees, one, with_unit_rows(5, {(x, y): both, (y, x): both}))
-    assert a._generators() == echelon_generators(a) == (one, x, y, v)
+    assert a.generator_indices == echelon_generators(a) == (one, x, y, v)
 
 
 def assert_expansions_rebuild_the_basis(a):
-    """e_x = sum c P[g, y] - sum c e_h for each expansion, by multiply."""
+    """e_x = sum c P[i, j] - sum c e_h for each expansion, by multiply."""
     gens = set(a.generator_indices)
     assert sorted(a.expansions) == [i for i in range(a.dim) if i not in gens]
     for x, (terms, rest) in a.expansions.items():
-        assert terms and all(g in gens and g != a.unit and a.degrees[y] > 0
+        assert terms and all(a.degrees[g] > 0 and a.degrees[y] > 0
+                             and a.degrees[g] + a.degrees[y] == a.degrees[x]
                              for g, y in terms)
         assert all(h in gens and a.degrees[h] == a.degrees[x] for h in rest)
         total = Element()
@@ -1265,13 +1330,11 @@ def test_expansions_rebuild_the_basis_on_basis_changed_tables(p, data):
 
 def test_expansions_reject_a_table_the_generators_do_not_span():
     # a a = b and b b = d, but a b = 0: d is a product, yet no product of
-    # the generators a and c reaches it, and (a a) b != a (a b)
+    # the generators a and c reaches it, and (a a) b != a (a b); d is
+    # written through b b, a product of two positive-degree elements
     a = GradedAlgebra(["1", "a", "b", "c", "d"], [0, 2, 4, 6, 8], 0, {
         **{(0, i): {i: 1} for i in range(5)}, **{(i, 0): {i: 1} for i in range(1, 5)},
         (1, 1): {2: 1}, (2, 2): {4: 1}})
     assert a.generator_indices == (0, 1, 3)
     assert any(v.startswith("associativity") for v in a.validate())
-    with pytest.raises(ValueError, match="do not span"):
-        a.expansions
-    with pytest.raises(ValueError, match="validate"):
-        derivation_space(a, -2)
+    assert a.expansions[4] == ({(2, 2): 1}, {})

@@ -16,13 +16,14 @@ import os
 import sys
 import types
 from typing import NamedTuple
+from unittest import mock
 
 import pytest
 
 from conftest import (ROOT, exhaustive_validate, generator_pair_space, load_script,
-                      projective_space, sphere, torus)
-from negder import (Generator, GradedAlgebra, Presentation, algebra, cli, corpus, derivation_space,
-                    derivations, fileformats, linalg, serialize_structure_constants)
+                      projective_space, rebased_cp2xs4, sphere, torus)
+from negder import (Generator, Presentation, algebra, cli, corpus, derivation_space, derivations,
+                    fileformats, linalg, serialize_structure_constants)
 
 golden = load_script("golden", "perfbench")
 
@@ -69,25 +70,52 @@ def validate_finds_what_the_oracle_finds(m):
     assert len(violations) == 2 and violations == exhaustive_validate(bad)
 
 
-def rebased_cp2xs4():
-    """CP2 x S4 with the degree-4 basis {y, z = x^2 + y}, so x * x = z - y:
-    a non-generator whose expansion has a rest term."""
-    labels = ["1", "x", "y", "z", "x*y", "x^2*y"]
-    half = {(1, 1): {3: 1, 2: -1}, (1, 2): {4: 1}, (1, 3): {4: 1}, (1, 4): {5: 1},
-            (2, 3): {5: 1}, (3, 3): {5: 2}}
-    products = {(0, i): {i: 1} for i in range(6)}
-    products.update({(i, 0): {i: 1} for i in range(6)})
-    for (i, j), terms in half.items():
-        products[i, j] = products[j, i] = terms
-    return GradedAlgebra(labels, [0, 2, 4, 4, 6, 8], 0, products)
-
-
 def rebased_space_matches_the_oracle(m):
     a = rebased_cp2xs4()
     assert a.validate() == []
     # the mutant's maps are of its own class, so compare what they hold
     blocks = [(theta.shift, theta.blocks) for theta in m.derivation_space(a, 0)]
     assert blocks == [(theta.shift, theta.blocks) for theta in generator_pair_space(a, 0)]
+
+
+def rebased_expansions_give_the_oracle_space(m):
+    # the mutant's algebra, solved by the package's derivation_space
+    a = rebased_cp2xs4(m.GradedAlgebra)
+    assert a.validate() == []
+    blocks = [(theta.shift, theta.blocks) for theta in derivation_space(a, 0)]
+    assert blocks == [(theta.shift, theta.blocks) for theta in generator_pair_space(a, 0)]
+
+
+def caret_symbol_is_refused(m):
+    # parse_presentation reads its generators through the mutant's checker
+    with mock.patch.object(fileformats, "check_generator", m.check_generator):
+        try:
+            fileformats.parse_presentation("generator x^2 degree 2\n")
+        except fileformats.ParseError as exc:
+            message = str(exc)
+        else:
+            message = None
+    assert message == "line 1: illegal generator symbol 'x^2'"
+
+
+def answer(call, argv):
+    """(exit code, stdout, stderr) of call(argv), an exit as run maps it."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call(argv)
+        except SystemExit as exc:
+            code = 0 if exc.code in (0, None) else 2
+    return code, out.getvalue(), err.getvalue()
+
+
+def leftovers_answer_as_the_full_parser(m):
+    s3 = corpus.path("s3")
+    for argv in (["check-h", s3, "--bogus", "-h"], ["check-h", "a", "b"],
+                 ["validate", "a", "b", "--json"], ["rigidity", s3, "--torus", "1", "--torus"],
+                 ["derivations", s3, "--degree", "-1", "--", "--json"]):
+        assert answer(m.run, argv) == answer(
+            lambda argv: m._dispatch(m.build_parser().parse_args(argv)), argv), argv
 
 
 def kernel_of_a_chain_is_exact(m):
@@ -126,8 +154,17 @@ ROWS = {
         fileformats, "if (degrees[i] * degrees[j]) % 2:", "if False:",
         serialized_exterior_table_parses, "ValidationError"),
     "validate skips a generator": Row(
-        algebra, "gens = self._generators()", "gens = self._generators()[:-1]",
+        algebra, "self._associativity(set(range(dim)) - reached - {u})",
+        "self._associativity(sorted(set(range(dim)) - reached - {u})[:-1])",
         validate_finds_what_the_oracle_finds),
+    "reached rule without its degree test": Row(
+        algebra, "len(terms) == 1 and degrees[i] > 0 and degrees[j] > 0", "len(terms) == 1",
+        validate_finds_what_the_oracle_finds),
+    "elimination drops rest": Row(
+        algebra, "{c: x for c, x in row.items() if c < dim and c != p}", "{}",
+        rebased_expansions_give_the_oracle_space),
+    "check_generator without the ^ rule": Row(
+        algebra, 'or "^" in symbol', "", caret_symbol_is_refused),
     "_constraints drops rest": Row(
         derivations, "out[key] = out.get(key, 0) - c * v", "pass",
         rebased_space_matches_the_oracle),
@@ -139,6 +176,9 @@ ROWS = {
         sphere_derivation_has_no_defect),
     "report without its command": Row(
         cli, 'doc["command"] = args.command', "pass", check_h_json_matches_its_golden_digest),
+    "run without its leftovers rule": Row(
+        cli, "if command is None or rest:", "if command is None:",
+        leftovers_answer_as_the_full_parser),
 }
 
 
