@@ -244,33 +244,43 @@ class GradedAlgebra(GradedBasis):
         row.  The pivots at basis columns span A+ . A+, so the
         positive-degree indices that are not pivots span a complement and,
         by graded Nakayama, generate A together with the unit; each pivot
-        row writes its index through products.  When degree 0 is not
-        exactly the unit line, or a degree is negative, every index is a
-        generator and nothing is written."""
-        dim, degrees, table = self.dim, self.degrees, self.products
-        if self.graded_piece(0) != [self.unit] or min(degrees) < 0:
-            return tuple(range(dim)), {}
+        row writes its index as a sum of products, a basis term c e_h of
+        the row other than its pivot, a generator of the same degree, as
+        the product term (unit, h): -c, since e_h = 1 e_h by the unit laws.
+        When degree 0 is not exactly the unit line, or a degree is
+        negative, every index is a generator and nothing is written.
+
+        The same scan checks every key, and each distinct entry once,
+        against the basis, the fallback's too: a table that names an index
+        outside 0..dim-1 raises ValueError with validate()'s first "basis
+        index" violation, so nothing reads such an index as a basis one."""
+        dim, degrees, table, unit = self.dim, self.degrees, self.products, self.unit
         keys = []
-        entries, single = set(), set()
+        seen, single = {}, set()  # id of an entry -> whether a key with |i|, |j| > 0 had it
         for key in sorted(table):
             i, j = key
             terms = table[key]
-            if id(terms) not in entries and degrees[i] > 0 and degrees[j] > 0:
-                entries.add(id(terms))
+            if not (0 <= i < dim and 0 <= j < dim) or id(terms) not in seen and not all(
+                    0 <= k < dim for k in terms):
+                raise ValueError(_outside(i, j, terms, dim)[0])
+            if not seen.setdefault(id(terms), False) and degrees[i] > 0 and degrees[j] > 0:
+                seen[id(terms)] = True
                 if len(terms) == 1:
                     if not single.isdisjoint(terms):
                         continue
                     single.update(terms)
                 keys.append(key)
+        if self.graded_piece(0) != [unit] or min(degrees) < 0:
+            return tuple(range(dim)), {}
         top = dim + len(keys)
         out = {}
         for p, row in echelon([{**table[key], top - k: 1}
                                for k, key in enumerate(keys)]).items():
             if p < dim:
-                out[p] = ({keys[top - c]: x for c, x in row.items() if c >= dim},
-                          {c: x for c, x in row.items() if c < dim and c != p})
-        return (self.unit,) + tuple(i for i in range(dim)
-                                    if degrees[i] > 0 and i not in out), out
+                out[p] = {**{keys[top - c]: x for c, x in row.items() if c >= dim},
+                          **{(unit, c): -x for c, x in row.items() if c < dim and c != p}}
+        return (unit,) + tuple(i for i in range(dim)
+                               if degrees[i] > 0 and i not in out), out
 
     @property
     def generator_indices(self):
@@ -279,17 +289,18 @@ class GradedAlgebra(GradedBasis):
         positive-degree indices that are not pivots of the products
         e_i e_j with |i|, |j| > 0.  For a monomial presentation they are
         the single-generator monomials.  Every basis index when degree 0 is
-        more than the unit line or a degree is negative."""
+        more than the unit line or a degree is negative.  ValueError when
+        the table names an index outside the basis."""
         return self._elimination[0]
 
     @property
     def expansions(self):
         """Each basis index x outside generator_indices written through
-        products, as _elimination reads it off: {x: (terms, rest)} with
-        e_x = sum c P[i, j] over terms {(i, j): c} minus sum c e_h over rest
-        {h: c}, where i and j have positive degrees adding to |x| and each h
-        is a generator of x's degree, coefficients as echelon returns them.
-        Empty in the fallback, where every index is a generator."""
+        products, as _elimination reads it off: {x: {(i, j): c}} with
+        e_x = sum c P[i, j], where i and j have positive degrees adding to
+        |x|, or i is the unit and j a generator of x's degree, coefficients
+        as echelon returns them, negated on the unit's terms.  Empty in the
+        fallback, where every index is a generator."""
         return self._elimination[1]
 
     def basis_element(self, i):
@@ -365,7 +376,9 @@ class GradedAlgebra(GradedBasis):
         Associativity is decided on the decisive rows alone when every
         earlier check passes, degree 0 is exactly the unit line and no
         degree is negative: the positive-degree indices that no one-term
-        product c e_k = e_i e_j of two positive-degree elements reaches.
+        product c e_k = e_i e_j of two positive-degree elements reaches,
+        every positive-degree index when no such product exists, and none
+        when the unit is the whole basis.
         The left nucleus N = {x : (x y) z = x (y z) for all y, z} is a
         subspace that holds the unit, by the unit laws, and is closed under
         products: for g, h in N, ((g h) y) z = (g (h y)) z = g ((h y) z)
@@ -380,11 +393,10 @@ class GradedAlgebra(GradedBasis):
         triple with the unit as i, j or k associates, and degree additivity
         keeps the unit out of every product of two non-unit elements, so no
         other triple loses a contribution.  When that pass finds a
-        violation, or an earlier check failed, or no index is reached, the
-        pass runs over every row with every key, the unit's included, so
-        the violations and their order are those of the full check: there
-        a corrupt product such as b b = 1 carries the unit into other
-        triples.
+        violation, or an earlier check failed, the pass runs over every row
+        with every key, the unit's included, so the violations and their
+        order are those of the full check: there a corrupt product such as
+        b b = 1 carries the unit into other triples.
         """
         dim, degrees, labels = self.dim, self.degrees, self.labels
         table = self.products
@@ -423,9 +435,7 @@ class GradedAlgebra(GradedBasis):
             elif terms and (j, i) not in table:
                 bad_sign.append((j, i))
         if bad_index:
-            return [f"basis index: table entry ({i}, {j}) names {x}, outside 0..{dim - 1}"
-                    for i, j in sorted(bad_index)
-                    for x in sorted({i, j, *table[i, j]}) if not 0 <= x < dim]
+            return [v for i, j in sorted(bad_index) for v in _outside(i, j, table[i, j], dim)]
         out = []
         for i, j in sorted(bad_degree):
             want = degrees[i] + degrees[j]
@@ -450,7 +460,7 @@ class GradedAlgebra(GradedBasis):
         if not out and self.graded_piece(0) == [u] and min(degrees) >= 0:
             reached = {k for (i, j), terms in table.items()
                        if len(terms) == 1 and degrees[i] > 0 and degrees[j] > 0 for k in terms}
-            if reached and not self._associativity(set(range(dim)) - reached - {u}):
+            if not self._associativity(set(range(dim)) - reached - {u}):
                 return []
         return out + self._associativity(None)
 
@@ -491,6 +501,13 @@ class GradedAlgebra(GradedBasis):
                 out.append(f"associativity: ({labels[i]} * {labels[j]}) * {labels[k]} "
                            f"!= {labels[i]} * ({labels[j]} * {labels[k]})")
         return out
+
+
+def _outside(i, j, terms, dim):
+    """The "basis index" violations of the table entry P[i,j] = terms, one
+    per index it names outside 0..dim-1, ascending."""
+    return [f"basis index: table entry ({i}, {j}) names {x}, outside 0..{dim - 1}"
+            for x in sorted({i, j, *terms}) if not 0 <= x < dim]
 
 
 def _index(table, skip):

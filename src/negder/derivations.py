@@ -8,23 +8,23 @@ The solver knows nothing about presentations.  A derivation is fixed by
 its values on the algebra's generator_indices, read off the table alone,
 so the unknowns are U_d, the sum of A_(|g| + d) over the non-unit
 generators g.  theta is carried to every other basis element through the
-products i j of two positive-degree elements of lower degree that write
-it (GradedAlgebra.expansions), as linear forms over U_d, and the law is
-imposed on the pairs (g, x), x any basis element, in ascending degree of
-g x, until the rank is |U_d|.  The pairs are summed one at a time, as
-the solver reads their rows, so once the rank is full no further pair is
-built.  On an associative table the law then holds on every ordered
-basis pair, so it works for any valid structure-constant table.  The
-rows are read off the table as it stores its values, ints where integral
-(see linalg).  Solution spaces come back as the canonical basis of the
-kernel on every basis element, reshaped into per-degree blocks held the
-same way.  The exact self-check of nullspace_basis covers the system
-over U_d only, so check_class_h also checks its certificate on the table
-before it returns it.  The Leibniz residual is summed in one place apart
-from this path, _defects: on the pairs (g, x) for that check, and on
-every ordered basis pair for is_derivation.  The system on the unknowns
-theta(e_i) for every i stays available, as the oracles leibniz_rows and
-leibniz_system.
+products that write it (GradedAlgebra.expansions), of two
+positive-degree elements of lower degree or of the unit and a generator
+of its degree, as linear forms over U_d, and the law is imposed on the pairs
+(g, x), x any basis element, in ascending degree of g x, until the rank
+is |U_d|.  The pairs are summed one at a time, as the solver reads their
+rows, so once the rank is full no further pair is built.  On an
+associative table the law then holds on every ordered basis pair, so it
+works for any valid structure-constant table.  The rows are read off the
+table as it stores its values, ints where integral (see linalg).
+Solution spaces come back as the canonical basis of the kernel on every
+basis element, reshaped into per-degree blocks held the same way.  The
+exact self-check of nullspace_basis covers the system over U_d only, so
+check_class_h also checks its certificate on the table before it returns
+it.  The Leibniz residual is summed in one place apart from this path,
+_defects: on the pairs (g, x) for that check, and on every ordered basis
+pair for is_derivation.  The system on the unknowns theta(e_i) for every
+i stays available, as the oracles leibniz_rows and leibniz_system.
 
 What is proved: the kernel check shows that each reported vector solves
 the system, so the true dimension is at least the reported one.  An
@@ -270,17 +270,19 @@ def _unknowns(a, d):
 
 def _constraints(a, d, theta):
     """The Leibniz law on the pairs (g, x), g a non-unit generator and x
-    not the unit, as its nonzero rows {column: coefficient} over U_d, at
-    most one per basis element of A_(|g x| + d).  The pairs come in
+    any basis element, as its nonzero rows {column: coefficient} over U_d,
+    at most one per basis element of A_(|g x| + d); the pair (g, 1) gives
+    theta(g) - theta(g) 1 = 0 and so none.  The pairs come in
     ascending n = |g x|, then g, then x, and each pair's rows are yielded
     as soon as that pair is summed, in the order their first nonzero
     entry was reached, so a reader that stops early leaves the later
     pairs unsummed.  Before the first pair of degree n, theta is carried
     to the non-generators of degree n through their expansions, by
-    theta(i j) = theta(i) j + (-1)^(d |i|) i theta(j) for any two
-    positive-degree factors, whose theta is carried already since their
-    degrees are below n; so it covers every basis element once the
-    generator is exhausted."""
+    theta(i j) = theta(i) j + (-1)^(d |i|) i theta(j) on each product term
+    alone: two positive-degree factors, whose theta is carried already
+    since their degrees are below n, or the unit, whose theta is 0 and
+    whose sign is +1, and a generator; so it covers every basis element
+    once the generator is exhausted."""
     table = a.products
     degrees = a.degrees
     signs = {g: _sign(d * degrees[g]) for g in theta if g != a.unit}
@@ -291,31 +293,24 @@ def _constraints(a, d, theta):
     for n in sorted(pieces.keys() | {m - d for m in pieces}):
         for x in pieces.get(n, none):
             if x not in theta:
-                terms, rest = a.expansions[x]
                 out = {}
-                for (i, j), c in terms.items():
+                for (i, j), c in a.expansions[x].items():
                     _product_rule(out, table, theta, _sign(d * degrees[i]), i, j, c)
-                for h, c in rest.items():
-                    for key, v in theta[h].items():
-                        out[key] = out.get(key, 0) - c * v
                 theta[x] = {key: v for key, v in out.items() if v}
         if n + d not in pieces:
             continue
         for g, sign in signs.items():
             for x in pieces.get(n - degrees[g], none):
-                if x == a.unit:
-                    continue
                 out = {}
                 for k, p in table.get((g, x), empty).items():
                     for key, v in theta[k].items():
                         out[key] = out.get(key, 0) + p * v
                 _product_rule(out, table, theta, sign, g, x, -1)
-                if out:
-                    rows = {}
-                    for (t, c), v in out.items():
-                        if v:
-                            rows.setdefault(t, {})[c] = v
-                    yield from rows.values()
+                rows = {}
+                for (t, c), v in out.items():
+                    if v:
+                        rows.setdefault(t, {})[c] = v
+                yield from rows.values()
 
 
 def derivation_space(a, d):
@@ -325,11 +320,11 @@ def derivation_space(a, d):
     theta(1) = theta(1 1) = 2 theta(1) is 0 in any unital algebra, so the
     unknowns are U_d (see the module docstring); with U_d empty, no system
     is solved.  theta(i j) = theta(i) j + (-1)^(d |i|) i theta(j), for the
-    two positive-degree factors of each expansion term, carries theta to
-    every other basis element, and the Leibniz rows on the pairs
-    (g, x) go to nullspace_basis pair by pair, in ascending degree of g x,
-    each pair summed only when the solver reads past the one before: at
-    rank |U_d| it stops, no later pair is summed, and the space is zero.
+    two factors of each expansion term, carries theta to every other basis
+    element, and the Leibniz rows on the pairs (g, x) go to nullspace_basis
+    pair by pair, in ascending degree of g x, each pair summed only when
+    the solver reads past the one before: at rank |U_d| it stops, no later
+    pair is summed, and the space is zero.
     The table must be associative, as every validated table is.  In the
     fallback every index is a generator and nothing is carried.
 
@@ -338,26 +333,24 @@ def derivation_space(a, d):
     last nonzero, with 1 there and 0 at the other free columns.  That is
     the RREF of the kernel, carried to every basis element, with the
     column order reversed, so it is echelon over the columns (-i, -t).
-    Each vector becomes one GradedLinearMap, in ascending order of its free
-    column; the list is empty exactly when only the zero derivation
+    Each dense kernel vector v of nullspace_basis is carried as it is, the
+    image entry x at column c adding x v[c] wherever v[c] is nonzero, and
+    each vector becomes one GradedLinearMap, in ascending order of its
+    free column; the list is empty exactly when only the zero derivation
     exists.  d must be an int.
     """
     _check_int("d", d)
     theta, ncols = _unknowns(a, d)
     if not ncols:
         return []
-    kernel = nullspace_basis(_constraints(a, d, theta), ncols=ncols)
-    # vector number and entry of the kernel vectors nonzero at each column
-    at = {}
-    for k, v in enumerate(kernel):
-        for c, x in enumerate(v):
-            if x:
-                at.setdefault(c, []).append((k, x))
-    vectors = [{} for _ in kernel]
-    for i, img in theta.items():
-        for (t, c), x in img.items():
-            for k, y in at.get(c, ()):
-                _add(vectors[k], (-i, -t), x * y)
+    vectors = []
+    for v in nullspace_basis(_constraints(a, d, theta), ncols=ncols):
+        vector = {}
+        for i, img in theta.items():
+            for (t, c), x in img.items():
+                if v[c]:
+                    _add(vector, (-i, -t), x * v[c])
+        vectors.append(vector)
     maps = []
     for _, v in sorted(echelon(vectors).items(), reverse=True):
         images = {}
@@ -437,7 +430,10 @@ def check_class_h(a, max_degree=None):
     max_degree must be an int or None.  Only the degrees -k with unknowns
     are solved: U_(-k) is nonzero only for k = |g| - n, g a non-unit
     generator and n a degree of a, and every other degree is recorded with
-    dimension 0, as derivation_space would return no map there.  A
+    dimension 0, as derivation_space would return no map there.  The unit
+    adds only k = -n: no sweep reaches it unless a degree is negative, and
+    where no non-unit generator gives it too, derivation_space finds
+    U_(-k) empty and returns no map.  A
     certificate is checked on every pair (g, x) with g a generator before
     it is returned, and ArithmeticError is raised if it fails.
     prove_rigidity reads its levels off this sweep."""
@@ -450,8 +446,7 @@ def check_class_h(a, max_degree=None):
     dimensions = {}
     certificate = None
     present = set(a.degrees)
-    solved = {a.degrees[g] - n for g in a.generator_indices if g != a.unit
-              for n in present}
+    solved = {a.degrees[g] - n for g in a.generator_indices for n in present}
     for k in range(1, min(depth, a.top_degree) + 1):
         if k not in solved:
             dimensions[-k] = 0

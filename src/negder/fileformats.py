@@ -52,7 +52,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (Generator, GradedAlgebra, Presentation, _legal_label,
+from .algebra import (Generator, GradedAlgebra, Presentation, _legal_label, _outside,
                       build_monomial_algebra, check_generator, monomial_basis)
 from .linalg import _fold
 
@@ -323,9 +323,7 @@ def serialize_structure_constants(a):
            if not (0 <= i < dim and 0 <= j < dim and all(0 <= k < dim for k in terms))]
     if bad:
         i, j = min(bad)
-        x = min(x for x in (i, j, *table[i, j]) if not 0 <= x < dim)
-        raise ValueError(f"basis index: table entry ({i}, {j}) names {x}, "
-                         f"outside 0..{dim - 1}")
+        raise ValueError(_outside(i, j, table[i, j], dim)[0])
     lines = ["basis:"]
     for label, d in zip(labels, degrees):
         lines.append(f"{label} {d}")

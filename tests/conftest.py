@@ -76,7 +76,8 @@ def torus(s):
 
 def rebased_cp2xs4(cls=GradedAlgebra):
     """CP2 x S4 with the degree-4 basis {y, z = x^2 + y}, so x * x = z - y:
-    a non-generator whose expansion has a rest term, built by cls."""
+    a non-generator whose expansion has a unit term, y = 1 * z - x * x,
+    built by cls."""
     labels = ["1", "x", "y", "z", "x*y", "x^2*y"]
     half = {(1, 1): {3: 1, 2: -1}, (1, 2): {4: 1}, (1, 3): {4: 1}, (1, 4): {5: 1},
             (2, 3): {5: 1}, (3, 3): {5: 2}}

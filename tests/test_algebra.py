@@ -18,8 +18,8 @@ from conftest import (ROOT, accumulating_tensor, all_pairs_monomial_algebra, bas
                       presentations, projective_space, quadratic_sort_sign,
                       rebased_cp2xs4, sphere, src_env, torus)
 from negder import (Element, Generator, GradedAlgebra, GradedBasis, GradedLinearMap,
-                    LambdaFamily, Presentation, algebra, build_monomial_algebra, corpus,
-                    derivation_space, load_algebra_text, monomial_basis,
+                    LambdaFamily, Presentation, algebra, build_monomial_algebra,
+                    check_class_h, corpus, derivation_space, load_algebra_text, monomial_basis,
                     parse_structure_constants, serialize_structure_constants, tensor)
 
 
@@ -660,7 +660,7 @@ def spied_passes(monkeypatch):
 def test_the_decisive_rows_are_the_generators_but_the_unit(monkeypatch):
     # on these tables every non-generator is a one-term product of two
     # positive-degree elements; where every index is a generator, no row is
-    # reached and the full pass runs alone
+    # reached and every positive-degree row is decisive
     def table(a):
         return parse_structure_constants(serialize_structure_constants(a))
 
@@ -673,17 +673,42 @@ def test_the_decisive_rows_are_the_generators_but_the_unit(monkeypatch):
                 presentation(("x", 2, 3), ("y", 2, 3), ("z", 2, 2)),
                 presentation(("x", 2, 4), ("y", 2, 4)), flag_manifold(4), flag_manifold(5)]
     passes = spied_passes(monkeypatch)
-    decided = 0
     for a in algebras:
         del passes[:]
         assert a.validate() == []
-        rows = set(a.generator_indices) - {a.unit}
-        if len(rows) < a.dim - 1:
-            decided += 1
-            assert passes == [rows], a
-        else:
-            assert passes == [None], a
-    assert decided == 15
+        assert passes == [set(a.generator_indices) - {a.unit}], a
+
+
+def test_tables_with_no_reached_index_validate_through_the_decisive_pass_alone(monkeypatch):
+    # U50, a unit and x_1..x_50 in degree 2, and W50, a unit and x_d in
+    # degree d = 1..50, with unit products only: no index is reached, so
+    # every positive-degree row is decisive, and the pass over them decides
+    passes = spied_passes(monkeypatch)
+    labels = ["1", *(f"x{d}" for d in range(1, 51))]
+    for degrees in ([0] + [2] * 50, list(range(51))):
+        a = GradedAlgebra(labels, degrees, 0, with_unit_rows(51, {}))
+        del passes[:]
+        assert a.validate() == exhaustive_validate(a) == []
+        assert passes == [set(range(1, 51))]
+
+
+def test_a_violation_with_no_reached_index_reaches_the_full_pass(monkeypatch):
+    # every positive product has two terms, so no index is reached and
+    # every positive row is decisive; (x x) y = 3p + 3q differs from
+    # x (x y) = 3p - q, and the full pass reports what the oracle reports
+    one, x, y, u, v, p, q = range(7)
+    products = {}
+    for i, j, terms in ((x, x, {u: 1, v: 1}), (y, y, {u: 1, v: -1}), (x, y, {u: 1, v: 2}),
+                        (x, u, {p: 1, q: 1}), (x, v, {p: 1, q: -1}),
+                        (y, u, {p: 1, q: 2}), (y, v, {p: 2, q: 1})):
+        products[i, j] = products[j, i] = terms
+    a = GradedAlgebra(["1", "x", "y", "u", "v", "p", "q"], [0, 2, 2, 4, 4, 6, 6], one,
+                      with_unit_rows(7, products))
+    passes = spied_passes(monkeypatch)
+    violations = a.validate()
+    assert passes == [set(range(1, 7)), None]
+    assert "associativity: (x * x) * y != x * (x * y)" in violations
+    assert violations == exhaustive_validate(a)
 
 
 def test_decisive_rows_may_exceed_the_generators_on_a_basis_changed_table(monkeypatch):
@@ -917,8 +942,8 @@ def test_a_table_given_as_fractions_ints_or_strs_is_one_algebra(p, q, data):
             assert a.expansions == first.expansions
             for d in range(-a.top_degree, a.top_degree + 1):
                 assert derivation_space(a, d) == derivation_space(first, d)
-        for terms, rest in first.expansions.values():
-            for c in (*terms.values(), *rest.values()):
+        for terms in first.expansions.values():
+            for c in terms.values():
                 assert type(c) is (int if c.denominator == 1 else Fraction), c
 
 
@@ -1300,20 +1325,46 @@ def test_generator_search_reduces_longer_entries_by_the_one_term_pivots():
     assert a.generator_indices == echelon_generators(a) == (one, x, y, v)
 
 
+@pytest.mark.parametrize("labels, degrees, products, bad", [
+    # (1, -1) would read degrees[-1] and pass for x * x
+    (["1", "x"], [0, 2], {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, -1): {1: 1}},
+     "(1, -1) names -1"),
+    (["1", "x", "y"], [0, 2, 4], {**{(0, i): {i: 1} for i in range(3)},
+                                  (1, 0): {1: 1}, (2, 0): {2: 1}, (1, 1): {3: 1}},
+     "(1, 1) names 3"),
+    # two elements of degree 0: the fallback, where every index is a generator
+    (["1", "e"], [0, 0], {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {2: 1}},
+     "(1, 1) names 2"),
+], ids=["negative key", "term past the basis", "fallback"])
+def test_the_generators_of_a_table_naming_an_index_outside_the_basis_are_an_error(
+        labels, degrees, products, bad):
+    a = GradedAlgebra(labels, degrees, 0, products)
+    message = a.validate()[0]
+    assert message == f"basis index: table entry {bad}, outside 0..{a.dim - 1}"
+    for call in (lambda: a.generator_indices, lambda: check_class_h(a),
+                 lambda: derivation_space(a, -1), lambda: derivation_space(a, 0)):
+        with pytest.raises(ValueError) as caught:
+            call()
+        assert str(caught.value) == message
+
+
 def assert_expansions_rebuild_the_basis(a):
-    """e_x = sum c P[i, j] - sum c e_h for each expansion, by multiply."""
+    """e_x = sum c P[i, j] for each expansion, by multiply: each term two
+    positive-degree factors adding to |x|, or the unit and a generator of
+    degree |x|."""
     gens = set(a.generator_indices)
     assert sorted(a.expansions) == [i for i in range(a.dim) if i not in gens]
-    for x, (terms, rest) in a.expansions.items():
-        assert terms and all(a.degrees[g] > 0 and a.degrees[y] > 0
-                             and a.degrees[g] + a.degrees[y] == a.degrees[x]
-                             for g, y in terms)
-        assert all(h in gens and a.degrees[h] == a.degrees[x] for h in rest)
+    for x, terms in a.expansions.items():
+        assert any(g != a.unit for g, _ in terms)
+        for g, y in terms:
+            if g == a.unit:
+                assert y in gens and a.degrees[y] == a.degrees[x]
+            else:
+                assert a.degrees[g] > 0 and a.degrees[y] > 0
+                assert a.degrees[g] + a.degrees[y] == a.degrees[x]
         total = Element()
         for (g, y), c in terms.items():
             total = total + c * a.multiply(a.basis_element(g), a.basis_element(y))
-        for h, c in rest.items():
-            total = total - c * a.basis_element(h)
         assert total == a.basis_element(x), a.labels[x]
 
 
@@ -1337,4 +1388,4 @@ def test_expansions_reject_a_table_the_generators_do_not_span():
         (1, 1): {2: 1}, (2, 2): {4: 1}})
     assert a.generator_indices == (0, 1, 3)
     assert any(v.startswith("associativity") for v in a.validate())
-    assert a.expansions[4] == ({(2, 2): 1}, {})
+    assert a.expansions[4] == {(2, 2): 1}

@@ -327,6 +327,32 @@ def test_class_h_on_many_generators_sums_about_one_pair_per_table_entry(monkeypa
     assert len(calls) <= 2 * len(wide.products) == 2 * (2 * n + 1)
 
 
+def test_the_pair_of_a_generator_and_the_unit_yields_no_row(monkeypatch):
+    # theta(g 1) - theta(g) 1 - g theta(1) = theta(g) - theta(g) = 0 by the
+    # unit laws and theta(1) = 0: the pair (g, 1) is summed, and gives no
+    # row.  Only a pair's own _product_rule call has the unit as its right
+    # factor, and a pair's rows are yielded before the next call.
+    log = []
+    real = derivations._product_rule
+
+    def spy(out, table, theta, sign, i, j, f):
+        log.append((i, j))
+        return real(out, table, theta, sign, i, j, f)
+
+    monkeypatch.setattr(derivations, "_product_rule", spy)
+    for name in corpus.names():
+        a = corpus.load(name)
+        for d in range(-a.top_degree, 1):
+            theta, _ = derivations._unknowns(a, d)
+            del log[:]
+            log.extend(derivations._constraints(a, d, theta))
+            unit_pairs = [k for k, entry in enumerate(log)
+                          if isinstance(entry, tuple) and entry[1] == a.unit]
+            assert unit_pairs or d < 0, (name, d)
+            for k in unit_pairs:
+                assert k + 1 == len(log) or isinstance(log[k + 1], tuple), (name, d)
+
+
 def test_derivation_space_matches_the_generator_pair_oracle():
     # sizes where the dense all-pairs oracle is too slow
     for alg in (torus(6), tensor(tensor(torus(3), sphere(3)), projective_space(2))):

@@ -22,8 +22,9 @@ import pytest
 
 from conftest import (ROOT, exhaustive_validate, generator_pair_space, load_script,
                       projective_space, rebased_cp2xs4, sphere, torus)
-from negder import (Generator, Presentation, algebra, cli, corpus, derivation_space, derivations,
-                    fileformats, linalg, serialize_structure_constants)
+from negder import (Generator, Presentation, algebra, build_monomial_algebra, cli, corpus,
+                    derivation_space, derivations, fileformats, linalg,
+                    serialize_structure_constants)
 
 golden = load_script("golden", "perfbench")
 
@@ -70,12 +71,16 @@ def validate_finds_what_the_oracle_finds(m):
     assert len(violations) == 2 and violations == exhaustive_validate(bad)
 
 
-def rebased_space_matches_the_oracle(m):
-    a = rebased_cp2xs4()
-    assert a.validate() == []
-    # the mutant's maps are of its own class, so compare what they hold
-    blocks = [(theta.shift, theta.blocks) for theta in m.derivation_space(a, 0)]
-    assert blocks == [(theta.shift, theta.blocks) for theta in generator_pair_space(a, 0)]
+def odd_spaces_match_the_oracle(m):
+    # T4 at -1 and T3 x S3 at -3 carry theta through expansions such as
+    # i1 * (i2 * i3), whose two factors differ in parity; each input alone
+    # catches a sign read off the wrong factor
+    gens = (*(Generator(f"i{k}", 1, 2) for k in (1, 2, 3)), Generator("y", 3, 2))
+    t3xs3 = build_monomial_algebra(Presentation("T3xS3", gens))
+    for a, d in ((torus(4), -1), (t3xs3, -3)):
+        # the mutant's maps are of its own class, so compare what they hold
+        blocks = [(theta.shift, theta.blocks) for theta in m.derivation_space(a, d)]
+        assert blocks == [(theta.shift, theta.blocks) for theta in generator_pair_space(a, d)]
 
 
 def rebased_expansions_give_the_oracle_space(m):
@@ -160,14 +165,14 @@ ROWS = {
     "reached rule without its degree test": Row(
         algebra, "len(terms) == 1 and degrees[i] > 0 and degrees[j] > 0", "len(terms) == 1",
         validate_finds_what_the_oracle_finds),
-    "elimination drops rest": Row(
-        algebra, "{c: x for c, x in row.items() if c < dim and c != p}", "{}",
+    "elimination drops the unit terms": Row(
+        algebra, "{(unit, c): -x for c, x in row.items() if c < dim and c != p}", "{}",
         rebased_expansions_give_the_oracle_space),
     "check_generator without the ^ rule": Row(
         algebra, 'or "^" in symbol', "", caret_symbol_is_refused),
-    "_constraints drops rest": Row(
-        derivations, "out[key] = out.get(key, 0) - c * v", "pass",
-        rebased_space_matches_the_oracle),
+    "carry sign from the second factor": Row(
+        derivations, "_sign(d * degrees[i])", "_sign(d * degrees[j])",
+        odd_spaces_match_the_oracle),
     "_eliminate skips a pivot clear": Row(
         linalg, "_subtract(prow, prow.pop(p), r, p)", "prow.pop(p)",
         kernel_of_a_chain_is_exact, ArithmeticError),

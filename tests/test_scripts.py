@@ -144,6 +144,19 @@ def test_survey_row_sweeps_each_degree_once(survey, space_calls):
         assert space_calls == sweep and len(set(sweep)) == len(sweep), name
 
 
+def test_bench_pairs_compares_a_checkout_with_itself():
+    lines = run_script("bench_pairs.py", ROOT, ROOT, "--workloads", "kernel",
+                       "--pairs", "1", "--seconds", "0.01")
+    runs, summary = lines[:2], lines[2:]
+    assert [line.split(":")[0] for line in runs] == [
+        "kernel pair 1 seed 1 parent", "kernel pair 1 seed 1 change"]
+    assert all("correct=True" in line and "pass_s=" in line for line in runs)
+    assert [line.split(":")[0] for line in summary] == [
+        f"kernel {name}" for name in ("setup_s", "pass_s", "slowest_job_s", "job_p50_ms",
+                                      "peak_rss_mb", "ok_frac")]
+    assert all(" pairs won " in line for line in summary)
+
+
 def test_benchmark_harness_self_test_passes():
     # perfbench patches and counts names in src, so a change there that
     # breaks the harness fails here, not only when the benchmark runs
