@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as cartesian
-from operator import add, mul
+from operator import mul
 
 from .linalg import _check_int, _fold, _terms, echelon
 
@@ -587,16 +587,26 @@ def _monomial_label(exps, gens):
     return "*".join(parts) if parts else "1"
 
 
-def _sort_sign(first, second, odd):
-    # Sign from sorting the word g^first . g^second back into generator
-    # order: each odd letter of the second block walks past the odd letters
-    # of higher generators in the first block, whose parity is later.
-    t = later = 0
-    for i in range(len(odd) - 1, -1, -1):
-        if odd[i]:
-            t ^= second[i] & later
-            later ^= first[i] & 1
-    return -1 if t else 1
+def _sign_masks(exps, odd):
+    """(letters, above) as bit masks, one pair per exponent vector, bit k
+    for generator k: letters has bit k when generator k is odd and its
+    exponent is odd; above has bit k when the odd letters of the generators
+    after k are odd in number.  Sorting the word g^e . g^f back into
+    generator order walks each odd letter of f past the odd letters of
+    higher generators in e, so its Koszul sign is -1 exactly when
+    letters(f) & above(e) has an odd number of bits."""
+    letters, above = [], []
+    for e in exps:
+        mask = up = later = 0
+        for k in range(len(odd) - 1, -1, -1):
+            if later:
+                up |= 1 << k
+            if odd[k] and e[k] & 1:
+                mask |= 1 << k
+                later ^= 1
+        letters.append(mask)
+        above.append(up)
+    return letters, above
 
 
 def monomial_basis(p):
@@ -631,15 +641,20 @@ def build_monomial_algebra(p):
     first.
 
     Products add exponents and pick up the Koszul sign of sorting odd
-    factors, which is worked out only when some generator has odd degree;
-    otherwise every product is +1.  For each exponent vector e only the
-    partners f with e + f below every truncation are visited, so the build
+    factors.  Both are integer operations.  Each exponent vector has a code
+    in mixed radix over the truncations, generator 0 the most significant
+    digit, so codes ascend with the vectors; for a partner f with e + f
+    below every truncation no digit carries, and the product's code is the
+    sum of the two.  The sign comes from the bit masks of _sign_masks, worked
+    out only when some generator has odd degree; otherwise every product is
+    +1.  For each exponent vector e only the partners f with e + f below
+    every truncation are visited, in ascending order of f, so the build
     costs one step per nonzero table entry; every other product is zero
     and left out of the table.  Every product is +e_k or -e_k, one shared
     entry per (k, sign), which the constructor normalizes once.  The pairs
     go to the constructor as they are made, so the table is built once:
-    only the constructor's copy is ever held.  The result
-    also carries monomial_exponents, the exponent vector of each basis index.
+    only the constructor's copy is ever held.  The result also carries
+    monomial_exponents, the exponent vector of each basis index.
 
     The table has prod t(t+1)/2 entries over the truncations t; a
     presentation whose table would exceed MAX_TABLE_ENTRIES is rejected
@@ -648,19 +663,38 @@ def build_monomial_algebra(p):
     basis = monomial_basis(p)
     exps = basis.monomial_exponents
     gens = p.generators
+    radix = [g.truncation for g in gens]
+    # the place value of each generator's digit, generator 0 the highest
+    weights, size = [], 1
+    for t in reversed(radix):
+        weights.append(size)
+        size *= t
+    weights.reverse()
+    codes = [sum(map(mul, e, weights)) for e in exps]
+    at = [0] * size  # code -> basis index
+    for i, c in enumerate(codes):
+        at[c] = i
     odd = [g.degree % 2 == 1 for g in gens]
-    index_of = {e: i for i, e in enumerate(exps)}
     signed = any(odd)
+    # with no odd generator no mask has a bit, and every sign is +1
+    none = [0] * len(exps)
+    letters, above = _sign_masks(exps, odd) if signed else (none, none)
     # one shared entry per (target, sign): +e_k, and -e_k when signs occur
     plus = [{k: 1} for k in range(len(exps))]
     minus = [{k: -1} for k in range(len(exps))] if signed else None
 
     def pairs():
         for i, e in enumerate(exps):
-            for f in cartesian(*(range(g.truncation - x) for x, g in zip(e, gens))):
-                k = index_of[tuple(map(add, e, f))]
-                negative = signed and _sort_sign(e, f, odd) < 0
-                yield (i, index_of[f]), minus[k] if negative else plus[k]
+            # the codes of the partners f of e, ascending
+            box = [0]
+            for x, t, w in zip(e, radix, weights):
+                if t - x > 1:
+                    box = [b + s for b in box for s in range(0, (t - x) * w, w)]
+            code, up = codes[i], above[i]
+            for b in box:
+                j = at[b]
+                yield (i, j), (minus if (letters[j] & up).bit_count() & 1
+                               else plus)[at[code + b]]
 
     alg = GradedAlgebra(basis.labels, basis.degrees, basis.unit, pairs(), name=p.name)
     alg.monomial_exponents = exps

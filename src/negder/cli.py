@@ -34,6 +34,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 from . import corpus
 from .derivations import check_class_h, derivation_space
@@ -47,16 +48,22 @@ def _load(path):
     return AlgebraFile(detect_format(text), text)
 
 
-def _map_doc(algebra, m):
+def _piece_labels(algebra):
+    """The labels of the graded piece of a degree, as a function of the
+    degree that reads each piece once: one per report, so that every map
+    of the report shares the lists."""
+    return cache(lambda n: [algebra.labels[i] for i in algebra.graded_piece(n)])
+
+
+def _map_doc(labels, m):
     blocks = []
     for n in sorted(m.blocks):
-        mat = m.blocks[n]
         blocks.append({
             "source_degree": n,
             "target_degree": n + m.shift,
-            "source_basis": [algebra.labels[i] for i in algebra.graded_piece(n)],
-            "target_basis": [algebra.labels[i] for i in algebra.graded_piece(n + m.shift)],
-            "matrix": [[str(x) for x in row] for row in mat],
+            "source_basis": labels(n),
+            "target_basis": labels(n + m.shift),
+            "matrix": [[str(x) for x in row] for row in m.blocks[n]],
         })
     return {"shift": m.shift, "blocks": blocks}
 
@@ -94,7 +101,7 @@ def _cmd_check_h(args, source):
     ok = verdict.in_class and verdict.connectivity_ok
     if not verdict.in_class:
         d, cert = verdict.certificate
-        doc["certificate"] = {"degree": d, "map": _map_doc(alg, cert)}
+        doc["certificate"] = {"degree": d, "map": _map_doc(_piece_labels(alg), cert)}
 
     def text():
         if verdict.in_class:
@@ -115,8 +122,9 @@ def _cmd_check_h(args, source):
 def _cmd_derivations(args, source):
     alg = source.build()
     space = derivation_space(alg, args.degree)
+    labels = _piece_labels(alg)
     doc = {"degree": args.degree, "dimension": len(space),
-           "basis": [_map_doc(alg, m) for m in space]}
+           "basis": [_map_doc(labels, m) for m in space]}
 
     def text():
         yield f"dimension {len(space)}"
@@ -143,9 +151,10 @@ def _cmd_char(args, source):
 def _cmd_rigidity(args, source):
     alg = source.build()
     trace = prove_rigidity(alg, args.torus)
+    labels = _piece_labels(alg)
     doc = {"torus_rank": trace.torus_rank, "level_cap": trace.level_cap,
            "levels": [{"level": rec.level, "dimension": rec.dimension,
-                       "certificate": (_map_doc(alg, rec.certificate)
+                       "certificate": (_map_doc(labels, rec.certificate)
                                        if rec.certificate else None)}
                       for rec in trace.levels],
            "established": trace.established,
@@ -280,7 +289,8 @@ def _dispatch(args):
         if spec.takes_file:
             doc["file"] = args.file
         if args.json:
-            print(json.dumps(doc, indent=2, sort_keys=True))
+            # a handler builds its document afresh, and it holds no cycle
+            print(json.dumps(doc, indent=2, sort_keys=True, check_circular=False))
         else:
             for line in lines:
                 print(line)

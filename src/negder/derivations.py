@@ -18,7 +18,10 @@ associative table the law then holds on every ordered basis pair, so it
 works for any valid structure-constant table.  The rows are read off the
 table as it stores its values, ints where integral (see linalg).
 Solution spaces come back as the canonical basis of the kernel on every
-basis element, reshaped into per-degree blocks held the same way.  The
+basis element, reshaped into per-degree blocks held the same way.  A
+verdict needs one map per space: check_class_h reads the same canonical
+basis as derivation_space, through _kernel_maps, and reshapes only its
+first map, the certificate, where derivation_space reshapes them all.  The
 exact self-check of nullspace_basis covers the system over U_d only, so
 check_class_h also checks its certificate on the table before it returns
 it.  The Leibniz residual is summed in one place apart from this path,
@@ -337,12 +340,22 @@ def derivation_space(a, d):
     image entry x at column c adding x v[c] wherever v[c] is nonzero, and
     each vector becomes one GradedLinearMap, in ascending order of its
     free column; the list is empty exactly when only the zero derivation
-    exists.  d must be an int.
+    exists.  d must be an int.  Every map is built; check_class_h, which
+    keeps only the first, reads the same basis through _kernel_maps.
     """
+    return list(_kernel_maps(a, d)[1])
+
+
+def _kernel_maps(a, d):
+    """(dimension, maps) for derivation_space(a, d): the dimension of the
+    space, and an iterator over its canonical basis, in order, that builds
+    each GradedLinearMap only when it is read.  The echelon that fixes the
+    basis is reduced before it returns, so reading the first map alone
+    gives the first map of derivation_space."""
     _check_int("d", d)
     theta, ncols = _unknowns(a, d)
     if not ncols:
-        return []
+        return 0, iter(())
     vectors = []
     for v in nullspace_basis(_constraints(a, d, theta), ncols=ncols):
         vector = {}
@@ -351,14 +364,17 @@ def derivation_space(a, d):
                 if v[c]:
                     _add(vector, (-i, -t), x * v[c])
         vectors.append(vector)
-    maps = []
-    for _, v in sorted(echelon(vectors).items(), reverse=True):
-        images = {}
-        for (i, t), x in v.items():
-            images.setdefault(-i, {})[-t] = x
-        maps.append(GradedLinearMap.from_images(
-            a, d, {i: Element(img) for i, img in images.items()}))
-    return maps
+    rows = sorted(echelon(vectors).items(), reverse=True)
+    return len(rows), (_canonical_map(a, d, v) for _, v in rows)
+
+
+def _canonical_map(a, d, v):
+    """The GradedLinearMap of shift d of an echelon row {(-i, -t): x}."""
+    images = {}
+    for (i, t), x in v.items():
+        images.setdefault(-i, {})[-t] = x
+    return GradedLinearMap.from_images(
+        a, d, {i: Element(img) for i, img in images.items()})
 
 
 def _defects(a, m, left):
@@ -433,9 +449,12 @@ def check_class_h(a, max_degree=None):
     dimension 0, as derivation_space would return no map there.  The unit
     adds only k = -n: no sweep reaches it unless a degree is negative, and
     where no non-unit generator gives it too, derivation_space finds
-    U_(-k) empty and returns no map.  A
-    certificate is checked on every pair (g, x) with g a generator before
-    it is returned, and ArithmeticError is raised if it fails.
+    U_(-k) empty and returns no map.  Each degree is solved as
+    derivation_space solves it, through _kernel_maps, but only one map is
+    built for the verdict: the certificate, the first map of the same
+    canonical basis, so a space of dimension n costs one reshaped map, not
+    n.  The certificate is checked on every pair (g, x) with g a generator
+    before it is returned, and ArithmeticError is raised if it fails.
     prove_rigidity reads its levels off this sweep."""
     if max_degree is not None:
         _check_int("max_degree", max_degree)
@@ -451,13 +470,13 @@ def check_class_h(a, max_degree=None):
         if k not in solved:
             dimensions[-k] = 0
             continue
-        space = derivation_space(a, -k)
-        dimensions[-k] = len(space)
-        if space:
-            for (g, x), _ in _defects(a, space[0], a.generator_indices):
+        dimensions[-k], maps = _kernel_maps(a, -k)
+        if dimensions[-k]:
+            theta = next(maps)
+            for (g, x), _ in _defects(a, theta, a.generator_indices):
                 raise ArithmeticError(f"the certificate fails the Leibniz law on "
                                       f"({a.labels[g]}, {a.labels[x]})")
-            certificate = (-k, space[0])
+            certificate = (-k, theta)
             break
     return ClassHVerdict(
         in_class=certificate is None,

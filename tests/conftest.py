@@ -14,13 +14,14 @@ import resource
 from fractions import Fraction
 from itertools import product as cartesian
 from math import prod
+from operator import add
 
 import pytest
 from hypothesis import strategies as st
 
 from negder import (ClassHVerdict, Element, Generator, GradedAlgebra, GradedLinearMap,
                     LevelRecord, Presentation, ProofTrace, build_monomial_algebra,
-                    derivation_space, derivations, rigidity)
+                    derivation_space, derivations, monomial_basis)
 from negder.algebra import _monomial_label, check_generator
 from negder.derivations import leibniz_rows
 from negder.linalg import echelon, nullspace_basis, rref
@@ -185,13 +186,13 @@ def presentations(draw):
 
 @pytest.fixture
 def space_calls(monkeypatch):
-    """The degrees of every derivation_space call, in order.  Both modules
-    that bind the name are patched, so a sweep through either shows."""
+    """The degrees of every derivation space solved, in order: the calls
+    of derivations._kernel_maps, which derivation_space, check_class_h
+    and so prove_rigidity all solve through."""
     calls = []
-    real = derivations.derivation_space
-    for module in (derivations, rigidity):
-        monkeypatch.setattr(module, "derivation_space",
-                            lambda a, d: calls.append(d) or real(a, d))
+    real = derivations._kernel_maps
+    monkeypatch.setattr(derivations, "_kernel_maps",
+                        lambda a, d: calls.append(d) or real(a, d))
     return calls
 
 
@@ -347,10 +348,24 @@ def echelon_generators(a):
                              if degrees[i] > 0 and i not in pivots)
 
 
+def sort_sign(first, second, odd):
+    """Sign from sorting the word g^first . g^second back into generator
+    order: each odd letter of the second block walks past the odd letters
+    of higher generators in the first block, whose parity is later.  The
+    loop that the bit masks of algebra._sign_masks replaced."""
+    t = later = 0
+    for i in range(len(odd) - 1, -1, -1):
+        if odd[i]:
+            t ^= second[i] & later
+            later ^= first[i] & 1
+    return -1 if t else 1
+
+
 def quadratic_sort_sign(first, second, odd):
-    """Oracle for algebra._sort_sign: for each odd generator i, the letters
-    of the second block at i walk past the odd letters of higher generators
-    in the first block, summed afresh for every i."""
+    """Oracle for the Koszul sign of a monomial product, as sort_sign and
+    the masks of algebra._sign_masks give it: for each odd generator i,
+    the letters of the second block at i walk past the odd letters of
+    higher generators in the first block, summed afresh for every i."""
     t = 0
     for i in range(len(odd)):
         if odd[i] and second[i]:
@@ -370,6 +385,38 @@ def key_sorted_basis(p):
     exps = sorted(cartesian(*(range(g.truncation) for g in gens)),
                   key=lambda e: (degrees_of(e), e))
     return exps, [_monomial_label(e, gens) for e in exps], [degrees_of(e) for e in exps]
+
+
+def pair_loop_monomial_algebra(p):
+    """Oracle for the order of build_monomial_algebra's table: the pair loop
+    it replaced, with tuple exponent vectors.  For each basis element e, in
+    basis order, every partner f of the box below the truncations minus e,
+    in itertools.product order, keyed by their indices, with the shared
+    entry +e_k or -e_k of k = e + f and the sign of sort_sign."""
+    basis = monomial_basis(p)
+    exps = basis.monomial_exponents
+    gens = p.generators
+    odd = [g.degree % 2 == 1 for g in gens]
+    index_of = {e: i for i, e in enumerate(exps)}
+    plus = [{k: 1} for k in range(len(exps))]
+    minus = [{k: -1} for k in range(len(exps))]
+
+    def pairs():
+        for i, e in enumerate(exps):
+            for f in cartesian(*(range(g.truncation - x) for x, g in zip(e, gens))):
+                k = index_of[tuple(map(add, e, f))]
+                yield (i, index_of[f]), minus[k] if sort_sign(e, f, odd) < 0 else plus[k]
+
+    return GradedAlgebra(basis.labels, basis.degrees, basis.unit, pairs(), name=p.name)
+
+
+def table_items(a):
+    """The table of a as a list of (key, entry, n) in its order, n numbering
+    the distinct entry objects by first use, so two tables compare equal
+    only with the same keys, order, entries and sharing of entries."""
+    first = {}
+    return [(key, terms, first.setdefault(id(terms), len(first)))
+            for key, terms in a.products.items()]
 
 
 def all_pairs_monomial_algebra(p):

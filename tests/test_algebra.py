@@ -14,13 +14,16 @@ from hypothesis import strategies as st
 
 from conftest import (ROOT, accumulating_tensor, all_pairs_monomial_algebra, basis_changed,
                       cap_memory, corrupted, crowded, echelon_generators,
-                      exhaustive_validate, flag_manifold, key_sorted_basis, point,
-                      presentations, projective_space, quadratic_sort_sign,
-                      rebased_cp2xs4, sphere, src_env, torus)
+                      exhaustive_validate, flag_manifold, key_sorted_basis, load_script,
+                      pair_loop_monomial_algebra, point, presentations, projective_space,
+                      quadratic_sort_sign, rebased_cp2xs4, sort_sign, sphere, src_env,
+                      table_items, torus)
 from negder import (Element, Generator, GradedAlgebra, GradedBasis, GradedLinearMap,
                     LambdaFamily, Presentation, algebra, build_monomial_algebra,
-                    check_class_h, corpus, derivation_space, load_algebra_text, monomial_basis,
-                    parse_structure_constants, serialize_structure_constants, tensor)
+                    check_class_h, corpus, derivation_space, detect_format, load_algebra_text,
+                    monomial_basis, parse_presentation, parse_structure_constants,
+                    serialize_structure_constants, tensor)
+from negder.fileformats import PRESENTATION
 
 
 def test_projective_plane_basis():
@@ -1045,8 +1048,8 @@ def test_arguments_of_the_wrong_shape_raise_value_error_naming_them(call, messag
 
 def test_builder_signs_only_with_odd_generators(monkeypatch):
     calls = []
-    real = algebra._sort_sign
-    monkeypatch.setattr(algebra, "_sort_sign",
+    real = algebra._sign_masks
+    monkeypatch.setattr(algebra, "_sign_masks",
                         lambda *args: calls.append(args) or real(*args))
     even = Presentation("CP2xCP3", (Generator("x", 2, 3), Generator("y", 2, 4)))
     mixed = Presentation("T2xCP2", (Generator("i1", 1), Generator("i2", 1),
@@ -1234,8 +1237,9 @@ def test_tensor_of_random_presentations_validates(p, q):
                 max_size=12))
 def test_sort_sign_equals_the_quadratic_oracle(letters):
     first, second, odd = zip(*letters) if letters else ((), (), ())
-    assert algebra._sort_sign(first, second, odd) == quadratic_sort_sign(
-        first, second, odd)
+    letters, above = algebra._sign_masks([first, second], odd)
+    sign = -1 if (letters[1] & above[0]).bit_count() % 2 else 1
+    assert sign == sort_sign(first, second, odd) == quadratic_sort_sign(first, second, odd)
 
 
 def assert_builder_matches_oracle(p):
@@ -1244,6 +1248,25 @@ def assert_builder_matches_oracle(p):
     assert built.monomial_exponents == oracle.monomial_exponents
     # one shared entry per (target, sign)
     assert len({id(terms) for terms in built.products.values()}) <= 2 * built.dim
+    # the pairs come in the pair loop's order, sharing its entries
+    assert table_items(built) == table_items(pair_loop_monomial_algebra(p))
+
+
+def perfbench_presentations():
+    """The presentations from which the benchmark writes its inputs."""
+    generated = load_script("workloads", "perfbench").GENERATED
+    return [Presentation(name, tuple(Generator(*g) for g in gens))
+            for name, (_, gens) in generated.items()]
+
+
+@pytest.mark.parametrize("p", [
+    *(parse_presentation(corpus.text(name)) for name in corpus.names()
+      if detect_format(corpus.text(name)) == PRESENTATION),
+    *perfbench_presentations(),
+    Presentation("pt", ()),
+], ids=lambda p: p.name)
+def test_builder_table_equals_the_pair_loop_oracle(p):
+    assert table_items(build_monomial_algebra(p)) == table_items(pair_loop_monomial_algebra(p))
 
 
 @pytest.mark.parametrize("p", [

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (cap_memory, exhaustive_validate, presentations, projective_space,
                       src_env, torus)
-from negder import GradedAlgebra, cli, corpus, serialize_structure_constants
+from negder import GradedAlgebra, GradedLinearMap, cli, corpus, serialize_structure_constants
 from negder.cli import run
 from negder.fileformats import PRESENTATION, AlgebraFile, detect_format
 
@@ -721,3 +721,22 @@ def test_char_on_a_presentation_builds_no_algebra(monkeypatch):
     # a table is parsed and validated, as before
     assert char_json(corpus.path("t2"), 2)[0] == 0
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("argv, maps", [
+    (["check-h", "--json"], 1),
+    (["rigidity", "--torus", "4", "--json"], 1),
+    (["derivations", "--degree", "-1", "--json"], 4),
+])
+def test_a_verdict_builds_only_its_certificate_map(capsys, monkeypatch, tmp_path, argv, maps):
+    # T4 has 4 derivations of degree -1; check-h and rigidity print the
+    # first, derivations prints all four
+    target = tmp_path / "t4.alg"
+    target.write_text("".join(f"generator i{j} degree 1\n" for j in range(1, 5)))
+    built = []
+    real = GradedLinearMap.from_images.__func__
+    monkeypatch.setattr(GradedLinearMap, "from_images", classmethod(
+        lambda cls, *args: built.append(args[1]) or real(cls, *args)))
+    code, out, _ = invoke(capsys, argv[0], str(target), *argv[1:])
+    assert code == 1 and json.loads(out)
+    assert built == [-1] * maps

@@ -83,6 +83,15 @@ def odd_spaces_match_the_oracle(m):
         assert blocks == [(theta.shift, theta.blocks) for theta in generator_pair_space(a, d)]
 
 
+def certificate_is_the_first_canonical_map(m):
+    # T4 fails at -1 with 4 maps, T3 x S3 at -1 with 6 and S3 at -3 with 1
+    gens = (*(Generator(f"i{k}", 1, 2) for k in (1, 2, 3)), Generator("y", 3, 2))
+    for a in (torus(4), build_monomial_algebra(Presentation("T3xS3", gens)), sphere(3)):
+        d, theta = m.check_class_h(a).certificate
+        first = derivation_space(a, d)[0]
+        assert (theta.shift, theta.blocks) == (first.shift, first.blocks)
+
+
 def rebased_expansions_give_the_oracle_space(m):
     # the mutant's algebra, solved by the package's derivation_space
     a = rebased_cp2xs4(m.GradedAlgebra)
@@ -153,8 +162,8 @@ ROWS = {
     "tensor Koszul sign": Row(
         algebra, "sign = -1 if (b.degrees[j1] * a.degrees[i2]) % 2 else 1", "sign = 1",
         tensor_of_circles_is_valid),
-    "_sort_sign": Row(
-        algebra, "t ^= second[i] & later", "t ^= 0", exterior_presentation_is_valid),
+    "Koszul sign masks": Row(
+        algebra, "(letters[j] & up).bit_count() & 1", "0", exterior_presentation_is_valid),
     "parser's odd mirror": Row(
         fileformats, "if (degrees[i] * degrees[j]) % 2:", "if False:",
         serialized_exterior_table_parses, "ValidationError"),
@@ -176,6 +185,9 @@ ROWS = {
     "_eliminate skips a pivot clear": Row(
         linalg, "_subtract(prow, prow.pop(p), r, p)", "prow.pop(p)",
         kernel_of_a_chain_is_exact, ArithmeticError),
+    "certificate from the last canonical row": Row(
+        derivations, "theta = next(maps)", "*_, theta = maps",
+        certificate_is_the_first_canonical_map),
     "_defects sign": Row(
         derivations, "sign = _sign(m.shift * a.degrees[i])", "sign = 1",
         sphere_derivation_has_no_defect),

@@ -147,14 +147,51 @@ def test_survey_row_sweeps_each_degree_once(survey, space_calls):
 def test_bench_pairs_compares_a_checkout_with_itself():
     lines = run_script("bench_pairs.py", ROOT, ROOT, "--workloads", "kernel",
                        "--pairs", "1", "--seconds", "0.01")
-    runs, summary = lines[:2], lines[2:]
+    names = ("setup_s", "pass_s", "slowest_job_s", "job_p50_ms", "peak_rss_mb", "ok_frac")
+    runs, summary, claims = lines[:2], lines[2:8], lines[8:]
     assert [line.split(":")[0] for line in runs] == [
         "kernel pair 1 seed 1 parent", "kernel pair 1 seed 1 change"]
     assert all("correct=True" in line and "pass_s=" in line for line in runs)
-    assert [line.split(":")[0] for line in summary] == [
-        f"kernel {name}" for name in ("setup_s", "pass_s", "slowest_job_s", "job_p50_ms",
-                                      "peak_rss_mb", "ok_frac")]
+    assert [line.split(":")[0] for line in summary] == [f"kernel {name}" for name in names]
     assert all(" pairs won " in line for line in summary)
+    assert [line.split(":")[0] for line in claims] == [
+        f"kernel {name} claim rule" for name in names]
+
+
+def test_bench_pairs_runs_from_the_first_seed_and_states_the_claim_rule(
+        monkeypatch, capsys):
+    # the parent's pass_s is 1.00..1.09 and the change's 0.9 but in pair 10,
+    # so the change wins 9 of 10 pairs, its median 0.145 lower against a
+    # parent quartile spread of 0.055; every other metric ties in every pair
+    bench = load_script("bench_pairs")
+    runs = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        runs.append((checkout, seed))
+        pair = seed - 11
+        parent = checkout == "PARENT"
+        pass_s = 1 + pair / 100 if parent else 1.1 if pair == 9 else 0.9
+        values = dict(setup_s=0.03, pass_s=pass_s, slowest_job_s=0.002, job_p50_ms=2,
+                      peak_rss_mb=25, ok_frac=1)
+        return {"correct": True, "metrics": {k: {"value": v} for k, v in values.items()}}
+
+    monkeypatch.setattr(bench, "run", fake_run)
+    assert bench.main(["PARENT", ROOT, "--workloads", "kernel", "--first-seed", "11",
+                       "--seconds", "1"]) == 0
+    assert [seed for _, seed in runs] == [s for s in range(11, 21) for _ in "ab"]
+    assert [side for side, _ in runs[:4]] == ["PARENT", ROOT, ROOT, "PARENT"]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("kernel pair 1 seed 11 parent: ")
+    claims = {line.split(" claim rule: ")[0]: line.split(" claim rule: ")[1].split()[0]
+              for line in lines if " claim rule: " in line}
+    assert claims == {"kernel pass_s": "holds", **{f"kernel {name}": "fails" for name in (
+        "setup_s", "slowest_job_s", "job_p50_ms", "peak_rss_mb", "ok_frac")}}
+    # the rule itself: nine tenths of the pairs, and a move past the spread
+    assert bench.claim_holds(9, 10, 1.0, 0.8, 0.1, "lower")
+    assert not bench.claim_holds(8, 10, 1.0, 0.8, 0.1, "lower")
+    assert not bench.claim_holds(10, 10, 1.0, 0.95, 0.1, "lower")
+    assert not bench.claim_holds(10, 10, 1.0, 1.2, 0.1, "lower")
+    assert bench.claim_holds(10, 10, 1.0, 1.2, 0.1, "higher")
 
 
 def test_benchmark_harness_self_test_passes():
