@@ -4,9 +4,10 @@ An algebra is a finite homogeneous basis plus a sparse structure-constant
 table for the product.  Builders cover monomial presentations (truncated
 polynomial generators in even degree, exterior generators in odd degree)
 and tensor products with Koszul signs; monomial_basis gives the basis of a
-presentation alone, for what reads only degrees.  The table itself is
-plain data; validate() re-derives every axiom from it, so no sign or
-degree rule is trusted without being checkable.
+presentation alone, for what reads only degrees.  The table is fixed at
+construction, where its indices are checked; validate() re-derives every
+axiom from it, so no sign or degree rule is trusted without being
+checkable.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as cartesian
 from operator import mul
+from types import MappingProxyType
 
 from .linalg import _check_int, _fold, _terms, echelon
 
@@ -183,19 +185,24 @@ class GradedAlgebra(GradedBasis):
     holds them: an int where integral, else a Fraction.  Each distinct
     input entry object is read once, and the keys that share it share its
     one fresh output entry, so table entries may be shared between keys
-    and are read-only: replace an entry, never mutate it in place.  A key
-    that is already a tuple of two ints is kept as it is.  Products that
-    are neither a mapping nor an iterable, an item that is not a (key,
-    terms) pair, a key that is not a tuple of two items, an entry that is
-    not a mapping, a key or term index that is not an int, or a value that
-    is neither an int nor a Fraction (a str, a float, a bool), raises
-    ValueError naming it.  The constructor deliberately does not check
-    axioms, so corrupt tables stay representable for validate().
+    and are read-only.  A key that is already a tuple of two ints is kept
+    as it is.  Products that are neither a mapping nor an iterable, an
+    item that is not a (key, terms) pair, a key that is not a tuple of two
+    items, an entry that is not a mapping, a key or term index that is not
+    an int, or a value that is neither an int nor a Fraction (a str, a
+    float, a bool), raises ValueError naming it; so does a key or term
+    index outside 0..dim-1, naming the key and the index.
+
+    The table is held privately and products is a read-only view of it
+    (types.MappingProxyType), so every index names a basis element for the
+    algebra's whole life and nothing downstream checks it again.  Indices
+    are checked, axioms are not: degree, unit, commutativity and
+    associativity violations stay representable for validate().
     """
 
     def __init__(self, labels, degrees, unit, products, name=""):
         super().__init__(labels, degrees, unit, name)
-        table = {}
+        table, dim = {}, self.dim
         # id of an input entry -> (that entry, its normalized form); holding
         # the entry keeps its id from being reused while the loop runs
         done = {}
@@ -215,25 +222,33 @@ class GradedAlgebra(GradedBasis):
             except (TypeError, ValueError):
                 i = j = None  # not a pair: _table_key names it
             if type(key) is not tuple or type(i) is not int or type(j) is not int:
-                key = _table_key(key)
+                key = i, j = _table_key(key)
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise ValueError(f"table key {key} names {j if 0 <= i < dim else i}, "
+                                 f"outside 0..{dim - 1}")
             seen = done.get(id(terms))
             if seen is None:
                 # checked here too, so that the error names the key
                 if not hasattr(terms, "items"):
                     raise ValueError(f"table entry of {key} must be a mapping "
                                      f"{{k: coefficient}}, not {terms!r}")
-                seen = done[id(terms)] = (terms, _terms(terms, "term index"))
+                entry = _terms(terms, "term index")
+                if entry and (min(entry) < 0 or max(entry) >= dim):
+                    k = min(entry) if min(entry) < 0 else max(entry)
+                    raise ValueError(f"table entry of {key} names {k}, outside 0..{dim - 1}")
+                seen = done[id(terms)] = (terms, entry)
             if seen[1]:
                 table[key] = seen[1]
             else:
                 table.pop(key, None)
-        self.products = table
+        self._table = table
+        self.products = MappingProxyType(table)
 
     @cached_property
     def _elimination(self):
         """(generator_indices, expansions), read off one echelon over the
         products of two positive-degree basis elements, computed once, on
-        first use, from the table as it is then.
+        first use.
 
         Each distinct product P[i, j] with |i|, |j| > 0 is a row, in
         ascending (i, j), plus a tag column of (i, j); a product whose
@@ -248,30 +263,23 @@ class GradedAlgebra(GradedBasis):
         the row other than its pivot, a generator of the same degree, as
         the product term (unit, h): -c, since e_h = 1 e_h by the unit laws.
         When degree 0 is not exactly the unit line, or a degree is
-        negative, every index is a generator and nothing is written.
-
-        The same scan checks every key, and each distinct entry once,
-        against the basis, the fallback's too: a table that names an index
-        outside 0..dim-1 raises ValueError with validate()'s first "basis
-        index" violation, so nothing reads such an index as a basis one."""
-        dim, degrees, table, unit = self.dim, self.degrees, self.products, self.unit
+        negative, every index is a generator and nothing is written, with
+        no scan."""
+        dim, degrees, table, unit = self.dim, self.degrees, self._table, self.unit
+        if self.graded_piece(0) != [unit] or min(degrees) < 0:
+            return tuple(range(dim)), {}
         keys = []
-        seen, single = {}, set()  # id of an entry -> whether a key with |i|, |j| > 0 had it
+        seen, single = set(), set()  # ids of the entries of keys with |i|, |j| > 0
         for key in sorted(table):
             i, j = key
             terms = table[key]
-            if not (0 <= i < dim and 0 <= j < dim) or id(terms) not in seen and not all(
-                    0 <= k < dim for k in terms):
-                raise ValueError(_outside(i, j, terms, dim)[0])
-            if not seen.setdefault(id(terms), False) and degrees[i] > 0 and degrees[j] > 0:
-                seen[id(terms)] = True
+            if id(terms) not in seen and degrees[i] > 0 and degrees[j] > 0:
+                seen.add(id(terms))
                 if len(terms) == 1:
                     if not single.isdisjoint(terms):
                         continue
                     single.update(terms)
                 keys.append(key)
-        if self.graded_piece(0) != [unit] or min(degrees) < 0:
-            return tuple(range(dim)), {}
         top = dim + len(keys)
         out = {}
         for p, row in echelon([{**table[key], top - k: 1}
@@ -289,8 +297,7 @@ class GradedAlgebra(GradedBasis):
         positive-degree indices that are not pivots of the products
         e_i e_j with |i|, |j| > 0.  For a monomial presentation they are
         the single-generator monomials.  Every basis index when degree 0 is
-        more than the unit line or a degree is negative.  ValueError when
-        the table names an index outside the basis."""
+        more than the unit line or a degree is negative."""
         return self._elimination[0]
 
     @property
@@ -314,7 +321,7 @@ class GradedAlgebra(GradedBasis):
         out = {}
         for i, cu in u.coeffs.items():
             for j, cv in v.coeffs.items():
-                terms = self.products.get((i, j))
+                terms = self._table.get((i, j))
                 if not terms:
                     continue
                 cc = cu * cv
@@ -358,17 +365,14 @@ class GradedAlgebra(GradedBasis):
     def validate(self):
         """Check every axiom on the table; returns a list of violation strings.
 
-        First every key and term index of the table must lie in 0..dim-1.
-        If any does not, exactly those violations are returned, in key
-        order, since every later check indexes by them.  Otherwise it checks
-        degree additivity of every table entry, both unit laws, graded
-        commutativity products(j,i) = (-1)^(|i||j|) products(i,j) on the
-        pairs the table names, and associativity, row by row in
+        It checks degree additivity of every table entry, both unit laws,
+        graded commutativity products(j,i) = (-1)^(|i||j|) products(i,j) on
+        the pairs the table names, and associativity, row by row in
         _associativity: exact on any table, corrupt ones included, in time
         that follows the table, its nonzero contributions and dim.
         Violations come in i, j, k order.
 
-        The index, degree and commutativity checks are made in one walk
+        The degree and commutativity checks are made in one walk
         over the keys, each worked out once per distinct entry (or entry,
         mirror and parity), so a key costs a lookup, and a violation's text
         is made only for the keys that fail.
@@ -387,38 +391,32 @@ class GradedAlgebra(GradedBasis):
         c^-1 e_i e_j with |i|, |j| < |k|, by degree additivity, so
         induction on degree puts every basis element in N once every triple
         (g, y, z) with g decisive associates; then every triple does.  The
-        decisive rows are read off the table as it is at this call, with no
-        elimination.  That pass leaves the unit's keys, (u, j) and (i, u),
-        out of its index: the unit laws have passed by then, so every
-        triple with the unit as i, j or k associates, and degree additivity
-        keeps the unit out of every product of two non-unit elements, so no
-        other triple loses a contribution.  When that pass finds a
-        violation, or an earlier check failed, the pass runs over every row
-        with every key, the unit's included, so the violations and their
-        order are those of the full check: there a corrupt product such as
-        b b = 1 carries the unit into other triples.
+        decisive rows are read off the table, with no elimination.  That
+        pass leaves the unit's keys, (u, j) and (i, u), out of its index:
+        the unit laws have passed by then, so every triple with the unit as
+        i, j or k associates, and degree additivity keeps the unit out of
+        every product of two non-unit elements, so no other triple loses a
+        contribution.  When that pass finds a violation, or an earlier check
+        failed, the pass runs over every row with every key, the unit's
+        included, so the violations and their order are those of the full
+        check: there a corrupt product such as b b = 1 carries the unit into
+        other triples.
         """
         dim, degrees, labels = self.dim, self.degrees, self.labels
-        table = self.products
+        table = self._table
         empty = {}
-        facts = {}  # id of an entry -> (indices in range, common degree)
+        facts = {}  # id of an entry -> its common degree, or None
         agree = {}  # (id of P[i,j], id of P[j,i], parity) -> they agree
-        bad_index, bad_degree, bad_sign = [], [], []
+        bad_degree, bad_sign = [], []
         u = self.unit
         for key, terms in table.items():
             entry = id(terms)
-            fact = facts.get(entry)
-            if fact is None:
-                inside = all(0 <= k < dim for k in terms)
-                common = {degrees[k] for k in terms} if inside else ()
-                fact = facts[entry] = (inside, common.pop() if len(common) == 1 else None)
-            inside, common = fact
+            if entry not in facts:
+                common = {degrees[k] for k in terms}
+                facts[entry] = common.pop() if len(common) == 1 else None
             i, j = key
-            if not (inside and 0 <= i < dim and 0 <= j < dim):
-                bad_index.append(key)
-                continue
             want = degrees[i] + degrees[j]
-            if common != want and any(degrees[k] != want for k in terms):
+            if facts[entry] != want and any(degrees[k] != want for k in terms):
                 bad_degree.append(key)
             # A pair {i, j} with neither order in the table is zero both
             # ways; one with both is checked at i <= j.
@@ -434,8 +432,6 @@ class GradedAlgebra(GradedBasis):
                     bad_sign.append(key)
             elif terms and (j, i) not in table:
                 bad_sign.append((j, i))
-        if bad_index:
-            return [v for i, j in sorted(bad_index) for v in _outside(i, j, table[i, j], dim)]
         out = []
         for i, j in sorted(bad_degree):
             want = degrees[i] + degrees[j]
@@ -479,7 +475,7 @@ class GradedAlgebra(GradedBasis):
         (j, k) is a violation exactly when some t is nonzero; every other
         triple is zero on both sides.
         """
-        rows, by_m = _index(self.products, None if only is None else self.unit)
+        rows, by_m = _index(self._table, None if only is None else self.unit)
         out = []
         empty = {}
         labels = self.labels
@@ -501,13 +497,6 @@ class GradedAlgebra(GradedBasis):
                 out.append(f"associativity: ({labels[i]} * {labels[j]}) * {labels[k]} "
                            f"!= {labels[i]} * ({labels[j]} * {labels[k]})")
         return out
-
-
-def _outside(i, j, terms, dim):
-    """The "basis index" violations of the table entry P[i,j] = terms, one
-    per index it names outside 0..dim-1, ascending."""
-    return [f"basis index: table entry ({i}, {j}) names {x}, outside 0..{dim - 1}"
-            for x in sorted({i, j, *terms}) if not 0 <= x < dim]
 
 
 def _index(table, skip):

@@ -199,7 +199,7 @@ def leibniz_rows(a, d, left):
     for i in range(a.dim):
         base.append(len(unknowns))
         unknowns.extend((i, t) for t in pieces.get(a.degrees[i] + d, none))
-    table = a.products
+    table = a._table
     empty = {}
     rows = []
     for i in left:
@@ -286,7 +286,7 @@ def _constraints(a, d, theta):
     since their degrees are below n, or the unit, whose theta is 0 and
     whose sign is +1, and a generator; so it covers every basis element
     once the generator is exhausted."""
-    table = a.products
+    table = a._table
     degrees = a.degrees
     signs = {g: _sign(d * degrees[g]) for g in theta if g != a.unit}
     pieces = {n: a.graded_piece(n) for n in set(degrees)}
@@ -383,8 +383,8 @@ def _defects(a, m, left):
     (-1)^(d |i|) e_i m(e_x), summed from the table and each image of m read
     once, apart from the solver.  Every stored block of m is checked
     against its pieces before any image is read, so a block that no image
-    reads still raises ValueError, as does a term outside the basis."""
-    table, empty = a.products, {}
+    reads still raises ValueError."""
+    table, empty = a._table, {}
     images = dict.fromkeys(range(a.dim), empty)
     for n, mat in m.blocks.items():
         tgt = m._target(a, n)
@@ -395,10 +395,7 @@ def _defects(a, m, left):
         for x in range(a.dim):
             defect = {}
             for k, c in table.get((i, x), empty).items():
-                img = images.get(k)
-                if img is None:  # k is not a basis index
-                    _check_index(a, k)
-                for t, y in img.items():
+                for t, y in images[k].items():
                     _add(defect, t, c * y)
             for t, y in images[i].items():
                 for k, c in table.get((t, x), empty).items():

@@ -52,7 +52,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (Generator, GradedAlgebra, Presentation, _legal_label, _outside,
+from .algebra import (Generator, GradedAlgebra, Presentation, _legal_label,
                       build_monomial_algebra, check_generator, monomial_basis)
 from .linalg import _fold
 
@@ -303,11 +303,9 @@ def serialize_structure_constants(a):
     parse(serialize(a)) reproduces basis order, degrees, unit and table,
     and so the violations of a corrupt one.  What the format cannot carry
     raises ValueError before any text is made: the first basis label its
-    parser rejects or that repeats, the first negative degree, or else an
-    index outside the basis, named as validate()'s first "basis index"
-    violation names it."""
-    labels, degrees, table = a.labels, a.degrees, a.products
-    dim = len(labels)
+    parser rejects or that repeats, or the first negative degree.  Every
+    index names a basis element, as the constructor checked."""
+    labels, degrees, table = a.labels, a.degrees, a._table
     seen = set()
     for label, d in zip(labels, degrees):
         if not _legal_label(label):
@@ -319,11 +317,6 @@ def serialize_structure_constants(a):
         if d < 0:
             raise ValueError(f"basis label {label!r} has negative degree {d}: the "
                              "structure-constant format cannot carry it")
-    bad = [(i, j) for (i, j), terms in table.items()
-           if not (0 <= i < dim and 0 <= j < dim and all(0 <= k < dim for k in terms))]
-    if bad:
-        i, j = min(bad)
-        raise ValueError(_outside(i, j, table[i, j], dim)[0])
     lines = ["basis:"]
     for label, d in zip(labels, degrees):
         lines.append(f"{label} {d}")

@@ -29,8 +29,12 @@ from .linalg import _check_int
 
 
 def torus_exterior(s):
-    """Exterior algebra on s torus generators i1..is, each of degree 1."""
-    gens = tuple(Generator(f"i{j}", 1, 2) for j in range(1, _check_int("s", s) + 1))
+    """Exterior algebra on s torus generators i1..is, each of degree 1;
+    ValueError when s is negative."""
+    s = _check_int("s", s)
+    if s < 0:
+        raise ValueError("torus rank must be nonnegative")
+    gens = tuple(Generator(f"i{j}", 1, 2) for j in range(1, s + 1))
     return build_monomial_algebra(Presentation(f"T{s}" if s else "pt", gens))
 
 

@@ -20,7 +20,7 @@ from conftest import (ROOT, accumulating_tensor, all_pairs_monomial_algebra, bas
                       table_items, torus)
 from negder import (Element, Generator, GradedAlgebra, GradedBasis, GradedLinearMap,
                     LambdaFamily, Presentation, algebra, build_monomial_algebra,
-                    check_class_h, corpus, derivation_space, detect_format, load_algebra_text,
+                    corpus, derivation_space, detect_format, load_algebra_text,
                     monomial_basis, parse_presentation, parse_structure_constants,
                     serialize_structure_constants, tensor)
 from negder.fileformats import PRESENTATION
@@ -390,26 +390,6 @@ def test_constructor_rejects_a_unit_outside_the_basis(unit):
         GradedAlgebra(["1"], [0], unit, {(0, 0): {0: 1}})
 
 
-@pytest.mark.parametrize("products, violation", [
-    ({(0, 0): {5: 1}}, "basis index: table entry (0, 0) names 5, outside 0..0"),
-    ({(0, 3): {0: 1}}, "basis index: table entry (0, 3) names 3, outside 0..0"),
-])
-def test_validate_reports_an_index_outside_the_basis(products, violation):
-    assert GradedAlgebra(["1"], [0], 0, products).validate() == [violation]
-
-
-def test_validate_returns_only_the_index_violations_in_key_order():
-    cp1 = projective_space(1)
-    products = dict(cp1.products)
-    products[(1, 1)] = {-1: 1, 4: 2, 0: 1}
-    products[(-2, 0)] = {0: 1}
-    assert GradedAlgebra(cp1.labels, cp1.degrees, cp1.unit, products).validate() == [
-        "basis index: table entry (-2, 0) names -2, outside 0..1",
-        "basis index: table entry (1, 1) names -1, outside 0..1",
-        "basis index: table entry (1, 1) names 4, outside 0..1",
-    ]
-
-
 def test_validate_associativity_corruption():
     # degrees, unit and commutativity all hold; only x * y = 0 clashes
     # with x * x = z and y * z = w
@@ -641,10 +621,19 @@ def test_validate_reads_the_generators_of_the_table_as_it_is():
     for i, j, terms in ((x, x, {w: 1}), (x, w, {p: 1}), (w, w, {q: 1}),
                         (w, q, {t: 1}), (w, t, {u: 2}), (q, q, {u: 1})):
         products[(i, j)] = products[(j, i)] = terms
-    a = GradedAlgebra(labels, [0, 2, 4, 6, 8, 12, 16], one, products)
+    degrees = [0, 2, 4, 6, 8, 12, 16]
+    a = GradedAlgebra(labels, degrees, one, products)
     assert a.generator_indices == (one, x)
-    del a.products[(x, x)]
-    assert a.generator_indices == (one, x)  # cached, and now stale
+    # the table cannot change under a cached reading: products is read-only
+    with pytest.raises(TypeError):
+        del a.products[(x, x)]
+    with pytest.raises(TypeError):
+        a.products[(x, x)] = {q: 1}
+    assert a.products[(x, x)] == {w: 1} and a.generator_indices == (one, x)
+    # the corrupt table is a new algebra, read afresh
+    del products[(x, x)]
+    a = GradedAlgebra(labels, degrees, one, products)
+    assert a.generator_indices == (one, x, w)
     assert a.validate() == exhaustive_validate(a) == [
         "associativity: (w * w) * q != w * (w * q)",
         "associativity: (q * w) * w != q * (w * w)",
@@ -818,23 +807,6 @@ def test_validate_checks_each_key_of_a_shared_entry_and_mirror_pair():
                                              (x, y): same, (y, x): same}))
     assert mixed.validate() == exhaustive_validate(mixed) == [
         "graded commutativity: b * a != -(a * b)",
-    ]
-
-
-def test_validate_reports_an_index_outside_the_basis_inside_a_shared_entry():
-    # the entry t + e_9 sits under x y, y x and x 8; key (7, 0) has an
-    # entry of its own
-    one, x, y, t = range(4)
-    stray = {t: 1, 9: 1}
-    a = GradedAlgebra(["1", "x", "y", "t"], [0, 2, 2, 4], one,
-                      with_unit_rows(4, {(x, y): stray, (y, x): stray, (x, 8): stray,
-                                         (7, 0): {0: 1}}))
-    assert a.validate() == exhaustive_validate(a) == [
-        "basis index: table entry (1, 2) names 9, outside 0..3",
-        "basis index: table entry (1, 8) names 8, outside 0..3",
-        "basis index: table entry (1, 8) names 9, outside 0..3",
-        "basis index: table entry (2, 1) names 9, outside 0..3",
-        "basis index: table entry (7, 0) names 7, outside 0..3",
     ]
 
 
@@ -1348,26 +1320,34 @@ def test_generator_search_reduces_longer_entries_by_the_one_term_pivots():
     assert a.generator_indices == echelon_generators(a) == (one, x, y, v)
 
 
-@pytest.mark.parametrize("labels, degrees, products, bad", [
+# the unit laws of a two-element basis, and a shared stray entry t + e_9
+# under x y, y x and x 8 of a four-element one, whose key (7, 0) names 7
+_UNIT_LAWS = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}
+_STRAY = {3: 1, 9: 1}
+
+
+@pytest.mark.parametrize("labels, degrees, products, message", [
     # (1, -1) would read degrees[-1] and pass for x * x
-    (["1", "x"], [0, 2], {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, -1): {1: 1}},
-     "(1, -1) names -1"),
+    (["1", "x"], [0, 2], {**_UNIT_LAWS, (1, -1): {1: 1}}, "table key (1, -1) names -1"),
+    (["1", "x"], [0, 2], {**_UNIT_LAWS, (2, 0): {1: 1}}, "table key (2, 0) names 2"),
     (["1", "x", "y"], [0, 2, 4], {**{(0, i): {i: 1} for i in range(3)},
                                   (1, 0): {1: 1}, (2, 0): {2: 1}, (1, 1): {3: 1}},
-     "(1, 1) names 3"),
+     "table entry of (1, 1) names 3"),
+    (["1", "x", "y", "t"], [0, 2, 2, 4],
+     with_unit_rows(4, {(1, 2): _STRAY, (2, 1): _STRAY, (1, 8): _STRAY, (7, 0): {0: 1}}),
+     "table entry of (1, 2) names 9"),
     # two elements of degree 0: the fallback, where every index is a generator
-    (["1", "e"], [0, 0], {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {2: 1}},
-     "(1, 1) names 2"),
-], ids=["negative key", "term past the basis", "fallback"])
+    (["1", "e"], [0, 0], {**_UNIT_LAWS, (1, 1): {2: 1}}, "table entry of (1, 1) names 2"),
+], ids=["negative key", "key at dim", "term past the basis", "shared entry", "fallback"])
 def test_the_generators_of_a_table_naming_an_index_outside_the_basis_are_an_error(
-        labels, degrees, products, bad):
-    a = GradedAlgebra(labels, degrees, 0, products)
-    message = a.validate()[0]
-    assert message == f"basis index: table entry {bad}, outside 0..{a.dim - 1}"
-    for call in (lambda: a.generator_indices, lambda: check_class_h(a),
-                 lambda: derivation_space(a, -1), lambda: derivation_space(a, 0)):
+        labels, degrees, products, message):
+    # the constructor refuses the table, as a mapping and as a stream of
+    # pairs, so no generator, expansion or violation is ever read off it;
+    # it names the first key read with an index outside the basis
+    message = f"{message}, outside 0..{len(labels) - 1}"
+    for table in (products, iter(products.items())):
         with pytest.raises(ValueError) as caught:
-            call()
+            GradedAlgebra(labels, degrees, 0, table)
         assert str(caught.value) == message
 
 

@@ -112,6 +112,24 @@ def caret_symbol_is_refused(m):
     assert message == "line 1: illegal generator symbol 'x^2'"
 
 
+def table_key_outside_the_basis_is_refused(m):
+    # the key (1, -1) would read degrees[-1] and pass for x * x
+    try:
+        m.GradedAlgebra(["1", "x"], [0, 2], 0, {(0, 0): {0: 1}, (1, -1): {1: 1}})
+    except ValueError as exc:
+        message = str(exc)
+    else:
+        message = None
+    assert message == "table key (1, -1) names -1, outside 0..1"
+
+
+def products_are_read_only(m):
+    a = m.GradedAlgebra(["1"], [0], 0, {(0, 0): {0: 1}})
+    with contextlib.suppress(TypeError):
+        del a.products[(0, 0)]
+    assert a.products == {(0, 0): {0: 1}}
+
+
 def answer(call, argv):
     """(exit code, stdout, stderr) of call(argv), an exit as run maps it."""
     out, err = io.StringIO(), io.StringIO()
@@ -177,6 +195,11 @@ ROWS = {
     "elimination drops the unit terms": Row(
         algebra, "{(unit, c): -x for c, x in row.items() if c < dim and c != p}", "{}",
         rebased_expansions_give_the_oracle_space),
+    "constructor without its key range test": Row(
+        algebra, "if not (0 <= i < dim and 0 <= j < dim):", "if False:",
+        table_key_outside_the_basis_is_refused),
+    "products left writable": Row(
+        algebra, "MappingProxyType(table)", "table", products_are_read_only),
     "check_generator without the ^ rule": Row(
         algebra, 'or "^" in symbol', "", caret_symbol_is_refused),
     "carry sign from the second factor": Row(

@@ -8,7 +8,7 @@ from conftest import (levels_with_unknowns, point, presentations, projective_spa
 from negder import (Element, GradedLinearMap, KunnethModel, LambdaFamily, ProofTrace,
                     build_monomial_algebra, char_subspace, check_class_h, corpus,
                     derivation_space, is_derivation, multiplicativity_residual,
-                    prove_rigidity, pullback_expand, tensor)
+                    prove_rigidity, pullback_expand, tensor, torus_exterior)
 from negder.linalg import nullspace_basis
 
 
@@ -311,6 +311,12 @@ def test_prove_rigidity_rejects_negative_torus_rank():
         prove_rigidity(projective_space(2), -1)
 
 
+@pytest.mark.parametrize("s", [-1, -3])
+def test_torus_exterior_rejects_a_negative_rank(s):
+    with pytest.raises(ValueError, match="torus rank must be nonnegative"):
+        torus_exterior(s)
+
+
 def test_rank_arguments_must_be_ints():
     s3 = sphere(3)
     for value in (2.5, 3.0, "3", None, True):
@@ -465,3 +471,4 @@ def test_residual_system_sees_sphere_obstruction():
     kernel_dim, subset_count = _solve_level_by_residual(model, 3)
     assert subset_count == 1
     assert kernel_dim == 1 == len(derivation_space(s3, -3))
+
