@@ -193,11 +193,12 @@ class GradedAlgebra(GradedBasis):
     float, a bool), raises ValueError naming it; so does a key or term
     index outside 0..dim-1, naming the key and the index.
 
-    The table is held privately and products is a read-only view of it
-    (types.MappingProxyType), so every index names a basis element for the
-    algebra's whole life and nothing downstream checks it again.  Indices
-    are checked, axioms are not: degree, unit, commutativity and
-    associativity violations stay representable for validate().
+    The table is held privately and products is a read-only property that
+    returns one view of it (types.MappingProxyType), so every index names a
+    basis element for the algebra's whole life and nothing downstream
+    checks it again.  Indices are checked, axioms are not: degree, unit,
+    commutativity and associativity violations stay representable for
+    validate().
     """
 
     def __init__(self, labels, degrees, unit, products, name=""):
@@ -242,13 +243,21 @@ class GradedAlgebra(GradedBasis):
             else:
                 table.pop(key, None)
         self._table = table
-        self.products = MappingProxyType(table)
+        self._view = MappingProxyType(table)
+
+    @property
+    def products(self):
+        """The table as a read-only view, made once at construction: no key
+        can be set or deleted through it, and it cannot be assigned."""
+        return self._view
 
     @cached_property
     def _elimination(self):
         """(generator_indices, expansions), read off one echelon over the
         products of two positive-degree basis elements, computed once, on
-        first use.
+        first use.  build_monomial_algebra fills this cache with the same
+        pair from the exponent vectors, so no echelon runs for a
+        presentation; parsed tables and tensor products run it.
 
         Each distinct product P[i, j] with |i|, |j| > 0 is a row, in
         ascending (i, j), plus a tag column of (i, j); a product whose
@@ -292,12 +301,13 @@ class GradedAlgebra(GradedBasis):
 
     @property
     def generator_indices(self):
-        """Basis indices that generate the algebra, read off the table alone
-        by _elimination: the unit followed, ascending, by the
-        positive-degree indices that are not pivots of the products
-        e_i e_j with |i|, |j| > 0.  For a monomial presentation they are
-        the single-generator monomials.  Every basis index when degree 0 is
-        more than the unit line or a degree is negative."""
+        """Basis indices that generate the algebra, as _elimination gives
+        them: the unit followed, ascending, by the positive-degree indices
+        that are not pivots of the products e_i e_j with |i|, |j| > 0.  For
+        a monomial presentation they are the single-generator monomials,
+        which build_monomial_algebra hands over with no echelon.  Every
+        basis index when degree 0 is more than the unit line or a degree is
+        negative."""
         return self._elimination[0]
 
     @property
@@ -306,8 +316,10 @@ class GradedAlgebra(GradedBasis):
         products, as _elimination reads it off: {x: {(i, j): c}} with
         e_x = sum c P[i, j], where i and j have positive degrees adding to
         |x|, or i is the unit and j a generator of x's degree, coefficients
-        as echelon returns them, negated on the unit's terms.  Empty in the
-        fallback, where every index is a generator."""
+        as echelon returns them, negated on the unit's terms.  For a
+        monomial presentation each is the one term (g, x / g): +-1, g the
+        letter of x of least index, from build_monomial_algebra.  Empty in
+        the fallback, where every index is a generator."""
         return self._elimination[1]
 
     def basis_element(self, i):
@@ -645,6 +657,13 @@ def build_monomial_algebra(p):
     only the constructor's copy is ever held.  The result also carries
     monomial_exponents, the exponent vector of each basis index.
 
+    The builder fills the algebra's _elimination cache from the exponent
+    vectors, with no echelon: the unit, then the letters (the vectors of
+    total 1) ascending; and each monomial x of two or more letters as the
+    one product (g, x / g), g its letter of least index, with its +-1 read
+    off the table.  That is what the echelon reads off this table, since
+    (g, x / g) is the first key in sorted order that reaches x.
+
     The table has prod t(t+1)/2 entries over the truncations t; a
     presentation whose table would exceed MAX_TABLE_ENTRIES is rejected
     with ValueError before anything is allocated.
@@ -687,6 +706,15 @@ def build_monomial_algebra(p):
 
     alg = GradedAlgebra(basis.labels, basis.degrees, basis.unit, pairs(), name=p.name)
     alg.monomial_exponents = exps
+    # the echelon would pivot each row at x, and +-1 is its own inverse
+    table = alg._table
+    expansions = {}
+    for x, e in enumerate(exps):
+        if sum(e) > 1:
+            g = min(at[w] for w, n in zip(weights, e) if n)
+            y = at[codes[x] - codes[g]]
+            expansions[x] = {(g, y): table[g, y][x]}
+    alg._elimination = (basis.unit, *sorted(at[w] for w in weights)), expansions
     return alg
 
 

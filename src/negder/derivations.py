@@ -5,9 +5,10 @@ A derivation of degree d satisfies the Koszul-signed Leibniz law
     theta(u v) = theta(u) v + (-1)^(d |u|) u theta(v).
 
 The solver knows nothing about presentations.  A derivation is fixed by
-its values on the algebra's generator_indices, read off the table alone,
-so the unknowns are U_d, the sum of A_(|g| + d) over the non-unit
-generators g.  theta is carried to every other basis element through the
+its values on the algebra's generator_indices, which the algebra reads
+off its table by one echelon, or build_monomial_algebra hands over for a
+presentation, so the unknowns are U_d, the sum of A_(|g| + d) over the
+non-unit generators g.  theta is carried to every other basis element through the
 products that write it (GradedAlgebra.expansions), of two
 positive-degree elements of lower degree or of the unit and a generator
 of its degree, as linear forms over U_d, and the law is imposed on the pairs

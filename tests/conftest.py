@@ -20,10 +20,12 @@ import pytest
 from hypothesis import strategies as st
 
 from negder import (ClassHVerdict, Element, Generator, GradedAlgebra, GradedLinearMap,
-                    LevelRecord, Presentation, ProofTrace, build_monomial_algebra,
-                    derivation_space, derivations, monomial_basis)
+                    LevelRecord, Presentation, ProofTrace, build_monomial_algebra, corpus,
+                    derivation_space, derivations, detect_format, monomial_basis,
+                    parse_presentation)
 from negder.algebra import _monomial_label, check_generator
 from negder.derivations import leibniz_rows
+from negder.fileformats import PRESENTATION
 from negder.linalg import echelon, nullspace_basis, rref
 
 
@@ -92,6 +94,28 @@ def rebased_cp2xs4(cls=GradedAlgebra):
 def point():
     """The one-point algebra Q."""
     return build_monomial_algebra(Presentation("pt", ()))
+
+
+def perfbench_presentations():
+    """The presentations from which the benchmark writes its inputs."""
+    generated = load_script("workloads", "perfbench").GENERATED
+    return [Presentation(name, tuple(Generator(*g) for g in gens))
+            for name, (_, gens) in generated.items()]
+
+
+def builder_presentations():
+    """The presentations that the builder oracles run on: those of the
+    corpus, those of the benchmark, and the point."""
+    return [*(parse_presentation(corpus.text(name)) for name in corpus.names()
+              if detect_format(corpus.text(name)) == PRESENTATION),
+            *perfbench_presentations(), Presentation("pt", ())]
+
+
+def rebuilt(a):
+    """a's table built afresh through the GradedAlgebra constructor, so its
+    generators and expansions come from the echelon of _elimination, not
+    from a builder."""
+    return GradedAlgebra(a.labels, a.degrees, a.unit, a.products, name=a.name)
 
 
 def identity(n):

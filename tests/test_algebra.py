@@ -13,17 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (ROOT, accumulating_tensor, all_pairs_monomial_algebra, basis_changed,
-                      cap_memory, corrupted, crowded, echelon_generators,
-                      exhaustive_validate, flag_manifold, key_sorted_basis, load_script,
-                      pair_loop_monomial_algebra, point, presentations, projective_space,
-                      quadratic_sort_sign, rebased_cp2xs4, sort_sign, sphere, src_env,
-                      table_items, torus)
+                      builder_presentations, cap_memory, corrupted, crowded,
+                      echelon_generators, exhaustive_validate, flag_manifold,
+                      key_sorted_basis, pair_loop_monomial_algebra, point,
+                      presentations, projective_space, quadratic_sort_sign,
+                      rebased_cp2xs4, rebuilt, sort_sign, sphere, src_env, table_items,
+                      torus)
 from negder import (Element, Generator, GradedAlgebra, GradedBasis, GradedLinearMap,
                     LambdaFamily, Presentation, algebra, build_monomial_algebra,
-                    corpus, derivation_space, detect_format, load_algebra_text,
-                    monomial_basis, parse_presentation, parse_structure_constants,
+                    check_class_h, corpus, derivation_space, load_algebra_text,
+                    monomial_basis, parse_structure_constants,
                     serialize_structure_constants, tensor)
-from negder.fileformats import PRESENTATION
 
 
 def test_projective_plane_basis():
@@ -640,6 +640,16 @@ def test_validate_reads_the_generators_of_the_table_as_it_is():
     ]
 
 
+def test_products_cannot_be_rebound_apart_from_the_table():
+    # products is a property over the one view made at construction, so
+    # assigning it cannot show a table other than the one the algebra reads
+    a = sphere(2)
+    view = a.products
+    with pytest.raises(AttributeError):
+        a.products = {}
+    assert a.products is view and a.products == a._table
+
+
 def spied_passes(monkeypatch):
     """The only argument of each _associativity call, in call order."""
     passes = []
@@ -1224,21 +1234,47 @@ def assert_builder_matches_oracle(p):
     assert table_items(built) == table_items(pair_loop_monomial_algebra(p))
 
 
-def perfbench_presentations():
-    """The presentations from which the benchmark writes its inputs."""
-    generated = load_script("workloads", "perfbench").GENERATED
-    return [Presentation(name, tuple(Generator(*g) for g in gens))
-            for name, (_, gens) in generated.items()]
+@pytest.mark.parametrize("p", builder_presentations(), ids=lambda p: p.name)
+def test_builder_table_equals_the_pair_loop_oracle(p):
+    assert table_items(build_monomial_algebra(p)) == table_items(pair_loop_monomial_algebra(p))
+
+
+def assert_builder_elimination_is_the_echelon(p):
+    # (generators, expansions): the builder's against the echelon's
+    a = build_monomial_algebra(p)
+    assert a._elimination == rebuilt(a)._elimination
+
+
+@pytest.mark.parametrize("p", builder_presentations(), ids=lambda p: p.name)
+def test_builder_elimination_equals_the_echelon_oracle(p):
+    assert_builder_elimination_is_the_echelon(p)
+
+
+@given(presentations())
+@settings(max_examples=60, deadline=None)
+def test_builder_elimination_equals_the_echelon_oracle_on_random_presentations(p):
+    assert_builder_elimination_is_the_echelon(p)
+
+
+def _refuse(rows):
+    raise AssertionError("echelon ran")
 
 
 @pytest.mark.parametrize("p", [
-    *(parse_presentation(corpus.text(name)) for name in corpus.names()
-      if detect_format(corpus.text(name)) == PRESENTATION),
-    *perfbench_presentations(),
-    Presentation("pt", ()),
+    Presentation("T4", tuple(Generator(f"i{j}", 1, 2) for j in range(1, 5))),
+    Presentation("T3xS3", tuple(Generator(f"i{j}", 1, 2) for j in range(1, 4))
+                 + (Generator("y", 3, 2),)),
+    Presentation("CP2xCP2xCP1", (Generator("x", 2, 3), Generator("y", 2, 3),
+                                 Generator("z", 2, 2))),
 ], ids=lambda p: p.name)
-def test_builder_table_equals_the_pair_loop_oracle(p):
-    assert table_items(build_monomial_algebra(p)) == table_items(pair_loop_monomial_algebra(p))
+def test_a_presentation_is_solved_with_no_generator_echelon(p, monkeypatch):
+    a = build_monomial_algebra(p)
+    monkeypatch.setattr(algebra, "echelon", _refuse)
+    verdict = check_class_h(a)
+    assert len(derivation_space(a, -1)) == verdict.dimensions[-1]
+    # the same table through the constructor runs the echelon
+    with pytest.raises(AssertionError, match="echelon ran"):
+        rebuilt(a).generator_indices
 
 
 @pytest.mark.parametrize("p", [
@@ -1267,13 +1303,18 @@ def single_generator_monomials(a):
                              if sum(e) == 1)
 
 
+# Each test below also runs on the table rebuilt through the constructor,
+# so that the echelon of _elimination, which a built presentation skips,
+# is tested on monomial tables too.
+
 def test_generator_indices_are_the_generators_on_the_corpus():
     built = 0
     for name in corpus.names():
         a = corpus.load(name)
         if hasattr(a, "monomial_exponents"):
             built += 1
-            assert a.generator_indices == single_generator_monomials(a), name
+            want = single_generator_monomials(a)
+            assert a.generator_indices == rebuilt(a).generator_indices == want, name
         else:  # the torus tables: generated by the degree-1 classes
             assert a.generator_indices == (a.unit,) + tuple(a.graded_piece(1)), name
     assert built == 12
@@ -1283,20 +1324,21 @@ def test_generator_indices_are_the_generators_on_the_corpus():
 @settings(max_examples=60, deadline=None)
 def test_generator_indices_are_the_generators_on_random_presentations(p):
     a = build_monomial_algebra(p)
-    assert a.generator_indices == single_generator_monomials(a)
+    assert a.generator_indices == rebuilt(a).generator_indices == single_generator_monomials(a)
 
 
 def test_generator_search_equals_the_echelon_oracle_on_the_corpus():
     for name in corpus.names():
         a = corpus.load(name)
-        assert a.generator_indices == echelon_generators(a), name
+        for t in (a, rebuilt(a)):
+            assert t.generator_indices == echelon_generators(t), name
 
 
 @given(presentations(), presentations(), crowded(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_generator_search_equals_the_echelon_oracle_on_random_tables(p, q, r, data):
     a, b = build_monomial_algebra(p), build_monomial_algebra(q)
-    tables = [a, basis_changed(build_monomial_algebra(r), data)]
+    tables = [a, rebuilt(a), basis_changed(build_monomial_algebra(r), data)]
     if a.dim * b.dim <= 64:
         tables.append(tensor(a, b))
     for t in tables:
@@ -1373,7 +1415,9 @@ def assert_expansions_rebuild_the_basis(a):
 
 def test_expansions_rebuild_the_basis_on_the_corpus():
     for name in corpus.names():
-        assert_expansions_rebuild_the_basis(corpus.load(name))
+        a = corpus.load(name)
+        assert_expansions_rebuild_the_basis(a)
+        assert_expansions_rebuild_the_basis(rebuilt(a))
 
 
 @given(crowded(), st.data())

@@ -21,7 +21,7 @@ from unittest import mock
 import pytest
 
 from conftest import (ROOT, exhaustive_validate, generator_pair_space, load_script,
-                      projective_space, rebased_cp2xs4, sphere, torus)
+                      projective_space, rebased_cp2xs4, rebuilt, sphere, torus)
 from negder import (Generator, Presentation, algebra, build_monomial_algebra, cli, corpus,
                     derivation_space, derivations, fileformats, linalg,
                     serialize_structure_constants)
@@ -90,6 +90,13 @@ def certificate_is_the_first_canonical_map(m):
         d, theta = m.check_class_h(a).certificate
         first = derivation_space(a, d)[0]
         assert (theta.shift, theta.blocks) == (first.shift, first.blocks)
+
+
+def built_elimination_is_the_echelon(m):
+    # the table rebuilt through the package's constructor runs the echelon
+    gens = (*(Generator(f"i{k}", 1, 2) for k in (1, 2, 3)), Generator("y", 3, 2))
+    a = m.build_monomial_algebra(Presentation("T3xS3", gens))
+    assert a._elimination == rebuilt(a)._elimination
 
 
 def rebased_expansions_give_the_oracle_space(m):
@@ -182,6 +189,9 @@ ROWS = {
         tensor_of_circles_is_valid),
     "Koszul sign masks": Row(
         algebra, "(letters[j] & up).bit_count() & 1", "0", exterior_presentation_is_valid),
+    "builder's expansion coefficient negated": Row(
+        algebra, "{(g, y): table[g, y][x]}", "{(g, y): -table[g, y][x]}",
+        built_elimination_is_the_echelon),
     "parser's odd mirror": Row(
         fileformats, "if (degrees[i] * degrees[j]) % 2:", "if False:",
         serialized_exterior_table_parses, "ValidationError"),
