@@ -115,7 +115,10 @@ class GradedBasis:
     with the basis indexed by degree once: position[i] is the place of i
     in graded_piece(degrees[i]), its row or column in a block of a
     GradedLinearMap.  Labels and degrees are iterables, degrees and the
-    unit ints; anything else raises ValueError.  GradedAlgebra adds the
+    unit ints; anything else raises ValueError, and so does a negative
+    degree, naming its label, once the unit is checked: the algebras here
+    are cohomology rings, graded in degrees 0 and up, and nothing
+    downstream checks a degree's sign again.  GradedAlgebra adds the
     product table; monomial_basis returns a bare GradedBasis, so that what
     reads only labels and degrees builds no table."""
 
@@ -137,6 +140,8 @@ class GradedBasis:
         by_degree = {}
         self.position = []
         for i, d in enumerate(self.degrees):
+            if d < 0:
+                raise ValueError(f"basis label {self.labels[i]!r} has negative degree {d}")
             piece = by_degree.setdefault(d, [])
             self.position.append(len(piece))
             piece.append(i)
@@ -265,18 +270,17 @@ class GradedAlgebra(GradedBasis):
         skipped, since it adds no pivot.  Tags are numbered down from the
         last row, so a row that reduces to a relation among products pivots
         at its own tag, which no other row holds, and changes no earlier
-        row.  The pivots at basis columns span A+ . A+, so the
-        positive-degree indices that are not pivots span a complement and,
-        by graded Nakayama, generate A together with the unit; each pivot
-        row writes its index as a sum of products, a basis term c e_h of
-        the row other than its pivot, a generator of the same degree, as
-        the product term (unit, h): -c, since e_h = 1 e_h by the unit laws.
-        When degree 0 is not exactly the unit line, or a degree is
-        negative, every index is a generator and nothing is written, with
-        no scan."""
+        row.  The pivots at basis columns span A+ . A+, which lies in
+        positive degrees, so the indices other than the unit that are not
+        pivots are the rest of degree 0 and a complement of A+ . A+ in A+;
+        with the unit they generate A, by induction on degree (graded
+        Nakayama).  Each pivot row writes its index as a sum of products, a
+        basis term c e_h of the row other than its pivot, a generator of
+        the same degree, as the product term (unit, h): -c, since e_h =
+        1 e_h by the unit laws.  On a connected algebra, degree 0 the unit
+        line alone, the generators are the unit and the positive-degree
+        non-pivots."""
         dim, degrees, table, unit = self.dim, self.degrees, self._table, self.unit
-        if self.graded_piece(0) != [unit] or min(degrees) < 0:
-            return tuple(range(dim)), {}
         keys = []
         seen, single = set(), set()  # ids of the entries of keys with |i|, |j| > 0
         for key in sorted(table):
@@ -296,18 +300,16 @@ class GradedAlgebra(GradedBasis):
             if p < dim:
                 out[p] = {**{keys[top - c]: x for c, x in row.items() if c >= dim},
                           **{(unit, c): -x for c, x in row.items() if c < dim and c != p}}
-        return (unit,) + tuple(i for i in range(dim)
-                               if degrees[i] > 0 and i not in out), out
+        return (unit,) + tuple(i for i in range(dim) if i != unit and i not in out), out
 
     @property
     def generator_indices(self):
         """Basis indices that generate the algebra, as _elimination gives
-        them: the unit followed, ascending, by the positive-degree indices
-        that are not pivots of the products e_i e_j with |i|, |j| > 0.  For
-        a monomial presentation they are the single-generator monomials,
-        which build_monomial_algebra hands over with no echelon.  Every
-        basis index when degree 0 is more than the unit line or a degree is
-        negative."""
+        them: the unit followed, ascending, by the other indices that are
+        not pivots of the products e_i e_j with |i|, |j| > 0, so every other
+        index of degree 0 among them.  For a monomial presentation they are
+        the single-generator monomials, which build_monomial_algebra hands
+        over with no echelon."""
         return self._elimination[0]
 
     @property
@@ -318,8 +320,7 @@ class GradedAlgebra(GradedBasis):
         |x|, or i is the unit and j a generator of x's degree, coefficients
         as echelon returns them, negated on the unit's terms.  For a
         monomial presentation each is the one term (g, x / g): +-1, g the
-        letter of x of least index, from build_monomial_algebra.  Empty in
-        the fallback, where every index is a generator."""
+        letter of x of least index, from build_monomial_algebra."""
         return self._elimination[1]
 
     def basis_element(self, i):
@@ -390,11 +391,11 @@ class GradedAlgebra(GradedBasis):
         is made only for the keys that fail.
 
         Associativity is decided on the decisive rows alone when every
-        earlier check passes, degree 0 is exactly the unit line and no
-        degree is negative: the positive-degree indices that no one-term
-        product c e_k = e_i e_j of two positive-degree elements reaches,
-        every positive-degree index when no such product exists, and none
-        when the unit is the whole basis.
+        earlier check passes and degree 0 is exactly the unit line: the
+        positive-degree indices that no one-term product c e_k = e_i e_j of
+        two positive-degree elements reaches, every positive-degree index
+        when no such product exists, and none when the unit is the whole
+        basis.
         The left nucleus N = {x : (x y) z = x (y z) for all y, z} is a
         subspace that holds the unit, by the unit laws, and is closed under
         products: for g, h in N, ((g h) y) z = (g (h y)) z = g ((h y) z)
@@ -442,7 +443,7 @@ class GradedAlgebra(GradedBasis):
                         {k: -c for k, c in terms.items()} if odd else terms)
                 if not same:
                     bad_sign.append(key)
-            elif terms and (j, i) not in table:
+            elif (j, i) not in table:
                 bad_sign.append((j, i))
         out = []
         for i, j in sorted(bad_degree):
@@ -465,7 +466,7 @@ class GradedAlgebra(GradedBasis):
         # The decisive rows decide when every check so far passed; the full
         # pass, run on a violation, keeps the full list in its order (see
         # the docstring).
-        if not out and self.graded_piece(0) == [u] and min(degrees) >= 0:
+        if not out and self.graded_piece(0) == [u]:
             reached = {k for (i, j), terms in table.items()
                        if len(terms) == 1 and degrees[i] > 0 and degrees[j] > 0 for k in terms}
             if not self._associativity(set(range(dim)) - reached - {u}):
@@ -646,8 +647,8 @@ def build_monomial_algebra(p):
     in mixed radix over the truncations, generator 0 the most significant
     digit, so codes ascend with the vectors; for a partner f with e + f
     below every truncation no digit carries, and the product's code is the
-    sum of the two.  The sign comes from the bit masks of _sign_masks, worked
-    out only when some generator has odd degree; otherwise every product is
+    sum of the two.  The sign comes from the bit masks of _sign_masks, which
+    hold no bit when no generator has odd degree, so every product is then
     +1.  For each exponent vector e only the partners f with e + f below
     every truncation are visited, in ascending order of f, so the build
     costs one step per nonzero table entry; every other product is zero
@@ -682,14 +683,10 @@ def build_monomial_algebra(p):
     at = [0] * size  # code -> basis index
     for i, c in enumerate(codes):
         at[c] = i
-    odd = [g.degree % 2 == 1 for g in gens]
-    signed = any(odd)
-    # with no odd generator no mask has a bit, and every sign is +1
-    none = [0] * len(exps)
-    letters, above = _sign_masks(exps, odd) if signed else (none, none)
-    # one shared entry per (target, sign): +e_k, and -e_k when signs occur
+    letters, above = _sign_masks(exps, [g.degree % 2 == 1 for g in gens])
+    # one shared entry per (target, sign): +e_k and -e_k
     plus = [{k: 1} for k in range(len(exps))]
-    minus = [{k: -1} for k in range(len(exps))] if signed else None
+    minus = [{k: -1} for k in range(len(exps))]
 
     def pairs():
         for i, e in enumerate(exps):

@@ -329,8 +329,7 @@ def derivation_space(a, d):
     pair by pair, in ascending degree of g x, each pair summed only when
     the solver reads past the one before: at rank |U_d| it stops, no later
     pair is summed, and the space is zero.
-    The table must be associative, as every validated table is.  In the
-    fallback every index is a generator and nothing is carried.
+    The table must be associative, as every validated table is.
 
     The basis is the one read off the system on every basis element, with
     unknowns (i, t) in order of i, then t: one vector per free column, its
@@ -445,9 +444,8 @@ def check_class_h(a, max_degree=None):
     are solved: U_(-k) is nonzero only for k = |g| - n, g a non-unit
     generator and n a degree of a, and every other degree is recorded with
     dimension 0, as derivation_space would return no map there.  The unit
-    adds only k = -n: no sweep reaches it unless a degree is negative, and
-    where no non-unit generator gives it too, derivation_space finds
-    U_(-k) empty and returns no map.  Each degree is solved as
+    adds only k = -n, which no sweep reaches, since no degree is
+    negative.  Each degree is solved as
     derivation_space solves it, through _kernel_maps, but only one map is
     built for the verdict: the certificate, the first map of the same
     canonical basis, so a space of dimension n costs one reshaped map, not

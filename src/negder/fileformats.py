@@ -303,20 +303,17 @@ def serialize_structure_constants(a):
     parse(serialize(a)) reproduces basis order, degrees, unit and table,
     and so the violations of a corrupt one.  What the format cannot carry
     raises ValueError before any text is made: the first basis label its
-    parser rejects or that repeats, or the first negative degree.  Every
-    index names a basis element, as the constructor checked."""
+    parser rejects or that repeats.  Every index names a basis element and
+    no degree is negative, as the constructor checked."""
     labels, degrees, table = a.labels, a.degrees, a._table
     seen = set()
-    for label, d in zip(labels, degrees):
+    for label in labels:
         if not _legal_label(label):
             raise ValueError(f"illegal basis label {label!r}: the structure-constant "
                              "format cannot carry it")
         if label in seen:
             raise ValueError(f"duplicate basis label {label!r}")
         seen.add(label)
-        if d < 0:
-            raise ValueError(f"basis label {label!r} has negative degree {d}: the "
-                             "structure-constant format cannot carry it")
     lines = ["basis:"]
     for label, d in zip(labels, degrees):
         lines.append(f"{label} {d}")

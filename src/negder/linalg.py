@@ -135,10 +135,11 @@ def echelon(rows):
 
 
 def _eliminate(rows, ncols=None):
-    """Exact elimination of fresh nonzero {column: value} rows, values as
-    _fold holds them, which it reduces in place and keeps as pivot rows;
-    returns {pivot column: row}, the RREF of the rows.  Given the number of
-    columns ncols, it reads no row after the rank reaches it.
+    """Exact elimination of fresh {column: value} rows, values as _fold
+    holds them, which it reduces in place and keeps as pivot rows, skipping
+    those that are or reduce to zero; returns {pivot column: row}, the RREF
+    of the rows.  Given the number of columns ncols, it reads no row after
+    the rank reaches it.
 
     holders maps each column that is not a pivot column to the pivot
     columns of the rows that hold it, so a new pivot is cleared from
@@ -181,17 +182,17 @@ def nullspace_basis(m, ncols=None):
     """Canonical kernel basis, read off the RREF of the system.
 
     Rows are dense lists or {column: value} dicts, from any iterable, and
-    ncols is required unless m is a nonempty list of dense rows; zero
-    rows and exact duplicates are skipped, and the distinct rows are
-    eliminated by _eliminate as they are read.  Once their rank is ncols
-    the kernel is zero, and no further row is read, so the rows may come
-    from a generator that builds them on demand.  The basis is the one
-    read off dense rref: one vector per free column f, in ascending order,
-    with entry 1 at f, 0 at every other free column and the
-    back-substituted pivot values elsewhere.
+    ncols is required unless m is a nonempty list of dense rows; exact
+    duplicates are skipped, and the distinct rows are eliminated by
+    _eliminate as they are read, which skips the zero row.  Once their
+    rank is ncols the kernel is zero, and no further row is read, so the
+    rows may come from a generator that builds them on demand.  The basis
+    is the one read off dense rref: one vector per free column f, in
+    ascending order, with entry 1 at f, 0 at every other free column and
+    the back-substituted pivot values elsewhere.
 
-    Every vector is checked exactly against every distinct nonzero row, in
-    time proportional to the nonzeros, and ArithmeticError is raised on a
+    Every vector is checked exactly against every distinct row, in time
+    proportional to the nonzeros, and ArithmeticError is raised on a
     failure.  Vectors are dense lists, their values held as by _fold.
     """
     if ncols is None:
@@ -206,8 +207,6 @@ def nullspace_basis(m, ncols=None):
     def distinct():
         for row in m:
             r = _nonzero(row)
-            if not r:
-                continue
             if any(type(c) is not int or not 0 <= c < ncols for c in r):
                 raise ValueError(f"a row has an entry outside columns 0..{ncols - 1}")
             items = frozenset(r.items())

@@ -352,17 +352,13 @@ def exhaustive_validate(a):
 def echelon_generators(a):
     """Oracle for GradedAlgebra.generator_indices: echelon over every distinct
     entry e_i e_j with |i|, |j| > 0, one-term entries included; the
-    generators are the unit and the positive-degree indices that are not
-    pivot columns.  Every index when degree 0 is more than the unit line
-    or a degree is negative."""
+    generators are the unit and the other indices that are not pivot
+    columns, every other index of degree 0 among them."""
     degrees = a.degrees
-    if a.graded_piece(0) != [a.unit] or min(degrees) < 0:
-        return tuple(range(a.dim))
     entries = {id(terms): terms for (i, j), terms in a.products.items()
                if degrees[i] > 0 and degrees[j] > 0}
     pivots = echelon(entries.values())
-    return (a.unit,) + tuple(i for i in range(a.dim)
-                             if degrees[i] > 0 and i not in pivots)
+    return (a.unit,) + tuple(i for i in range(a.dim) if i != a.unit and i not in pivots)
 
 
 def sort_sign(first, second, odd):

@@ -1,5 +1,6 @@
-"""The package raises errors instead of asserting, so every check it
-makes still runs under ``python -O``."""
+"""The package and the scripts raise errors instead of asserting, so every
+check they make still runs under ``python -O``; the tests import the
+scripts."""
 
 import ast
 import glob
@@ -17,5 +18,6 @@ def assert_statements(path):
 
 def test_no_assert_statements_in_the_package():
     paths = glob.glob(os.path.join(ROOT, "src", "negder", "**", "*.py"), recursive=True)
-    assert len(paths) > 5
-    assert [hit for p in sorted(paths) for hit in assert_statements(p)] == []
+    scripts = glob.glob(os.path.join(ROOT, "scripts", "*.py"))
+    assert len(paths) > 5 and len(scripts) > 3
+    assert [hit for p in sorted(paths + scripts) for hit in assert_statements(p)] == []

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (basis_changed, bracket, crowded, element_residual, flag_manifold,
-                      generator_pair_space, identity_map, levels_with_unknowns,
-                      per_degree_class_h, point, presentations, projective_space,
-                      rref_kernel, scaled, sphere, src_env, torus)
+from conftest import (basis_changed, bracket, crowded, echelon_generators,
+                      element_residual, flag_manifold, generator_pair_space,
+                      identity_map, levels_with_unknowns, per_degree_class_h, point,
+                      presentations, projective_space, rref_kernel, scaled, sphere,
+                      src_env, torus)
 from negder import (Element, Generator, GradedAlgebra, GradedLinearMap,
                     Presentation, build_monomial_algebra, check_class_h, corpus,
                     derivation_space, derivations, is_derivation, leibniz_system,
@@ -230,21 +231,46 @@ def test_derivation_space_matches_dense_oracle_on_basis_changed_tables(p, data):
     assert_matches_dense_oracle(b)
 
 
-def test_derivation_space_matches_dense_oracle_off_the_unit_line():
-    # Q x Q: degree 0 is two-dimensional, so every index is a left factor
-    qxq = parse_structure_constants(
+def q_times_q():
+    """Q x Q: degree 0 is two-dimensional, the unit 1 and the idempotent e."""
+    return parse_structure_constants(
         "basis:\n1 0\ne 0\nunit: 1\nproducts:\n1 1 = 1*1\n1 e = 1*e\n"
         "e e = 1*e\n")
+
+
+def off_the_unit_line():
+    """Algebras whose degree 0 is more than the unit line, with products
+    of positive degree: Q x Q tensored with CP2 on either side and with
+    T2, so that e and some positive-degree elements are generators and
+    the other positive-degree elements have expansions."""
+    qxq = q_times_q()
+    cp2 = projective_space(2)
+    return [tensor(qxq, cp2), tensor(cp2, qxq), tensor(qxq, torus(2))]
+
+
+def test_derivation_space_matches_dense_oracle_off_the_unit_line():
+    # no product of two positive-degree elements of these is nonzero, so
+    # every index is a generator
+    qxq = q_times_q()
     for alg in (qxq, tensor(qxq, sphere(3))):
         assert alg.generator_indices == tuple(range(alg.dim))
         assert_matches_dense_oracle(alg)
-    # Q[y]/(y^2) with |y| = -2 has no positive degree to take generators from;
-    # at degree 2 only the pair (y, y) forces theta(y) = 0
-    neg = GradedAlgebra(["1", "y"], [0, -2], 0,
-                        {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}})
-    assert neg.validate() == []
-    assert neg.generator_indices == (0, 1)
-    assert derivation_space(neg, 2) == dense_derivation_space(neg, 2) == []
+    # degree 0 joins the generators, beside a complement of A+ . A+
+    for alg in off_the_unit_line():
+        assert alg.validate() == []
+        assert alg.generator_indices == echelon_generators(alg), alg
+        assert alg.expansions
+        assert_matches_dense_oracle(alg)
+        assert check_class_h(alg) == per_degree_class_h(alg)
+
+
+@given(presentations().filter(lambda p: prod(g.truncation for g in p.generators) <= 8))
+@settings(max_examples=25, deadline=None)
+def test_derivation_space_matches_dense_oracle_off_the_unit_line_on_random_presentations(p):
+    alg = tensor(q_times_q(), build_monomial_algebra(p))
+    assert alg.generator_indices == echelon_generators(alg)
+    assert_matches_dense_oracle(alg)
+    assert check_class_h(alg) == per_degree_class_h(alg)
 
 
 def spy_solves(monkeypatch):
@@ -782,17 +808,13 @@ def test_sweep_stops_at_the_top_degree(space_calls):
 
 
 def sweep_cases():
-    """Corpus algebras, a product of three, algebras off the unit line and
-    one with a negative degree, for the sweep against its oracle."""
-    qxq = parse_structure_constants(
-        "basis:\n1 0\ne 0\nunit: 1\nproducts:\n1 1 = 1*1\n1 e = 1*e\n"
-        "e e = 1*e\n")
-    neg = GradedAlgebra(["1", "y"], [0, -2], 0,
-                        {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}})
+    """Corpus algebras, a product of three and algebras off the unit line,
+    for the sweep against its oracle."""
+    qxq = q_times_q()
     cp2 = projective_space(2)
     return ([corpus.load(name) for name in corpus.names()]
             + [tensor(tensor(cp2, cp2), projective_space(1)), qxq,
-               tensor(qxq, sphere(3)), neg])
+               tensor(qxq, sphere(3)), *off_the_unit_line()])
 
 
 def test_sweep_equals_per_degree_oracle_on_corpus():

@@ -20,8 +20,8 @@ from unittest import mock
 
 import pytest
 
-from conftest import (ROOT, exhaustive_validate, generator_pair_space, load_script,
-                      projective_space, rebased_cp2xs4, rebuilt, sphere, torus)
+from conftest import (ROOT, echelon_generators, exhaustive_validate, generator_pair_space,
+                      load_script, projective_space, rebased_cp2xs4, rebuilt, sphere, torus)
 from negder import (Generator, Presentation, algebra, build_monomial_algebra, cli, corpus,
                     derivation_space, derivations, fileformats, linalg,
                     serialize_structure_constants)
@@ -130,6 +130,24 @@ def table_key_outside_the_basis_is_refused(m):
     assert message == "table key (1, -1) names -1, outside 0..1"
 
 
+def basis_with_a_negative_degree_is_refused(m):
+    try:
+        m.GradedBasis(["1", "x"], [0, -2], 0)
+    except ValueError as exc:
+        message = str(exc)
+    else:
+        message = None
+    assert message == "basis label 'x' has negative degree -2"
+
+
+def degree_zero_joins_the_generators(m):
+    # Q x Q (x) CP2: the idempotent e (x) 1 of degree 0 is a generator
+    qxq = m.GradedAlgebra(["1", "e"], [0, 0], 0, {(0, 0): {0: 1}, (0, 1): {1: 1},
+                                                  (1, 0): {1: 1}, (1, 1): {1: 1}})
+    a = m.tensor(qxq, projective_space(2))
+    assert a.generator_indices == echelon_generators(a)
+
+
 def products_are_read_only(m):
     a = m.GradedAlgebra(["1"], [0], 0, {(0, 0): {0: 1}})
     with contextlib.suppress(TypeError):
@@ -208,6 +226,10 @@ ROWS = {
     "constructor without its key range test": Row(
         algebra, "if not (0 <= i < dim and 0 <= j < dim):", "if False:",
         table_key_outside_the_basis_is_refused),
+    "basis without its degree test": Row(
+        algebra, "if d < 0:", "if False:", basis_with_a_negative_degree_is_refused),
+    "generators leave out degree 0": Row(
+        algebra, "i != unit", "degrees[i] > 0", degree_zero_joins_the_generators),
     "products left writable": Row(
         algebra, "MappingProxyType(table)", "table", products_are_read_only),
     "check_generator without the ^ rule": Row(
