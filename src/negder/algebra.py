@@ -385,10 +385,13 @@ class GradedAlgebra(GradedBasis):
         that follows the table, its nonzero contributions and dim.
         Violations come in i, j, k order.
 
-        The degree and commutativity checks are made in one walk
-        over the keys, each worked out once per distinct entry (or entry,
-        mirror and parity), so a key costs a lookup, and a violation's text
-        is made only for the keys that fail.
+        The degree and commutativity checks are made in one walk over the
+        keys.  The degree check compares |i| + |j| with the common degree
+        of the entry's terms, worked out once per distinct entry; since no
+        entry is empty, a common degree of None (mixed) or any other value
+        means a term of the wrong degree.  Each mirror P[j,i] is compared
+        directly with P[i,j], or with its negation when |i| and |j| are
+        both odd.  A violation's text is made only for the keys that fail.
 
         Associativity is decided on the decisive rows alone when every
         earlier check passes and degree 0 is exactly the unit line: the
@@ -419,7 +422,6 @@ class GradedAlgebra(GradedBasis):
         table = self._table
         empty = {}
         facts = {}  # id of an entry -> its common degree, or None
-        agree = {}  # (id of P[i,j], id of P[j,i], parity) -> they agree
         bad_degree, bad_sign = [], []
         u = self.unit
         for key, terms in table.items():
@@ -428,20 +430,14 @@ class GradedAlgebra(GradedBasis):
                 common = {degrees[k] for k in terms}
                 facts[entry] = common.pop() if len(common) == 1 else None
             i, j = key
-            want = degrees[i] + degrees[j]
-            if facts[entry] != want and any(degrees[k] != want for k in terms):
+            if facts[entry] != degrees[i] + degrees[j]:
                 bad_degree.append(key)
             # A pair {i, j} with neither order in the table is zero both
             # ways; one with both is checked at i <= j.
             if i <= j:
-                mirror = table.get((j, i), empty)
-                odd = degrees[i] & degrees[j] & 1
-                pair = (entry, id(mirror), odd)
-                same = agree.get(pair)
-                if same is None:
-                    same = agree[pair] = mirror == (
-                        {k: -c for k, c in terms.items()} if odd else terms)
-                if not same:
+                if table.get((j, i), empty) != (
+                        {k: -c for k, c in terms.items()}
+                        if degrees[i] & degrees[j] & 1 else terms):
                     bad_sign.append(key)
             elif (j, i) not in table:
                 bad_sign.append((j, i))

@@ -38,7 +38,7 @@ from functools import cache
 
 from . import corpus
 from .derivations import check_class_h, derivation_space
-from .fileformats import AlgebraFile, ParseError, ValidationError, detect_format, integer
+from .fileformats import AlgebraFile, ValidationError, detect_format, integer
 from .rigidity import char_subspace, prove_rigidity
 
 
@@ -295,7 +295,7 @@ def _dispatch(args):
             for line in lines:
                 print(line)
         return code
-    except (OSError, ParseError, ValidationError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (MemoryError, RecursionError) as exc:

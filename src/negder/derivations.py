@@ -260,15 +260,15 @@ def _product_rule(out, table, theta, sign, i, j, f):
 def _unknowns(a, d):
     """theta on the unit and the other generators g, as {index: {(t,
     column): coefficient}}: theta(1) = 0, and the coefficient of t in
-    theta(g), for t in A_(|g| + d), is its own column of U_d.  Returns
-    (theta, |U_d|)."""
+    theta(g), for t in A_(|g| + d), is its own column of U_d.  The other
+    generators are generator_indices[1:], since the unit comes first there.
+    Returns (theta, |U_d|)."""
     theta = {a.unit: {}}
     ncols = 0
-    for g in a.generator_indices:
-        if g != a.unit:
-            piece = a.graded_piece(a.degrees[g] + d)
-            theta[g] = {(t, ncols + k): 1 for k, t in enumerate(piece)}
-            ncols += len(piece)
+    for g in a.generator_indices[1:]:
+        piece = a.graded_piece(a.degrees[g] + d)
+        theta[g] = {(t, ncols + k): 1 for k, t in enumerate(piece)}
+        ncols += len(piece)
     return theta, ncols
 
 
@@ -289,7 +289,7 @@ def _constraints(a, d, theta):
     once the generator is exhausted."""
     table = a._table
     degrees = a.degrees
-    signs = {g: _sign(d * degrees[g]) for g in theta if g != a.unit}
+    signs = {g: _sign(d * degrees[g]) for g in a.generator_indices[1:]}
     pieces = {n: a.graded_piece(n) for n in set(degrees)}
     none = ()
     empty = {}
@@ -340,9 +340,11 @@ def derivation_space(a, d):
     image entry x at column c adding x v[c] wherever v[c] is nonzero, and
     each vector becomes one GradedLinearMap, in ascending order of its
     free column; the list is empty exactly when only the zero derivation
-    exists.  d must be an int.  Every map is built; check_class_h, which
-    keeps only the first, reads the same basis through _kernel_maps.
+    exists.  d must be an int, and is checked here, once, before anything
+    is solved.  Every map is built; check_class_h, which keeps only the
+    first, reads the same basis through _kernel_maps.
     """
+    _check_int("d", d)
     return list(_kernel_maps(a, d)[1])
 
 
@@ -351,8 +353,9 @@ def _kernel_maps(a, d):
     space, and an iterator over its canonical basis, in order, that builds
     each GradedLinearMap only when it is read.  The echelon that fixes the
     basis is reduced before it returns, so reading the first map alone
-    gives the first map of derivation_space."""
-    _check_int("d", d)
+    gives the first map of derivation_space.  d is not checked here:
+    derivation_space checks it, and check_class_h passes the ints it
+    builds."""
     theta, ncols = _unknowns(a, d)
     if not ncols:
         return 0, iter(())
@@ -443,9 +446,8 @@ def check_class_h(a, max_degree=None):
     max_degree must be an int or None.  Only the degrees -k with unknowns
     are solved: U_(-k) is nonzero only for k = |g| - n, g a non-unit
     generator and n a degree of a, and every other degree is recorded with
-    dimension 0, as derivation_space would return no map there.  The unit
-    adds only k = -n, which no sweep reaches, since no degree is
-    negative.  Each degree is solved as
+    dimension 0, as derivation_space would return no map there.  Each
+    degree is solved as
     derivation_space solves it, through _kernel_maps, but only one map is
     built for the verdict: the certificate, the first map of the same
     canonical basis, so a space of dimension n costs one reshaped map, not
@@ -461,7 +463,7 @@ def check_class_h(a, max_degree=None):
     dimensions = {}
     certificate = None
     present = set(a.degrees)
-    solved = {a.degrees[g] - n for g in a.generator_indices for n in present}
+    solved = {a.degrees[g] - n for g in a.generator_indices[1:] for n in present}
     for k in range(1, min(depth, a.top_degree) + 1):
         if k not in solved:
             dimensions[-k] = 0

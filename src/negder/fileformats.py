@@ -31,9 +31,12 @@ an optional "/" and ASCII digits for a denominator, as in 3, -1 or -3/4;
 spaces may stand before the "*".  "+" separates terms, so "+2*x" is an
 empty term before a "+".  Anything else (1.5, 1e3, 1_000, 0x1) is a
 ParseError, so a coefficient costs time in proportion to its text.  A
-product line may name a pair in either order.  A pair given in one order
-only gets its transposed entry from graded commutativity; a pair given in
-both orders keeps both lines, and validation cross-checks them; the
+numerator or denominator longer than Python's int-string limit,
+sys.get_int_max_str_digits() (4 300 digits by default), is the ParseError
+"bad coefficient" too.  A product line may name a pair in either order.
+A pair given in one order only gets its transposed entry from graded
+commutativity; a pair given in both orders keeps both lines, and
+validation cross-checks them; the
 serializer writes both lines, an absent entry as 0, when the two orders
 disagree, so a corrupt table reads back as it was.  Omitted
 pairs are zero.  A parsed table is validated before use and rejected with

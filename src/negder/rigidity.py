@@ -49,8 +49,6 @@ class KunnethModel:
 
     def __init__(self, base, torus_rank):
         _check_int("torus_rank", torus_rank)
-        if torus_rank < 0:
-            raise ValueError("torus rank must be nonnegative")
         self.base = base
         self.torus_rank = torus_rank
         self.torus = torus_exterior(torus_rank)

@@ -177,6 +177,24 @@ def test_duplicate_symbols_rejected():
             "bad", (Generator("a", 2, 2), Generator("a", 4, 2))))
 
 
+@pytest.mark.parametrize("gens, message", [
+    ((Generator("x", 2.0),), "degree of generator 'x' must be an int, not 2.0"),
+    ((Generator("x", True),), "degree of generator 'x' must be an int, not True"),
+    ((Generator("x", 2, "3"),), "truncation of generator 'x' must be an int, not '3'"),
+    ((Generator("x", 0),), "generator 'x' must have positive degree"),
+    ((Generator("x", 2, 1),), "generator 'x' needs truncation >= 2"),
+    ((Generator("x", 3, 4),), "odd-degree generator 'x' must truncate at 2"),
+    ((Generator("a", 2), Generator("a", 4)), "duplicate generator symbol 'a'"),
+    ((Generator("x*y", 2),), "illegal generator symbol 'x*y'"),
+], ids=["float degree", "bool degree", "str truncation", "degree 0", "truncation 1",
+        "odd truncation 4", "duplicate", "star"])
+def test_check_generator_names_what_it_refuses(gens, message):
+    # the same messages as the parser's, without the line prefix
+    with pytest.raises(ValueError) as info:
+        build_monomial_algebra(Presentation("p", gens))
+    assert str(info.value) == message
+
+
 def test_point_algebra():
     pt = point()
     assert pt.labels == ["1"]

@@ -14,13 +14,13 @@ from hypothesis import strategies as st
 from conftest import (basis_changed, corrupted, flag_manifold, presentations,
                       projective_space, sphere, src_env, torus)
 from negder import (AlgebraFile, GradedAlgebra, ParseError, ValidationError,
-                    build_monomial_algebra,
+                    build_monomial_algebra, cli,
                     detect_format, fileformats, load_algebra_text, parse_presentation,
                     parse_structure_constants, serialize_structure_constants,
                     tensor)
 from negder.corpus import names as corpus_names
 from negder.corpus import text as corpus_text
-from negder.fileformats import _coefficient, _parse_terms
+from negder.fileformats import _coefficient, _parse_terms, integer
 
 MINIMAL_TABLE = """\
 basis:
@@ -48,10 +48,10 @@ def test_detect_structure_constants():
 
 
 def test_detect_rejects_empty_and_unknown():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="^empty input$"):
         detect_format("# only comments\n\n")
-    with pytest.raises(ParseError):
-        detect_format("widget x\n")
+    with pytest.raises(ParseError, match="^line 2: unrecognized directive 'widget'$"):
+        detect_format("# note\nwidget x\n")
 
 
 # --- presentation parsing ---
@@ -195,6 +195,117 @@ def test_parse_rejects_unknown_labels():
 def test_parse_rejects_missing_sections():
     with pytest.raises(ParseError, match="unit"):
         parse_structure_constants("basis:\n1 0\n\nproducts:\n1 1 = 1*1\n")
+
+
+# --- every parse error, by its exact message ---
+
+def edited(old, new):
+    """MINIMAL_TABLE with its one line old replaced by new."""
+    assert MINIMAL_TABLE.count(old) == 1, old
+    return MINIMAL_TABLE.replace(old, new)
+
+
+# Python reads an int from at most this many digits, 4 300 unless the
+# limit is changed or lifted; the parser reads a coefficient's numerator
+# and denominator through int
+DIGITS = sys.get_int_max_str_digits()
+TERM = "the term {} a '+' is empty; a coefficient carries at most a minus sign"
+
+TABLE_ERRORS = {
+    "unit without a label": (edited("unit: 1", "unit:"), "line 5: unit needs a basis label"),
+    "second unit line": (edited("unit: 1", "unit: 1\nunit: x"), "line 6: duplicate unit line"),
+    "basis line of three words": (edited("x 2", "x 2 3"), "line 3: expected: <label> <degree>"),
+    "word degree": (edited("x 2", "x two"), "line 3: degree must be an integer, got 'two'"),
+    "illegal basis label": (edited("x 2", "x+y 2"), "line 3: illegal basis label 'x+y'"),
+    "duplicate basis label": (edited("x 2", "x 2\nx 4"), "line 4: duplicate basis label 'x'"),
+    "negative degree": (edited("x 2", "x -2"), "line 3: degrees must be nonnegative"),
+    "product line without =": (edited("1 x = 1*x", "1 x 1*x"),
+                               "line 9: expected: <i> <j> = <coeff>*<k> [+ ...]"),
+    "one label before =": (edited("1 x = 1*x", "1 = 1*x"),
+                           "line 9: expected two basis labels before '='"),
+    "line before the basis": (edited("basis:", "y 2\nbasis:"),
+                              "line 1: line outside any section"),
+    "no basis": (edited("basis:\n1 0\nx 2\n", ""), "no basis section"),
+    "no unit": (edited("unit: 1", ""), "no unit line"),
+    "unit outside the basis": (edited("unit: 1", "unit: y"), "unit label 'y' is not in the basis"),
+    "unknown right label": (edited("1 x = 1*x", "1 y = 1*x"), "line 9: unknown basis label 'y'"),
+    "unknown left label": (edited("1 x = 1*x", "y x = 1*x"), "line 9: unknown basis label 'y'"),
+    "second product line": (edited("1 x = 1*x", "1 x = 1*x\n1 x = 1*x"),
+                            "line 10: duplicate product line for 1 x"),
+    "decimal coefficient": (edited("1 x = 1*x", "1 x = 1.5*x"), "line 9: bad coefficient '1.5'"),
+    "empty term before +": (edited("1 x = 1*x", "1 x = +1*x"), "line 9: " + TERM.format("before")),
+    "empty term after +": (edited("1 x = 1*x", "1 x = 1*x +"), "line 9: " + TERM.format("after")),
+    "term without *": (edited("1 x = 1*x", "1 x = x"), "line 9: expected <coeff>*<label>, got 'x'"),
+    "unknown term label": (edited("1 x = 1*x", "1 x = 1*y"), "line 9: unknown basis label 'y'"),
+    "coefficient past the int-string limit": (
+        edited("1 x = 1*x", f"1 x = {'1' * (DIGITS + 1)}*x"),
+        f"line 9: bad coefficient {'1' * (DIGITS + 1)!r}"),
+}
+
+
+@pytest.mark.parametrize("name", TABLE_ERRORS)
+def test_a_table_error_names_its_line(name):
+    text, message = TABLE_ERRORS[name]
+    with pytest.raises(ParseError) as info:
+        parse_structure_constants(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("rhs, message", [
+    # the table rows above reach the other errors of _parse_terms
+    ("2 * x", "line 4: unknown basis label ' x'"),  # a space may stand before *, not after
+    ("1*y + 1*x", "line 4: unknown basis label 'y'"),
+    ("1*x + 1/0*x", "line 4: bad coefficient '1/0'"),
+])
+def test_a_terms_error_names_its_line(rhs, message):
+    with pytest.raises(ParseError) as info:
+        _parse_terms(rhs, 4, {"1": 0, "x": 1}, {})
+    assert str(info.value) == message
+
+
+def test_a_coefficient_at_the_int_string_limit_parses():
+    # x x = N y with N of DIGITS digits: one digit more is a row above
+    big = int("1" * DIGITS)
+    text = edited("x 2", "x 2\ny 4") + f"1 y = 1*y\nx x = {'1' * DIGITS}*y\n"
+    assert parse_structure_constants(text).products[1, 1] == {2: big}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("name", "line 1: name needs a value"),
+    ("name t\nwidget x", "line 2: unknown directive 'widget'"),
+    ("generator x degree", "line 1: expected: generator <symbol> degree <n> [truncate <m>]"),
+    ("generator x deg 2", "line 1: expected: generator <symbol> degree <n> [truncate <m>]"),
+    ("generator x degree 2 trunc 3", "line 1: expected 'truncate', got 'trunc'"),
+    ("generator x degree two", "line 1: degree must be an integer, got 'two'"),
+    ("generator x degree 2 truncate three", "line 1: truncation must be an integer, got 'three'"),
+    ("generator x degree 0", "line 1: generator 'x' must have positive degree"),
+    ("generator x degree 2 truncate 1", "line 1: generator 'x' needs truncation >= 2"),
+    ("generator x degree 3 truncate 4", "line 1: odd-degree generator 'x' must truncate at 2"),
+    ("generator x degree 2\ngenerator x degree 4", "line 2: duplicate generator symbol 'x'"),
+    ("generator x^2 degree 2", "line 1: illegal generator symbol 'x^2'"),
+])
+def test_a_presentation_error_names_its_line(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_presentation(text + "\n")
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name", ["unit without a label", "unknown right label",
+                                  "unknown term label", "coefficient past the int-string limit"])
+def test_a_table_error_exits_2_with_its_message(tmp_path, capsys, name):
+    text, message = TABLE_ERRORS[name]
+    path = tmp_path / "bad.alg"
+    path.write_text(text, encoding="utf-8")
+    for command in ("validate", "check-h"):
+        assert cli.run([command, str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_integer_reads_only_sign_and_ascii_digits():
+    assert integer("-12") == -12
+    for text in ("1_0", "\u0663", " 1", "1.0"):
+        with pytest.raises(ValueError, match=f"^{re.escape(repr(text))} is not an integer$"):
+            integer(text)
 
 
 def test_parse_sends_bad_tables_to_validation():
@@ -378,10 +489,12 @@ def test_serializer_refuses_what_it_would_write_wrongly():
 @pytest.mark.parametrize("label", ["a b", "x#", "0", "x=y", "x+y", "unit:x", "1"])
 def test_serializer_refuses_a_label_its_parser_rejects(label):
     # each would come back as a ParseError; the first such label is named
+    message = (f"duplicate basis label {label!r}" if label == "1" else
+               f"illegal basis label {label!r}: the structure-constant format cannot carry it")
     for labels in (["1", label], ["1", "x", label, "a b"]):
         products = {(0, i): {i: 1} for i in range(len(labels))}
         a = GradedAlgebra(labels, [0] + [2] * (len(labels) - 1), 0, products)
-        with pytest.raises(ValueError, match=re.escape(repr(label))):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             serialize_structure_constants(a)
 
 
@@ -474,6 +587,8 @@ def test_algebra_file_records_format():
     doc = AlgebraFile(detect_format(text), text)
     assert doc.format == "presentation"
     assert doc.build().dim == 3
+    with pytest.raises(ValueError, match="^unknown format 'bogus'$"):
+        AlgebraFile("bogus", text).build()
 
 
 def test_load_algebra_text_handles_both_formats():

@@ -71,6 +71,28 @@ def validate_finds_what_the_oracle_finds(m):
     assert len(violations) == 2 and violations == exhaustive_validate(bad)
 
 
+def degree_violation_is_found(m):
+    # CP2 with x * x = x: one entry of one degree, the wrong one, and every
+    # other check passes
+    cp2 = projective_space(2)
+    products = {key: dict(terms) for key, terms in cp2.products.items()}
+    products[1, 1] = {1: 1}
+    bad = m.GradedAlgebra(cp2.labels, cp2.degrees, cp2.unit, products)
+    violations = bad.validate()
+    assert violations and violations == exhaustive_validate(bad)
+
+
+def unknown_product_label_is_named(m):
+    text = "basis:\n1 0\nx 2\nunit: 1\nproducts:\n1 1 = 1*1\n1 y = 1*x\n"
+    try:
+        m.parse_structure_constants(text)
+    except Exception as exc:
+        message = f"{type(exc).__name__}: {exc}"
+    else:
+        message = None
+    assert message == "ParseError: line 7: unknown basis label 'y'"
+
+
 def odd_spaces_match_the_oracle(m):
     # T4 at -1 and T3 x S3 at -3 carry theta through expansions such as
     # i1 * (i2 * i3), whose two factors differ in parity; each input alone
@@ -213,6 +235,14 @@ ROWS = {
     "parser's odd mirror": Row(
         fileformats, "if (degrees[i] * degrees[j]) % 2:", "if False:",
         serialized_exterior_table_parses, "ValidationError"),
+    "validate compares a mirror without its sign": Row(
+        algebra, "if degrees[i] & degrees[j] & 1 else terms", "if 0 else terms",
+        exterior_presentation_is_valid),
+    "degree fact only for mixed entries": Row(
+        algebra, "facts[entry] != degrees[i] + degrees[j]", "facts[entry] is None",
+        degree_violation_is_found),
+    "product line with an unknown label let through": Row(
+        fileformats, "if None in key:", "if False:", unknown_product_label_is_named),
     "validate skips a generator": Row(
         algebra, "self._associativity(set(range(dim)) - reached - {u})",
         "self._associativity(sorted(set(range(dim)) - reached - {u})[:-1])",

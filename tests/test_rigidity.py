@@ -57,6 +57,18 @@ def test_pullback_expand_rejects_indices_outside_the_base():
             pullback_expand(model, fam, Element({3: 1}))
 
 
+def test_pullback_expand_rejects_a_family_of_another_torus_rank():
+    s3 = sphere(3)
+    with pytest.raises(ValueError, match="^family and model torus ranks differ$"):
+        pullback_expand(KunnethModel(s3, 1), LambdaFamily(2), Element({0: 1}))
+
+
+def test_model_refuses_a_negative_torus_rank_through_torus_exterior():
+    # the model leaves the sign of its rank to torus_exterior
+    with pytest.raises(ValueError, match="^torus rank must be nonnegative$"):
+        KunnethModel(sphere(3), -1)
+
+
 @pytest.mark.parametrize("subset", [(3,), (0,), (1, 1), (1.0,), (True,)])
 def test_model_total_index_rejects_a_subset_outside_the_torus(subset):
     # each used to raise a bare KeyError, (1.0,) and (True,) to find (1,)
