@@ -390,8 +390,9 @@ class GradedAlgebra(GradedBasis):
         of the entry's terms, worked out once per distinct entry; since no
         entry is empty, a common degree of None (mixed) or any other value
         means a term of the wrong degree.  Each mirror P[j,i] is compared
-        directly with P[i,j], or with its negation when |i| and |j| are
-        both odd.  A violation's text is made only for the keys that fail.
+        directly with _mirror of P[i,j]: the entry, or its negation when
+        |i| and |j| are both odd.  A violation's text is made only for the
+        keys that fail.
 
         Associativity is decided on the decisive rows alone when every
         earlier check passes and degree 0 is exactly the unit line: the
@@ -435,9 +436,7 @@ class GradedAlgebra(GradedBasis):
             # A pair {i, j} with neither order in the table is zero both
             # ways; one with both is checked at i <= j.
             if i <= j:
-                if table.get((j, i), empty) != (
-                        {k: -c for k, c in terms.items()}
-                        if degrees[i] & degrees[j] & 1 else terms):
+                if table.get((j, i), empty) != _mirror(terms, degrees[i] & degrees[j] & 1):
                     bad_sign.append(key)
             elif (j, i) not in table:
                 bad_sign.append((j, i))
@@ -529,6 +528,14 @@ def _index(table, skip):
     return rows, by_m
 
 
+def _mirror(terms, odd):
+    """The entry P[j,i] that graded commutativity asks for, given terms =
+    P[i,j]: terms itself, or a fresh negation when odd, that is when |i|
+    and |j| are both odd.  The one statement of the rule, for validate(),
+    the parser and the serializer."""
+    return {k: -c for k, c in terms.items()} if odd else terms
+
+
 def _legal_label(label):
     """Whether a basis line of the structure-constant format can carry
     label: a str of one word, not 0, with none of =+#, not starting with
@@ -536,6 +543,15 @@ def _legal_label(label):
     by it, and check_generator generator symbols."""
     return (type(label) is str and label.split() == [label] and label != "0"
             and _RESERVED.isdisjoint(label) and not label.startswith("unit:"))
+
+
+def _quote(token):
+    """repr(token), for a message; a str of more than 40 characters shows
+    its first 40 and its length, so the message stays short whatever the
+    input holds."""
+    if type(token) is str and len(token) > 40:
+        return f"{token[:40]!r}... ({len(token)} characters)"
+    return repr(token)
 
 
 def check_generator(g, seen, entries):
@@ -553,21 +569,21 @@ def check_generator(g, seen, entries):
     print."""
     symbol = g.symbol
     if not _legal_label(symbol) or symbol == "1" or "*" in symbol or "^" in symbol:
-        raise ValueError(f"illegal generator symbol {symbol!r}")
+        raise ValueError(f"illegal generator symbol {_quote(symbol)}")
     if symbol in seen:
-        raise ValueError(f"duplicate generator symbol {symbol!r}")
+        raise ValueError(f"duplicate generator symbol {_quote(symbol)}")
     seen.add(symbol)
     t = g.truncation
     if type(g.degree) is not int:
-        _check_int(f"degree of generator {symbol!r}", g.degree)
+        _check_int(f"degree of generator {_quote(symbol)}", g.degree)
     if type(t) is not int:
-        _check_int(f"truncation of generator {symbol!r}", t)
+        _check_int(f"truncation of generator {_quote(symbol)}", t)
     if g.degree < 1:
-        raise ValueError(f"generator {symbol!r} must have positive degree")
+        raise ValueError(f"generator {_quote(symbol)} must have positive degree")
     if t < 2:
-        raise ValueError(f"generator {symbol!r} needs truncation >= 2")
+        raise ValueError(f"generator {_quote(symbol)} needs truncation >= 2")
     if g.degree % 2 and t != 2:
-        raise ValueError(f"odd-degree generator {symbol!r} must truncate at 2")
+        raise ValueError(f"odd-degree generator {_quote(symbol)} must truncate at 2")
     entries *= t * (t + 1) // 2 if t <= MAX_TABLE_ENTRIES else MAX_TABLE_ENTRIES + 1
     if entries > MAX_TABLE_ENTRIES:
         raise ValueError(f"the presentation needs a table of at least {entries} "

@@ -336,13 +336,14 @@ def derivation_space(a, d):
     last nonzero, with 1 there and 0 at the other free columns.  That is
     the RREF of the kernel, carried to every basis element, with the
     column order reversed, so it is echelon over the columns (-i, -t).
-    Each dense kernel vector v of nullspace_basis is carried as it is, the
-    image entry x at column c adding x v[c] wherever v[c] is nonzero, and
-    each vector becomes one GradedLinearMap, in ascending order of its
-    free column; the list is empty exactly when only the zero derivation
-    exists.  d must be an int, and is checked here, once, before anything
-    is solved.  Every map is built; check_class_h, which keeps only the
-    first, reads the same basis through _kernel_maps.
+    Each sparse kernel vector v of nullspace_basis, a {column: value} dict
+    of its nonzero entries, is carried as it is, the image entry x at
+    column c adding x v[c] for each column c that v holds, and each vector
+    becomes one GradedLinearMap, in ascending order of its free column;
+    the list is empty exactly when only the zero derivation exists.  d
+    must be an int, and is checked here, once, before anything is solved.
+    Every map is built; check_class_h, which keeps only the first, reads
+    the same basis through _kernel_maps.
     """
     _check_int("d", d)
     return list(_kernel_maps(a, d)[1])
@@ -360,11 +361,11 @@ def _kernel_maps(a, d):
     if not ncols:
         return 0, iter(())
     vectors = []
-    for v in nullspace_basis(_constraints(a, d, theta), ncols=ncols):
+    for v in nullspace_basis(_constraints(a, d, theta), ncols):
         vector = {}
         for i, img in theta.items():
             for (t, c), x in img.items():
-                if v[c]:
+                if c in v:
                     _add(vector, (-i, -t), x * v[c])
         vectors.append(vector)
     rows = sorted(echelon(vectors).items(), reverse=True)

@@ -33,7 +33,10 @@ empty term before a "+".  Anything else (1.5, 1e3, 1_000, 0x1) is a
 ParseError, so a coefficient costs time in proportion to its text.  A
 numerator or denominator longer than Python's int-string limit,
 sys.get_int_max_str_digits() (4 300 digits by default), is the ParseError
-"bad coefficient" too.  A product line may name a pair in either order.
+"bad coefficient" too, and a degree or truncation that long is a
+ParseError that names the limit.  A message quotes a token or label
+through algebra._quote: as its repr, or its first 40 characters and its
+length when it is longer.  A product line may name a pair in either order.
 A pair given in one order only gets its transposed entry from graded
 commutativity; a pair given in both orders keeps both lines, and
 validation cross-checks them; the
@@ -52,10 +55,11 @@ in proportion to the table plus dim.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (Generator, GradedAlgebra, Presentation, _legal_label,
+from .algebra import (Generator, GradedAlgebra, Presentation, _legal_label, _mirror, _quote,
                       build_monomial_algebra, check_generator, monomial_basis)
 from .linalg import _fold
 
@@ -118,7 +122,7 @@ def detect_format(text):
             return PRESENTATION
         if head in ("basis:", "unit:", "products:"):
             return STRUCTURE_CONSTANTS
-        raise ParseError(line_no, f"unrecognized directive {head!r}")
+        raise ParseError(line_no, f"unrecognized directive {_quote(head)}")
     raise ParseError(0, "empty input")
 
 
@@ -126,15 +130,22 @@ def integer(text):
     """The int that text writes as [+-]?[0-9]+, or ValueError: int() alone
     would also read 1_0, non-ASCII digits such as ٣ and surrounding spaces."""
     if not _INTEGER.fullmatch(text):
-        raise ValueError(f"{text!r} is not an integer")
+        raise ValueError(f"{_quote(text)} is not an integer")
     return int(text)
 
 
 def _int(token, line_no, what):
+    """integer(token), or a ParseError naming line_no and what the token
+    is: one that passes the integer grammar but has more digits than
+    Python's int-string limit names that limit."""
     try:
         return integer(token)
     except ValueError:
-        raise ParseError(line_no, f"{what} must be an integer, got {token!r}") from None
+        if not _INTEGER.fullmatch(token):
+            raise ParseError(line_no, f"{what} must be an integer, got {_quote(token)}") from None
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(line_no, f"{what} {_quote(token)} has more digits than the "
+                                  f"int-string limit of {limit}") from None
 
 
 def parse_presentation(text):
@@ -157,7 +168,7 @@ def parse_presentation(text):
             truncation = 2
             if len(words) == 6:
                 if words[4] != "truncate":
-                    raise ParseError(line_no, f"expected 'truncate', got {words[4]!r}")
+                    raise ParseError(line_no, f"expected 'truncate', got {_quote(words[4])}")
                 truncation = _int(words[5], line_no, "truncation")
             gens.append(Generator(symbol, degree, truncation))
             try:
@@ -165,7 +176,7 @@ def parse_presentation(text):
             except ValueError as exc:
                 raise ParseError(line_no, str(exc)) from None
         else:
-            raise ParseError(line_no, f"unknown directive {words[0]!r}")
+            raise ParseError(line_no, f"unknown directive {_quote(words[0])}")
     return Presentation(name, tuple(gens))
 
 
@@ -179,11 +190,11 @@ def _coefficient(text, line_no, coeffs):
     coeff = coeffs.get(text)
     if coeff is None:
         if not _COEFFICIENT.fullmatch(text.rstrip()):
-            raise ParseError(line_no, f"bad coefficient {text!r}")
+            raise ParseError(line_no, f"bad coefficient {_quote(text)}")
         try:
             coeff = coeffs[text] = _fold(Fraction(text))
         except (ValueError, ZeroDivisionError):
-            raise ParseError(line_no, f"bad coefficient {text!r}") from None
+            raise ParseError(line_no, f"bad coefficient {_quote(text)}") from None
     return coeff
 
 
@@ -199,11 +210,11 @@ def _parse_terms(rhs, line_no, label_index, coeffs):
             raise ParseError(line_no, f"the term {'after' if n else 'before'} a '+' is "
                                       "empty; a coefficient carries at most a minus sign")
         if "*" not in part:
-            raise ParseError(line_no, f"expected <coeff>*<label>, got {part!r}")
+            raise ParseError(line_no, f"expected <coeff>*<label>, got {_quote(part)}")
         coeff_text, label = part.split("*", 1)
         coeff = _coefficient(coeff_text, line_no, coeffs)
         if label not in label_index:
-            raise ParseError(line_no, f"unknown basis label {label!r}")
+            raise ParseError(line_no, f"unknown basis label {_quote(label)}")
         k = label_index[label]
         terms[k] = terms[k] + coeff if k in terms else coeff
     return terms
@@ -247,9 +258,9 @@ def _read_table(text):
                 raise ParseError(line_no, "expected: <label> <degree>")
             label, degree = words[0], _int(words[1], line_no, "degree")
             if not _legal_label(label):
-                raise ParseError(line_no, f"illegal basis label {label!r}")
+                raise ParseError(line_no, f"illegal basis label {_quote(label)}")
             if label in label_index:
-                raise ParseError(line_no, f"duplicate basis label {label!r}")
+                raise ParseError(line_no, f"duplicate basis label {_quote(label)}")
             if degree < 0:
                 raise ParseError(line_no, "degrees must be nonnegative")
             label_index[label] = len(labels)
@@ -270,14 +281,15 @@ def _read_table(text):
     if unit_label is None:
         raise ParseError(0, "no unit line")
     if unit_label not in label_index:
-        raise ParseError(0, f"unit label {unit_label!r} is not in the basis")
+        raise ParseError(0, f"unit label {_quote(unit_label)} is not in the basis")
     products = {}
     parsed = {}  # right-hand side text -> its terms, shared by its lines
     coeffs = {}  # coefficient text -> its value, as _coefficient reads it
     for line_no, il, jl, rhs in product_lines:
         key = (label_index.get(il), label_index.get(jl))
         if None in key:
-            raise ParseError(line_no, f"unknown basis label {il if key[0] is None else jl!r}")
+            raise ParseError(line_no,
+                             f"unknown basis label {_quote(il if key[0] is None else jl)}")
         if key in products:
             raise ParseError(line_no, f"duplicate product line for {il} {jl}")
         terms = parsed.get(rhs)
@@ -289,9 +301,9 @@ def _read_table(text):
     negated = {}  # id of a parsed entry (kept alive by parsed) -> negation
     for (i, j), terms in sorted(products.items()):
         if (j, i) not in products:
-            if (degrees[i] * degrees[j]) % 2:
+            if degrees[i] & degrees[j] & 1:
                 if id(terms) not in negated:
-                    negated[id(terms)] = {k: -c for k, c in terms.items()}
+                    negated[id(terms)] = _mirror(terms, True)
                 terms = negated[id(terms)]
             products[(j, i)] = terms
     return GradedAlgebra(labels, degrees, label_index[unit_label], products)
@@ -312,10 +324,10 @@ def serialize_structure_constants(a):
     seen = set()
     for label in labels:
         if not _legal_label(label):
-            raise ValueError(f"illegal basis label {label!r}: the structure-constant "
+            raise ValueError(f"illegal basis label {_quote(label)}: the structure-constant "
                              "format cannot carry it")
         if label in seen:
-            raise ValueError(f"duplicate basis label {label!r}")
+            raise ValueError(f"duplicate basis label {_quote(label)}")
         seen.add(label)
     lines = ["basis:"]
     for label, d in zip(labels, degrees):
@@ -331,8 +343,7 @@ def serialize_structure_constants(a):
     for i, j in sorted({(i, j) if i <= j else (j, i) for i, j in table}):
         terms = table.get((i, j), empty)
         mirror = table.get((j, i), empty)
-        if i != j and mirror != ({k: -c for k, c in terms.items()}
-                                 if degrees[i] & degrees[j] & 1 else terms):
+        if i != j and mirror != _mirror(terms, degrees[i] & degrees[j] & 1):
             line(i, j, terms)
             line(j, i, mirror)
         elif terms:
@@ -352,7 +363,7 @@ class AlgebraFile:
             return build_monomial_algebra(parse_presentation(self.payload))
         if self.format == STRUCTURE_CONSTANTS:
             return parse_structure_constants(self.payload)
-        raise ValueError(f"unknown format {self.format!r}")
+        raise ValueError(f"unknown format {_quote(self.format)}")
 
     def basis(self):
         """The graded basis alone, for what reads only labels and degrees:

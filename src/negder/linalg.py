@@ -1,7 +1,9 @@
 """Exact linear algebra over the rationals.
 
 A matrix is a list of rows, each row a list of Fraction (or int) entries;
-nullspace_basis also takes sparse {column: value} rows.  Every public
+nullspace_basis also takes sparse {column: value} rows, always with the
+number of columns, and returns its kernel vectors in that sparse form,
+one {column: value} dict of nonzero entries each.  Every public
 routine is pure: inputs are never mutated, results are fresh, and all
 arithmetic is exact.  Kernels and spans come from one sparse elimination,
 _eliminate, behind echelon and nullspace_basis.  The library takes an
@@ -178,27 +180,23 @@ def _eliminate(rows, ncols=None):
     return pivots
 
 
-def nullspace_basis(m, ncols=None):
+def nullspace_basis(m, ncols):
     """Canonical kernel basis, read off the RREF of the system.
 
-    Rows are dense lists or {column: value} dicts, from any iterable, and
-    ncols is required unless m is a nonempty list of dense rows; exact
-    duplicates are skipped, and the distinct rows are eliminated by
-    _eliminate as they are read, which skips the zero row.  Once their
-    rank is ncols the kernel is zero, and no further row is read, so the
-    rows may come from a generator that builds them on demand.  The basis
-    is the one read off dense rref: one vector per free column f, in
-    ascending order, with entry 1 at f, 0 at every other free column and
-    the back-substituted pivot values elsewhere.
+    Rows are dense lists or {column: value} dicts, from any iterable, over
+    columns 0..ncols-1; exact duplicates are skipped, and the distinct
+    rows are eliminated by _eliminate as they are read, which skips the
+    zero row.  Once their rank is ncols the kernel is zero, and no further
+    row is read, so the rows may come from a generator that builds them on
+    demand.  The basis is the one read off dense rref: one vector per free
+    column f, in ascending order, with entry 1 at f, 0 at every other free
+    column and the back-substituted pivot values elsewhere.
 
     Every vector is checked exactly against every distinct row, in time
     proportional to the nonzeros, and ArithmeticError is raised on a
-    failure.  Vectors are dense lists, their values held as by _fold.
+    failure.  Each vector is a fresh {column: value} dict of its nonzero
+    entries, its values held as by _fold.
     """
-    if ncols is None:
-        if not isinstance(m, (list, tuple)) or not m or isinstance(m[0], dict):
-            raise ValueError("ncols is required unless m is a nonempty list of dense rows")
-        ncols = len(m[0])
     _check_int("ncols", ncols)
     # each row is copied once, by _nonzero; the frozen items of the
     # distinct rows outlive the elimination, which reduces the copies
@@ -234,7 +232,7 @@ def nullspace_basis(m, ncols=None):
                 sums[k] = sums.get(k, 0) + x * y
         if any(sums.values()):
             raise ArithmeticError("a kernel vector fails a row of the system")
-    return [[v.get(c, 0) for c in range(ncols)] for v in vectors]
+    return vectors
 
 
 def rank_fraction_free(m):

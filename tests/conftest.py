@@ -161,6 +161,12 @@ def rref_kernel(m, ncols):
     return basis
 
 
+def dense(vectors, ncols):
+    """The {column: value} vectors of nullspace_basis as dense lists of
+    ncols entries, for comparison with rref_kernel."""
+    return [[v.get(c, 0) for c in range(ncols)] for v in vectors]
+
+
 def generator_pair_space(a, d):
     """Oracle for derivation_space: theta on every basis element as the
     unknowns, the Leibniz law on the pairs (g, x) with g in
@@ -168,11 +174,11 @@ def generator_pair_space(a, d):
     per kernel vector."""
     rows, unknowns = leibniz_rows(a, d, a.generator_indices)
     maps = []
-    for v in nullspace_basis(rows, ncols=len(unknowns)):
+    for v in nullspace_basis(rows, len(unknowns)):
         images = {}
-        for (i, t), x in zip(unknowns, v):
-            if x:
-                images.setdefault(i, {})[t] = x
+        for c, x in v.items():
+            i, t = unknowns[c]
+            images.setdefault(i, {})[t] = x
         maps.append(GradedLinearMap.from_images(
             a, d, {i: Element(img) for i, img in images.items()}))
     return maps

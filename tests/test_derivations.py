@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (basis_changed, bracket, crowded, echelon_generators,
+from conftest import (basis_changed, bracket, crowded, dense, echelon_generators,
                       element_residual, flag_manifold, generator_pair_space,
                       identity_map, levels_with_unknowns, per_degree_class_h, point,
                       presentations, projective_space, rref_kernel, scaled, sphere,
@@ -26,6 +26,27 @@ def lam(a=3, b=5):
 
 
 # --- GradedLinearMap basics ---
+
+CP2 = projective_space(2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: GradedLinearMap(0, [1]), "blocks must be a mapping {degree: block}, not [1]"),
+    (lambda: GradedLinearMap(0, {2: [[1, 1]]}).image(CP2, 1),
+     "block at degree 2 does not match the graded pieces"),
+    (lambda: GradedLinearMap.from_images(CP2, 0, [1]),
+     "images must be a mapping {index: Element}, not [1]"),
+    (lambda: GradedLinearMap.from_images(CP2, 1, {1: CP2.basis_element(1)}),
+     "image lands in an empty piece"),
+    (lambda: GradedLinearMap.from_images(CP2, 0, {1: CP2.basis_element(2)}),
+     "image off the shifted piece"),
+    (lambda: check_class_h(CP2, -1), "max_degree must be nonnegative"),
+])
+def test_a_map_or_sweep_error_names_what_it_refuses(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
 
 def test_map_normalizes_zero_blocks():
     m = GradedLinearMap(-1, {2: [[0, 0]], 3: [[Fraction(0)]]})
@@ -320,12 +341,12 @@ def test_no_system_is_built_where_every_generator_target_is_empty(monkeypatch):
     # y^3 = 0 give it, and the pairs after it are never built.
     theta, ncols = derivations._unknowns(cp2xcp2xcp1, -2)
     stream = list(derivations._constraints(cp2xcp2xcp1, -2, theta))
-    dense = [[row.get(c, 0) for c in range(ncols)] for row in stream]
+    matrix = dense(stream, ncols)
     [(cols, read, unread)] = solved
     assert (cols, ncols) == (3, 3)
     assert (read, len(stream)) == (5, 21)
     assert read + unread == len(stream)
-    assert rank_fraction_free(dense[:read]) == 3 > rank_fraction_free(dense[:read - 1])
+    assert rank_fraction_free(matrix[:read]) == 3 > rank_fraction_free(matrix[:read - 1])
     assert unread > 0
     assert_matches_dense_oracle(cp2xcp2xcp1)
 
@@ -351,6 +372,27 @@ def test_class_h_on_many_generators_sums_about_one_pair_per_table_entry(monkeypa
     verdict = check_class_h(wide)
     assert verdict.in_class and verdict.complete
     assert len(calls) <= 2 * len(wide.products) == 2 * (2 * n + 1)
+
+
+def test_kernel_vectors_hold_their_nonzero_entries_alone(monkeypatch):
+    # W_N: a unit and x_d in degree d, d = 1..N, unit products only.  At
+    # degree -1 the unknowns are theta(x_d) in A_(d-1), one column each;
+    # theta(x_1) = c 1 must vanish, since x_1 x_2 = 0 gives c x_2 = 0, and
+    # the other N - 1 columns are free.  Each kernel vector is one entry,
+    # where a dense readout would hold N each, (N - 1) N in all.
+    n = 200
+    pairs = [((0, 0), {0: 1})]
+    for d in range(1, n + 1):
+        pairs += [((0, d), {d: 1}), ((d, 0), {d: 1})]
+    w = GradedAlgebra(["1", *(f"x{d}" for d in range(1, n + 1))], list(range(n + 1)), 0, pairs)
+    kernels = []
+    real = derivations.nullspace_basis
+    monkeypatch.setattr(derivations, "nullspace_basis",
+                        lambda rows, ncols: kernels.append(real(rows, ncols)) or kernels[-1])
+    assert len(derivation_space(w, -1)) == n - 1
+    [kernel] = kernels
+    assert len(kernel) == n - 1
+    assert sum(len(v) for v in kernel) <= 2 * n
 
 
 def test_the_pair_of_a_generator_and_the_unit_yields_no_row(monkeypatch):
@@ -410,7 +452,7 @@ def held_values(a):
     yield from (Fraction(2, 3) * a.multiply(two, half)).coeffs.values()
     for d in range(-a.top_degree, 1):
         rows, unknowns = leibniz_rows(a, d, a.generator_indices)
-        yield from (x for v in nullspace_basis(rows, ncols=len(unknowns)) for x in v)
+        yield from (x for v in nullspace_basis(rows, len(unknowns)) for x in v.values())
         for m in derivation_space(a, d):
             images = {i: m.image(a, i) for i in range(a.dim)}
             for n in (m, GradedLinearMap.from_images(a, d, images), scaled(m, Fraction(3, 2)),
@@ -446,7 +488,7 @@ def test_every_held_value_is_folded_on_basis_changed_tables(p, data):
 def test_six_torus_has_six_derivations_of_degree_minus_one():
     t6 = torus(6)
     rows, unknowns = leibniz_rows(t6, -1, t6.generator_indices)
-    kernel = nullspace_basis(rows, ncols=len(unknowns))
+    kernel = nullspace_basis(rows, len(unknowns))
     assert len(kernel) == 6
     space = derivation_space(t6, -1)
     assert len(space) == 6
@@ -459,9 +501,9 @@ def test_generator_pair_kernel_equals_dense_rref_on_random_presentations(p):
     a = build_monomial_algebra(p)
     for d in range(-a.top_degree, a.top_degree + 1):
         rows, unknowns = leibniz_rows(a, d, a.generator_indices)
-        dense = [[row.get(c, 0) for c in range(len(unknowns))] for row in rows]
-        kernel = nullspace_basis(rows, ncols=len(unknowns))
-        assert kernel == rref_kernel(dense, len(unknowns)), d
+        ncols = len(unknowns)
+        kernel = nullspace_basis(rows, ncols)
+        assert dense(kernel, ncols) == rref_kernel(dense(rows, ncols), ncols), d
 
 
 def test_seven_torus_has_seven_derivations_of_degree_minus_one():

@@ -18,6 +18,7 @@ from negder import (AlgebraFile, GradedAlgebra, ParseError, ValidationError,
                     detect_format, fileformats, load_algebra_text, parse_presentation,
                     parse_structure_constants, serialize_structure_constants,
                     tensor)
+from negder.algebra import _quote
 from negder.corpus import names as corpus_names
 from negder.corpus import text as corpus_text
 from negder.fileformats import _coefficient, _parse_terms, integer
@@ -239,7 +240,13 @@ TABLE_ERRORS = {
     "unknown term label": (edited("1 x = 1*x", "1 x = 1*y"), "line 9: unknown basis label 'y'"),
     "coefficient past the int-string limit": (
         edited("1 x = 1*x", f"1 x = {'1' * (DIGITS + 1)}*x"),
-        f"line 9: bad coefficient {'1' * (DIGITS + 1)!r}"),
+        f"line 9: bad coefficient {'1' * 40!r}... ({DIGITS + 1} characters)"),
+    "long unknown term label": (edited("1 x = 1*x", f"1 x = 1*{'y' * 50}"),
+                                f"line 9: unknown basis label {'y' * 40!r}... (50 characters)"),
+    "degree past the int-string limit": (
+        edited("x 2", f"x {'2' * (DIGITS + 1)}"),
+        f"line 3: degree {'2' * 40!r}... ({DIGITS + 1} characters) has more digits than "
+        f"the int-string limit of {DIGITS}"),
 }
 
 
@@ -283,6 +290,11 @@ def test_a_coefficient_at_the_int_string_limit_parses():
     ("generator x degree 3 truncate 4", "line 1: odd-degree generator 'x' must truncate at 2"),
     ("generator x degree 2\ngenerator x degree 4", "line 2: duplicate generator symbol 'x'"),
     ("generator x^2 degree 2", "line 1: illegal generator symbol 'x^2'"),
+    (f"generator x degree {'1' * (DIGITS + 1)}",
+     f"line 1: degree {'1' * 40!r}... ({DIGITS + 1} characters) has more digits than "
+     f"the int-string limit of {DIGITS}"),
+    (f"generator {'x' * 41} degree 0",
+     f"line 1: generator {'x' * 40!r}... (41 characters) must have positive degree"),
 ])
 def test_a_presentation_error_names_its_line(text, message):
     with pytest.raises(ParseError) as info:
@@ -299,6 +311,21 @@ def test_a_table_error_exits_2_with_its_message(tmp_path, capsys, name):
     for command in ("validate", "check-h"):
         assert cli.run([command, str(path)]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_a_huge_coefficient_gives_one_short_error_line(tmp_path, capsys):
+    # the message quotes 40 digits of the million and the count, not all
+    path = tmp_path / "huge.alg"
+    path.write_text(edited("1 x = 1*x", f"1 x = {'7' * 1_000_000}*x"), encoding="utf-8")
+    assert cli.run(["validate", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and len(err) < 200
+    assert err.startswith("error: line 9: bad coefficient ")
+
+
+def test_a_quoted_token_reads_as_its_repr_up_to_40_characters():
+    assert [_quote(t) for t in ("x", "'", "a" * 40, 5)] == ["'x'", '"\'"', repr("a" * 40), "5"]
+    assert _quote("a" * 41) == f"{'a' * 40!r}... (41 characters)"
 
 
 def test_integer_reads_only_sign_and_ascii_digits():

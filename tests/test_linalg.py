@@ -4,14 +4,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import identity, rref_kernel, torus
-from negder import linalg
+from conftest import dense, identity, rref_kernel, torus
+from negder import Element, linalg
 from negder.derivations import leibniz_rows
-from negder.linalg import dot, mat_vec, nullspace_basis, rank_fraction_free, rref
+from negder.linalg import _fold, dot, mat_vec, nullspace_basis, rank_fraction_free, rref
 
 
 def frac(p, q=1):
     return Fraction(p, q)
+
+
+def dense_kernel(rows, ncols):
+    """nullspace_basis(rows, ncols) as dense lists of ncols entries, once
+    every vector is checked to hold only nonzero values in columns
+    0..ncols-1, each held as _fold holds it."""
+    basis = nullspace_basis(rows, ncols)
+    for v in basis:
+        assert all(type(c) is int and 0 <= c < ncols for c in v)
+        assert all(x and type(x) is type(_fold(x)) for x in v.values())
+    return dense(basis, ncols)
 
 
 def test_rref_identity():
@@ -50,27 +61,27 @@ def test_rref_empty_shapes():
 
 
 def test_nullspace_of_identity_is_empty():
-    assert nullspace_basis(identity(4)) == []
+    assert nullspace_basis(identity(4), 4) == []
 
 
 def test_nullspace_single_relation():
-    basis = nullspace_basis([[1, -1]])
-    assert basis == [[1, 1]]
+    basis = nullspace_basis([[1, -1]], 2)
+    assert basis == [{0: 1, 1: 1}]
 
 
 def test_nullspace_zero_matrix_is_standard_basis():
-    basis = nullspace_basis([[0, 0, 0], [0, 0, 0]])
-    assert basis == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    basis = nullspace_basis([[0, 0, 0], [0, 0, 0]], 3)
+    assert basis == [{0: 1}, {1: 1}, {2: 1}]
 
 
 def test_nullspace_no_rows_needs_ncols():
-    assert nullspace_basis([], ncols=2) == [[1, 0], [0, 1]]
+    assert nullspace_basis([], 2) == [{0: 1}, {1: 1}]
 
 
 def test_nullspace_canonical_free_columns():
     # x0 = -2 x1 + x2, free columns 1 and 2
-    basis = nullspace_basis([[1, 2, -1]])
-    assert basis == [[-2, 1, 0], [1, 0, 1]]
+    basis = nullspace_basis([[1, 2, -1]], 3)
+    assert basis == [{0: -2, 1: 1}, {0: 1, 2: 1}]
 
 
 def test_fraction_free_rank_examples():
@@ -107,7 +118,7 @@ def test_rank_agrees_with_fraction_free_oracle(m):
 @settings(max_examples=120, deadline=None)
 def test_nullspace_vectors_solve_the_system(m):
     ncols = len(m[0]) if m else 0
-    basis = nullspace_basis(m, ncols=ncols)
+    basis = dense_kernel(m, ncols)
     assert len(basis) == ncols - rref(m)[1]
     for v in basis:
         assert all(x == 0 for x in mat_vec(m, v))
@@ -151,26 +162,26 @@ def padded_systems(draw):
 def test_sparse_nullspace_equals_dense_rref_readout(system):
     rows, mixed, ncols = system
     expected = rref_kernel(rows, ncols)
-    assert nullspace_basis(mixed, ncols=ncols) == expected
+    assert dense_kernel(mixed, ncols) == expected
 
 
 def test_nullspace_skips_zero_and_duplicate_rows():
     rows = [{}, {0: 1, 2: -1}, [0, 0, 0], {2: -1, 0: 1}, [1, 0, -1]]
-    assert nullspace_basis(rows, ncols=3) == [[0, 1, 0], [1, 0, 1]]
+    assert nullspace_basis(rows, 3) == [{1: 1}, {0: 1, 2: 1}]
 
 
 def test_nullspace_dict_rows_need_ncols():
-    with pytest.raises(ValueError, match="ncols"):
+    # the number of columns is always given, whatever form the rows take
+    assert nullspace_basis([{0: 1}], 2) == [{1: 1}]
+    with pytest.raises(TypeError):
         nullspace_basis([{0: 1}])
 
 
 def test_nullspace_rows_from_an_iterator_need_ncols():
-    # an iterator cannot be indexed for its first row: this used to raise
-    # TypeError: 'generator' object is not subscriptable
-    for rows in ((row for row in [[1, 2]]), iter([[1, 2]]), []):
-        with pytest.raises(ValueError, match="ncols is required"):
-            nullspace_basis(rows)
-    assert nullspace_basis((row for row in [[1, 2]]), ncols=2) == [[-2, 1]]
+    # the rows may come from any iterable, read once
+    for rows in ((row for row in [[1, 2]]), iter([[1, 2]]), [{0: 1, 1: 2}]):
+        assert nullspace_basis(rows, 2) == [{0: -2, 1: 1}]
+    assert nullspace_basis(iter([]), 2) == [{0: 1}, {1: 1}]
 
 
 def test_nullspace_rejects_entries_beyond_ncols():
@@ -178,6 +189,17 @@ def test_nullspace_rejects_entries_beyond_ncols():
         nullspace_basis([{3: 1}], ncols=2)
     with pytest.raises(ValueError, match="outside columns"):
         nullspace_basis([{-1: 1}], ncols=2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: nullspace_basis([[1.5]], 1), "a value must be an int or a Fraction, not 1.5"),
+    (lambda: Element([1]), "a mapping {Element key: coefficient} is needed, not [1]"),
+    (lambda: nullspace_basis([{2: 1}], 2), "a row has an entry outside columns 0..1"),
+])
+def test_a_linalg_error_names_what_it_refuses(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_nullspace_does_not_mutate_input():
@@ -211,14 +233,14 @@ def test_echelon_is_pure_and_exact_on_int_rows():
 def test_nullspace_is_pure_and_exact_on_int_rows():
     for rows in ([[1, 2, 0], [2, 4, 0]], [{0: 1, 1: 2}, {0: 2, 1: 4}]):
         kept = [type(row)(row) for row in rows]
-        basis = nullspace_basis(rows, ncols=3)
+        basis = nullspace_basis(rows, 3)
         assert rows == kept
         assert all(type(x) is int for row in rows
                    for x in (row.values() if isinstance(row, dict) else row))
-        assert basis == [[-2, 1, 0], [0, 0, 1]]
-        assert all(type(x) is int for v in basis for x in v)
-    [v] = nullspace_basis([[2, 1]])
-    assert v == [Fraction(-1, 2), 1] and [type(x) for x in v] == [Fraction, int]
+        assert basis == [{0: -2, 1: 1}, {2: 1}]
+        assert all(type(x) is int for v in basis for x in v.values())
+    [v] = nullspace_basis([[2, 1]], 2)
+    assert v == {0: Fraction(-1, 2), 1: 1} and (type(v[0]), type(v[1])) == (Fraction, int)
 
 
 def test_echelon_drops_explicit_zero_values():
@@ -236,8 +258,8 @@ def test_a_value_that_folds_to_zero_is_no_pivot(zero):
     # text, which fileformats alone reads, and is rejected
     calls = [(lambda: linalg.echelon([{0: zero, 1: 1}]), {1: {1: 1}}),
              (lambda: linalg.echelon([[zero, 2]]), {1: {1: 1}}),
-             (lambda: nullspace_basis([{0: zero, 1: 1}], ncols=2), [[1, 0]]),
-             (lambda: nullspace_basis([[zero, 1], [zero, zero]]), [[1, 0]])]
+             (lambda: nullspace_basis([{0: zero, 1: 1}], 2), [{0: 1}]),
+             (lambda: nullspace_basis([[zero, 1], [zero, zero]], 2), [{0: 1}])]
     for call, want in calls:
         if isinstance(zero, str):
             with pytest.raises(ValueError, match="must be an int or a Fraction"):
@@ -261,8 +283,8 @@ def test_a_cancelled_column_leaves_the_pivot_index():
     # longer holds it, must not be visited.
     rows = [{0: 1, 2: 1, 3: 1}, {1: 1, 2: 1, 3: -1}, {2: 1, 3: 1}, {3: 1}]
     assert linalg.echelon(rows) == {c: {c: 1} for c in range(4)}
-    assert nullspace_basis(rows, ncols=4) == []
-    assert nullspace_basis(rows[:3], ncols=4) == [[0, 2, -1, 1]]
+    assert nullspace_basis(rows, 4) == []
+    assert nullspace_basis(rows[:3], 4) == [{1: 2, 2: -1, 3: 1}]
 
 
 def test_nullspace_eliminates_once(monkeypatch):
@@ -272,7 +294,7 @@ def test_nullspace_eliminates_once(monkeypatch):
                         lambda rows, ncols: calls.append(1) or real(rows, ncols))
     # two systems that share no column, and the same kernel as dense rref
     rows = [[1, 1, 0, 0], [0, 0, 1, -1], [2, 2, 0, 0]]
-    assert nullspace_basis(rows) == rref_kernel(rows, 4)
+    assert dense_kernel(rows, 4) == rref_kernel(rows, 4)
     assert calls == [1]
 
 
@@ -284,11 +306,11 @@ def test_nullspace_reads_no_row_after_full_rank():
             read.append(row)
             yield row
 
-    assert nullspace_basis(rows(), ncols=3) == []
+    assert nullspace_basis(rows(), 3) == []
     assert len(read) == 5
     # short of full rank every row is read, and the self-check sees it
     read.clear()
-    assert nullspace_basis((r for r in rows() if r != [1, 0, 2]), ncols=3) == [[1, -1, 1]]
+    assert nullspace_basis((r for r in rows() if r != [1, 0, 2]), 3) == [{0: 1, 1: -1, 2: 1}]
     assert len(read) == 6
 
 
@@ -301,7 +323,7 @@ def test_nullspace_copies_each_row_once(monkeypatch):
                         lambda row: made.append(row) or real(row))
     monkeypatch.setattr(linalg, "echelon", None)
     rows = [{0: 1, 1: 1}, [0, 1, 1], {1: 1, 0: 1}, [0, 0, 0]]
-    assert nullspace_basis(rows, ncols=3) == [[1, -1, 1]]
+    assert nullspace_basis(rows, 3) == [{0: 1, 1: -1, 2: 1}]
     assert made == rows
 
 
@@ -310,7 +332,7 @@ def test_kernel_self_check_raises_on_a_wrong_elimination(monkeypatch):
     # exact A.v = 0 check has to catch it
     monkeypatch.setattr(linalg, "_subtract", lambda row, f, other, skip: None)
     with pytest.raises(ArithmeticError, match="kernel vector"):
-        nullspace_basis([[1, 1, 0], [0, 1, 1]])
+        nullspace_basis([[1, 1, 0], [0, 1, 1]], 3)
 
 
 # --- integral values, and block-diagonal systems against dense rref ---
@@ -344,7 +366,7 @@ def block_systems(draw):
 @settings(max_examples=80, deadline=None)
 def test_block_diagonal_nullspace_equals_dense_rref_readout(system):
     rows, ncols = system
-    assert nullspace_basis(rows, ncols=ncols) == rref_kernel(rows, ncols)
+    assert dense_kernel(rows, ncols) == rref_kernel(rows, ncols)
 
 
 def test_equal_rows_in_any_form_are_one_int_row(monkeypatch):
@@ -357,24 +379,23 @@ def test_equal_rows_in_any_form_are_one_int_row(monkeypatch):
         return real(rows, ncols)
 
     monkeypatch.setattr(linalg, "_eliminate", spy)
-    basis = nullspace_basis([[Fraction(4, 2), 1], {0: 2, 1: 1}], ncols=2)
-    assert basis == [[Fraction(-1, 2), 1]]
+    basis = nullspace_basis([[Fraction(4, 2), 1], {0: 2, 1: 1}], 2)
+    assert basis == [{0: Fraction(-1, 2), 1: 1}]
     assert eliminated == [{0: 2, 1: 1}]
     assert all(type(x) is int for x in eliminated[0].values())
 
 
 def test_integral_kernel_makes_no_fraction_on_the_way(monkeypatch):
     # Guard against Fraction arithmetic creeping back into the solver: on
-    # the integral T5 degree -1 system the only Fractions made are the
-    # nonzero entries of the returned basis and the one shared zero.
+    # the integral T5 degree -1 system no Fraction is made at all.
     t5 = torus(5)
     rows, unknowns = leibniz_rows(t5, -1, t5.generator_indices)
     made = []
     real = Fraction.__new__
     monkeypatch.setattr(Fraction, "__new__",
                         lambda cls, *args, **kw: made.append(cls) or real(cls, *args, **kw))
-    basis = nullspace_basis(rows, ncols=len(unknowns))
+    basis = nullspace_basis(rows, len(unknowns))
     monkeypatch.undo()
-    nonzero = sum(1 for v in basis for x in v if x)
+    nonzero = sum(len(v) for v in basis)
     assert (len(basis), nonzero) == (5, 80)
-    assert len(made) <= nonzero + 1
+    assert made == []

@@ -1,7 +1,8 @@
-"""Every error message that the parsers and the presentation checker can
-raise is named by a test: for each ``raise ParseError(...)`` and ``raise
-ValueError(...)`` in fileformats.py and in algebra.check_generator, the
-longest literal piece of its message occurs in a test file.
+"""Every error message that the parsers, the presentation checker and the
+solver can raise is named by a test: for each ``raise ParseError(...)``
+and ``raise ValueError(...)`` in fileformats.py, algebra.check_generator,
+linalg.py and derivations.py, the longest literal piece of its message
+occurs in a test file.
 
 A message with no literal piece, such as a ParseError that passes on the
 text of an error it caught, is left out.
@@ -41,6 +42,11 @@ def raised_messages(path, function=None):
     return sorted(out)
 
 
+# (module, top-level function or None for the whole module)
+SOURCES = (("fileformats.py", None), ("algebra.py", "check_generator"),
+           ("linalg.py", None), ("derivations.py", None))
+
+
 def test_every_parser_error_message_is_named_by_a_test():
     texts = []
     for path in glob.glob(os.path.join(ROOT, "tests", "**", "*.py"), recursive=True):
@@ -50,8 +56,9 @@ def test_every_parser_error_message_is_named_by_a_test():
         texts.extend(node.value for node in ast.walk(ast.parse(texts[-1]))
                      if isinstance(node, ast.Constant) and isinstance(node.value, str))
     sites = [(name, line, piece)
-             for name, function in (("fileformats.py", None), ("algebra.py", "check_generator"))
+             for name, function in SOURCES
              for line, piece in raised_messages(os.path.join(PACKAGE, name), function)]
-    assert len(sites) > 30
+    assert {name for name, _, _ in sites} == {name for name, _ in SOURCES}
+    assert len(sites) > 40
     assert [f"{name}:{line}: {piece!r}" for name, line, piece in sites
             if not any(piece in text for text in texts)] == []

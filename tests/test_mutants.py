@@ -21,9 +21,10 @@ from unittest import mock
 import pytest
 
 from conftest import (ROOT, echelon_generators, exhaustive_validate, generator_pair_space,
-                      load_script, projective_space, rebased_cp2xs4, rebuilt, sphere, torus)
+                      load_script, projective_space, rebased_cp2xs4, rebuilt, rref_kernel,
+                      sphere, torus)
 from negder import (Generator, Presentation, algebra, build_monomial_algebra, cli, corpus,
-                    derivation_space, derivations, fileformats, linalg,
+                    derivation_space, derivations, fileformats, leibniz_system, linalg,
                     serialize_structure_constants)
 
 golden = load_script("golden", "perfbench")
@@ -129,6 +130,17 @@ def rebased_expansions_give_the_oracle_space(m):
     assert blocks == [(theta.shift, theta.blocks) for theta in generator_pair_space(a, 0)]
 
 
+def rebased_space_is_the_dense_kernel(m):
+    # at degree 0 the solver's kernel vectors are {1: 1} and {2: 1, 0: 1/2},
+    # so a carry that drops a value other than 1 moves the space away from
+    # the kernel read off dense rref of the all-pairs system
+    a = rebased_cp2xs4()
+    rows, unknowns = leibniz_system(a, 0)
+    space = [[theta.image(a, i).coeff(t) for i, t in unknowns]
+             for theta in m.derivation_space(a, 0)]
+    assert space == rref_kernel(rows, len(unknowns))
+
+
 def caret_symbol_is_refused(m):
     # parse_presentation reads its generators through the mutant's checker
     with mock.patch.object(fileformats, "check_generator", m.check_generator):
@@ -198,7 +210,7 @@ def leftovers_answer_as_the_full_parser(m):
 
 
 def kernel_of_a_chain_is_exact(m):
-    assert m.nullspace_basis([[1, 1, 0], [0, 1, 1]]) == [[1, -1, 1]]
+    assert m.nullspace_basis([[1, 1, 0], [0, 1, 1]], 3) == [{0: 1, 1: -1, 2: 1}]
 
 
 def sphere_derivation_has_no_defect(m):
@@ -233,10 +245,10 @@ ROWS = {
         algebra, "{(g, y): table[g, y][x]}", "{(g, y): -table[g, y][x]}",
         built_elimination_is_the_echelon),
     "parser's odd mirror": Row(
-        fileformats, "if (degrees[i] * degrees[j]) % 2:", "if False:",
+        fileformats, "if degrees[i] & degrees[j] & 1:", "if False:",
         serialized_exterior_table_parses, "ValidationError"),
     "validate compares a mirror without its sign": Row(
-        algebra, "if degrees[i] & degrees[j] & 1 else terms", "if 0 else terms",
+        algebra, "_mirror(terms, degrees[i] & degrees[j] & 1)", "_mirror(terms, 0)",
         exterior_presentation_is_valid),
     "degree fact only for mixed entries": Row(
         algebra, "facts[entry] != degrees[i] + degrees[j]", "facts[entry] is None",
@@ -270,6 +282,8 @@ ROWS = {
     "_eliminate skips a pivot clear": Row(
         linalg, "_subtract(prow, prow.pop(p), r, p)", "prow.pop(p)",
         kernel_of_a_chain_is_exact, ArithmeticError),
+    "carry without the kernel coefficient": Row(
+        derivations, "x * v[c]", "x", rebased_space_is_the_dense_kernel),
     "certificate from the last canonical row": Row(
         derivations, "theta = next(maps)", "*_, theta = maps",
         certificate_is_the_first_canonical_map),
