@@ -5,13 +5,15 @@ table for the product.  Builders cover monomial presentations (truncated
 polynomial generators in even degree, exterior generators in odd degree)
 and tensor products with Koszul signs; monomial_basis gives the basis of a
 presentation alone, for what reads only degrees.  The table is fixed at
-construction, where its indices are checked; validate() re-derives every
-axiom from it, so no sign or degree rule is trusted without being
-checkable.
+construction, where its indices are checked, and callers read it through
+a view whose entries are read-only too; validate() re-derives every axiom
+from it, once per algebra, so no sign or degree rule is trusted without
+being checkable.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as cartesian
@@ -173,6 +175,33 @@ def _table_key(key):
     return (_check_int("table key", key[0]), _check_int("table key", key[1]))
 
 
+class _Products(Mapping):
+    """A read-only view of a table whose entries are read-only too: each
+    lookup wraps the entry in a types.MappingProxyType, and the keys and
+    the length are the table's own.  The package's loops read the table
+    itself, so no hot loop builds a proxy."""
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table):
+        self._table = table
+
+    def __getitem__(self, key):
+        return MappingProxyType(self._table[key])
+
+    def __contains__(self, key):
+        return key in self._table
+
+    def __iter__(self):
+        return iter(self._table)
+
+    def __len__(self):
+        return len(self._table)
+
+    def __repr__(self):
+        return f"products({self._table!r})"
+
+
 class GradedAlgebra(GradedBasis):
     """Graded-commutative algebra given by labels, degrees, the unit index,
     and a structure-constant table.
@@ -189,8 +218,8 @@ class GradedAlgebra(GradedBasis):
     into a fresh dict of its nonzero terms, int keys and values as _fold
     holds them: an int where integral, else a Fraction.  Each distinct
     input entry object is read once, and the keys that share it share its
-    one fresh output entry, so table entries may be shared between keys
-    and are read-only.  A key that is already a tuple of two ints is kept
+    one fresh output entry, so table entries may be shared between keys.
+    A key that is already a tuple of two ints is kept
     as it is.  Products that are neither a mapping nor an iterable, an
     item that is not a (key, terms) pair, a key that is not a tuple of two
     items, an entry that is not a mapping, a key or term index that is not
@@ -199,11 +228,16 @@ class GradedAlgebra(GradedBasis):
     index outside 0..dim-1, naming the key and the index.
 
     The table is held privately and products is a read-only property that
-    returns one view of it (types.MappingProxyType), so every index names a
-    basis element for the algebra's whole life and nothing downstream
-    checks it again.  Indices are checked, axioms are not: degree, unit,
-    commutativity and associativity violations stay representable for
-    validate().
+    returns one view of it, made at construction, whose entries are
+    read-only views too (types.MappingProxyType): no key and no term can
+    be set or deleted through it.  So every index names a basis element
+    for the algebra's whole life and nothing downstream checks it again,
+    and the algebra is fixed at construction, its basis as position,
+    _by_degree and _elimination assume, its table as the verdict of
+    validate() assumes: that verdict is worked out once, on the first
+    call, and it is the one a fresh pass would give.  Indices are checked,
+    axioms are not: degree, unit, commutativity and associativity
+    violations stay representable for validate().
     """
 
     def __init__(self, labels, degrees, unit, products, name=""):
@@ -248,12 +282,14 @@ class GradedAlgebra(GradedBasis):
             else:
                 table.pop(key, None)
         self._table = table
-        self._view = MappingProxyType(table)
+        self._view = _Products(table)
 
     @property
     def products(self):
         """The table as a read-only view, made once at construction: no key
-        can be set or deleted through it, and it cannot be assigned."""
+        can be set or deleted through it, it cannot be assigned, and each
+        entry it hands out is a read-only view of the entry
+        (types.MappingProxyType), so no term can be set either."""
         return self._view
 
     @cached_property
@@ -368,7 +404,7 @@ class GradedAlgebra(GradedBasis):
             self.labels == other.labels
             and self.degrees == other.degrees
             and self.unit == other.unit
-            and self.products == other.products
+            and self._table == other._table
         )
 
     def __repr__(self):
@@ -376,7 +412,17 @@ class GradedAlgebra(GradedBasis):
         return f"GradedAlgebra({tag}, top degree {self.top_degree})"
 
     def validate(self):
-        """Check every axiom on the table; returns a list of violation strings.
+        """Check every axiom on the table; returns a list of violation strings,
+        a fresh list on each call, of the verdict that _violations works out
+        once per algebra: a caller that changes the list it got cannot
+        change the next answer."""
+        return list(self._violations)
+
+    @cached_property
+    def _violations(self):
+        """The violations of every axiom on the table, worked out on first
+        use; the algebra is fixed at construction, so they are the ones a
+        fresh pass would give.
 
         It checks degree additivity of every table entry, both unit laws,
         graded commutativity products(j,i) = (-1)^(|i||j|) products(i,j) on
@@ -545,12 +591,16 @@ def _legal_label(label):
             and _RESERVED.isdisjoint(label) and not label.startswith("unit:"))
 
 
+# The longest str that _quote shows whole.
+_QUOTE_CAP = 40
+
+
 def _quote(token):
-    """repr(token), for a message; a str of more than 40 characters shows
-    its first 40 and its length, so the message stays short whatever the
-    input holds."""
-    if type(token) is str and len(token) > 40:
-        return f"{token[:40]!r}... ({len(token)} characters)"
+    """repr(token), for a message; a str of more than _QUOTE_CAP characters
+    shows its first _QUOTE_CAP and its length, so the message stays short
+    whatever the input holds."""
+    if type(token) is str and len(token) > _QUOTE_CAP:
+        return f"{token[:_QUOTE_CAP]!r}... ({len(token)} characters)"
     return repr(token)
 
 
@@ -740,7 +790,7 @@ def tensor(a, b):
     product exceeds MAX_TABLE_ENTRIES, ValueError is raised before anything
     is allocated.
     """
-    entries = len(a.products) * len(b.products)
+    entries = len(a._table) * len(b._table)
     if entries > MAX_TABLE_ENTRIES:
         raise ValueError(f"the tensor product needs a table of {entries} entries, "
                          f"over the limit of {MAX_TABLE_ENTRIES}")
@@ -750,8 +800,8 @@ def tensor(a, b):
     # each key and each target k1 * dim_b + k2 occurs once, and no product
     # of two nonzero terms is zero
     products = {}
-    for (i1, i2), aterms in a.products.items():
-        for (j1, j2), bterms in b.products.items():
+    for (i1, i2), aterms in a._table.items():
+        for (j1, j2), bterms in b._table.items():
             sign = -1 if (b.degrees[j1] * a.degrees[i2]) % 2 else 1
             products[i1 * dim_b + j1, i2 * dim_b + j2] = {
                 k1 * dim_b + k2: sign * c1 * c2

@@ -8,7 +8,8 @@ so there is no answer; the message of 2 or 4 goes to stderr.  With
 --json the stdout payload is a stable machine-readable document;
 rationals are always serialized as exact "p/q" strings.  Integer options
 are read by fileformats.integer, as the integers of a file are: 1_0, ٣
-or " 2 " is a usage error.
+or " 2 " is a usage error, whose message quotes the token as a file's
+messages do, through algebra._quote.
 
 Each subcommand is listed once, in _COMMANDS: its handler, help text,
 whether it reads an algebra file, and its arguments.  A handler takes
@@ -37,8 +38,9 @@ from dataclasses import dataclass
 from functools import cache
 
 from . import corpus
+from .algebra import _quote
 from .derivations import check_class_h, derivation_space
-from .fileformats import AlgebraFile, ValidationError, detect_format, integer
+from .fileformats import AlgebraFile, ValidationError, detect_format, integer, over_limit
 from .rigidity import char_subspace, prove_rigidity
 
 
@@ -46,6 +48,19 @@ def _load(path):
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     return AlgebraFile(detect_format(text), text)
+
+
+def _integer_option(text):
+    """integer(text), for an integer option.  argparse replaces the message
+    of a ValueError with its own, which quotes the whole token, but prints
+    an ArgumentTypeError's as it is: so this raises one with argparse's
+    words, "invalid integer value: 'x'", the token quoted through _quote,
+    and named with the int-string limit when only that limit stops it."""
+    try:
+        return integer(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid integer value: {over_limit(text) or _quote(text)}") from None
 
 
 def _piece_labels(algebra):
@@ -203,20 +218,20 @@ _COMMANDS = {
     "check-h": _Command(
         _cmd_check_h, "decide class H: no nonzero negative-degree derivations",
         arguments=(("--max-degree", dict(
-            type=integer, default=None, metavar="D",
+            type=_integer_option, default=None, metavar="D",
             help="sweep derivation degrees -1..-D (default: top degree)")),)),
     "derivations": _Command(
         _cmd_derivations, "compute the space of derivations of one degree",
         arguments=(("--degree", dict(
-            type=integer, required=True, metavar="D",
+            type=_integer_option, required=True, metavar="D",
             help="degree shift of the derivations (may be negative)")),)),
     "char": _Command(
         _cmd_char, "characteristic subspace for a bundle rank",
-        arguments=(("--rank", dict(type=integer, required=True, metavar="K",
+        arguments=(("--rank", dict(type=_integer_option, required=True, metavar="K",
                                    help="bundle rank, K >= 1")),)),
     "rigidity": _Command(
         _cmd_rigidity, "run the level-by-level splitting-rigidity proof",
-        arguments=(("--torus", dict(type=integer, required=True, metavar="S",
+        arguments=(("--torus", dict(type=_integer_option, required=True, metavar="S",
                                     help="torus rank of the product")),)),
     "examples": _Command(
         _cmd_examples, "list or print the bundled algebra files", takes_file=False,

@@ -59,8 +59,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (Generator, GradedAlgebra, Presentation, _legal_label, _mirror, _quote,
-                      build_monomial_algebra, check_generator, monomial_basis)
+from .algebra import (_QUOTE_CAP, Generator, GradedAlgebra, Presentation, _legal_label,
+                      _mirror, _quote, build_monomial_algebra, check_generator,
+                      monomial_basis)
 from .linalg import _fold
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -134,6 +135,17 @@ def integer(text):
     return int(text)
 
 
+def over_limit(token):
+    """For a token that integer refuses: the words that name Python's
+    int-string limit, sys.get_int_max_str_digits(), with the token quoted,
+    when the token passes the integer grammar and only that limit stops
+    it; None for a token outside the grammar."""
+    if _INTEGER.fullmatch(token):
+        return (f"{_quote(token)} has more digits than the int-string limit of "
+                f"{sys.get_int_max_str_digits()}")
+    return None
+
+
 def _int(token, line_no, what):
     """integer(token), or a ParseError naming line_no and what the token
     is: one that passes the integer grammar but has more digits than
@@ -141,11 +153,10 @@ def _int(token, line_no, what):
     try:
         return integer(token)
     except ValueError:
-        if not _INTEGER.fullmatch(token):
+        limit = over_limit(token)
+        if limit is None:
             raise ParseError(line_no, f"{what} must be an integer, got {_quote(token)}") from None
-        limit = sys.get_int_max_str_digits()
-        raise ParseError(line_no, f"{what} {_quote(token)} has more digits than the "
-                                  f"int-string limit of {limit}") from None
+        raise ParseError(line_no, f"{what} {limit}") from None
 
 
 def parse_presentation(text):
@@ -291,6 +302,8 @@ def _read_table(text):
             raise ParseError(line_no,
                              f"unknown basis label {_quote(il if key[0] is None else jl)}")
         if key in products:
+            # a label is quoted only past the cap, so a short one reads as written
+            il, jl = (x if len(x) <= _QUOTE_CAP else _quote(x) for x in (il, jl))
             raise ParseError(line_no, f"duplicate product line for {il} {jl}")
         terms = parsed.get(rhs)
         if terms is None:

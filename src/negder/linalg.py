@@ -110,9 +110,11 @@ def _terms(mapping, name):
 
 
 def _nonzero(row):
-    """Fresh {column: value} of the nonzero entries of a dense list or dict
-    row, each value folded by _fold before a zero is dropped."""
-    items = row.items() if isinstance(row, dict) else enumerate(row)
+    """Fresh {column: value} of the nonzero entries of a dense list or of a
+    mapping row, a dict or a read-only view such as a table entry that
+    GradedAlgebra.products hands out, each value folded by _fold before a
+    zero is dropped."""
+    items = row.items() if hasattr(row, "items") else enumerate(row)
     return {c: y for c, x in items if (y := x if type(x) is int else _fold(x))}
 
 
@@ -183,7 +185,7 @@ def _eliminate(rows, ncols=None):
 def nullspace_basis(m, ncols):
     """Canonical kernel basis, read off the RREF of the system.
 
-    Rows are dense lists or {column: value} dicts, from any iterable, over
+    Rows are dense lists or {column: value} mappings, from any iterable, over
     columns 0..ncols-1; exact duplicates are skipped, and the distinct
     rows are eliminated by _eliminate as they are read, which skips the
     zero row.  Once their rank is ncols the kernel is zero, and no further

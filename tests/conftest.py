@@ -91,6 +91,15 @@ def rebased_cp2xs4(cls=GradedAlgebra):
     return cls(labels, [0, 2, 4, 4, 6, 8], 0, products)
 
 
+def cp2_with_x_squared_x(cls=GradedAlgebra):
+    """CP2 with x * x = x, built by cls: one entry of one degree, the wrong
+    one, and every other check passes."""
+    cp2 = projective_space(2)
+    products = {key: dict(terms) for key, terms in cp2.products.items()}
+    products[1, 1] = {1: 1}
+    return cls(cp2.labels, cp2.degrees, cp2.unit, products)
+
+
 def point():
     """The one-point algebra Q."""
     return build_monomial_algebra(Presentation("pt", ()))
@@ -361,7 +370,7 @@ def echelon_generators(a):
     generators are the unit and the other indices that are not pivot
     columns, every other index of degree 0 among them."""
     degrees = a.degrees
-    entries = {id(terms): terms for (i, j), terms in a.products.items()
+    entries = {id(terms): terms for (i, j), terms in a._table.items()
                if degrees[i] > 0 and degrees[j] > 0}
     pivots = echelon(entries.values())
     return (a.unit,) + tuple(i for i in range(a.dim) if i != a.unit and i not in pivots)
@@ -435,7 +444,7 @@ def table_items(a):
     only with the same keys, order, entries and sharing of entries."""
     first = {}
     return [(key, terms, first.setdefault(id(terms), len(first)))
-            for key, terms in a.products.items()]
+            for key, terms in a._table.items()]
 
 
 def all_pairs_monomial_algebra(p):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (ROOT, accumulating_tensor, all_pairs_monomial_algebra, basis_changed,
-                      builder_presentations, cap_memory, corrupted, crowded,
+                      builder_presentations, cap_memory, corrupted, cp2_with_x_squared_x, crowded,
                       echelon_generators, exhaustive_validate, flag_manifold,
                       key_sorted_basis, pair_loop_monomial_algebra, point,
                       presentations, projective_space, quadratic_sort_sign,
@@ -687,6 +687,19 @@ def test_products_cannot_be_rebound_apart_from_the_table():
     assert a.products is view and a.products == a._table
 
 
+def test_products_hands_out_read_only_entries():
+    # no term of the table can be set or deleted through products, so the
+    # table, and every answer read off it, stays as it was built
+    a = sphere(2)
+    with pytest.raises(TypeError):
+        a.products[(0, 1)][-1] = 1
+    with pytest.raises(TypeError):
+        del a.products[(0, 1)][1]
+    assert a.products[(0, 1)] == {1: 1} and a._table[(0, 1)] == {1: 1}
+    assert a.validate() == []
+    assert serialize_structure_constants(a) == serialize_structure_constants(sphere(2))
+
+
 def spied_passes(monkeypatch):
     """The only argument of each _associativity call, in call order."""
     passes = []
@@ -713,9 +726,32 @@ def test_the_decisive_rows_are_the_generators_but_the_unit(monkeypatch):
                 presentation(("x", 2, 4), ("y", 2, 4)), flag_manifold(4), flag_manifold(5)]
     passes = spied_passes(monkeypatch)
     for a in algebras:
+        # a copy, whose verdict is not yet worked out: a table's was, when
+        # it was parsed
+        a = rebuilt(a)
         del passes[:]
         assert a.validate() == []
         assert passes == [set(a.generator_indices) - {a.unit}], a
+
+
+@pytest.mark.parametrize("make, passes_of_first", [
+    (lambda: rebuilt(torus(3)), [{1, 2, 3}]),
+    (cp2_with_x_squared_x, [None]),
+])
+def test_validate_works_out_its_verdict_once(monkeypatch, make, passes_of_first):
+    # a second call reads the verdict of the first, as a list of its own:
+    # equal, not the same, and untouched by what the caller did to the first
+    a = make()
+    passes = spied_passes(monkeypatch)
+    first = a.validate()
+    assert passes == passes_of_first
+    want = list(first)
+    first.clear()
+    first.append("a caller's line")
+    second = a.validate()
+    assert second == want == exhaustive_validate(a) and second is not first
+    assert a.validate() is not second
+    assert passes == passes_of_first
 
 
 def test_tables_with_no_reached_index_validate_through_the_decisive_pass_alone(monkeypatch):
@@ -801,7 +837,7 @@ def test_validate_equals_exhaustive_oracle_on_shared_entries(p, change_basis, da
         products = sharing(products)
         shared = GradedAlgebra(a.labels, a.degrees, a.unit, products)
         kept = {key: terms for key, terms in products.items() if key in shared.products}
-        assert keys_by_entry(shared.products) == keys_by_entry(kept)
+        assert keys_by_entry(shared._table) == keys_by_entry(kept)
         assert shared.validate() == exhaustive_validate(shared)
     assert shared.validate() == GradedAlgebra(
         a.labels, a.degrees, a.unit,
@@ -825,7 +861,7 @@ def test_validate_checks_a_shared_entry_of_mixed_degrees_under_each_key():
     a = GradedAlgebra(["1", "x", "y", "v", "u", "w"], [0, 2, 2, 4, 4, 6], one,
                       with_unit_rows(6, {(x, y): mixed, (y, x): mixed,
                                          (x, v): mixed, (v, x): mixed}))
-    assert len({id(a.products[key]) for key in ((x, y), (y, x), (x, v), (v, x))}) == 1
+    assert len({id(a._table[key]) for key in ((x, y), (y, x), (x, v), (v, x))}) == 1
     assert a.validate() == exhaustive_validate(a) == [
         "degree additivity: x * y hits w of degree 6, expected 4",
         "degree additivity: x * v hits u of degree 4, expected 6",
@@ -909,8 +945,8 @@ def test_constructor_normalizes_the_table():
     assert next(key for key in a.products if key == (0, 1)) is int_key
     # one input entry under two keys: one normalized entry, shared by both
     # keys, and never the caller's dict
-    assert a.products[(0, 2)] is a.products[(2, 0)]
-    assert a.products[(0, 2)] is not shared
+    assert a._table[(0, 2)] is a._table[(2, 0)]
+    assert a._table[(0, 2)] is not shared
     # the table holds fresh dicts: the caller's can change freely
     snapshot = {key: dict(terms) for key, terms in a.products.items()}
     products[(0, 0)][0] = 5
@@ -1167,8 +1203,8 @@ def test_a_table_given_as_pairs_is_read_as_their_dict():
     assert list(streamed.products.items()) == list(mapped.products.items()) == [
         ((0, 0), {0: 1}), ((0, 1), {1: 1}), ((1, 1), {2: 2}), ((1, 0), {1: 1})]
     # one input entry under two keys: one fresh entry, shared by both
-    assert streamed.products[(0, 1)] is streamed.products[(1, 0)]
-    assert streamed.products[(0, 1)] is not shared
+    assert streamed._table[(0, 1)] is streamed._table[(1, 0)]
+    assert streamed._table[(0, 1)] is not shared
     # a generator is read once, as it goes
     once = GradedAlgebra(["1"], [0], 0, (((0, 0), {0: c}) for c in (1, 2, 3)))
     assert once.products == {(0, 0): {0: 3}}
@@ -1260,7 +1296,7 @@ def assert_builder_matches_oracle(p):
     assert built == oracle
     assert built.monomial_exponents == oracle.monomial_exponents
     # one shared entry per (target, sign)
-    assert len({id(terms) for terms in built.products.values()}) <= 2 * built.dim
+    assert len({id(terms) for terms in built._table.values()}) <= 2 * built.dim
     # the pairs come in the pair loop's order, sharing its entries
     assert table_items(built) == table_items(pair_loop_monomial_algebra(p))
 

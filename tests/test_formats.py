@@ -258,12 +258,15 @@ def test_a_table_error_names_its_line(name):
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("rhs, message", [
+TERMS_ERRORS = [
     # the table rows above reach the other errors of _parse_terms
     ("2 * x", "line 4: unknown basis label ' x'"),  # a space may stand before *, not after
     ("1*y + 1*x", "line 4: unknown basis label 'y'"),
     ("1*x + 1/0*x", "line 4: bad coefficient '1/0'"),
-])
+]
+
+
+@pytest.mark.parametrize("rhs, message", TERMS_ERRORS)
 def test_a_terms_error_names_its_line(rhs, message):
     with pytest.raises(ParseError) as info:
         _parse_terms(rhs, 4, {"1": 0, "x": 1}, {})
@@ -277,7 +280,7 @@ def test_a_coefficient_at_the_int_string_limit_parses():
     assert parse_structure_constants(text).products[1, 1] == {2: big}
 
 
-@pytest.mark.parametrize("text, message", [
+PRESENTATION_ERRORS = [
     ("name", "line 1: name needs a value"),
     ("name t\nwidget x", "line 2: unknown directive 'widget'"),
     ("generator x degree", "line 1: expected: generator <symbol> degree <n> [truncate <m>]"),
@@ -295,7 +298,10 @@ def test_a_coefficient_at_the_int_string_limit_parses():
      f"the int-string limit of {DIGITS}"),
     (f"generator {'x' * 41} degree 0",
      f"line 1: generator {'x' * 40!r}... (41 characters) must have positive degree"),
-])
+]
+
+
+@pytest.mark.parametrize("text, message", PRESENTATION_ERRORS)
 def test_a_presentation_error_names_its_line(text, message):
     with pytest.raises(ParseError) as info:
         parse_presentation(text + "\n")
@@ -397,7 +403,7 @@ def test_parser_shares_one_entry_per_right_hand_side():
              for line in text.split("products:\n", 1)[1].splitlines()}
     parsed = parse_structure_constants(text)
     # one entry per distinct text, and at most one negated copy of each
-    assert len({id(terms) for terms in parsed.products.values()}) <= 2 * len(sides)
+    assert len({id(terms) for terms in parsed._table.values()}) <= 2 * len(sides)
     assert parsed == t6
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -182,6 +183,18 @@ def test_nullspace_rows_from_an_iterator_need_ncols():
     for rows in ((row for row in [[1, 2]]), iter([[1, 2]]), [{0: 1, 1: 2}]):
         assert nullspace_basis(rows, 2) == [{0: -2, 1: 1}]
     assert nullspace_basis(iter([]), 2) == [{0: 1}, {1: 1}]
+
+
+def test_read_only_mapping_rows_read_as_their_dicts():
+    # a table entry that GradedAlgebra.products hands out is a
+    # MappingProxyType: a mapping, never a dense list of its values
+    rows = [{0: 1, 2: -1}, {1: 2, 2: Fraction(4, 2)}, {3: 0}]
+    views = [MappingProxyType(row) for row in rows]
+    assert [linalg._nonzero(v) for v in views] == [linalg._nonzero(r) for r in rows] == [
+        {0: 1, 2: -1}, {1: 2, 2: 2}, {}]
+    assert linalg.echelon(views) == linalg.echelon(rows) == {0: {0: 1, 2: -1},
+                                                             1: {1: 1, 2: 1}}
+    assert nullspace_basis(views, 4) == nullspace_basis(rows, 4)
 
 
 def test_nullspace_rejects_entries_beyond_ncols():

@@ -20,9 +20,9 @@ from unittest import mock
 
 import pytest
 
-from conftest import (ROOT, echelon_generators, exhaustive_validate, generator_pair_space,
-                      load_script, projective_space, rebased_cp2xs4, rebuilt, rref_kernel,
-                      sphere, torus)
+from conftest import (ROOT, cp2_with_x_squared_x, echelon_generators, exhaustive_validate,
+                      generator_pair_space, load_script, projective_space, rebased_cp2xs4,
+                      rebuilt, rref_kernel, sphere, torus)
 from negder import (Generator, Presentation, algebra, build_monomial_algebra, cli, corpus,
                     derivation_space, derivations, fileformats, leibniz_system, linalg,
                     serialize_structure_constants)
@@ -73,12 +73,7 @@ def validate_finds_what_the_oracle_finds(m):
 
 
 def degree_violation_is_found(m):
-    # CP2 with x * x = x: one entry of one degree, the wrong one, and every
-    # other check passes
-    cp2 = projective_space(2)
-    products = {key: dict(terms) for key, terms in cp2.products.items()}
-    products[1, 1] = {1: 1}
-    bad = m.GradedAlgebra(cp2.labels, cp2.degrees, cp2.unit, products)
+    bad = cp2_with_x_squared_x(m.GradedAlgebra)
     violations = bad.validate()
     assert violations and violations == exhaustive_validate(bad)
 
@@ -183,10 +178,20 @@ def degree_zero_joins_the_generators(m):
 
 
 def products_are_read_only(m):
+    # neither a key nor a term can be changed through products
     a = m.GradedAlgebra(["1"], [0], 0, {(0, 0): {0: 1}})
     with contextlib.suppress(TypeError):
         del a.products[(0, 0)]
-    assert a.products == {(0, 0): {0: 1}}
+    with contextlib.suppress(TypeError, KeyError):
+        a.products[(0, 0)][0] = 2
+    assert a._table == {(0, 0): {0: 1}}
+
+
+def validate_hands_out_a_fresh_list(m):
+    # a verdict with a violation, which a caller's edit must not change
+    bad = cp2_with_x_squared_x(m.GradedAlgebra)
+    bad.validate().clear()
+    assert bad.validate() == exhaustive_validate(bad) != []
 
 
 def answer(call, argv):
@@ -273,7 +278,12 @@ ROWS = {
     "generators leave out degree 0": Row(
         algebra, "i != unit", "degrees[i] > 0", degree_zero_joins_the_generators),
     "products left writable": Row(
-        algebra, "MappingProxyType(table)", "table", products_are_read_only),
+        algebra, "_Products(table)", "table", products_are_read_only),
+    "products hands out the raw entry": Row(
+        algebra, "MappingProxyType(self._table[key])", "self._table[key]",
+        products_are_read_only),
+    "validate hands out its cached list": Row(
+        algebra, "list(self._violations)", "self._violations", validate_hands_out_a_fresh_list),
     "check_generator without the ^ rule": Row(
         algebra, 'or "^" in symbol', "", caret_symbol_is_refused),
     "carry sign from the second factor": Row(
