@@ -20,7 +20,7 @@ from itertools import product as cartesian
 from operator import mul
 from types import MappingProxyType
 
-from .linalg import _check_int, _fold, _terms, echelon
+from .linalg import _check_int, _fold, _iterated, _terms, echelon
 
 # Characters that the structure-constant format reserves: no basis label
 # holds one.
@@ -125,14 +125,9 @@ class GradedBasis:
     reads only labels and degrees builds no table."""
 
     def __init__(self, labels, degrees, unit, name=""):
-        try:
-            self.labels = list(labels)
-        except TypeError:
-            raise ValueError(f"labels must be an iterable, not {labels!r}") from None
-        try:
-            self.degrees = [d if type(d) is int else _check_int("degree", d) for d in degrees]
-        except TypeError:
-            raise ValueError(f"degrees must be an iterable of ints, not {degrees!r}") from None
+        self.labels = list(_iterated(labels, "labels must be an iterable"))
+        self.degrees = [d if type(d) is int else _check_int("degree", d)
+                        for d in _iterated(degrees, "degrees must be an iterable of ints")]
         if len(self.labels) != len(self.degrees):
             raise ValueError(f"{len(self.labels)} labels but {len(self.degrees)} degrees")
         self.unit = unit if type(unit) is int else _check_int("unit", unit)
@@ -246,11 +241,8 @@ class GradedAlgebra(GradedBasis):
         # id of an input entry -> (that entry, its normalized form); holding
         # the entry keeps its id from being reused while the loop runs
         done = {}
-        try:
-            pairs = products.items() if hasattr(products, "items") else iter(products)
-        except TypeError:
-            raise ValueError(f"products must be a mapping or an iterable of "
-                             f"((i, j), terms) pairs, not {products!r}") from None
+        pairs = products.items() if hasattr(products, "items") else _iterated(
+            products, "products must be a mapping or an iterable of ((i, j), terms) pairs")
         for item in pairs:
             try:
                 key, terms = item
@@ -686,7 +678,7 @@ def monomial_basis(p):
     is one step per basis element, whatever the size of the table.
     """
     seen, entries = set(), 1
-    for g in p.generators:
+    for g in _iterated(p.generators, "generators must be an iterable of Generators"):
         entries = check_generator(g, seen, entries)
     gens = p.generators
     weights = [g.degree for g in gens]

@@ -9,7 +9,8 @@ so there is no answer; the message of 2 or 4 goes to stderr.  With
 rationals are always serialized as exact "p/q" strings.  Integer options
 are read by fileformats.integer, as the integers of a file are: 1_0, ٣
 or " 2 " is a usage error, whose message quotes the token as a file's
-messages do, through algebra._quote.
+messages do, through algebra._quote, as is the path in the message of
+an OSError.
 
 Each subcommand is listed once, in _COMMANDS: its handler, help text,
 whether it reads an algebra file, and its arguments.  A handler takes
@@ -311,6 +312,9 @@ def _dispatch(args):
                 print(line)
         return code
     except (OSError, ValueError) as exc:
+        if isinstance(exc, OSError) and isinstance(exc.filename, str):
+            # str(exc) holds the whole path, however long
+            exc = f"[Errno {exc.errno}] {exc.strerror}: {_quote(exc.filename)}"
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (MemoryError, RecursionError) as exc:

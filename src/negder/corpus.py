@@ -9,6 +9,7 @@ else as presentations.
 from dataclasses import dataclass
 from importlib import resources
 
+from .algebra import _quote
 from .fileformats import load_algebra_text
 
 
@@ -45,7 +46,7 @@ def names():
 
 def entry(name):
     if name not in _ENTRIES:
-        raise KeyError(f"unknown example {name!r}")
+        raise KeyError(f"unknown example {_quote(name)}")
     return _ENTRIES[name]
 
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Element, _check_index
-from .linalg import _check_int, _fold, echelon, nullspace_basis
+from .linalg import _check_int, _fold, _items, echelon, nullspace_basis
 
 
 def _sign(exponent):
@@ -65,12 +65,8 @@ class GradedLinearMap:
     def __init__(self, shift, blocks=None):
         self.shift = _check_int("shift", shift)
         cleaned = {}
-        try:
-            items = ({} if blocks is None else blocks).items()
-        except AttributeError:
-            raise ValueError(f"blocks must be a mapping {{degree: block}}, "
-                             f"not {blocks!r}") from None
-        for n, mat in items:
+        for n, mat in _items({} if blocks is None else blocks,
+                             "blocks must be a mapping {degree: block}"):
             _check_int("block degree", n)
             try:
                 rows = [[x if type(x) is int else _fold(x) for x in row] for row in mat]
@@ -134,12 +130,7 @@ class GradedLinearMap:
         _check_int("shift", shift)
         degrees, position = algebra.degrees, algebra.position
         blocks = {}
-        try:
-            items = images.items()
-        except AttributeError:
-            raise ValueError(f"images must be a mapping {{index: Element}}, "
-                             f"not {images!r}") from None
-        for i, img in items:
+        for i, img in _items(images, "images must be a mapping {index: Element}"):
             _check_index(algebra, i)
             if not img:
                 continue

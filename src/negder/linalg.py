@@ -9,7 +9,9 @@ arithmetic is exact.  Kernels and spans come from one sparse elimination,
 _eliminate, behind echelon and nullspace_basis.  The library takes an
 int for an index, degree or rank (_check_int) and an int or a Fraction
 for a value (_fold), and the sparse terms of an Element or a table entry
-through _terms; text is read by fileformats alone.  _fold holds every
+through _terms; every mapping argument of the package is read by _items
+and every iterable one by _iterated, which name a value of another shape
+in a ValueError; text is read by fileformats alone.  _fold holds every
 exact rational, here and in tables, Elements and maps, as an int where it
 is integral and as a Fraction otherwise, so integer systems run on int
 arithmetic.  _eliminate keeps an index from each non-pivot column to the
@@ -89,19 +91,32 @@ def _fold(x):
     return x.numerator if x.denominator == 1 else x
 
 
+def _items(mapping, message):
+    """mapping.items(); ValueError "{message}, not {mapping!r}" for a
+    value with no items.  The one reader of a mapping argument."""
+    try:
+        return mapping.items()
+    except AttributeError:
+        raise ValueError(f"{message}, not {mapping!r}") from None
+
+
+def _iterated(values, message):
+    """iter(values); ValueError "{message}, not {values!r}" for a value
+    that is not iterable.  The one reader of an iterable argument."""
+    try:
+        return iter(values)
+    except TypeError:
+        raise ValueError(f"{message}, not {values!r}") from None
+
+
 def _terms(mapping, name):
     """Fresh {int: value} of the nonzero terms of a mapping, each value
     held as _fold holds it, an int subclass key as a plain int.  The one
     reader of sparse terms, for Elements and table entries.  ValueError
     for a non-mapping, and for a key, called name, that is not an int
     where its term is nonzero; a zero term's key is not read."""
-    try:
-        items = mapping.items()
-    except AttributeError:
-        raise ValueError(f"a mapping {{{name}: coefficient}} is needed, "
-                         f"not {mapping!r}") from None
     out = {}
-    for k, c in items:
+    for k, c in _items(mapping, f"a mapping {{{name}: coefficient}} is needed"):
         if type(c) is not int:
             c = _fold(c)
         if c:
@@ -113,8 +128,9 @@ def _nonzero(row):
     """Fresh {column: value} of the nonzero entries of a dense list or of a
     mapping row, a dict or a read-only view such as a table entry that
     GradedAlgebra.products hands out, each value folded by _fold before a
-    zero is dropped."""
-    items = row.items() if hasattr(row, "items") else enumerate(row)
+    zero is dropped; ValueError for a row that is neither."""
+    items = row.items() if hasattr(row, "items") else enumerate(
+        _iterated(row, "a row must be a mapping {column: value} or an iterable of values"))
     return {c: y for c, x in items if (y := x if type(x) is int else _fold(x))}
 
 
@@ -135,7 +151,7 @@ def echelon(rows):
     {pivot column: row}, each row fully reduced with a leading 1 at its
     least column: the unique RREF of the row space, its values ints where
     integral, by _eliminate over _nonzero copies, so no row is an input."""
-    return _eliminate(_nonzero(row) for row in rows)
+    return _eliminate(_nonzero(row) for row in _iterated(rows, "rows must be an iterable"))
 
 
 def _eliminate(rows, ncols=None):
@@ -203,9 +219,10 @@ def nullspace_basis(m, ncols):
     # each row is copied once, by _nonzero; the frozen items of the
     # distinct rows outlive the elimination, which reduces the copies
     rows = set()
+    system = _iterated(m, "the system must be an iterable of rows")
 
     def distinct():
-        for row in m:
+        for row in system:
             r = _nonzero(row)
             if any(type(c) is not int or not 0 <= c < ncols for c in r):
                 raise ValueError(f"a row has an entry outside columns 0..{ncols - 1}")

@@ -25,7 +25,7 @@ from .algebra import (Element, Generator, Presentation, _check_index,
                       build_monomial_algebra, tensor)
 from .derivations import GradedLinearMap, check_class_h
 from .derivations import derivation_space  # noqa: F401  perfbench/spans.py patches this name
-from .linalg import _check_int
+from .linalg import _check_int, _items, _iterated
 
 
 def torus_exterior(s):
@@ -76,8 +76,10 @@ class KunnethModel:
 
 def _subset(subset, torus_rank):
     """The torus coordinates of subset as a sorted tuple; ValueError naming
-    subset unless they are ints in 1..torus_rank with no repeat."""
-    key = tuple(sorted(_check_int("subset coordinate", x) for x in subset))
+    subset unless it is an iterable of ints in 1..torus_rank with no
+    repeat."""
+    coordinates = _iterated(subset, "a subset must be an iterable of torus coordinates")
+    key = tuple(sorted(_check_int("subset coordinate", x) for x in coordinates))
     if len(set(key)) != len(key):
         raise ValueError(f"repeated coordinate in subset {subset!r}")
     if key and (key[0] < 1 or key[-1] > torus_rank):
@@ -100,12 +102,8 @@ class LambdaFamily:
     def __init__(self, torus_rank, components=None):
         self.torus_rank = _check_int("torus_rank", torus_rank)
         comps = {}
-        try:
-            items = ({} if components is None else components).items()
-        except AttributeError:
-            raise ValueError(f"components must be a mapping {{subset: GradedLinearMap}}, "
-                             f"not {components!r}") from None
-        for subset, m in items:
+        for subset, m in _items({} if components is None else components,
+                                "components must be a mapping {subset: GradedLinearMap}"):
             key = _subset(subset, torus_rank)
             if not key:
                 raise ValueError("the empty subset is implicitly the identity")

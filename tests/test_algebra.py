@@ -1101,6 +1101,24 @@ def test_arguments_of_the_wrong_shape_raise_value_error_naming_them(call, messag
         call()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: GradedAlgebra(["1"], [0], 0, {(0,): {0: 1}}),
+     "table key must be a pair (i, j) of ints, not (0,)"),
+    (lambda: GradedAlgebra(["1"], [0], 0, 5),
+     "products must be a mapping or an iterable of ((i, j), terms) pairs, not 5"),
+    (lambda: GradedAlgebra(["1"], [0], 0, [1]),
+     "a table item must be a pair ((i, j), terms), not 1"),
+    (lambda: GradedAlgebra(["1"], [0], 0, {(0, 0): [1]}),
+     "table entry of (0, 0) must be a mapping {k: coefficient}, not [1]"),
+    (lambda: monomial_basis(Presentation("x", 5)),
+     "generators must be an iterable of Generators, not 5"),
+], ids=["short key", "int products", "int item", "list entry", "int generators"])
+def test_a_wrong_shape_is_named_in_these_exact_words(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_builder_signs_only_with_odd_generators():
     even = Presentation("CP2xCP3", (Generator("x", 2, 3), Generator("y", 2, 4)))
     mixed = Presentation("T2xCP2", (Generator("i1", 1), Generator("i2", 1),

@@ -198,6 +198,14 @@ def test_missing_file_is_a_usage_error(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_a_file_error_names_a_short_path_as_the_os_does(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for path in ("nope.alg", "."):
+        with pytest.raises(OSError) as info:
+            open(path, encoding="utf-8")
+        assert invoke(capsys, "check-h", path) == (2, "", f"error: {info.value}\n")
+
+
 def test_unparseable_file_is_a_usage_error(capsys, tmp_path):
     bad = tmp_path / "bad.alg"
     bad.write_text("widget x degree 2\n")

@@ -2,7 +2,8 @@
 
 Each row of the exact-message tests of test_formats.py is run through the
 command line again with one token of its input made 100 000 characters
-long, and so is each integer option of the command line.  The answer
+long, and so is each integer option of the command line, the name of an
+example and the path of an algebra file.  The answer
 must be exit 2, nothing on stdout, and one error line of at most 300
 bytes, of the same kind as the row's own message.
 """
@@ -132,3 +133,13 @@ def test_a_long_integer_option_gives_one_short_error_line(capsys, command, optio
                            f"invalid integer value: '{token[:40]}'... ({LONG} characters)")
     assert last.endswith(f"has more digits than the int-string limit of {DIGITS}\n"
                          if token.isdigit() else "characters)\n")
+
+
+@pytest.mark.parametrize("argv", [["examples", "show", "x" * LONG], ["check-h", "x" * LONG]],
+                         ids=["example name", "file path"])
+def test_a_long_name_or_path_gives_one_short_error_line(capsys, argv):
+    assert cli.run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    one_short_line(err)
+    assert f"'{'x' * 40}'... ({LONG} characters)" in err

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from conftest import dense, identity, rref_kernel, torus
 from negder import Element, linalg
 from negder.derivations import leibniz_rows
-from negder.linalg import _fold, dot, mat_vec, nullspace_basis, rank_fraction_free, rref
+from negder.linalg import (_fold, dot, echelon, mat_vec, nullspace_basis, rank_fraction_free,
+                           rref)
 
 
 def frac(p, q=1):
@@ -412,3 +413,19 @@ def test_integral_kernel_makes_no_fraction_on_the_way(monkeypatch):
     nonzero = sum(len(v) for v in basis)
     assert (len(basis), nonzero) == (5, 80)
     assert made == []
+
+
+ROW_MESSAGE = "a row must be a mapping {column: value} or an iterable of values, not 5"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: nullspace_basis([5], 1), ROW_MESSAGE),
+    (lambda: nullspace_basis(5, 1), "the system must be an iterable of rows, not 5"),
+    (lambda: echelon([5]), ROW_MESSAGE),
+    (lambda: echelon(5), "rows must be an iterable, not 5"),
+], ids=["nullspace row", "nullspace system", "echelon row", "echelon rows"])
+def test_a_system_of_the_wrong_shape_is_named(call, message):
+    # each used to raise a bare TypeError
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -9,6 +9,7 @@ must pass on an unchanged copy of the module and fail on the mutant.
 """
 
 import contextlib
+import errno
 import inspect
 import io
 import json
@@ -194,6 +195,25 @@ def validate_hands_out_a_fresh_list(m):
     assert bad.validate() == exhaustive_validate(bad) != []
 
 
+def message_of(call):
+    """The message of the ValueError that call raises, or None."""
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def non_mapping_is_named(m):
+    assert (message_of(lambda: m._terms(5, "Element key"))
+            == "a mapping {Element key: coefficient} is needed, not 5")
+
+
+def non_iterable_system_is_named(m):
+    assert (message_of(lambda: m.nullspace_basis(5, 1))
+            == "the system must be an iterable of rows, not 5")
+
+
 def answer(call, argv):
     """(exit code, stdout, stderr) of call(argv), an exit as run maps it."""
     out, err = io.StringIO(), io.StringIO()
@@ -222,6 +242,14 @@ def sphere_derivation_has_no_defect(m):
     s3 = sphere(3)
     (theta,) = derivation_space(s3, -3)
     assert m.is_derivation(s3, theta) == []
+
+
+def long_path_is_quoted_short(m):
+    # no file system takes a name this long, so open fails with ENAMETOOLONG
+    code, out, err = answer(m.run, ["check-h", "x" * 100_000])
+    strerror = os.strerror(errno.ENAMETOOLONG)
+    assert (code, out, err) == (2, "", f"error: [Errno {errno.ENAMETOOLONG}] {strerror}: "
+                                       f"'{'x' * 40}'... (100000 characters)\n")
 
 
 def check_h_json_matches_its_golden_digest(m):
@@ -302,6 +330,14 @@ ROWS = {
         sphere_derivation_has_no_defect),
     "report without its command": Row(
         cli, 'doc["command"] = args.command', "pass", check_h_json_matches_its_golden_digest),
+    "mapping reader lets a non-mapping through": Row(
+        linalg, 'raise ValueError(f"{message}, not {mapping!r}") from None',
+        "return {}.items()", non_mapping_is_named),
+    "iterable reader lets a non-iterable through": Row(
+        linalg, 'raise ValueError(f"{message}, not {values!r}") from None',
+        "return iter(())", non_iterable_system_is_named),
+    "file error echoes the whole path": Row(
+        cli, "_quote(exc.filename)", "repr(exc.filename)", long_path_is_quoted_short),
     "run without its leftovers rule": Row(
         cli, "if command is None or rest:", "if command is None:",
         leftovers_answer_as_the_full_parser),

@@ -484,3 +484,34 @@ def test_residual_system_sees_sphere_obstruction():
     assert subset_count == 1
     assert kernel_dim == 1 == len(derivation_space(s3, -3))
 
+
+
+def test_rigidity_arguments_are_refused_in_these_exact_words():
+    cp2, s3, s5 = projective_space(2), sphere(3), sphere(5)
+    theta = GradedLinearMap(-1, {1: [[1]]})
+    odd = GradedLinearMap.from_images(cp2, -2, {1: cp2.basis_element(0)})
+    cases = [
+        # the subsets that are not iterable used to raise a bare TypeError
+        (lambda: LambdaFamily(2, {5: GradedLinearMap(-1)}),
+         "a subset must be an iterable of torus coordinates, not 5"),
+        (lambda: KunnethModel(s3, 2).total_index(0, 5),
+         "a subset must be an iterable of torus coordinates, not 5"),
+        (lambda: LambdaFamily(2, {(1,): theta}).component(5),
+         "a subset must be an iterable of torus coordinates, not 5"),
+        (lambda: LambdaFamily(2, {(1, 1): theta}), "repeated coordinate in subset (1, 1)"),
+        (lambda: LambdaFamily(1, {(2,): theta}), "subset (2,) is not within 1..1"),
+        (lambda: LambdaFamily(1, [1]),
+         "components must be a mapping {subset: GradedLinearMap}, not [1]"),
+        (lambda: LambdaFamily(1, {(): theta}), "the empty subset is implicitly the identity"),
+        (lambda: LambdaFamily(1, {(1,): "x"}),
+         "component at (1,) is a str, not a GradedLinearMap"),
+        (lambda: LambdaFamily(1, {(1,): odd}),
+         "component at (1,) has shift -2, which differs in parity from -1"),
+        (lambda: char_subspace(cp2, 0), "rank must be at least 1"),
+        (lambda: ProofTrace.from_verdict(s5, check_class_h(s5, max_degree=2), 3),
+         "the sweep stops above level 3"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
