@@ -20,7 +20,7 @@ from itertools import product as cartesian
 from operator import mul
 from types import MappingProxyType
 
-from .linalg import _check_int, _fold, _iterated, _terms, echelon
+from .linalg import _check_int, _fold, _iterated, _quote, _terms, echelon
 
 # Characters that the structure-constant format reserves: no basis label
 # holds one.
@@ -37,7 +37,7 @@ def _check_index(basis, i):
     if type(i) is not int:
         _check_int("basis index", i)
     if not 0 <= i < basis.dim:
-        raise ValueError(f"basis index {i} is outside 0..{basis.dim - 1}")
+        raise ValueError(f"basis index {_quote(i)} is outside 0..{basis.dim - 1}")
 
 
 @dataclass(frozen=True)
@@ -132,13 +132,14 @@ class GradedBasis:
             raise ValueError(f"{len(self.labels)} labels but {len(self.degrees)} degrees")
         self.unit = unit if type(unit) is int else _check_int("unit", unit)
         if not 0 <= self.unit < len(self.labels):
-            raise ValueError(f"unit {self.unit} is not a basis index")
+            raise ValueError(f"unit {_quote(self.unit)} is not a basis index")
         self.name = name
         by_degree = {}
         self.position = []
         for i, d in enumerate(self.degrees):
             if d < 0:
-                raise ValueError(f"basis label {self.labels[i]!r} has negative degree {d}")
+                raise ValueError(f"basis label {_quote(self.labels[i])} has negative "
+                                 f"degree {_quote(d)}")
             piece = by_degree.setdefault(d, [])
             self.position.append(len(piece))
             piece.append(i)
@@ -166,7 +167,7 @@ def _table_key(key):
     of two items, such as a list, (0,) or (0, 0, 0), or one whose items
     are not ints, such as (0.0, 1), even where an equal key came before."""
     if not isinstance(key, tuple) or len(key) != 2:
-        raise ValueError(f"table key must be a pair (i, j) of ints, not {key!r}")
+        raise ValueError(f"table key must be a pair (i, j) of ints, not {_quote(key)}")
     return (_check_int("table key", key[0]), _check_int("table key", key[1]))
 
 
@@ -248,7 +249,7 @@ class GradedAlgebra(GradedBasis):
                 key, terms = item
             except (TypeError, ValueError):
                 raise ValueError(f"a table item must be a pair ((i, j), terms), "
-                                 f"not {item!r}") from None
+                                 f"not {_quote(item)}") from None
             try:
                 i, j = key
             except (TypeError, ValueError):
@@ -256,18 +257,19 @@ class GradedAlgebra(GradedBasis):
             if type(key) is not tuple or type(i) is not int or type(j) is not int:
                 key = i, j = _table_key(key)
             if not (0 <= i < dim and 0 <= j < dim):
-                raise ValueError(f"table key {key} names {j if 0 <= i < dim else i}, "
-                                 f"outside 0..{dim - 1}")
+                raise ValueError(f"table key {_quote(key)} names "
+                                 f"{_quote(j if 0 <= i < dim else i)}, outside 0..{dim - 1}")
             seen = done.get(id(terms))
             if seen is None:
                 # checked here too, so that the error names the key
                 if not hasattr(terms, "items"):
-                    raise ValueError(f"table entry of {key} must be a mapping "
-                                     f"{{k: coefficient}}, not {terms!r}")
+                    raise ValueError(f"table entry of {_quote(key)} must be a mapping "
+                                     f"{{k: coefficient}}, not {_quote(terms)}")
                 entry = _terms(terms, "term index")
                 if entry and (min(entry) < 0 or max(entry) >= dim):
                     k = min(entry) if min(entry) < 0 else max(entry)
-                    raise ValueError(f"table entry of {key} names {k}, outside 0..{dim - 1}")
+                    raise ValueError(f"table entry of {_quote(key)} names {_quote(k)}, "
+                                     f"outside 0..{dim - 1}")
                 seen = done[id(terms)] = (terms, entry)
             if seen[1]:
                 table[key] = seen[1]
@@ -581,19 +583,6 @@ def _legal_label(label):
     by it, and check_generator generator symbols."""
     return (type(label) is str and label.split() == [label] and label != "0"
             and _RESERVED.isdisjoint(label) and not label.startswith("unit:"))
-
-
-# The longest str that _quote shows whole.
-_QUOTE_CAP = 40
-
-
-def _quote(token):
-    """repr(token), for a message; a str of more than _QUOTE_CAP characters
-    shows its first _QUOTE_CAP and its length, so the message stays short
-    whatever the input holds."""
-    if type(token) is str and len(token) > _QUOTE_CAP:
-        return f"{token[:_QUOTE_CAP]!r}... ({len(token)} characters)"
-    return repr(token)
 
 
 def check_generator(g, seen, entries):

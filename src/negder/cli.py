@@ -9,8 +9,9 @@ so there is no answer; the message of 2 or 4 goes to stderr.  With
 rationals are always serialized as exact "p/q" strings.  Integer options
 are read by fileformats.integer, as the integers of a file are: 1_0, ٣
 or " 2 " is a usage error, whose message quotes the token as a file's
-messages do, through algebra._quote, as is the path in the message of
-an OSError.
+messages do, through linalg._quote, as is the path in the message of
+an OSError.  Both parsers are a _Parser, whose own messages quote a
+token the same way: an invalid choice, and the arguments left over.
 
 Each subcommand is listed once, in _COMMANDS: its handler, help text,
 whether it reads an algebra file, and its arguments.  A handler takes
@@ -39,9 +40,9 @@ from dataclasses import dataclass
 from functools import cache
 
 from . import corpus
-from .algebra import _quote
 from .derivations import check_class_h, derivation_space
 from .fileformats import AlgebraFile, ValidationError, detect_format, integer, over_limit
+from .linalg import _quote
 from .rigidity import char_subspace, prove_rigidity
 
 
@@ -49,6 +50,25 @@ def _load(path):
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     return AlgebraFile(detect_format(text), text)
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse.ArgumentParser with argparse's words for an invalid choice
+    and for the arguments left over, each token through _quote, so no
+    message echoes a whole token; add_subparsers makes its subparsers of
+    this class too."""
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {_quote(value)} (choose from {choices})")
+
+    def parse_args(self, args=None, namespace=None):
+        args, rest = self.parse_known_args(args, namespace)
+        if rest:
+            self.error("unrecognized arguments: " + " ".join(map(_quote, rest)))
+        return args
 
 
 def _integer_option(text):
@@ -190,6 +210,8 @@ def _cmd_rigidity(args, source):
 
 def _cmd_examples(args, source):
     if args.action == "list":
+        if args.name is not None:
+            raise ValueError("examples list takes no name")
         doc = {"names": corpus.names(),
                "descriptions": {n: corpus.entry(n).description for n in corpus.names()}}
         return doc, [f"{n}: {corpus.entry(n).description}" for n in corpus.names()], 0
@@ -258,11 +280,11 @@ def build_parser(command=None):
     as the full parser's subparser reads it."""
     if command is not None:
         spec = _COMMANDS[command]
-        parser = argparse.ArgumentParser(prog=f"negder {command}")
+        parser = _Parser(prog=f"negder {command}")
         parser.set_defaults(command=command)
         _add_arguments(parser, spec)
         return parser
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="negder",
         description="Exact-rational checks for graded-commutative algebras: "
                     "negative-degree derivations, class-H membership, "

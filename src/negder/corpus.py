@@ -9,8 +9,8 @@ else as presentations.
 from dataclasses import dataclass
 from importlib import resources
 
-from .algebra import _quote
 from .fileformats import load_algebra_text
+from .linalg import _quote
 
 
 @dataclass(frozen=True)

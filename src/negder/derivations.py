@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Element, _check_index
-from .linalg import _check_int, _fold, _items, echelon, nullspace_basis
+from .linalg import _check_int, _fold, _items, _quote, echelon, nullspace_basis
 
 
 def _sign(exponent):
@@ -71,8 +71,8 @@ class GradedLinearMap:
             try:
                 rows = [[x if type(x) is int else _fold(x) for x in row] for row in mat]
             except TypeError:
-                raise ValueError(f"block at degree {n} must be a list of rows, "
-                                 f"not {mat!r}") from None
+                raise ValueError(f"block at degree {_quote(n)} must be a list of rows, "
+                                 f"not {_quote(mat)}") from None
             if any(any(row) for row in rows):
                 cleaned[n] = rows
         self.blocks = cleaned
@@ -107,7 +107,7 @@ class GradedLinearMap:
         width = len(algebra.graded_piece(n))
         tgt = algebra.graded_piece(n + self.shift)
         if len(mat) != len(tgt) or any(len(row) != width for row in mat):
-            raise ValueError(f"block at degree {n} does not match the graded pieces")
+            raise ValueError(f"block at degree {_quote(n)} does not match the graded pieces")
         return tgt
 
     def apply(self, algebra, elt):
@@ -137,7 +137,8 @@ class GradedLinearMap:
             try:
                 coeffs = img.coeffs
             except AttributeError:
-                raise ValueError(f"image of {i} must be an Element, not {img!r}") from None
+                raise ValueError(f"image of {_quote(i)} must be an Element, "
+                                 f"not {_quote(img)}") from None
             n = degrees[i]
             if n not in blocks:
                 tgt = algebra.graded_piece(n + shift)

@@ -35,14 +35,14 @@ numerator or denominator longer than Python's int-string limit,
 sys.get_int_max_str_digits() (4 300 digits by default), is the ParseError
 "bad coefficient" too, and a degree or truncation that long is a
 ParseError that names the limit.  A message quotes a token or label
-through algebra._quote: as its repr, or its first 40 characters and its
-length when it is longer.  A product line may name a pair in either order.
-A pair given in one order only gets its transposed entry from graded
-commutativity; a pair given in both orders keeps both lines, and
-validation cross-checks them; the
-serializer writes both lines, an absent entry as 0, when the two orders
-disagree, so a corrupt table reads back as it was.  Omitted
-pairs are zero.  A parsed table is validated before use and rejected with
+through linalg._quote: as its repr, or its first 40 characters and its
+length when it is longer.  A text that is not a str is a ValueError.
+A product line may name a pair in either order.  A pair given in one
+order only gets its transposed entry from graded commutativity; a pair
+given in both orders keeps both lines, and validation cross-checks them;
+the serializer writes both lines, an absent entry as 0, when the two
+orders disagree, so a corrupt table reads back as it was.  Omitted pairs
+are zero.  A parsed table is validated before use and rejected with
 the full violation list if any axiom fails.
 
 Each distinct right-hand side and coefficient text is read once; the lines
@@ -59,10 +59,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (_QUOTE_CAP, Generator, GradedAlgebra, Presentation, _legal_label,
-                      _mirror, _quote, build_monomial_algebra, check_generator,
-                      monomial_basis)
-from .linalg import _fold
+from .algebra import (Generator, GradedAlgebra, Presentation, _legal_label, _mirror,
+                      build_monomial_algebra, check_generator, monomial_basis)
+from .linalg import _fold, _quote
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 _COEFFICIENT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
@@ -99,7 +98,10 @@ def _split_lines(text):
     time, so a reader that stops early splits little of a long text.  Each
     piece ends right after the first line break at or past _CHUNK
     characters from its start, or at the end of the text, so no line runs
-    from one piece into the next."""
+    from one piece into the next.  The one reader of a text: ValueError
+    for a text that is not a str."""
+    if not isinstance(text, str):
+        raise ValueError(f"an algebra text must be a str, not {_quote(text)}")
     start = 0
     while start < len(text):
         cut = _BREAK.search(text, start + _CHUNK)
@@ -302,9 +304,7 @@ def _read_table(text):
             raise ParseError(line_no,
                              f"unknown basis label {_quote(il if key[0] is None else jl)}")
         if key in products:
-            # a label is quoted only past the cap, so a short one reads as written
-            il, jl = (x if len(x) <= _QUOTE_CAP else _quote(x) for x in (il, jl))
-            raise ParseError(line_no, f"duplicate product line for {il} {jl}")
+            raise ParseError(line_no, f"duplicate product line for {_quote(il)} {_quote(jl)}")
         terms = parsed.get(rhs)
         if terms is None:
             terms = parsed[rhs] = _parse_terms(rhs, line_no, label_index, coeffs)

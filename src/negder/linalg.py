@@ -11,7 +11,9 @@ int for an index, degree or rank (_check_int) and an int or a Fraction
 for a value (_fold), and the sparse terms of an Element or a table entry
 through _terms; every mapping argument of the package is read by _items
 and every iterable one by _iterated, which name a value of another shape
-in a ValueError; text is read by fileformats alone.  _fold holds every
+in a ValueError; text is read by fileformats alone.  Every message that
+shows a value the caller passed formats it through _quote, which keeps
+the message short whatever the value holds.  _fold holds every
 exact rational, here and in tables, Elements and maps, as an int where it
 is integral and as a Fraction otherwise, so integer systems run on int
 arithmetic.  _eliminate keeps an index from each non-pivot column to the
@@ -21,6 +23,10 @@ rref and the Bareiss rank are kept as independent oracles.
 
 import math
 from fractions import Fraction
+
+# The longest str that _quote shows whole, and the longest repr of any
+# other value.
+_QUOTE_CAP = 40
 
 
 def dot(row, v):
@@ -71,10 +77,30 @@ def rref(m):
     return reduced, len(pivots), pivots
 
 
+def _quote(value):
+    """value as a message shows it: a str as its repr, cut to its first
+    _QUOTE_CAP characters and followed by its length when it is longer;
+    any other value as its repr, cut the same way past _QUOTE_CAP
+    characters; a value whose repr raises ValueError (an int past
+    sys.get_int_max_str_digits(), or a container holding one) by its type,
+    and an int by its size in bits too.  So a message stays short, and
+    says what it means to, whatever the value holds."""
+    if type(value) is str:
+        if len(value) > _QUOTE_CAP:
+            return f"{value[:_QUOTE_CAP]!r}... ({len(value)} characters)"
+        return repr(value)
+    try:
+        text = repr(value)
+    except ValueError:
+        bits = f" of {value.bit_length()} bits" if isinstance(value, int) else ""
+        return f"<{type(value).__name__}{bits}>"
+    return text if len(text) <= _QUOTE_CAP else f"{text[:_QUOTE_CAP]}... ({len(text)} characters)"
+
+
 def _check_int(name, value):
     """value as an int; ValueError naming it unless it is a non-bool int."""
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an int, not {value!r}")
+        raise ValueError(f"{name} must be an int, not {_quote(value)}")
     return int(value)
 
 
@@ -86,27 +112,27 @@ def _fold(x):
         if type(x) is int:
             return x
         if not isinstance(x, (int, Fraction)) or isinstance(x, bool):
-            raise ValueError(f"a value must be an int or a Fraction, not {x!r}")
+            raise ValueError(f"a value must be an int or a Fraction, not {_quote(x)}")
         x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
 
 
 def _items(mapping, message):
-    """mapping.items(); ValueError "{message}, not {mapping!r}" for a
-    value with no items.  The one reader of a mapping argument."""
+    """mapping.items(); ValueError "{message}, not {_quote(mapping)}" for
+    a value with no items.  The one reader of a mapping argument."""
     try:
         return mapping.items()
     except AttributeError:
-        raise ValueError(f"{message}, not {mapping!r}") from None
+        raise ValueError(f"{message}, not {_quote(mapping)}") from None
 
 
 def _iterated(values, message):
-    """iter(values); ValueError "{message}, not {values!r}" for a value
-    that is not iterable.  The one reader of an iterable argument."""
+    """iter(values); ValueError "{message}, not {_quote(values)}" for a
+    value that is not iterable.  The one reader of an iterable argument."""
     try:
         return iter(values)
     except TypeError:
-        raise ValueError(f"{message}, not {values!r}") from None
+        raise ValueError(f"{message}, not {_quote(values)}") from None
 
 
 def _terms(mapping, name):
@@ -225,7 +251,7 @@ def nullspace_basis(m, ncols):
         for row in system:
             r = _nonzero(row)
             if any(type(c) is not int or not 0 <= c < ncols for c in r):
-                raise ValueError(f"a row has an entry outside columns 0..{ncols - 1}")
+                raise ValueError(f"a row has an entry outside columns 0..{_quote(ncols - 1)}")
             items = frozenset(r.items())
             if items not in rows:
                 rows.add(items)

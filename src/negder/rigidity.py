@@ -25,7 +25,7 @@ from .algebra import (Element, Generator, Presentation, _check_index,
                       build_monomial_algebra, tensor)
 from .derivations import GradedLinearMap, check_class_h
 from .derivations import derivation_space  # noqa: F401  perfbench/spans.py patches this name
-from .linalg import _check_int, _items, _iterated
+from .linalg import _check_int, _items, _iterated, _quote
 
 
 def torus_exterior(s):
@@ -81,9 +81,9 @@ def _subset(subset, torus_rank):
     coordinates = _iterated(subset, "a subset must be an iterable of torus coordinates")
     key = tuple(sorted(_check_int("subset coordinate", x) for x in coordinates))
     if len(set(key)) != len(key):
-        raise ValueError(f"repeated coordinate in subset {subset!r}")
+        raise ValueError(f"repeated coordinate in subset {_quote(subset)}")
     if key and (key[0] < 1 or key[-1] > torus_rank):
-        raise ValueError(f"subset {subset!r} is not within 1..{torus_rank}")
+        raise ValueError(f"subset {_quote(subset)} is not within 1..{_quote(torus_rank)}")
     return key
 
 
@@ -108,11 +108,11 @@ class LambdaFamily:
             if not key:
                 raise ValueError("the empty subset is implicitly the identity")
             if not isinstance(m, GradedLinearMap):
-                raise ValueError(f"component at {key} is a {type(m).__name__}, "
+                raise ValueError(f"component at {_quote(key)} is a {type(m).__name__}, "
                                  f"not a GradedLinearMap")
             if (m.shift + len(key)) % 2:
                 raise ValueError(
-                    f"component at {key} has shift {m.shift}, "
+                    f"component at {_quote(key)} has shift {_quote(m.shift)}, "
                     f"which differs in parity from -{len(key)}")
             if not m.is_zero():
                 comps[key] = m

@@ -588,6 +588,11 @@ def test_examples_show_requires_a_known_name(capsys):
         2, "", "error: unknown example 'nope'\n")
 
 
+def test_examples_list_takes_no_name(capsys):
+    assert invoke(capsys, "examples", "list", "cp2") == (
+        2, "", "error: examples list takes no name\n")
+
+
 HANDLER_ARGV = {
     "validate": [corpus.path("cp2")],
     "check-h": [corpus.path("s3")],

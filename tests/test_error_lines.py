@@ -3,16 +3,22 @@
 Each row of the exact-message tests of test_formats.py is run through the
 command line again with one token of its input made 100 000 characters
 long, and so is each integer option of the command line, the name of an
-example and the path of an algebra file.  The answer
-must be exit 2, nothing on stdout, and one error line of at most 300
-bytes, of the same kind as the row's own message.
+example, the path of an algebra file, and the tokens that argparse itself
+names: an unknown command or action, and an argument left over.  The
+answer must be exit 2, nothing on stdout, and one error line of at most
+300 bytes, of the same kind as the row's own message.  The library's own
+messages are held to the same bound: a value of 100 000 characters or
+items, or an int past the int-string limit, gives a ValueError in the
+call's own words, never Python's "Exceeds the limit".
 """
 
 import re
 
 import pytest
 
-from negder import ParseError, cli, corpus, parse_presentation, parse_structure_constants
+from negder import (Element, GradedAlgebra, GradedBasis, GradedLinearMap, KunnethModel,
+                    LambdaFamily, ParseError, cli, corpus, nullspace_basis, parse_presentation,
+                    parse_structure_constants)
 from test_formats import DIGITS, PRESENTATION_ERRORS, TABLE_ERRORS, TERMS_ERRORS, edited
 
 LONG = 100_000
@@ -143,3 +149,55 @@ def test_a_long_name_or_path_gives_one_short_error_line(capsys, argv):
     assert out == "" and err.startswith("error: ")
     one_short_line(err)
     assert f"'{'x' * 40}'... ({LONG} characters)" in err
+
+
+@pytest.mark.parametrize("argv, quoted", [
+    (["x" * LONG], "argument command: invalid choice: {}"),
+    (["examples", "x" * LONG], "argument action: invalid choice: {}"),
+    (["check-h", "a", "x" * LONG], "unrecognized arguments: {}")],
+    ids=["command", "examples action", "leftover"])
+def test_a_long_token_that_argparse_names_gives_a_short_stderr(capsys, argv, quoted):
+    assert cli.run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.encode()) <= BOUND, err[:BOUND]
+    assert quoted.format(f"'{'x' * 40}'... ({LONG} characters)") in err
+
+
+HUGE = 10**5000  # past the int-string limit, whose repr raises ValueError
+HUGE_BITS = "<int of 16610 bits>"
+CUT_KEY = "(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 1... (688890 characters)"
+
+
+def cp2():
+    return corpus.load("cp2")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: nullspace_basis(HUGE, 1), f"the system must be an iterable of rows, not {HUGE_BITS}"),
+    (lambda: nullspace_basis([{-1: 1}], HUGE),
+     f"a row has an entry outside columns 0..{HUGE_BITS}"),
+    (lambda: GradedLinearMap(0, {0: HUGE}),
+     f"block at degree 0 must be a list of rows, not {HUGE_BITS}"),
+    (lambda: GradedLinearMap(0, HUGE),
+     f"blocks must be a mapping {{degree: block}}, not {HUGE_BITS}"),
+    (lambda: cp2().basis_element(HUGE), f"basis index {HUGE_BITS} is outside 0..2"),
+    (lambda: GradedAlgebra(["1"], [0], 0, {(HUGE, 0): {0: 1}}),
+     f"table key <tuple> names {HUGE_BITS}, outside 0..0"),
+    (lambda: GradedBasis(["1"], [0], HUGE), f"unit {HUGE_BITS} is not a basis index"),
+    (lambda: KunnethModel(cp2(), 2).total_index(0, [HUGE]), "subset <list> is not within 1..2"),
+    (lambda: Element("x" * LONG), "a mapping {Element key: coefficient} is needed, "
+                                  f"not '{'x' * 40}'... ({LONG} characters)"),
+    (lambda: GradedAlgebra(["1"], [0], 0, {tuple(range(LONG)): {0: 1}}),
+     f"table key must be a pair (i, j) of ints, not {CUT_KEY}"),
+    (lambda: KunnethModel(cp2(), 2).total_index(0, list(range(LONG))),
+     f"subset [{CUT_KEY[1:]} is not within 1..2"),
+    (lambda: LambdaFamily(LONG, {tuple(range(1, LONG + 1)): 5}),
+     "component at (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, ... (688895 characters) is a int, "
+     "not a GradedLinearMap"),
+], ids=["system", "columns", "block", "blocks", "basis index", "table key", "unit",
+        "subset coordinate", "Element", "long table key", "long subset", "long component key"])
+def test_a_huge_value_gives_a_short_message_in_the_calls_own_words(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+    assert len(message) <= BOUND and "Exceeds the limit" not in message

@@ -18,10 +18,11 @@ from negder import (AlgebraFile, GradedAlgebra, ParseError, ValidationError,
                     detect_format, fileformats, load_algebra_text, parse_presentation,
                     parse_structure_constants, serialize_structure_constants,
                     tensor)
-from negder.algebra import _quote
 from negder.corpus import names as corpus_names
 from negder.corpus import text as corpus_text
-from negder.fileformats import _coefficient, _parse_terms, integer
+from negder.fileformats import (PRESENTATION, STRUCTURE_CONSTANTS, _coefficient, _parse_terms,
+                                integer)
+from negder.linalg import _quote
 
 MINIMAL_TABLE = """\
 basis:
@@ -232,7 +233,7 @@ TABLE_ERRORS = {
     "unknown right label": (edited("1 x = 1*x", "1 y = 1*x"), "line 9: unknown basis label 'y'"),
     "unknown left label": (edited("1 x = 1*x", "y x = 1*x"), "line 9: unknown basis label 'y'"),
     "second product line": (edited("1 x = 1*x", "1 x = 1*x\n1 x = 1*x"),
-                            "line 10: duplicate product line for 1 x"),
+                            "line 10: duplicate product line for '1' 'x'"),
     "decimal coefficient": (edited("1 x = 1*x", "1 x = 1.5*x"), "line 9: bad coefficient '1.5'"),
     "empty term before +": (edited("1 x = 1*x", "1 x = +1*x"), "line 9: " + TERM.format("before")),
     "empty term after +": (edited("1 x = 1*x", "1 x = 1*x +"), "line 9: " + TERM.format("after")),
@@ -330,8 +331,13 @@ def test_a_huge_coefficient_gives_one_short_error_line(tmp_path, capsys):
 
 
 def test_a_quoted_token_reads_as_its_repr_up_to_40_characters():
-    assert [_quote(t) for t in ("x", "'", "a" * 40, 5)] == ["'x'", '"\'"', repr("a" * 40), "5"]
+    assert [_quote(t) for t in ("x", "'", "a" * 40, 5, (1, 2))] == [
+        "'x'", '"\'"', repr("a" * 40), "5", "(1, 2)"]
     assert _quote("a" * 41) == f"{'a' * 40!r}... (41 characters)"
+    # any other value is cut in its repr, and one whose repr fails is named
+    assert _quote(tuple(range(20))) == "(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 1... (70 characters)"
+    assert _quote(10**5000) == "<int of 16610 bits>"
+    assert _quote([10**5000]) == "<list>"
 
 
 def test_integer_reads_only_sign_and_ascii_digits():
@@ -628,3 +634,20 @@ def test_load_algebra_text_handles_both_formats():
     from_table = load_algebra_text(MINIMAL_TABLE)
     from_pres = load_algebra_text("generator x degree 2\n")
     assert from_table.degrees == from_pres.degrees == [0, 2]
+
+
+@pytest.mark.parametrize("read, text, shown", [
+    (load_algebra_text, b"name x\n", "b'name x\\n'"),
+    (parse_presentation, None, "None"),
+    (parse_structure_constants, 5, "5"),
+    (detect_format, ["basis:"], "['basis:']"),
+    (lambda text: AlgebraFile(PRESENTATION, text).build(), b"name x\n", "b'name x\\n'"),
+    (lambda text: AlgebraFile(STRUCTURE_CONSTANTS, text).build(), b"x" * 100,
+     f"b'{'x' * 38}... (103 characters)"),
+], ids=["load bytes", "presentation None", "table int", "detect list", "file presentation",
+        "file table"])
+def test_a_text_that_is_not_a_str_is_named(read, text, shown):
+    with pytest.raises(ValueError) as info:
+        read(text)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"an algebra text must be a str, not {shown}"

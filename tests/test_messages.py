@@ -6,6 +6,9 @@ of its message occurs in a test file.
 
 A message with no literal piece, such as a ParseError that passes on the
 text of an error it caught, is left out.
+
+No f-string of the package converts a value with !r, but in
+linalg._quote and a __repr__: a message shows a value through _quote.
 """
 
 import ast
@@ -69,3 +72,21 @@ def test_every_parser_error_message_is_named_by_a_test():
     assert len(sites) > 70
     assert [f"{name}:{line}: {piece!r}" for name, line, piece in sites
             if not any(piece in text for text in texts)] == []
+
+
+def test_no_message_uses_a_repr_conversion():
+    # a message shows a value through linalg._quote, which keeps it short
+    # and names an int that repr cannot write; so no f-string of the
+    # package converts with !r, but for _quote itself and a __repr__
+    sites = []
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        exempt = {id(node) for function in ast.walk(tree)
+                  if isinstance(function, ast.FunctionDef)
+                  and function.name in ("_quote", "__repr__")
+                  for node in ast.walk(function)}
+        sites += [f"{os.path.basename(path)}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.FormattedValue) and node.conversion == ord("r")
+                  and id(node) not in exempt]
+    assert sites == []

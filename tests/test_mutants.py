@@ -214,6 +214,17 @@ def non_iterable_system_is_named(m):
             == "the system must be an iterable of rows, not 5")
 
 
+def long_value_is_cut(m):
+    assert (message_of(lambda: m._items(tuple(range(100_000)), "a mapping is needed"))
+            == "a mapping is needed, not (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 1... "
+               "(688890 characters)")
+
+
+def huge_int_is_named_by_its_size(m):
+    assert (message_of(lambda: m._iterated(10**5000, "rows must be an iterable"))
+            == "rows must be an iterable, not <int of 16610 bits>")
+
+
 def answer(call, argv):
     """(exit code, stdout, stderr) of call(argv), an exit as run maps it."""
     out, err = io.StringIO(), io.StringIO()
@@ -331,11 +342,20 @@ ROWS = {
     "report without its command": Row(
         cli, 'doc["command"] = args.command', "pass", check_h_json_matches_its_golden_digest),
     "mapping reader lets a non-mapping through": Row(
-        linalg, 'raise ValueError(f"{message}, not {mapping!r}") from None',
+        linalg, 'raise ValueError(f"{message}, not {_quote(mapping)}") from None',
         "return {}.items()", non_mapping_is_named),
     "iterable reader lets a non-iterable through": Row(
-        linalg, 'raise ValueError(f"{message}, not {values!r}") from None',
+        linalg, 'raise ValueError(f"{message}, not {_quote(values)}") from None',
         "return iter(())", non_iterable_system_is_named),
+    "quote shows a long repr whole": Row(
+        linalg, 'f"{text[:_QUOTE_CAP]}... ({len(text)} characters)"', "text", long_value_is_cut),
+    "quote lets an int past the limit through": Row(
+        linalg, """    try:
+        text = repr(value)
+    except ValueError:
+        bits = f" of {value.bit_length()} bits" if isinstance(value, int) else ""
+        return f"<{type(value).__name__}{bits}>"
+""", "    text = repr(value)\n", huge_int_is_named_by_its_size),
     "file error echoes the whole path": Row(
         cli, "_quote(exc.filename)", "repr(exc.filename)", long_path_is_quoted_short),
     "run without its leftovers rule": Row(
