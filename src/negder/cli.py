@@ -11,7 +11,8 @@ are read by fileformats.integer, as the integers of a file are: 1_0, ٣
 or " 2 " is a usage error, whose message quotes the token as a file's
 messages do, through linalg._quote, as is the path in the message of
 an OSError.  Both parsers are a _Parser, whose own messages quote a
-token the same way: an invalid choice, and the arguments left over.
+token the same way: an invalid choice, the arguments left over, and an
+explicit argument that an option ignores (--json=x).
 
 Each subcommand is listed once, in _COMMANDS: its handler, help text,
 whether it reads an algebra file, and its arguments.  A handler takes
@@ -21,7 +22,10 @@ document, its text lines (a list, or a generator, so --json renders no
 text) and its exit code; it prints nothing.  _dispatch is the one place
 that prints a report: it loads the file, adds "command" and, where a
 file is read, "file" to the document, prints it or the lines, and maps
-errors to exit codes.
+errors to exit codes.  _dumps renders the --json document in a few
+joins, byte for byte as json.dumps(doc, indent=2, sort_keys=True) writes
+it, which the oracle tests of tests/test_cli.py check; json.dumps runs
+its pure-Python encoder for any indent.
 
 build_parser reads _COMMANDS, and one helper adds a subcommand's
 arguments to the full parser and to the subcommand's own.  run builds a
@@ -34,10 +38,11 @@ either way.
 """
 
 import argparse
-import json
+import ast
 import sys
 from dataclasses import dataclass
 from functools import cache
+from json.encoder import encode_basestring_ascii as _ascii
 
 from . import corpus
 from .derivations import check_class_h, derivation_space
@@ -53,10 +58,10 @@ def _load(path):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse.ArgumentParser with argparse's words for an invalid choice
-    and for the arguments left over, each token through _quote, so no
-    message echoes a whole token; add_subparsers makes its subparsers of
-    this class too."""
+    """argparse.ArgumentParser with argparse's words for an invalid choice,
+    for the arguments left over and for an ignored explicit argument, each
+    token through _quote, so no message echoes a whole token;
+    add_subparsers makes its subparsers of this class too."""
 
     def _check_value(self, action, value):
         if action.choices is not None and value not in action.choices:
@@ -70,6 +75,17 @@ class _Parser(argparse.ArgumentParser):
             self.error("unrecognized arguments: " + " ".join(map(_quote, rest)))
         return args
 
+    def _parse_known_args(self, *args):
+        try:
+            return super()._parse_known_args(*args)
+        except argparse.ArgumentError as exc:
+            # argparse builds this message inside its parse, from the repr
+            # of the whole token
+            head = "ignored explicit argument "
+            if exc.message.startswith(head):
+                exc.message = head + _quote(ast.literal_eval(exc.message[len(head):]))
+            raise
+
 
 def _integer_option(text):
     """integer(text), for an integer option.  argparse replaces the message
@@ -82,6 +98,41 @@ def _integer_option(text):
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid integer value: {over_limit(text) or _quote(text)}") from None
+
+
+def _dumps(value, indent="\n"):
+    """value as json.dumps(value, indent=2, sort_keys=True) writes it, but
+    that its lines after the first start with indent, a line break and
+    spaces: a list of strs in one join, a str through the escaper that
+    json.dumps uses.  A report holds only dicts with str keys, lists, strs,
+    ints, bools and None; anything else raises TypeError."""
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        try:
+            body = f",{inner}".join(map(_ascii, value))
+        except TypeError:  # an item that is not a str
+            body = f",{inner}".join([_dumps(item, inner) for item in value])
+        return f"[{inner}{body}{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"a report's keys are strs, not {type(key).__name__}")
+        body = f",{inner}".join([f"{_ascii(key)}: {_dumps(value[key], inner)}"
+                                 for key in sorted(value)])
+        return f"{{{inner}{body}{indent}}}"
+    if isinstance(value, str):
+        return _ascii(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError("a report holds dicts, lists, strs, ints, bools and None, "
+                    f"not {type(value).__name__}")
 
 
 def _piece_labels(algebra):
@@ -327,8 +378,7 @@ def _dispatch(args):
         if spec.takes_file:
             doc["file"] = args.file
         if args.json:
-            # a handler builds its document afresh, and it holds no cycle
-            print(json.dumps(doc, indent=2, sort_keys=True, check_circular=False))
+            print(_dumps(doc))
         else:
             for line in lines:
                 print(line)

@@ -108,8 +108,8 @@ class LambdaFamily:
             if not key:
                 raise ValueError("the empty subset is implicitly the identity")
             if not isinstance(m, GradedLinearMap):
-                raise ValueError(f"component at {_quote(key)} is a {type(m).__name__}, "
-                                 f"not a GradedLinearMap")
+                raise ValueError(f"component at {_quote(key)} must be a GradedLinearMap, "
+                                 f"not {type(m).__name__}")
             if (m.shift + len(key)) % 2:
                 raise ValueError(
                     f"component at {_quote(key)} has shift {_quote(m.shift)}, "

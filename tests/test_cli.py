@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import subprocess
@@ -680,6 +681,71 @@ def test_json_bytes_survive_hash_seed_changes():
         assert proc.returncode == 0
         outputs.add(proc.stdout)
     assert len(outputs) == 1
+
+
+# --- _dumps is json.dumps(doc, indent=2, sort_keys=True), byte for byte ---
+
+def oracle(value):
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+def report_lines(broken_table):
+    """Every subcommand on every corpus entry, each example listed and
+    shown, the corrupt table validated (exit 1), and lines that exit 2."""
+    lines = [["examples", "list"]]
+    for name in corpus.names():
+        path = corpus.path(name)
+        lines += [["examples", "show", name], ["validate", path], ["check-h", path],
+                  ["derivations", path, "--degree", "-1"], ["char", path, "--rank", "2"],
+                  ["rigidity", path, "--torus", "2"]]
+    return lines + [["validate", broken_table], ["check-h", broken_table],
+                    ["char", corpus.path("cp2"), "--rank", "0"], ["examples", "show", "cp9"]]
+
+
+def test_every_report_prints_as_json_dumps_writes_it(capsys, monkeypatch, broken_table):
+    docs = []
+    for name, spec in cli._COMMANDS.items():
+        def recorded(args, source, handler=spec.handler):
+            report = handler(args, source)
+            docs.append(report[0])
+            return report
+        monkeypatch.setitem(cli._COMMANDS, name, dataclasses.replace(spec, handler=recorded))
+    codes = set()
+    for argv in report_lines(broken_table):
+        docs.clear()
+        code, out, _ = invoke(capsys, *argv, "--json")
+        codes.add(code)
+        if code == 2:  # an error, on stderr
+            assert (out, docs) == ("", []), argv
+        else:
+            assert out == oracle(docs[0]) + "\n", argv
+    assert codes == {0, 1, 2}
+
+
+TEXT = st.text(st.characters(exclude_categories=()) | st.sampled_from(
+    ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u2028", "\xe9", "\U0001f600", "\ud800",
+     "\udfff"]))
+DOCUMENTS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10**300, 10**300) | TEXT,
+    lambda items: st.lists(items) | st.lists(TEXT) | st.dictionaries(TEXT, items),
+    max_leaves=40)
+
+
+@given(DOCUMENTS)
+@settings(max_examples=300, deadline=None)
+def test_dumps_is_json_dumps_on_random_documents(doc):
+    assert cli._dumps(doc) == oracle(doc)
+
+
+@pytest.mark.parametrize("value, message", [
+    ({"degree": 0.5}, "a report holds dicts, lists, strs, ints, bools and None, not float"),
+    ([["1", (1, 2)]], "a report holds dicts, lists, strs, ints, bools and None, not tuple"),
+    ({"blocks": {1: []}}, "a report's keys are strs, not int"),
+], ids=["float", "tuple", "int key"])
+def test_dumps_refuses_what_no_report_holds(value, message):
+    with pytest.raises(TypeError) as info:
+        cli._dumps(value)
+    assert str(info.value) == message
 
 
 # --- char reads the basis alone ---

@@ -154,8 +154,9 @@ def test_a_long_name_or_path_gives_one_short_error_line(capsys, argv):
 @pytest.mark.parametrize("argv, quoted", [
     (["x" * LONG], "argument command: invalid choice: {}"),
     (["examples", "x" * LONG], "argument action: invalid choice: {}"),
-    (["check-h", "a", "x" * LONG], "unrecognized arguments: {}")],
-    ids=["command", "examples action", "leftover"])
+    (["check-h", "a", "x" * LONG], "unrecognized arguments: {}"),
+    (["check-h", "--json=" + "x" * LONG, "a"], "argument --json: ignored explicit argument {}")],
+    ids=["command", "examples action", "leftover", "explicit argument"])
 def test_a_long_token_that_argparse_names_gives_a_short_stderr(capsys, argv, quoted):
     assert cli.run(argv) == 2
     out, err = capsys.readouterr()
@@ -192,8 +193,8 @@ def cp2():
     (lambda: KunnethModel(cp2(), 2).total_index(0, list(range(LONG))),
      f"subset [{CUT_KEY[1:]} is not within 1..2"),
     (lambda: LambdaFamily(LONG, {tuple(range(1, LONG + 1)): 5}),
-     "component at (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, ... (688895 characters) is a int, "
-     "not a GradedLinearMap"),
+     "component at (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, ... (688895 characters) must be a "
+     "GradedLinearMap, not int"),
 ], ids=["system", "columns", "block", "blocks", "basis index", "table key", "unit",
         "subset coordinate", "Element", "long table key", "long subset", "long component key"])
 def test_a_huge_value_gives_a_short_message_in_the_calls_own_words(call, message):

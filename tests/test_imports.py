@@ -1,6 +1,7 @@
 """Every import in the package, the tests and the scripts is used, every
-private module-level name of the package is named elsewhere, and the
-package imports only itself and the standard library.
+private module-level name of the package is named elsewhere, the package
+imports only itself and the standard library, and it never calls
+json.dump or json.dumps: cli._dumps is its one JSON writer.
 
 A name counts as used when the module reads it or lists it in __all__.
 __future__ imports are exempt, and so is any import line marked
@@ -107,3 +108,31 @@ def test_package_imports_only_the_standard_library():
     # a third-party import does show
     conftest = outside_imports(os.path.join(ROOT, "tests", "conftest.py"))
     assert any(hit.endswith(": hypothesis") for hit in conftest)
+
+
+JSON_WRITERS = {"dump", "dumps"}
+
+
+def json_writer_uses(path):
+    """file:line of each use of json.dump or json.dumps: an attribute of a
+    name bound to the json module, or a name imported from it."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names if alias.name == "json"}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            lines += [node.lineno for alias in node.names if alias.name in JSON_WRITERS]
+        elif (isinstance(node, ast.Attribute) and node.attr in JSON_WRITERS
+              and isinstance(node.value, ast.Name) and node.value.id in modules):
+            lines.append(node.lineno)
+    return [f"{os.path.relpath(path, ROOT)}:{line}" for line in sorted(lines)]
+
+
+def test_package_has_one_json_writer():
+    paths = glob.glob(os.path.join(ROOT, "src", "negder", "**", "*.py"), recursive=True)
+    assert len(paths) > 5
+    assert [hit for p in sorted(paths) for hit in json_writer_uses(p)] == []
+    # the oracle tests do call json.dumps, and that shows
+    assert json_writer_uses(os.path.join(ROOT, "tests", "test_cli.py"))

@@ -1,8 +1,9 @@
 """Every error message that the package can raise is named by a test: for
-each ``raise ParseError(...)`` and ``raise ValueError(...)`` in every
-module of src/negder, and for the message argument of each call of the
-argument readers ``_items`` and ``_iterated``, the longest literal piece
-of its message occurs in a test file.
+each ``raise ParseError(...)``, ``raise ValueError(...)`` and ``raise
+TypeError(...)`` in every module of src/negder, and for the message
+argument of each call of the argument readers ``_items`` and
+``_iterated``, the longest literal piece of its message occurs in a test
+file.
 
 A message with no literal piece, such as a ParseError that passes on the
 text of an error it caught, is left out.
@@ -24,12 +25,13 @@ READERS = {"_items": 1, "_iterated": 1}
 
 
 def message_argument(call):
-    """The message node of call, if it raises ParseError or ValueError or
-    calls an argument reader: a ParseError's message is its second
-    argument, a ValueError's its first, a reader's its second."""
+    """The message node of call, if it raises ParseError, ValueError or
+    TypeError or calls an argument reader: a ParseError's message is its
+    second argument, a ValueError's or a TypeError's its first, a
+    reader's its second."""
     if not isinstance(call, ast.Call) or not isinstance(call.func, ast.Name):
         return None
-    position = {"ParseError": 1, "ValueError": 0, **READERS}.get(call.func.id)
+    position = {"ParseError": 1, "ValueError": 0, "TypeError": 0, **READERS}.get(call.func.id)
     return None if position is None else call.args[position]
 
 

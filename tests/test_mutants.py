@@ -271,6 +271,11 @@ def check_h_json_matches_its_golden_digest(m):
     assert (code, golden.digest(json.loads(out.getvalue()))) == (pinned["exit"], pinned["sha256"])
 
 
+def report_keys_are_sorted(m):
+    doc = {"shift": -1, "blocks": [{"source_degree": 1, "matrix": [["1", "-1/2"]]}]}
+    assert m._dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
 class Row(NamedTuple):
     module: types.ModuleType
     fragment: str
@@ -356,6 +361,8 @@ ROWS = {
         bits = f" of {value.bit_length()} bits" if isinstance(value, int) else ""
         return f"<{type(value).__name__}{bits}>"
 """, "    text = repr(value)\n", huge_int_is_named_by_its_size),
+    "keys left unsorted": Row(cli, "for key in sorted(value)", "for key in value",
+                              report_keys_are_sorted),
     "file error echoes the whole path": Row(
         cli, "_quote(exc.filename)", "repr(exc.filename)", long_path_is_quoted_short),
     "run without its leftovers rule": Row(

@@ -126,9 +126,11 @@ def test_family_rejects_bad_subsets():
 
 def test_family_rejects_a_component_that_is_not_a_map():
     for value in ("x", None, [[1]], {1: [[1]]}):
-        with pytest.raises(ValueError, match=r"^component at \(1,\) is a \w+, not a Graded"):
+        with pytest.raises(ValueError,
+                           match=r"^component at \(1,\) must be a GradedLinearMap, not \w+$"):
             LambdaFamily(1, {(1,): value})
-    with pytest.raises(ValueError, match=r"^component at \(1, 2\) is a str"):
+    with pytest.raises(ValueError,
+                       match=r"^component at \(1, 2\) must be a GradedLinearMap, not str$"):
         LambdaFamily(2, {(2, 1): "x"})
 
 
@@ -504,7 +506,7 @@ def test_rigidity_arguments_are_refused_in_these_exact_words():
          "components must be a mapping {subset: GradedLinearMap}, not [1]"),
         (lambda: LambdaFamily(1, {(): theta}), "the empty subset is implicitly the identity"),
         (lambda: LambdaFamily(1, {(1,): "x"}),
-         "component at (1,) is a str, not a GradedLinearMap"),
+         "component at (1,) must be a GradedLinearMap, not str"),
         (lambda: LambdaFamily(1, {(1,): odd}),
          "component at (1,) has shift -2, which differs in parity from -1"),
         (lambda: char_subspace(cp2, 0), "rank must be at least 1"),
