@@ -6,10 +6,9 @@ the splitting-rigidity prover at a chosen torus rank.
     python3 scripts/corpus_survey.py --torus 5 s3 s5 t2
 """
 
-import argparse
-
 from negder import ProofTrace, check_class_h, corpus
-from negder.fileformats import integer
+from negder.cli import _integer_option, _Parser
+from negder.linalg import _quote
 
 
 def survey_row(name, torus_rank):
@@ -33,15 +32,16 @@ def survey_row(name, torus_rank):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = _Parser(description=__doc__.splitlines()[0])
     parser.add_argument("names", nargs="*", default=None,
                         help="examples to survey (default: all)")
-    parser.add_argument("--torus", type=integer, default=3, metavar="S",
+    parser.add_argument("--torus", type=_integer_option, default=3, metavar="S",
                         help="torus rank for the rigidity column (default 3)")
     args = parser.parse_args()
     for name in args.names:
         if name not in corpus.names():
-            parser.error(f"unknown example {name!r}; choose from {', '.join(corpus.names())}")
+            parser.error(f"unknown example {_quote(name)}; "
+                         f"choose from {', '.join(corpus.names())}")
     names = args.names or corpus.names()
 
     header = ("name", "dim", "top", "class H", "first fail",

@@ -6,9 +6,9 @@ that can act nontrivially, negative through positive.
     python3 scripts/derivation_census.py --negative-only s3 t3
 """
 
-import argparse
-
 from negder import corpus, derivation_space
+from negder.cli import _Parser
+from negder.linalg import _quote
 
 
 def census(name, negative_only):
@@ -20,7 +20,7 @@ def census(name, negative_only):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = _Parser(description=__doc__.splitlines()[0])
     parser.add_argument("names", nargs="*", default=None,
                         help="examples to tabulate (default: all)")
     parser.add_argument("--negative-only", action="store_true",
@@ -30,7 +30,8 @@ def main():
     args = parser.parse_args()
     for name in args.names:
         if name not in corpus.names():
-            parser.error(f"unknown example {name!r}; choose from {', '.join(corpus.names())}")
+            parser.error(f"unknown example {_quote(name)}; "
+                         f"choose from {', '.join(corpus.names())}")
 
     for name in args.names or corpus.names():
         alg, dims = census(name, args.negative_only)

@@ -15,12 +15,11 @@ is imported by the tests.  An N whose table would pass MAX_TABLE_ENTRIES
 (N >= 7) is refused with exit 2.
 """
 
-import argparse
 from itertools import combinations_with_replacement, product as cartesian
 
 from negder import GradedAlgebra, serialize_structure_constants
 from negder.algebra import MAX_TABLE_ENTRIES
-from negder.fileformats import integer
+from negder.cli import _integer_option, _Parser
 
 
 def _tails(n):
@@ -105,8 +104,8 @@ def flag_manifold(n):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("n", type=integer, help="the N of Fl_N, at least 1")
+    parser = _Parser(description=__doc__.splitlines()[0])
+    parser.add_argument("n", type=_integer_option, help="the N of Fl_N, at least 1")
     args = parser.parse_args()
     try:
         algebra = flag_manifold(args.n)

@@ -10,9 +10,18 @@ rationals are always serialized as exact "p/q" strings.  Integer options
 are read by fileformats.integer, as the integers of a file are: 1_0, ٣
 or " 2 " is a usage error, whose message quotes the token as a file's
 messages do, through linalg._quote, as is the path in the message of
-an OSError.  Both parsers are a _Parser, whose own messages quote a
-token the same way: an invalid choice, the arguments left over, and an
-explicit argument that an option ignores (--json=x).
+an OSError.
+
+Every parser of a negder command line, the scripts' included, is a
+_Parser, under one rule: its error(), the one exit of every argparse
+message, shows through _quote the longest suffix of a token that the
+parse read, of more than 40 characters, that the message shows.  Each
+token argparse shows, whole or as the value of an option, is such a
+suffix.  So a long token shows as its first 40 characters and its
+length, in an invalid choice, an argument left over, an ignored
+explicit argument or any other argparse message; a token of at most 40
+characters shows as argparse wrote it, since _quote of such a str is
+its repr.
 
 Each subcommand is listed once, in _COMMANDS: its handler, help text,
 whether it reads an algebra file, and its arguments.  A handler takes
@@ -38,8 +47,8 @@ either way.
 """
 
 import argparse
-import ast
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
 from json.encoder import encode_basestring_ascii as _ascii
@@ -47,7 +56,7 @@ from json.encoder import encode_basestring_ascii as _ascii
 from . import corpus
 from .derivations import check_class_h, derivation_space
 from .fileformats import AlgebraFile, ValidationError, detect_format, integer, over_limit
-from .linalg import _quote
+from .linalg import _QUOTE_CAP, _quote
 from .rigidity import char_subspace, prove_rigidity
 
 
@@ -57,42 +66,60 @@ def _load(path):
     return AlgebraFile(detect_format(text), text)
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse.ArgumentParser with argparse's words for an invalid choice,
-    for the arguments left over and for an ignored explicit argument, each
-    token through _quote, so no message echoes a whole token;
-    add_subparsers makes its subparsers of this class too."""
+def _forms(text):
+    """text as a message may show it: its repr, itself, and the inside of
+    its repr in its own quotes and in single quotes.  The inside of the
+    repr of a suffix of text, in given quotes, ends the inside of text's
+    in the same quotes."""
+    return repr(text), text, repr(text)[1:-1], repr(text + '"')[1:-2]
 
-    def _check_value(self, action, value):
-        if action.choices is not None and value not in action.choices:
-            choices = ", ".join(map(repr, action.choices))
-            raise argparse.ArgumentError(
-                action, f"invalid choice: {_quote(value)} (choose from {choices})")
+
+class _Parser(argparse.ArgumentParser):
+    """argparse.ArgumentParser under one rule: error(), the one exit of
+    every argparse message, finds the longest suffix of more than
+    _QUOTE_CAP characters of any token that parse_known_args read which
+    the message shows, in any of its _forms, and shows it through _quote.
+    Every token that argparse shows, whole, as the value of a
+    --option=value token or as what follows a run of single-dash flags,
+    is such a suffix, and an argparse message shows at most one.  The
+    _quote of a shorter token is its repr, so its message is argparse's
+    own.  parse_args names the arguments left over through _quote, and
+    add_subparsers makes its subparsers of this class."""
+
+    _tokens = ()
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._tokens = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(self._tokens, namespace)
 
     def parse_args(self, args=None, namespace=None):
         args, rest = self.parse_known_args(args, namespace)
-        if rest:
-            self.error("unrecognized arguments: " + " ".join(map(_quote, rest)))
+        if rest:  # each quoted here: error() quotes one suffix, the longest
+            super().error("unrecognized arguments: " + " ".join(map(_quote, rest)))
         return args
 
-    def _parse_known_args(self, *args):
-        try:
-            return super()._parse_known_args(*args)
-        except argparse.ArgumentError as exc:
-            # argparse builds this message inside its parse, from the repr
-            # of the whole token
-            head = "ignored explicit argument "
-            if exc.message.startswith(head):
-                exc.message = head + _quote(ast.literal_eval(exc.message[len(head):]))
-            raise
+    def error(self, message):
+        # every suffix of token[k:] shows where token[k:] does, so k is
+        # bisected; and only a token longer than the suffix found can show
+        # a longer one, so the longest tokens go first and the search reads
+        # the command line about log2 of its length times over
+        shown = ""
+        for token in sorted(set(self._tokens), key=len, reverse=True):
+            cut = len(token) - max(len(shown), _QUOTE_CAP)
+            start = bisect_left(range(cut), True, key=lambda k: any(
+                form in message for form in _forms(token[k:])[1:]))
+            shown = token[start:] if start < cut else shown
+        for form in _forms(shown) if shown else ():
+            message = message.replace(form, _quote(shown))
+        super().error(message)
 
 
 def _integer_option(text):
     """integer(text), for an integer option.  argparse replaces the message
-    of a ValueError with its own, which quotes the whole token, but prints
-    an ArgumentTypeError's as it is: so this raises one with argparse's
-    words, "invalid integer value: 'x'", the token quoted through _quote,
-    and named with the int-string limit when only that limit stops it."""
+    of a ValueError with its own, but prints an ArgumentTypeError's as it
+    is: so this raises one with argparse's words, "invalid integer value:
+    'x'", the token quoted through _quote, and named with the int-string
+    limit when only that limit stops it."""
     try:
         return integer(text)
     except ValueError:

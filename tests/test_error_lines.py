@@ -19,6 +19,7 @@ import pytest
 from negder import (Element, GradedAlgebra, GradedBasis, GradedLinearMap, KunnethModel,
                     LambdaFamily, ParseError, cli, corpus, nullspace_basis, parse_presentation,
                     parse_structure_constants)
+from negder.fileformats import integer
 from test_formats import DIGITS, PRESENTATION_ERRORS, TABLE_ERRORS, TERMS_ERRORS, edited
 
 LONG = 100_000
@@ -162,6 +163,55 @@ def test_a_long_token_that_argparse_names_gives_a_short_stderr(capsys, argv, quo
     out, err = capsys.readouterr()
     assert out == "" and len(err.encode()) <= BOUND, err[:BOUND]
     assert quoted.format(f"'{'x' * 40}'... ({LONG} characters)") in err
+
+
+def test_the_parser_quotes_a_long_token_in_any_argparse_message(capsys):
+    # argparse's own message for a type that raises ValueError quotes the
+    # whole token; the parser's one rule cuts it, and leaves a short token's
+    # message as argparse wrote it
+    parser = cli._Parser(prog="p")
+    parser.add_argument("n", type=integer)
+    for token, shown in (("x", "'x'"), ("x" * LONG, f"'{'x' * 40}'... ({LONG} characters)")):
+        with pytest.raises(SystemExit):
+            parser.parse_args([token])
+        last = capsys.readouterr().err.splitlines(keepends=True)[-1]
+        assert last == f"p: error: argument n: invalid integer value: {shown}\n", last[:BOUND]
+
+
+CUT = f"'{'x' * 40}'... ({LONG} characters)"
+# repr shows LINES in double quotes, and BOTH in single quotes
+LINES = "'\n" * (LONG // 2)
+BOTH = '"' + LINES
+BARE = "--=\n" + LINES  # argparse shows an ambiguous option bare
+
+
+@pytest.mark.parametrize("argv, quoted", [
+    (["check-h", "a", "--=" + "x" * LONG],
+     f"ambiguous option: '--={'x' * 37}'... ({LONG + 3} characters) could"),
+    (["check-h", "a", "-h" + "x" * LONG], f"ignored explicit argument {CUT}"),
+    (["check-h", "a", "-hh" + "x" * LONG], f"ignored explicit argument {CUT}"),
+    (["check-h", "a", "-h-h" + "x" * LONG],
+     f"ignored explicit argument '-h{'x' * 38}'... ({LONG + 2} characters)"),
+    (["check-h", "a", "x" * 41, "-h" + "x" * LONG], f"ignored explicit argument {CUT}"),
+    (["check-h", "a", "x" * 41, "--=" + "x" * LONG],
+     f"ambiguous option: '--={'x' * 37}'... ({LONG + 3} characters) could"),
+    (["check-h", "a", BARE], f"ambiguous option: {BARE[:40]!r}... ({LONG + 4} characters) could"),
+    ([LINES], f"invalid choice: {LINES[:40]!r}... ({LONG} characters) (choose"),
+    ([BOTH], f"invalid choice: {BOTH[:40]!r}... ({LONG + 1} characters) (choose")],
+    ids=["ambiguous option", "flag with a value", "flags with a value", "flag with a flag",
+         "a long token inside the flag's value", "a long token inside the ambiguous option",
+         "line breaks in an ambiguous option", "quotes and line breaks",
+         "both quotes and line breaks"])
+def test_a_long_option_token_gives_a_short_stderr(capsys, argv, quoted):
+    # "--=x..." could be any long option, and argparse shows it bare; before
+    # 3.13 argparse reads "-hx..." as -h with the value "x...", which it
+    # ignores, and 3.13 prints the help; "x" * 41 shows many times over
+    # inside the longer token, but only the longest token argparse shows
+    # is cut
+    code = cli.run(argv)
+    err = capsys.readouterr().err
+    assert len(err.encode()) <= BOUND, err[:BOUND]
+    assert code == 0 and argv[-1].startswith(("-hx", "-hhx")) or code == 2 and quoted in err, err
 
 
 HUGE = 10**5000  # past the int-string limit, whose repr raises ValueError

@@ -8,8 +8,8 @@ file.
 A message with no literal piece, such as a ParseError that passes on the
 text of an error it caught, is left out.
 
-No f-string of the package converts a value with !r, but in
-linalg._quote and a __repr__: a message shows a value through _quote.
+No f-string of the package or of a script converts a value with !r, but
+in linalg._quote and a __repr__: a message shows a value through _quote.
 """
 
 import ast
@@ -79,9 +79,13 @@ def test_every_parser_error_message_is_named_by_a_test():
 def test_no_message_uses_a_repr_conversion():
     # a message shows a value through linalg._quote, which keeps it short
     # and names an int that repr cannot write; so no f-string of the
-    # package converts with !r, but for _quote itself and a __repr__
+    # package or of a script converts with !r, but for _quote itself and
+    # a __repr__
+    paths = [*glob.glob(os.path.join(PACKAGE, "*.py")),
+             *glob.glob(os.path.join(ROOT, "scripts", "*.py"))]
+    assert any(os.path.basename(path) == "corpus_survey.py" for path in paths)
     sites = []
-    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+    for path in sorted(paths):
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), path)
         exempt = {id(node) for function in ast.walk(tree)

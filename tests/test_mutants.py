@@ -255,6 +255,18 @@ def sphere_derivation_has_no_defect(m):
     assert m.is_derivation(s3, theta) == []
 
 
+def long_command_is_quoted_short(m):
+    code, out, err = answer(m.run, ["x" * 100_000])
+    assert (code, out) == (2, "") and len(err) < 300
+    assert f"invalid choice: '{'x' * 40}'... (100000 characters) (choose from" in err
+
+
+def long_token_inside_a_longer_is_cut_once(m):
+    # "x" * 41 shows thousands of times inside the ambiguous option
+    code, out, err = answer(m.run, ["check-h", "a", "x" * 41, "--=" + "x" * 100_000])
+    assert (code, out) == (2, "") and len(err) < 300
+
+
 def long_path_is_quoted_short(m):
     # no file system takes a name this long, so open fails with ENAMETOOLONG
     code, out, err = answer(m.run, ["check-h", "x" * 100_000])
@@ -365,6 +377,10 @@ ROWS = {
                               report_keys_are_sorted),
     "file error echoes the whole path": Row(
         cli, "_quote(exc.filename)", "repr(exc.filename)", long_path_is_quoted_short),
+    "error() shows a long token whole": Row(
+        cli, "message.replace(form, _quote(shown))", "message", long_command_is_quoted_short),
+    "error() cuts a shorter suffix than it found": Row(
+        cli, "max(len(shown), _QUOTE_CAP)", "_QUOTE_CAP", long_token_inside_a_longer_is_cut_once),
     "run without its leftovers rule": Row(
         cli, "if command is None or rest:", "if command is None:",
         leftovers_answer_as_the_full_parser),

@@ -57,6 +57,41 @@ def test_scripts_reject_an_unknown_example_as_a_usage_error(script):
     assert "Traceback" not in proc.stderr
 
 
+LONG = 100_000
+LETTERS, DIGITS = "x" * LONG, "1" * LONG
+
+
+def cut(token):
+    return f"'{token[:40]}'... ({LONG} characters)"
+
+
+@pytest.mark.parametrize("script, args, quoted", [
+    ("corpus_survey.py", [LETTERS], f"unknown example {cut(LETTERS)}"),
+    ("derivation_census.py", [LETTERS], f"unknown example {cut(LETTERS)}"),
+    ("corpus_survey.py", ["--torus", LETTERS],
+     f"argument --torus: invalid integer value: {cut(LETTERS)}"),
+    ("corpus_survey.py", ["--torus", DIGITS],
+     f"argument --torus: invalid integer value: {cut(DIGITS)} has more digits than the "
+     "int-string limit"),
+    ("flag_manifold.py", [LETTERS], f"argument n: invalid integer value: {cut(LETTERS)}"),
+    ("flag_manifold.py", [DIGITS],
+     f"argument n: invalid integer value: {cut(DIGITS)} has more digits than the int-string "
+     "limit"),
+    *((script, ["--help=" + LETTERS], f"ignored explicit argument {cut(LETTERS)}")
+      for script in ("corpus_survey.py", "derivation_census.py", "flag_manifold.py"))],
+    ids=["survey example", "census example", "torus letters", "torus digits", "N letters",
+         "N digits", "survey help", "census help", "flag manifold help"])
+def test_a_long_argument_gives_one_short_error_line(script, args, quoted):
+    # the scripts' parsers are the command line's: a long token shows as
+    # its first 40 characters and its length, in argparse's messages too
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", script), *args],
+                          capture_output=True, text=True, env=src_env(), timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    last = proc.stderr.splitlines(keepends=True)[-1]
+    assert len(last.encode()) <= 300, last[:300]
+    assert quoted in last, last
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_flag_manifolds_are_valid_and_in_class_h(n):
     # H*(Fl_n) has the n! standard monomials as its basis, is generated by
